@@ -4,12 +4,14 @@ Exit codes partition three ways: 0 means the command ran and its
 mathematical verdict (if any) is affirmative, 1 means the verdict is
 negative (a map fails positivity, domination fails, a property does not
 hold), and 2 means the inputs never reached a verdict (unreadable files,
-schema violations, bad arguments).
+schema violations, non-finite numbers or tolerances, bad arguments, a
+failed certificate or linear-algebra routine).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,14 +22,21 @@ from . import serialize
 from .dilation import dilate, verify_dilation
 from .errors import (CertificationError, DominationError, PositivityError,
                      SchemaError, ValidationError)
-from .maps import (check_hermitian_symmetry, images_of,
-                   is_completely_n_positive, random_cpn_map, require_cpn)
+from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
 from .structure import (commutant, extension_witness, are_disjoint,
                         is_extreme, nonextreme_decomposition)
 from .acceptance import run_all
+
+
+def _require_tol(name: str, val: float) -> float:
+    """A tolerance must be a finite positive number; inf and nan would
+    make every check pass or fail vacuously."""
+    if not (math.isfinite(val) and val > 0.0):
+        raise SchemaError(f"{name} must be a finite positive number, got {val!r}")
+    return val
 
 
 def _env_tol() -> float:
@@ -38,18 +47,16 @@ def _env_tol() -> float:
         val = float(raw)
     except ValueError as exc:
         raise SchemaError(f"CPN_TOL is not a number: {raw!r}") from exc
-    if not (val > 0.0):
-        raise SchemaError(f"CPN_TOL must be positive, got {raw!r}")
-    return val
+    return _require_tol("CPN_TOL", val)
 
 
 def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"cannot read {path}: file not found") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -58,7 +65,10 @@ def _load_map(path: str):
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CertificationError(f"report holds a non-finite number: {exc}") from exc
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -81,11 +91,10 @@ def _envelope(command: str, tol: float, verdict, certificates: dict,
 
 def _cmd_check(args) -> int:
     rho = _load_map(args.map)
-    symmetric = check_hermitian_symmetry(rho, args.tol)
     chk = is_completely_n_positive(rho, args.tol)
     report = _envelope("check", args.tol, bool(chk.verdict), {
         "min_choi_eigenvalue": float(chk.min_eig),
-        "hermitian_symmetric": bool(symmetric),
+        "hermitian_symmetric": bool(chk.hermitian_symmetric),
         "n": rho.n,
         "codomain_dim": rho.codomain_dim,
     })
@@ -94,9 +103,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
+    rank_tol = args.tol if args.rank_tol is None \
+        else _require_tol("--rank-tol", args.rank_tol)
     rho = _load_map(args.map)
-    require_cpn(rho, args.tol)
-    rank_tol = args.rank_tol if args.rank_tol is not None else args.tol
     dil = dilate(rho, args.tol, rank_tol=rank_tol)
     rep = verify_dilation(rho, dil, args.tol)
     report = _envelope("dilate", args.tol, True, {
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _error_report(exc: Exception) -> dict:
     payload = {"type": type(exc).__name__, "message": str(exc)}
     min_eig = getattr(exc, "min_eig", None)
-    if min_eig is not None:
+    if min_eig is not None and math.isfinite(min_eig):
         payload["min_eig"] = float(min_eig)
     return {"error": payload, "version": __version__}
 
@@ -291,13 +300,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = _env_tol()
-        if getattr(args, "tol", None) is not None and not (args.tol > 0.0):
-            raise SchemaError(f"--tol must be positive, got {args.tol}")
+        elif getattr(args, "tol", None) is not None:
+            _require_tol("--tol", args.tol)
         return args.func(args)
     except (PositivityError, DominationError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 1
-    except (SchemaError, ValidationError, CertificationError) as exc:
+    except (SchemaError, ValidationError, CertificationError,
+            np.linalg.LinAlgError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 2
 

@@ -24,8 +24,9 @@ import numpy as np
 from .algebra import (AlgebraElement, CStarAlgebra, unit_index,
                       unit_index_table, unit_product_index)
 from .errors import CertificationError, ValidationError
-from .linalg import (herm, nearest_unitary, numerical_rank, orth,
-                     solve_sandwich, spectral_norm)
+from .linalg import (commutant_basis_of, herm, intertwiner_basis_of,
+                     nearest_unitary, numerical_rank, orth, solve_sandwich,
+                     spectral_norm)
 from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, flatten,
                    images_of, require_cpn)
 
@@ -69,6 +70,96 @@ def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
         if c != 0:
             out += c * img
     return out
+
+
+def block_offsets(block_dims, multiplicities) -> list[int]:
+    """Start of each block's summand C^{d_k} (x) C^{r_k}, plus the total."""
+    offsets = [0]
+    for d, r in zip(block_dims, multiplicities):
+        offsets.append(offsets[-1] + d * r)
+    return offsets
+
+
+def canonical_images(algebra: CStarAlgebra, multiplicities) -> list[np.ndarray]:
+    """Matrix-unit images of the canonical representation (+)_k a_k (x) I_{r_k}.
+
+    Block k acts on C^{d_k} (x) C^{r_k}, basis vector (p, s) at
+    offset_k + p * r_k + s.  This is the frame dilate() returns and the
+    frame the closed-form commutant and intertwiner bases assume.
+    """
+    offsets = block_offsets(algebra.block_dims, multiplicities)
+    space_dim = offsets[-1]
+    images = []
+    for k, d in enumerate(algebra.block_dims):
+        r = multiplicities[k]
+        lo, hi = offsets[k], offsets[k + 1]
+        for p in range(d):
+            for q in range(d):
+                img = np.zeros((space_dim, space_dim), dtype=complex)
+                if r:
+                    e = np.zeros((d, d))
+                    e[p, q] = 1.0
+                    img[lo:hi, lo:hi] = np.kron(e, np.eye(r))
+                images.append(img)
+    return images
+
+
+def in_canonical_frame(rep: Representation) -> bool:
+    """Whether rep carries multiplicities and its images are exactly the
+    canonical images for them (an O(dim A * H^2) comparison)."""
+    mults = rep.multiplicities
+    if (mults is None or len(mults) != rep.algebra.num_blocks
+            or any(r < 0 for r in mults)
+            or block_offsets(rep.algebra.block_dims, mults)[-1] != rep.space_dim):
+        return False
+    return all(np.array_equal(a, b)
+               for a, b in zip(rep.images, canonical_images(rep.algebra, mults)))
+
+
+def _block_tensor_basis(block_dims, source_mults, target_mults) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis I_{d_k} (x) E_st / sqrt(d_k) of
+    (+)_k I_{d_k} (x) M_{t_k x s_k}, as maps between canonical frames."""
+    src = block_offsets(block_dims, source_mults)
+    dst = block_offsets(block_dims, target_mults)
+    basis = []
+    for k, d in enumerate(block_dims):
+        r, s = source_mults[k], target_mults[k]
+        for a in range(s):
+            for b in range(r):
+                e = np.zeros((s, r))
+                e[a, b] = 1.0 / np.sqrt(d)
+                x = np.zeros((dst[-1], src[-1]), dtype=complex)
+                x[dst[k]:dst[k + 1], src[k]:src[k + 1]] = np.kron(np.eye(d), e)
+                basis.append(x)
+    return basis
+
+
+def commutant_basis(rep: Representation, tol: float = 1e-9) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of the commutant Phi(A)'.
+
+    In the canonical frame this is the closed form (+)_k I_{d_k} (x) M_{r_k},
+    of dimension sum_k r_k^2; any other representation goes through the
+    nullspace solve of linalg.commutant_basis_of.
+    """
+    if in_canonical_frame(rep):
+        return _block_tensor_basis(rep.algebra.block_dims, rep.multiplicities,
+                                   rep.multiplicities)
+    return commutant_basis_of(list(rep.images), rep.space_dim, tol)
+
+
+def intertwiner_basis(rep1: Representation, rep2: Representation,
+                      tol: float = 1e-9) -> list[np.ndarray]:
+    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X}, X of shape (H_2, H_1),
+    for two representations of one algebra.
+
+    Between two canonical frames this is the closed form
+    (+)_k I_{d_k} (x) M_{s_k x r_k}; otherwise linalg.intertwiner_basis_of.
+    """
+    if in_canonical_frame(rep1) and in_canonical_frame(rep2):
+        return _block_tensor_basis(rep1.algebra.block_dims, rep1.multiplicities,
+                                   rep2.multiplicities)
+    return intertwiner_basis_of(list(rep1.images), list(rep2.images),
+                                rep1.space_dim, rep2.space_dim, tol)
 
 
 @dataclass(frozen=True)
@@ -160,29 +251,18 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
         ks = [np.sqrt(w[s]) * vecs[:, s].reshape(d, n * m).T for s in keep]
         kraus.append(ks)
         mults.append(len(ks))
-    space_dim = sum(d * r for d, r in zip(alg.block_dims, mults))
-    offsets = np.concatenate([[0], np.cumsum([d * r for d, r in zip(alg.block_dims, mults)])])
-    images = []
-    for k, d in enumerate(alg.block_dims):
-        r = mults[k]
-        lo, hi = int(offsets[k]), int(offsets[k + 1])
-        for p in range(d):
-            for q in range(d):
-                img = np.zeros((space_dim, space_dim), dtype=complex)
-                if r:
-                    e = np.zeros((d, d))
-                    e[p, q] = 1.0
-                    img[lo:hi, lo:hi] = np.kron(e, np.eye(r))
-                images.append(img)
+    offsets = block_offsets(alg.block_dims, mults)
+    space_dim = offsets[-1]
     v = np.zeros((space_dim, n * m), dtype=complex)
     for k, d in enumerate(alg.block_dims):
-        lo = int(offsets[k])
+        lo = offsets[k]
         r = mults[k]
         for s, ks in enumerate(kraus[k]):
             # ks has shape (n m, d); rows of V at (k, p, s) hold conj(ks[:, p])
             for p in range(d):
                 v[lo + p * r + s, :] = ks[:, p].conj()
-    rep = Representation(alg, space_dim, tuple(images), multiplicities=tuple(mults))
+    rep = Representation(alg, space_dim, tuple(canonical_images(alg, mults)),
+                         multiplicities=tuple(mults))
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)
 

@@ -23,27 +23,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def min_eig_hermitian(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part; 0.0 for empty input."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(herm(a))[0])
-
-
-def is_psd(a: np.ndarray, tol: float) -> tuple[bool, float]:
-    """PSD verdict for a (nearly) Hermitian matrix, with the min eigenvalue.
-
-    The verdict also requires the Hermitian deviation to stay below
-    tol * (1 + norm).
-    """
-    if a.size == 0:
-        return True, 0.0
-    scale = 1.0 + spectral_norm(a)
-    herm_dev = spectral_norm(a - a.conj().T)
-    lo = min_eig_hermitian(a)
-    return (herm_dev <= tol * scale) and (lo >= -tol * scale), lo
-
-
 def singular_values(a: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros(0)

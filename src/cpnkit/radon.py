@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import StinespringDilation, dilate, spanning_matrix
+from .dilation import (StinespringDilation, commutant_basis, dilate,
+                       spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
-from .linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
+from .linalg import herm, solve_sandwich, spectral_norm
 from .maps import (CPnMap, cpn_distance, cpn_scale, is_completely_n_positive,
                    map_from_images, order_leq)
 
@@ -198,10 +199,11 @@ def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
     Draws a Hermitian combination of the computed commutant basis and
     rescales its spectrum affinely onto [0, 1].  Deterministic under the
     given generator state.  Pass a precomputed commutant basis to skip
-    the nullspace solve when sampling repeatedly from one dilation.
+    recomputing it when sampling repeatedly from one dilation; otherwise
+    dilation.commutant_basis picks the closed form or the nullspace solve.
     """
     if basis is None:
-        basis = commutant_basis_of(list(dil.rep.images), dil.space_dim, tol)
+        basis = commutant_basis(dil.rep, tol)
     if not basis:
         return np.zeros((0, 0), dtype=complex)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

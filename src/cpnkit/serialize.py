@@ -1,9 +1,11 @@
 """JSON wire format.
 
-Complex numbers are [re, im] pairs, matrices are row-major lists of
-rows.  Schema violations raise SchemaError.
+Complex numbers are [re, im] pairs of finite numbers, matrices are
+row-major lists of rows.  Schema violations raise SchemaError.
 """
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -23,7 +25,13 @@ def pair_to_complex(obj) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
         raise SchemaError(f"expected [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+    try:
+        z = complex(obj[0], obj[1])
+    except OverflowError:
+        raise SchemaError(f"number out of range in {obj!r}") from None
+    if not cmath.isfinite(z):
+        raise SchemaError(f"expected finite numbers, got {obj!r}")
+    return z
 
 
 def matrix_to_json(mat: np.ndarray) -> list:

@@ -10,6 +10,14 @@ joint completion [rho_11, rho_12; rho_21, rho_22] that is completely
 2-positive has rho_12 = 0.  Extremality inside the unital-with-zero-
 off-diagonal class is decided by injectivity of T -> P T P on the
 commutant, P projecting onto span{V_i xi}.
+
+Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} up to a
+unitary, so its commutant is (+)_k I_{d_k} (x) M_{r_k} and the
+intertwiners between two of them are (+)_k I_{d_k} (x) M_{s_k x r_k}.
+Representations in that canonical frame -- every one dilate() returns --
+use these closed forms; any other representation (from dilate_from_gram,
+diagonal_direct_sum_check, or built by hand) goes through the nullspace
+solve in linalg, which also serves the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -19,10 +27,10 @@ import numpy as np
 
 from .algebra import (AlgebraElement, cstar_norm, distance, is_unitary,
                       star_index)
-from .dilation import Representation, StinespringDilation, dilate, rep_apply
+from .dilation import (Representation, StinespringDilation, commutant_basis,
+                       dilate, intertwiner_basis, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import (commutant_basis_of, herm, intertwiner_basis_of,
-                     nullspace, numerical_rank, orth, partial_isometry,
+from .linalg import (herm, nullspace, numerical_rank, orth, partial_isometry,
                      spectral_norm)
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
@@ -45,12 +53,14 @@ class CommutantBasis:
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
-    """Solve [X, Phi(e)] = 0 over all matrix units by a stacked nullspace.
+    """Orthonormal basis of Phi(A)' over all matrix units.
 
-    Certifies that each basis element commutes and that the span is
-    closed under adjoints; failures raise.
+    Canonical-frame representations get the closed form
+    (+)_k I_{d_k} (x) E_st / sqrt(d_k); others a stacked nullspace solve.
+    Either way the basis is certified: each element commutes with every
+    Phi(e), and the span is closed under adjoints; failures raise.
     """
-    basis = commutant_basis_of(list(rep.images), rep.space_dim, tol)
+    basis = commutant_basis(rep, tol)
     commute = 0.0
     for b in basis:
         for img in rep.images:
@@ -58,10 +68,10 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
     adjoint = 0.0
     if basis:
         stack = np.stack([b.ravel() for b in basis], axis=1)  # columns
-        proj = stack @ stack.conj().T
-        for b in basis:
-            v = b.conj().T.ravel()
-            adjoint = max(adjoint, float(np.linalg.norm(v - proj @ v)))
+        adj = np.stack([b.conj().T.ravel() for b in basis], axis=1)
+        # distance of each b* from span(basis), without forming the projector
+        adjoint = float(np.linalg.norm(adj - stack @ (stack.conj().T @ adj),
+                                       axis=0).max())
     bound = max(tol, 1e4 * np.finfo(float).eps * max(1, rep.space_dim))
     if max(commute, adjoint) > bound * (1.0 + max(
             (spectral_norm(i) for i in rep.images), default=0.0)):
@@ -80,11 +90,14 @@ def is_pure(rho: CPnMap, tol: float = 1e-9,
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
                       tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}."""
+    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
+
+    Closed form (+)_k I_{d_k} (x) M_{s_k x r_k} when both representations
+    are in the canonical frame, a nullspace solve otherwise.
+    """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
-    return intertwiner_basis_of(list(d1.rep.images), list(d2.rep.images),
-                                d1.space_dim, d2.space_dim, tol)
+    return intertwiner_basis(d1.rep, d2.rep, tol)
 
 
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:

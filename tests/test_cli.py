@@ -209,3 +209,61 @@ def test_suite_command(capsys):
     assert len(lines) == 11
     assert all("PASS" in line for line in lines[:10])
     assert lines[-1].startswith("suite: PASS")
+
+
+def assert_json_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"]
+
+
+def test_nonfinite_tolerances_exit_2(tmp_path, capsys, monkeypatch):
+    good, _ = make_files(tmp_path)
+    assert_json_error(*run(capsys, "check", good, "--tol", "1e400"))
+    assert_json_error(*run(capsys, "check", good, "--tol", "nan"))
+    assert_json_error(*run(capsys, "dilate", good, "--rank-tol", "nan"))
+    assert_json_error(*run(capsys, "dilate", good, "--rank-tol", "0"))
+    monkeypatch.setenv("CPN_TOL", "inf")
+    assert_json_error(*run(capsys, "check", good))
+
+
+def test_nonfinite_matrix_entry_exit_2(tmp_path, capsys):
+    good, _ = make_files(tmp_path)
+    payload = json.loads(open(good).read())
+    for bad in (float("nan"), float("inf")):
+        payload["entries"][0][0]["choi_blocks"][0][0][0] = [bad, 0.0]
+        f = tmp_path / "nonfinite.json"
+        f.write_text(json.dumps(payload))  # writes NaN / Infinity literals
+        code, out, err = run(capsys, "check", str(f))
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+    text = json.dumps(payload).replace("Infinity", "1" + "0" * 400)
+    f.write_text(text)  # an integer beyond float range
+    assert_json_error(*run(capsys, "dilate", str(f)))
+
+
+def test_linalg_failure_exit_2(tmp_path, capsys):
+    # finite entries whose Hermitian part overflows to inf reach eigvalsh
+    good, _ = make_files(tmp_path)
+    payload = json.loads(open(good).read())
+    block = payload["entries"][0][0]["choi_blocks"][0]
+    for row in block:
+        for z in row:
+            z[:] = [1.7e308, 0.0]
+    f = tmp_path / "overflow.json"
+    f.write_text(json.dumps(payload))
+    with np.errstate(all="ignore"):
+        for command in ("check", "dilate", "pure"):
+            assert_json_error(*run(capsys, command, str(f)))
+
+
+def test_nonfinite_report_exit_2(tmp_path, capsys, monkeypatch):
+    # a report that would need NaN is refused rather than printed
+    from cpnkit import cli
+    from cpnkit.maps import CpnVerdict
+    good, _ = make_files(tmp_path)
+    monkeypatch.setattr(cli, "is_completely_n_positive",
+                        lambda rho, tol: CpnVerdict(True, float("nan"), True))
+    code, out, err = run(capsys, "check", good)
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"]["type"] == "CertificationError"

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, ExtremeFamilySpec, PositivityError,
-                    ValidationError, apply_map, as_cpn, build_extreme_family,
-                    commutant, compression_map, cpn_distance, cpn_scale,
-                    depolarizing_map, dilate, extension_witness, flatten,
+from cpnkit import (CPnMap, ExtremeFamilySpec, LinearMap, PositivityError,
+                    Representation, ValidationError, apply_map, as_cpn,
+                    build_extreme_family, commutant, compression_map,
+                    cpn_distance, cpn_scale, depolarizing_map, dilate,
+                    dilate_from_gram, extension_witness, flatten,
                     identity_map, images_of, intertwiner_space, are_disjoint,
                     is_completely_n_positive, is_extreme, is_pure,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
                     star_index, trace_map, zero_map)
-from cpnkit.linalg import spectral_norm
+from cpnkit import dilation as dilation_mod
+from cpnkit.dilation import in_canonical_frame
+from cpnkit.linalg import (commutant_basis_of, intertwiner_basis_of,
+                           spectral_norm)
 
 
 def vector_state(alg, xi):
@@ -258,3 +262,139 @@ def test_flatten_consistency_for_witness():
     flat = flatten(wit)
     w = np.linalg.eigvalsh(flat.choi_blocks[0])
     assert w.min() > -1e-9
+
+
+# Closed-form commutant and intertwiner bases against the nullspace oracle
+
+
+def span_projector(basis, shape):
+    if not basis:
+        return np.zeros((shape[0] * shape[1],) * 2, dtype=complex)
+    s = np.stack([b.ravel() for b in basis], axis=1)
+    return s @ s.conj().T
+
+
+def assert_same_space(fast, oracle, shape):
+    assert len(fast) == len(oracle)
+    gap = np.linalg.norm(span_projector(fast, shape) - span_projector(oracle, shape))
+    assert gap <= 1e-8
+
+
+def count_nullspace_calls(monkeypatch):
+    calls = {"commutant": 0, "intertwiner": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(dilation_mod, "commutant_basis_of",
+                        spy("commutant", commutant_basis_of))
+    monkeypatch.setattr(dilation_mod, "intertwiner_basis_of",
+                        spy("intertwiner", intertwiner_basis_of))
+    return calls
+
+
+def with_zero_block(rho, block):
+    phi = rho.entries[0][0]
+    blocks = tuple(np.zeros_like(b) if k == block else b
+                   for k, b in enumerate(phi.choi_blocks))
+    return as_cpn(LinearMap(phi.domain, phi.codomain_dim, blocks))
+
+
+def oracle_maps(dims, rng):
+    alg = make_algebra(dims)
+    maps = [random_cpn_map(alg, 2, 1, rank, rng) for rank in (1, 2, 3)]
+    maps.append(random_cpn_map(alg, 2, 2, 2, rng))
+    maps.append(with_zero_block(random_cpn_map(alg, 2, 1, 2, rng), 0))
+    maps.append(as_cpn(zero_map(alg, 2)))
+    return maps
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 1), (2, 1)])
+def test_closed_form_commutant_matches_oracle(dims, monkeypatch):
+    rng = np.random.default_rng(sum(dims))
+    for rho in oracle_maps(dims, rng):
+        dil = dilate(rho)
+        rep = dil.rep
+        assert in_canonical_frame(rep)
+        oracle = commutant_basis_of(list(rep.images), rep.space_dim, 1e-9)
+        calls = count_nullspace_calls(monkeypatch)
+        fast = commutant(rep)
+        assert calls["commutant"] == 0
+        assert fast.dimension == sum(r * r for r in rep.multiplicities)
+        assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 1), (2, 1)])
+def test_closed_form_intertwiners_match_oracle(dims, monkeypatch):
+    rng = np.random.default_rng(10 + sum(dims))
+    dils = [dilate(rho) for rho in oracle_maps(dims, rng)]
+    for d1 in dils:
+        for d2 in dils:
+            oracle = intertwiner_basis_of(list(d1.rep.images), list(d2.rep.images),
+                                          d1.space_dim, d2.space_dim, 1e-9)
+            calls = count_nullspace_calls(monkeypatch)
+            fast = intertwiner_space(d1, d2)
+            assert calls["intertwiner"] == 0
+            expected = sum(r * s for r, s in zip(d1.rep.multiplicities,
+                                                 d2.rep.multiplicities))
+            assert len(fast) == expected
+            assert_same_space(fast, oracle, (d2.space_dim, d1.space_dim))
+            monkeypatch.undo()
+
+
+def test_zero_block_pair_is_disjoint_and_shared_block_has_witness():
+    rng = np.random.default_rng(7)
+    alg = make_algebra((2, 1))
+    base = random_cpn_map(alg, 2, 1, 2, rng)
+    only0 = with_zero_block(base, 1)
+    only1 = with_zero_block(base, 0)
+    assert dilate(only0).rep.multiplicities[1] == 0
+    assert are_disjoint(only0, only1)
+    assert extension_witness(only0, only1) is None
+    assert not are_disjoint(only0, as_cpn(base.entries[0][0]))
+    wit = extension_witness(only0, as_cpn(base.entries[0][0]))
+    assert wit is not None and is_completely_n_positive(wit).verdict
+
+
+def test_zero_map_commutant_is_empty():
+    dil = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
+    assert dil.space_dim == 0 and in_canonical_frame(dil.rep)
+    assert commutant(dil.rep).dimension == 0
+    assert intertwiner_space(dil, dil) == []
+
+
+def test_conjugated_representation_takes_nullspace_route(monkeypatch):
+    rng = np.random.default_rng(3)
+    alg = make_algebra((2, 1))
+    dil = dilate(random_cpn_map(alg, 2, 1, 2, rng))
+    h = dil.space_dim
+    g = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    u, _ = np.linalg.qr(g)
+    rep = Representation(alg, h, tuple(u @ img @ u.conj().T for img in dil.rep.images),
+                         multiplicities=dil.rep.multiplicities)
+    assert not in_canonical_frame(rep)
+    calls = count_nullspace_calls(monkeypatch)
+    basis = commutant(rep)
+    assert calls["commutant"] == 1
+    assert basis.dimension == sum(r * r for r in rep.multiplicities)
+    # conjugating the closed-form basis gives the same space
+    closed = [u @ b @ u.conj().T for b in commutant(dil.rep).basis]
+    assert_same_space(list(basis.basis), closed, (h, h))
+
+
+@pytest.mark.parametrize("make", [lambda: as_cpn(identity_map(m2())),
+                                  lambda: as_cpn(depolarizing_map(2)),
+                                  lambda: as_cpn(trace_map(make_algebra((2, 2))))])
+def test_gram_dilation_purity_matches(make, monkeypatch):
+    rho = make()
+    gram = dilate_from_gram(rho)
+    assert not in_canonical_frame(gram.rep)
+    calls = count_nullspace_calls(monkeypatch)
+    verdict = is_pure(rho, dilation=gram)
+    assert calls["commutant"] == 1
+    monkeypatch.undo()
+    assert verdict == is_pure(rho)
