@@ -236,9 +236,8 @@ def criterion_6_purity(seed: int = 0, count: int = 30,
 def _hermitian_partner(map12: LinearMap) -> LinearMap:
     """The map a -> map12(a*)* paired with map12 under Hermitian symmetry."""
     alg = map12.domain
-    imgs = images_of(map12)
-    images21 = [imgs[star_index(alg, idx)].conj().T for idx in range(alg.dim)]
-    return map_from_images(alg, map12.codomain_dim, images21)
+    images21 = images_of(map12)[[star_index(alg, idx) for idx in range(alg.dim)]]
+    return map_from_images(alg, map12.codomain_dim, images21.conj().swapaxes(-2, -1))
 
 
 def criterion_7_disjointness(seed: int = 0, trials: int = 10,
@@ -271,7 +270,7 @@ def criterion_7_disjointness(seed: int = 0, trials: int = 10,
         wit = extension_witness(pair[0], pair[1], tol)
         ok = wit is not None
         if ok:
-            off_norm = max(spectral_norm(img) for img in images_of(wit.entries[0][1]))
+            off_norm = spectral_norm(images_of(wit.entries[0][1]))
             ok = is_completely_n_positive(wit, tol).verdict and off_norm > 1e-6
         checks[f"{label}_witness_certified"] = ok
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,8 @@ mathematical verdict (if any) is affirmative, 1 means the verdict is
 negative (a map fails positivity, domination fails, a property does not
 hold), and 2 means the inputs never reached a verdict (unreadable files,
 schema violations, non-finite numbers or tolerances, bad arguments, a
-failed certificate or linear-algebra routine).
+failed certificate or linear-algebra routine, a floating-point overflow
+or invalid operation).
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
-from .structure import (commutant, extension_witness, are_disjoint,
-                        is_extreme, nonextreme_decomposition)
+from .structure import (commutant, extension_witness, is_extreme,
+                        nonextreme_decomposition)
 from .acceptance import run_all
 
 
@@ -146,14 +147,15 @@ def _cmd_pure(args) -> int:
 
 def _cmd_extreme(args) -> int:
     rho = _load_map(args.map)
-    rep = is_extreme(rho, args.tol)
+    dil = dilate(rho, args.tol)
+    rep = is_extreme(rho, args.tol, dilation=dil)
     certificates = {
         "commutant_dimension": rep.commutant_dim,
         "compression_rank": rep.compression_rank,
     }
     extra = {}
     if not rep.extreme:
-        decomp = nonextreme_decomposition(rho, args.tol)
+        decomp = nonextreme_decomposition(rho, args.tol, dilation=dil)
         extra["decomposition"] = {
             "beta": decomp.beta,
             "part1": serialize.cpn_map_to_json(decomp.part1),
@@ -167,15 +169,14 @@ def _cmd_extreme(args) -> int:
 def _cmd_disjoint(args) -> int:
     rho = _load_map(args.first)
     theta = _load_map(args.second)
-    disjoint = are_disjoint(rho, theta, args.tol)
+    # the maps are disjoint exactly when no completion witness exists
+    wit = extension_witness(rho, theta, args.tol)
+    disjoint = wit is None
     certificates = {}
     extra = {}
     if not disjoint:
-        wit = extension_witness(rho, theta, args.tol)
-        if wit is not None:
-            off = max(spectral_norm(img) for img in images_of(wit.entry(0, 1)))
-            certificates["witness_offdiagonal_norm"] = float(off)
-            extra["witness"] = serialize.cpn_map_to_json(wit)
+        certificates["witness_offdiagonal_norm"] = spectral_norm(images_of(wit.entry(0, 1)))
+        extra["witness"] = serialize.cpn_map_to_json(wit)
     report = _envelope("disjoint", args.tol, disjoint, certificates, **extra)
     _emit(report, args.output)
     return 0 if disjoint else 1
@@ -302,12 +303,15 @@ def main(argv=None) -> int:
             args.tol = _env_tol()
         elif getattr(args, "tol", None) is not None:
             _require_tol("--tol", args.tol)
-        return args.func(args)
+        # an overflow or invalid value means no trustworthy verdict: raise it
+        # as FloatingPointError instead of printing numpy warnings
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (PositivityError, DominationError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 1
     except (SchemaError, ValidationError, CertificationError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 2
 

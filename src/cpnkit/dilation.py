@@ -6,7 +6,12 @@ a finite-dimensional space H and operators V_1, ..., V_n : C^m -> H with
 
     rho_ij(a) = V_i* Phi(a) V_j        for all a, i, j,
 
-minimal when the vectors Phi(a) V_i xi span H.  The production route
+minimal when the vectors Phi(a) V_i xi span H.  A Representation keeps
+its matrix-unit images as one read-only (dim A, H, H) stack, so every
+certificate -- factorization, intertwining, commutation -- is a product
+against the whole stack measured by one stack-aware spectral_norm.
+
+The production route
 eigendecomposes each flattened Choi block C_k = sum_s w_s w_s*: the kept
 eigenpairs give Kraus factors K_s (K_s[x, p] = w_s[p * n m + x]), the
 representation block a_k (x) I_{r_k} acts on C^{d_k} (x) C^{r_k}, and
@@ -21,23 +26,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, CStarAlgebra, unit_index,
+from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
                       unit_index_table, unit_product_index)
 from .errors import CertificationError, ValidationError
 from .linalg import (commutant_basis_of, herm, intertwiner_basis_of,
                      nearest_unitary, numerical_rank, orth, solve_sandwich,
                      spectral_norm)
 from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, flatten,
-                   images_of, require_cpn)
+                   images_of, require_cpn, stack_images, subblocks)
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """*-representation of a CStarAlgebra by explicit matrix-unit images."""
+    """*-representation of a CStarAlgebra by explicit matrix-unit images.
+
+    images is stored as a read-only (dim A, H, H) complex array in
+    canonical matrix-unit order; any sequence of H x H matrices is
+    accepted on construction.
+    """
 
     algebra: CStarAlgebra
     space_dim: int
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
     multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -45,15 +55,8 @@ class Representation:
         if n < 0:
             raise ValidationError("space dimension must be nonnegative")
         object.__setattr__(self, "space_dim", n)
-        images = tuple(np.array(m, dtype=complex) for m in self.images)
-        if len(images) != self.algebra.dim:
-            raise ValidationError(
-                f"expected {self.algebra.dim} images, got {len(images)}")
-        for idx, m in enumerate(images):
-            if m.shape != (n, n):
-                raise ValidationError(
-                    f"image {idx} must have shape {(n, n)}, got {m.shape}")
-            m.flags.writeable = False
+        images = stack_images(self.images, self.algebra.dim, n)
+        images.flags.writeable = False
         object.__setattr__(self, "images", images)
         if self.multiplicities is not None:
             object.__setattr__(self, "multiplicities",
@@ -80,7 +83,7 @@ def block_offsets(block_dims, multiplicities) -> list[int]:
     return offsets
 
 
-def canonical_images(algebra: CStarAlgebra, multiplicities) -> list[np.ndarray]:
+def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
     """Matrix-unit images of the canonical representation (+)_k a_k (x) I_{r_k}.
 
     Block k acts on C^{d_k} (x) C^{r_k}, basis vector (p, s) at
@@ -88,19 +91,14 @@ def canonical_images(algebra: CStarAlgebra, multiplicities) -> list[np.ndarray]:
     frame the closed-form commutant and intertwiner bases assume.
     """
     offsets = block_offsets(algebra.block_dims, multiplicities)
-    space_dim = offsets[-1]
-    images = []
+    images = np.zeros((algebra.dim, offsets[-1], offsets[-1]), dtype=complex)
+    idx = 0
     for k, d in enumerate(algebra.block_dims):
-        r = multiplicities[k]
         lo, hi = offsets[k], offsets[k + 1]
-        for p in range(d):
-            for q in range(d):
-                img = np.zeros((space_dim, space_dim), dtype=complex)
-                if r:
-                    e = np.zeros((d, d))
-                    e[p, q] = 1.0
-                    img[lo:hi, lo:hi] = np.kron(e, np.eye(r))
-                images.append(img)
+        units = np.eye(d * d).reshape(d, d, d, d)  # units[p, q] = e_pq
+        images[idx:idx + d * d, lo:hi, lo:hi] = np.kron(
+            units, np.eye(multiplicities[k])).reshape(d * d, hi - lo, hi - lo)
+        idx += d * d
     return images
 
 
@@ -112,8 +110,7 @@ def in_canonical_frame(rep: Representation) -> bool:
             or any(r < 0 for r in mults)
             or block_offsets(rep.algebra.block_dims, mults)[-1] != rep.space_dim):
         return False
-    return all(np.array_equal(a, b)
-               for a, b in zip(rep.images, canonical_images(rep.algebra, mults)))
+    return np.array_equal(rep.images, canonical_images(rep.algebra, mults))
 
 
 def _block_tensor_basis(block_dims, source_mults, target_mults) -> list[np.ndarray]:
@@ -178,23 +175,19 @@ class RepresentationReport:
 def verify_representation(rep: Representation, tol: float = 1e-9) -> RepresentationReport:
     """Residuals of the *-homomorphism axioms on matrix units."""
     alg = rep.algebra
-    table = unit_index_table(alg)
+    imgs = rep.images
+    # e_i e_j is a matrix unit or zero; index alg.dim stands for zero
+    padded = np.concatenate([imgs, np.zeros((1,) + imgs.shape[1:], dtype=complex)])
     mult = 0.0
     for i in range(alg.dim):
-        for j in range(alg.dim):
-            prod = unit_product_index(alg, i, j)
-            expect = rep.images[prod] if prod is not None \
-                else np.zeros((rep.space_dim, rep.space_dim), dtype=complex)
-            mult = max(mult, spectral_norm(rep.images[i] @ rep.images[j] - expect))
-    star = 0.0
-    for idx, (k, p, q) in enumerate(table):
-        sidx = unit_index(alg, k, q, p)
-        star = max(star, spectral_norm(rep.images[idx].conj().T - rep.images[sidx]))
-    eye = np.eye(rep.space_dim, dtype=complex)
-    unit_img = sum((rep.images[unit_index(alg, k, p, p)]
-                    for k, d in enumerate(alg.block_dims) for p in range(d)),
-                   start=np.zeros((rep.space_dim, rep.space_dim), dtype=complex))
-    unital = spectral_norm(unit_img - eye)
+        prods = [unit_product_index(alg, i, j) for j in range(alg.dim)]
+        expect = padded[[alg.dim if p is None else p for p in prods]]
+        mult = max(mult, spectral_norm(imgs[i] @ imgs - expect))
+    star = spectral_norm(imgs.conj().swapaxes(-2, -1)
+                         - imgs[[star_index(alg, idx) for idx in range(alg.dim)]])
+    diagonal = [unit_index(alg, k, p, p)
+                for k, d in enumerate(alg.block_dims) for p in range(d)]
+    unital = spectral_norm(imgs[diagonal].sum(axis=0) - np.eye(rep.space_dim))
     return RepresentationReport(mult, star, unital)
 
 
@@ -226,6 +219,11 @@ class StinespringDilation:
     @property
     def n(self) -> int:
         return len(self.isometries)
+
+    @property
+    def joint_isometry(self) -> np.ndarray:
+        """V = [V_1 ... V_n] : C^{n m} -> H, so that V* Phi(a) V = flatten(rho)(a)."""
+        return np.hstack(self.isometries)
 
 
 def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> StinespringDilation:
@@ -261,21 +259,21 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
             # ks has shape (n m, d); rows of V at (k, p, s) hold conj(ks[:, p])
             for p in range(d):
                 v[lo + p * r + s, :] = ks[:, p].conj()
-    rep = Representation(alg, space_dim, tuple(canonical_images(alg, mults)),
+    rep = Representation(alg, space_dim, canonical_images(alg, mults),
                          multiplicities=tuple(mults))
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)
 
 
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """The r x (k c) matrix [stack[0] ... stack[k-1]] of a (k, r, c) stack."""
+    k, r, c = stack.shape
+    return stack.swapaxes(0, 1).reshape(r, k * c)
+
+
 def spanning_matrix(dil: StinespringDilation) -> np.ndarray:
     """Columns Phi(e_alpha) V_i xi_u ordered by (alpha, i, u)."""
-    cols = []
-    for img in dil.rep.images:
-        for vi in dil.isometries:
-            cols.append(img @ vi)
-    if not cols:
-        return np.zeros((dil.space_dim, 0), dtype=complex)
-    return np.hstack(cols)
+    return _side_by_side(dil.rep.images @ dil.joint_isometry)
 
 
 @dataclass(frozen=True)
@@ -296,17 +294,11 @@ def verify_dilation(rho: CPnMap, dil: StinespringDilation,
     if dil.source.n != rho.n or dil.source.domain != rho.domain \
             or dil.source.codomain_dim != rho.codomain_dim:
         raise ValidationError("dilation and map have incompatible shapes")
-    n = rho.n
     scale = cpn_scale(rho)
-    entry_images = [[images_of(rho.entries[i][j]) for j in range(n)] for i in range(n)]
-    worst = 0.0
-    for idx in range(rho.domain.dim):
-        img = dil.rep.images[idx]
-        for i in range(n):
-            left = dil.isometries[i].conj().T @ img
-            for j in range(n):
-                got = left @ dil.isometries[j]
-                worst = max(worst, spectral_norm(got - entry_images[i][j][idx]))
+    v = dil.joint_isometry
+    # block (i, j) of V* Phi(e) V - flatten(rho)(e) is V_i* Phi(e) V_j - rho_ij(e)
+    diff = v.conj().T @ dil.rep.images @ v - images_of(flatten(rho))
+    worst = spectral_norm(subblocks(diff, rho.codomain_dim))
     span = spanning_matrix(dil)
     span_dim = numerical_rank(span, tol)
     return DilationReport(worst, span_dim, dil.space_dim,
@@ -316,14 +308,10 @@ def verify_dilation(rho: CPnMap, dil: StinespringDilation,
 def equivalence_residual(d1: StinespringDilation, d2: StinespringDilation,
                          u: np.ndarray) -> float:
     """max of ||U Phi_1(e) - Phi_2(e) U|| and ||U V_1i - V_2i||."""
-    worst = 0.0
-    for a, b in zip(d1.rep.images, d2.rep.images):
-        worst = max(worst, spectral_norm(u @ a - b @ u))
-    for va, vb in zip(d1.isometries, d2.isometries):
-        worst = max(worst, spectral_norm(u @ va - vb))
-    worst = max(worst, spectral_norm(u @ u.conj().T - np.eye(d2.space_dim)),
-                spectral_norm(u.conj().T @ u - np.eye(d1.space_dim)))
-    return worst
+    return max(spectral_norm(u @ d1.rep.images - d2.rep.images @ u),
+               spectral_norm(u @ np.array(d1.isometries) - np.array(d2.isometries)),
+               spectral_norm(u @ u.conj().T - np.eye(d2.space_dim)),
+               spectral_norm(u.conj().T @ u - np.eye(d1.space_dim)))
 
 
 def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
@@ -373,18 +361,17 @@ def component_projections(dil: StinespringDilation, tol: float = 1e-9) -> Projec
 
     Certifies [P_i, Phi(e)] = 0 and P_i V_i = V_i; failures raise.
     """
+    imgs = dil.rep.images
     projections = []
     dims = []
     commute = 0.0
     fix = 0.0
     for vi in dil.isometries:
-        cols = [img @ vi for img in dil.rep.images]
-        q = orth(np.hstack(cols) if cols else np.zeros((dil.space_dim, 0)), tol)
+        q = orth(_side_by_side(imgs @ vi), tol)
         p = q @ q.conj().T
         projections.append(p)
         dims.append(q.shape[1])
-        for img in dil.rep.images:
-            commute = max(commute, spectral_norm(p @ img - img @ p))
+        commute = max(commute, spectral_norm(p @ imgs - imgs @ p))
         fix = max(fix, spectral_norm(p @ vi - vi))
     scale = cpn_scale(dil.source)
     if max(commute, fix) > max(tol * scale, 1e3 * np.finfo(float).eps * scale * max(1, dil.space_dim)):
@@ -502,20 +489,15 @@ def diagonal_direct_sum_check(rho: CPnMap, tol: float = 1e-9) -> DirectSumReport
     part_dims = tuple(p.space_dim for p in parts)
     total = sum(part_dims)
     offsets = np.concatenate([[0], np.cumsum(part_dims)])
-    images = []
-    for idx in range(rho.domain.dim):
-        img = np.zeros((total, total), dtype=complex)
-        for i, p in enumerate(parts):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            img[lo:hi, lo:hi] = p.rep.images[idx]
-        images.append(img)
+    images = np.zeros((rho.domain.dim, total, total), dtype=complex)
     isoms = []
     for i, p in enumerate(parts):
-        vi = np.zeros((total, m), dtype=complex)
         lo, hi = int(offsets[i]), int(offsets[i + 1])
+        images[:, lo:hi, lo:hi] = p.rep.images
+        vi = np.zeros((total, m), dtype=complex)
         vi[lo:hi, :] = p.isometries[0]
         isoms.append(vi)
-    summed = StinespringDilation(Representation(rho.domain, total, tuple(images)),
+    summed = StinespringDilation(Representation(rho.domain, total, images),
                                  tuple(isoms), rho)
     u = unitary_equivalence(full, summed, tol)
     if u is None:

@@ -4,6 +4,11 @@ Conventions: vec() is row-major (numpy order), so vec(A X B) =
 kron(A, B.T) @ vec(X).  All rank and nullspace decisions use the
 relative cutoff tol * (1 + largest singular value); an all-zero
 matrix therefore has rank 0 for every positive tol.
+
+Certificates are measured on stacks: spectral_norm accepts any array of
+shape (..., r, c) and returns the largest spectral norm over the leading
+axes, so a residual over all matrix units, such as
+max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X.
 """
 from __future__ import annotations
 
@@ -16,11 +21,12 @@ def herm(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0.0 for empty matrices."""
+    """Largest singular value over a matrix or a stack of matrices (any
+    leading axes); 0.0 when the input is empty."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -47,14 +53,19 @@ def orth(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def nullspace(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the right nullspace, as columns."""
+    """Orthonormal basis of the right nullspace, as columns.
+
+    Only a wide matrix needs the full SVD; for a tall one the reduced
+    SVD already returns every right singular vector, without the
+    rows x rows U factor.
+    """
     a = np.asarray(a, dtype=complex)
     rows, cols = a.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=complex)
     if rows == 0 or a.size == 0 or not np.any(a):
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
     r = int(np.sum(s > tol * (1.0 + s[0])))
     return vh[r:].conj().T
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, CStarAlgebra, unit_index, unit_index_table
+from .algebra import AlgebraElement, CStarAlgebra
 from .errors import PositivityError, ValidationError
 from .linalg import herm, spectral_norm
 
@@ -85,39 +85,48 @@ def apply_map(phi: LinearMap, a: AlgebraElement) -> np.ndarray:
     return out
 
 
-def map_from_images(domain: CStarAlgebra, codomain_dim: int,
-                    images: list[np.ndarray]) -> LinearMap:
+def subblocks(a: np.ndarray, m: int) -> np.ndarray:
+    """View of a (..., R m, C m) array as its (..., R, C, m, m) grid of m x m blocks.
+
+    On a flattened Choi block (composite index (p, i, a)) the block at
+    ((p, i), (q, j)) is rho_ij(e_pq); on a flattened image (index (i, a))
+    the block at (i, j) is rho_ij(e).
+    """
+    *lead, rows, cols = a.shape
+    return a.reshape(*lead, rows // m, m, cols // m, m).swapaxes(-3, -2)
+
+
+def stack_images(images, count: int, dim: int) -> np.ndarray:
+    """Validated (count, dim, dim) complex stack of matrix-unit images."""
+    images = list(images)
+    if len(images) != count:
+        raise ValidationError(f"expected {count} images, got {len(images)}")
+    for idx, img in enumerate(images):
+        if np.shape(img) != (dim, dim):
+            raise ValidationError(
+                f"image {idx} must have shape {(dim, dim)}, got {np.shape(img)}")
+    return np.array(images, dtype=complex).reshape(count, dim, dim)
+
+
+def map_from_images(domain: CStarAlgebra, codomain_dim: int, images) -> LinearMap:
     """Build a LinearMap from its values on the matrix units (canonical order)."""
     m = codomain_dim
-    if len(images) != domain.dim:
-        raise ValidationError(
-            f"expected {domain.dim} images, got {len(images)}")
+    stack = stack_images(images, domain.dim, m)
     blocks = []
     idx = 0
     for d in domain.block_dims:
-        c = np.zeros((d, m, d, m), dtype=complex)
-        for p in range(d):
-            for q in range(d):
-                img = np.asarray(images[idx], dtype=complex)
-                if img.shape != (m, m):
-                    raise ValidationError(
-                        f"image {idx} must have shape {(m, m)}, got {img.shape}")
-                c[p, :, q, :] = img
-                idx += 1
-        blocks.append(c.reshape(d * m, d * m))
+        grid = stack[idx:idx + d * d].reshape(d, d, m, m)
+        blocks.append(grid.swapaxes(1, 2).reshape(d * m, d * m))
+        idx += d * d
     return LinearMap(domain, m, tuple(blocks))
 
 
-def images_of(phi: LinearMap) -> list[np.ndarray]:
-    """Values of phi on the matrix units, in canonical order."""
+def images_of(phi: LinearMap) -> np.ndarray:
+    """Values of phi on the matrix units, in canonical order, as a
+    (dim A, m, m) stack."""
     m = phi.codomain_dim
-    out = []
-    for d, c in zip(phi.domain.block_dims, phi.choi_blocks):
-        c4 = c.reshape(d, m, d, m)
-        for p in range(d):
-            for q in range(d):
-                out.append(c4[p, :, q, :].copy())
-    return out
+    return np.concatenate([subblocks(c, m).reshape(d * d, m, m)
+                           for d, c in zip(phi.domain.block_dims, phi.choi_blocks)])
 
 
 def identity_map(domain: CStarAlgebra) -> LinearMap:
@@ -242,6 +251,11 @@ def as_cpn(phi: LinearMap) -> CPnMap:
     return CPnMap(((phi,),))
 
 
+def _entry_choi_blocks(rho: CPnMap, k: int) -> np.ndarray:
+    """(n, n, d_k m, d_k m) stack of the entries' Choi blocks for algebra block k."""
+    return np.array([[e.choi_blocks[k] for e in row] for row in rho.entries])
+
+
 def flatten(rho: CPnMap) -> LinearMap:
     """The associated single map a -> [rho_ij(a)] into the (n m) x (n m) matrices.
 
@@ -251,12 +265,8 @@ def flatten(rho: CPnMap) -> LinearMap:
     n, m = rho.n, rho.codomain_dim
     blocks = []
     for k, d in enumerate(rho.domain.block_dims):
-        f = np.zeros((d, n, m, d, n, m), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                c = rho.entries[i][j].choi_blocks[k].reshape(d, m, d, m)
-                f[:, i, :, :, j, :] = c
-        blocks.append(f.reshape(d * n * m, d * n * m))
+        c = _entry_choi_blocks(rho, k).reshape(n, n, d, m, d, m)  # (i, j, p, a, q, b)
+        blocks.append(c.transpose(2, 0, 3, 4, 1, 5).reshape(d * n * m, d * n * m))
     return LinearMap(rho.domain, n * m, tuple(blocks))
 
 
@@ -266,17 +276,11 @@ def unflatten(phi: LinearMap, n: int) -> CPnMap:
         raise ValidationError(
             f"codomain dimension {phi.codomain_dim} is not divisible by n={n}")
     m = phi.codomain_dim // n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            blocks = []
-            for k, d in enumerate(phi.domain.block_dims):
-                f = phi.choi_blocks[k].reshape(d, n, m, d, n, m)
-                blocks.append(f[:, i, :, :, j, :].reshape(d * m, d * m))
-            row.append(LinearMap(phi.domain, m, tuple(blocks)))
-        rows.append(tuple(row))
-    return CPnMap(tuple(rows))
+    # per algebra block, the (n, n, d m, d m) stack of entry Choi blocks
+    grids = [c.reshape(d, n, m, d, n, m).transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d * m, d * m)
+             for d, c in zip(phi.domain.block_dims, phi.choi_blocks)]
+    return CPnMap(tuple(tuple(LinearMap(phi.domain, m, tuple(g[i, j] for g in grids))
+                              for j in range(n)) for i in range(n)))
 
 
 def cpn_scale(rho: CPnMap) -> float:
@@ -295,24 +299,15 @@ def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:
     """Largest entrywise Choi-block difference."""
     if rho.n != theta.n:
         raise ValidationError("map matrices have different size")
-    return max(map_distance(rho.entries[i][j], theta.entries[i][j])
-               for i in range(rho.n) for j in range(rho.n))
+    if rho.domain != theta.domain or rho.codomain_dim != theta.codomain_dim:
+        raise ValidationError("maps have different domain or codomain")
+    return max(spectral_norm(_entry_choi_blocks(rho, k) - _entry_choi_blocks(theta, k))
+               for k in range(rho.domain.num_blocks))
 
 
 def check_hermitian_symmetry(rho: CPnMap, tol: float = 1e-9) -> bool:
     """Whether rho_ji(a*) = rho_ij(a)* holds on all matrix units, to tol."""
-    table = unit_index_table(rho.domain)
-    n = rho.n
-    images = [[images_of(rho.entries[i][j]) for j in range(n)] for i in range(n)]
-    scale = cpn_scale(rho)
-    worst = 0.0
-    for idx, (k, p, q) in enumerate(table):
-        sidx = unit_index(rho.domain, k, q, p)
-        for i in range(n):
-            for j in range(n):
-                dev = spectral_norm(images[j][i][sidx] - images[i][j][idx].conj().T)
-                worst = max(worst, dev)
-    return worst <= tol * scale
+    return is_completely_n_positive(rho, tol).hermitian_symmetric
 
 
 @dataclass(frozen=True)
@@ -331,17 +326,24 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     verdict is false and min_eig reports the spectrum of the Hermitian
     parts as a diagnostic.  Eigenvalues above -tol * (1 + block norm)
     count as nonnegative.
+
+    Symmetry is measured as the largest m x m sub-block of C - C* over
+    the flattened Choi blocks C, i.e. max over e_pq and i, j of
+    ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
     """
-    symmetric = check_hermitian_symmetry(rho, tol)
     flat = flatten(rho)
+    norms = [spectral_norm(c) for c in flat.choi_blocks]
+    asymmetry = max(spectral_norm(subblocks(c - c.conj().T, rho.codomain_dim))
+                    for c in flat.choi_blocks)
+    symmetric = asymmetry <= tol * (1.0 + max(norms))
     min_eig = np.inf
     positive = True
-    for b in flat.choi_blocks:
-        w = np.linalg.eigvalsh(herm(b))
+    for c, norm in zip(flat.choi_blocks, norms):
+        w = np.linalg.eigvalsh(herm(c))
         if w.size == 0:
             continue
         min_eig = min(min_eig, float(w[0]))
-        if w[0] < -tol * (1.0 + spectral_norm(b)):
+        if w[0] < -tol * (1.0 + norm):
             positive = False
     if not np.isfinite(min_eig):
         min_eig = 0.0

@@ -23,24 +23,25 @@ from .dilation import (StinespringDilation, commutant_basis, dilate,
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm
 from .maps import (CPnMap, cpn_distance, cpn_scale, is_completely_n_positive,
-                   map_from_images, order_leq)
+                   map_from_images, order_leq, unflatten)
 
 
 def commutant_residual(dil: StinespringDilation, t: np.ndarray) -> float:
     """max over matrix units of ||[T, Phi(e)]||."""
-    return max((spectral_norm(t @ img - img @ t) for img in dil.rep.images),
-               default=0.0)
+    return spectral_norm(t @ dil.rep.images - dil.rep.images @ t)
 
 
-def _require_commutant(dil: StinespringDilation, t: np.ndarray, tol: float) -> None:
-    t = np.asarray(t)
+def _require_commutant(dil: StinespringDilation, t: np.ndarray, tol: float) -> float:
+    """Raise ValidationError unless T commutes with Phi(A); returns 1 + ||T||."""
     if t.shape != (dil.space_dim, dil.space_dim):
         raise ValidationError(
             f"operator must have shape {(dil.space_dim, dil.space_dim)}, got {t.shape}")
+    scale = 1.0 + spectral_norm(t)
     res = commutant_residual(dil, t)
-    if res > tol * (1.0 + spectral_norm(t)):
+    if res > tol * scale:
         raise ValidationError(
             f"operator is not in the commutant (residual {res:.3e})")
+    return scale
 
 
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
@@ -50,8 +51,7 @@ def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnM
     to relative tolerance; violations raise ValidationError.
     """
     t = np.asarray(t, dtype=complex)
-    _require_commutant(dil, t, tol)
-    scale = 1.0 + spectral_norm(t)
+    scale = _require_commutant(dil, t, tol)
     if spectral_norm(t - t.conj().T) > tol * scale:
         raise ValidationError("operator is not Hermitian")
     if t.size:
@@ -59,16 +59,9 @@ def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnM
         if lo < -tol * scale:
             raise ValidationError(
                 f"operator is not positive semidefinite (min eigenvalue {lo:.3e})")
-    n, m = dil.n, dil.source.codomain_dim
-    rows = []
-    for i in range(n):
-        left = dil.isometries[i].conj().T @ t
-        row = []
-        for j in range(n):
-            images = [left @ img @ dil.isometries[j] for img in dil.rep.images]
-            row.append(map_from_images(dil.source.domain, m, images))
-        rows.append(tuple(row))
-    return CPnMap(tuple(rows))
+    v = dil.joint_isometry
+    flat = map_from_images(dil.source.domain, v.shape[1], v.conj().T @ t @ dil.rep.images @ v)
+    return unflatten(flat, dil.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +100,8 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     w = solve_sandwich(xr, xt)
     scale = cpn_scale(rho)
     norm = spectral_norm(w)
-    iso_res = max((spectral_norm(w @ vr - vt)
-                   for vr, vt in zip(dr.isometries, dt.isometries)), default=0.0)
-    int_res = max((spectral_norm(w @ a - b @ w)
-                   for a, b in zip(dr.rep.images, dt.rep.images)), default=0.0)
+    iso_res = spectral_norm(w @ np.array(dr.isometries) - np.array(dt.isometries))
+    int_res = spectral_norm(w @ dr.rep.images - dt.rep.images @ w)
     if norm > 1.0 + tol * scale or max(iso_res, int_res) > tol * scale:
         raise CertificationError(
             f"intertwiner certificate failed (norm {norm:.12f}, residuals "
@@ -180,15 +171,13 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
     """
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    _require_commutant(dil, t1, tol)
-    _require_commutant(dil, t2, tol)
+    m_leq = order_leq(compress(dil, t1, tol), compress(dil, t2, tol), tol)
     diff = t2 - t1
     if diff.size:
         lo = float(np.linalg.eigvalsh(herm(diff))[0])
         op_leq = lo >= -tol * (1.0 + spectral_norm(diff))
     else:
         op_leq = True
-    m_leq = order_leq(compress(dil, t1, tol), compress(dil, t2, tol), tol)
     return OrderCheck(bool(op_leq), bool(m_leq))
 
 

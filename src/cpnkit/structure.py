@@ -34,7 +34,7 @@ from .linalg import (herm, nullspace, numerical_rank, orth, partial_isometry,
                      spectral_norm)
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
-                   require_cpn)
+                   require_cpn, unflatten)
 from .radon import compress
 
 
@@ -61,10 +61,8 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
     Phi(e), and the span is closed under adjoints; failures raise.
     """
     basis = commutant_basis(rep, tol)
-    commute = 0.0
-    for b in basis:
-        for img in rep.images:
-            commute = max(commute, spectral_norm(b @ img - img @ b))
+    commute = max((spectral_norm(b @ rep.images - rep.images @ b) for b in basis),
+                  default=0.0)
     adjoint = 0.0
     if basis:
         stack = np.stack([b.ravel() for b in basis], axis=1)  # columns
@@ -73,8 +71,7 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
         adjoint = float(np.linalg.norm(adj - stack @ (stack.conj().T @ adj),
                                        axis=0).max())
     bound = max(tol, 1e4 * np.finfo(float).eps * max(1, rep.space_dim))
-    if max(commute, adjoint) > bound * (1.0 + max(
-            (spectral_norm(i) for i in rep.images), default=0.0)):
+    if max(commute, adjoint) > bound * (1.0 + spectral_norm(rep.images)):
         raise CertificationError(
             f"commutant certificate failed (residuals {commute:.3e}, {adjoint:.3e})")
     return CommutantBasis(rep, tuple(basis), commute, adjoint)
@@ -143,14 +140,14 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     v2 = d2.isometries[0]
     m = rho11.codomain_dim
     alg = rho11.domain
-    images12 = [v1.conj().T @ img @ w.conj().T @ v2 for img in d1.rep.images]
+    images12 = v1.conj().T @ d1.rep.images @ w.conj().T @ v2
     map12 = map_from_images(alg, m, images12)
     # rho_21(a) = rho_12(a*)*: adjoint images under the unit star permutation
-    images21 = [images12[star_index(alg, idx)].conj().T for idx in range(alg.dim)]
-    map21 = map_from_images(alg, m, images21)
+    images21 = images12[[star_index(alg, idx) for idx in range(alg.dim)]]
+    map21 = map_from_images(alg, m, images21.conj().swapaxes(-2, -1))
     witness = CPnMap(((rho11.entries[0][0], map12), (map21, rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
-    off_norm = max(spectral_norm(img) for img in images12)
+    off_norm = spectral_norm(images12)
     if not chk.verdict or off_norm <= tol * cpn_scale(witness):
         raise CertificationError(
             f"extension witness certificate failed (cpn {chk.verdict}, "
@@ -183,6 +180,26 @@ class ExtremalityReport:
     compression_rank: int
 
 
+def _compressed_commutant(rho: CPnMap, tol: float,
+                          dilation: StinespringDilation | None):
+    """Shared start of is_extreme and nonextreme_decomposition.
+
+    Checks rho (completely n-positive, in the unital class), then returns
+    its dilation, the certified commutant basis {T_s} and the matrix whose
+    columns are vec(P T_s P), P projecting onto span{V_i xi}.
+    """
+    require_cpn(rho, tol)
+    _membership_check(rho, tol)
+    dil = dilation if dilation is not None else dilate(rho, tol)
+    basis = commutant(dil.rep, tol)
+    q = orth(dil.joint_isometry, tol)
+    p = q @ q.conj().T
+    stack = np.zeros((dil.space_dim ** 2, basis.dimension), dtype=complex)
+    for s, b in enumerate(basis.basis):
+        stack[:, s] = (p @ b @ p).ravel()
+    return dil, basis, stack
+
+
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
                dilation: StinespringDilation | None = None) -> ExtremalityReport:
     """Extremality among map matrices with rho_ii(1) = I, rho_ij(1) = 0 (i < j).
@@ -191,16 +208,7 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     onto H_0 = span{V_i xi}.  Membership failures raise ValidationError
     naming the offending entries.
     """
-    require_cpn(rho, tol)
-    _membership_check(rho, tol)
-    dil = dilation if dilation is not None else dilate(rho, tol)
-    basis = commutant(dil.rep, tol)
-    v_all = np.hstack(dil.isometries)
-    q = orth(v_all, tol)
-    p = q @ q.conj().T
-    if basis.dimension == 0:
-        return ExtremalityReport(True, 0, 0)
-    stack = np.stack([(p @ b @ p).ravel() for b in basis.basis], axis=1)
+    _, basis, stack = _compressed_commutant(rho, tol, dilation)
     rank = numerical_rank(stack, tol)
     return ExtremalityReport(rank == basis.dimension, basis.dimension, rank)
 
@@ -224,14 +232,7 @@ def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
     the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
     both differing from rho.  Raises ValidationError when rho is extreme.
     """
-    require_cpn(rho, tol)
-    _membership_check(rho, tol)
-    dil = dilation if dilation is not None else dilate(rho, tol)
-    basis = commutant(dil.rep, tol)
-    v_all = np.hstack(dil.isometries)
-    q = orth(v_all, tol)
-    p = q @ q.conj().T
-    stack = np.stack([(p @ b @ p).ravel() for b in basis.basis], axis=1)
+    dil, basis, stack = _compressed_commutant(rho, tol, dilation)
     null = nullspace(stack, tol)
     if null.shape[1] == 0:
         raise ValidationError("map matrix is extreme; no decomposition exists")
@@ -295,17 +296,10 @@ def build_extreme_family(spec: ExtremeFamilySpec, tol: float = 1e-9) -> CPnMap:
     if not is_pure(as_cpn(phi), tol, dilation=base_dil):
         raise ValidationError("base map is not pure")
     v = base_dil.isometries[0]
-    reps = [rep_apply(base_dil.rep, u) for u in spec.unitaries]
-    ws = [r @ v for r in reps]
-    n = len(ws)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            images = [ws[i].conj().T @ img @ ws[j] for img in base_dil.rep.images]
-            row.append(map_from_images(alg, m, images))
-        rows.append(tuple(row))
-    rho = CPnMap(tuple(rows))
+    # W = [Phi(u_1) V ... Phi(u_n) V]; block (i, j) of W* Phi(a) W is rho_ij(a)
+    w = np.hstack([rep_apply(base_dil.rep, u) @ v for u in spec.unitaries])
+    n = len(spec.unitaries)
+    rho = unflatten(map_from_images(alg, n * m, w.conj().T @ base_dil.rep.images @ w), n)
     require_cpn(rho, tol)
     scale = cpn_scale(rho)
     eye = np.eye(m)

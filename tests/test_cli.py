@@ -267,3 +267,29 @@ def test_nonfinite_report_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "check", good)
     assert_json_error(code, out, err)
     assert json.loads(err)["error"]["type"] == "CertificationError"
+
+
+def test_overflow_stderr_is_one_json_object(tmp_path):
+    # in a fresh interpreter numpy would print RuntimeWarning lines before
+    # the error; the CLI raises them instead, so stderr stays one object
+    import os
+    import subprocess
+    import sys
+
+    import cpnkit
+    good, _ = make_files(tmp_path)
+    payload = json.loads(open(good).read())
+    for row in payload["entries"][0][0]["choi_blocks"][0]:
+        for z in row:
+            z[:] = [1.7e308, 0.0]
+    f = tmp_path / "overflow.json"
+    f.write_text(json.dumps(payload))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cpnkit.__file__)))
+    for command in ("check", "dilate", "pure", "extreme"):
+        proc = subprocess.run([sys.executable, "-m", "cpnkit", command, str(f)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, command
+        assert proc.stdout == ""
+        report = json.loads(proc.stderr)  # raises unless exactly one object
+        assert report["error"]["type"] == "FloatingPointError"

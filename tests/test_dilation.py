@@ -6,7 +6,8 @@ from cpnkit import (CPnMap, PositivityError, Representation,
                     component_projections,
                     diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
-                    identity_map, make_algebra, matrix_units, random_cpn_map,
+                    identity_map, images_of, make_algebra, matrix_units,
+                    random_cpn_map,
                     random_element, rep_apply, spanning_matrix,
                     unitary_equivalence, verify_dilation,
                     verify_representation, zero_map)
@@ -209,3 +210,40 @@ def test_multiplicities_sum_to_space_dim():
     dil = dilate(rho)
     mults = dil.rep.multiplicities
     assert dil.space_dim == sum(d * r for d, r in zip(alg.block_dims, mults))
+
+
+def test_factor_residual_matches_per_matrix_loop():
+    rng = np.random.default_rng(14)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    dil = dilate(rho)
+    # perturb the operators so the residual is far from rounding level
+    vs = tuple(v + 1e-6 * rng.standard_normal(v.shape) for v in dil.isometries)
+    bent = StinespringDilation(dil.rep, vs, rho)
+    worst = 0.0
+    for idx, img in enumerate(bent.rep.images):
+        for i in range(rho.n):
+            for j in range(rho.n):
+                got = vs[i].conj().T @ img @ vs[j]
+                expect = images_of(rho.entries[i][j])[idx]
+                worst = max(worst, np.linalg.norm(got - expect, 2))
+    assert worst > 1e-7
+    assert verify_dilation(rho, bent).factor_residual == pytest.approx(worst, rel=1e-9)
+
+
+def test_representation_images_are_a_validated_stack():
+    alg = make_algebra((2, 1))
+    dil = dilate(random_cpn_map(alg, 2, 1, 2, np.random.default_rng(15)))
+    h = dil.space_dim
+    imgs = dil.rep.images
+    assert imgs.shape == (alg.dim, h, h)
+    assert not imgs.flags.writeable
+    assert len(imgs) == alg.dim and len(list(imgs)) == alg.dim
+    rebuilt = Representation(alg, h, tuple(imgs))
+    assert np.array_equal(rebuilt.images, imgs)
+    ragged = list(imgs[:-1]) + [np.eye(h + 1)]
+    with pytest.raises(ValidationError):
+        Representation(alg, h, tuple(ragged))
+    with pytest.raises(ValidationError):
+        Representation(alg, h, tuple(imgs[:-1]))
+    with pytest.raises(ValidationError):
+        Representation(alg, h + 1, imgs)

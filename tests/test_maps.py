@@ -6,7 +6,7 @@ from cpnkit import (CPnMap, PositivityError, ValidationError, apply_map,
                     depolarizing_map, flatten, identity_map, images_of,
                     is_completely_n_positive, make_algebra, map_from_images,
                     matrix_units, order_leq, random_cpn_map, random_element,
-                    require_cpn, trace_map, unflatten, zero_map)
+                    require_cpn, trace_map, unflatten, unit_index, zero_map)
 
 
 def test_identity_map_acts_as_identity():
@@ -162,6 +162,55 @@ def test_hermitian_symmetry_checker():
                      (e[1][0], e[1][1])))
     assert not check_hermitian_symmetry(broken)
     assert not is_completely_n_positive(broken).verdict
+
+
+def reference_asymmetry(rho):
+    """Per-matrix loop: max over units e_pq and slots i, j of
+    ||rho_ji(e_qp) - rho_ij(e_pq)*||, with the relative-tolerance scale."""
+    alg, n = rho.domain, rho.n
+    worst = 0.0
+    for k, d in enumerate(alg.block_dims):
+        for p in range(d):
+            for q in range(d):
+                for i in range(n):
+                    for j in range(n):
+                        a = images_of(rho.entries[j][i])[unit_index(alg, k, q, p)]
+                        b = images_of(rho.entries[i][j])[unit_index(alg, k, p, q)]
+                        worst = max(worst, np.linalg.norm(a - b.conj().T, 2))
+    scale = 1.0 + max(np.linalg.norm(c, 2) for c in flatten(rho).choi_blocks)
+    return worst, scale
+
+
+def test_hermitian_symmetry_matches_per_matrix_loop():
+    rng = np.random.default_rng(12)
+    alg = make_algebra((2, 1))
+    rho = random_cpn_map(alg, 2, 2, 3, rng)
+    for size in (1e-7, 1e-4):
+        z = size * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        bump = [np.zeros((2, 2), dtype=complex) for _ in range(alg.dim)]
+        bump[unit_index(alg, 0, 0, 1)] = z
+        e = rho.entries
+        broken = CPnMap(((e[0][0], e[0][1] + map_from_images(alg, 2, bump)),
+                         (e[1][0], e[1][1])))
+        worst, scale = reference_asymmetry(broken)
+        assert worst > 0.5 * np.linalg.norm(z, 2)
+        # the injected asymmetry sits just below, then just above tol * scale
+        assert check_hermitian_symmetry(broken, worst / scale * (1 + 1e-9))
+        assert not check_hermitian_symmetry(broken, worst / scale * (1 - 1e-9))
+
+
+def test_images_are_a_stack_and_validated():
+    alg = make_algebra((2, 1))
+    rng = np.random.default_rng(13)
+    phi = random_cpn_map(alg, 3, 1, 2, rng).entries[0][0]
+    imgs = images_of(phi)
+    assert imgs.shape == (alg.dim, 3, 3)
+    assert cpn_distance(CPnMap(((map_from_images(alg, 3, imgs),),)),
+                        CPnMap(((phi,),))) == 0.0
+    with pytest.raises(ValidationError):
+        map_from_images(alg, 3, imgs[:-1])
+    with pytest.raises(ValidationError):
+        map_from_images(alg, 3, list(imgs[:-1]) + [np.eye(2)])
 
 
 def test_order_leq():

@@ -3,7 +3,7 @@ import pytest
 
 from cpnkit import (DominationError, ValidationError, as_cpn, commutant,
                     compress, cpn_distance, cpn_scale, depolarizing_map,
-                    dilate, identity_map, intertwiner, make_algebra,
+                    dilate, identity_map, images_of, intertwiner, make_algebra,
                     order_equivalence_check, random_cpn_map, rn_operator,
                     sample_unit_interval)
 from cpnkit.radon import commutant_residual
@@ -143,3 +143,18 @@ def test_rn_operator_reports_certificates():
     assert elem.reconstruction_residual <= 1e-9 * cpn_scale(theta)
     assert min(elem.spectrum) >= -1e-9
     assert max(elem.spectrum) <= 1.0 + 1e-9
+
+
+def test_compress_matches_per_matrix_products():
+    rng = np.random.default_rng(16)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    dil = dilate(rho)
+    t = sample_unit_interval(dil, rng)
+    theta = compress(dil, t)
+    vs = dil.isometries
+    for i in range(rho.n):
+        for j in range(rho.n):
+            got = images_of(theta.entry(i, j))
+            for idx, img in enumerate(dil.rep.images):
+                expect = vs[i].conj().T @ t @ img @ vs[j]
+                assert np.abs(got[idx] - expect).max() <= 1e-13 * cpn_scale(rho)

@@ -14,7 +14,7 @@ from cpnkit import (CPnMap, ExtremeFamilySpec, LinearMap, PositivityError,
 from cpnkit import dilation as dilation_mod
 from cpnkit.dilation import in_canonical_frame
 from cpnkit.linalg import (commutant_basis_of, intertwiner_basis_of,
-                           spectral_norm)
+                           nullspace, spectral_norm)
 
 
 def vector_state(alg, xi):
@@ -398,3 +398,25 @@ def test_gram_dilation_purity_matches(make, monkeypatch):
     assert calls["commutant"] == 1
     monkeypatch.undo()
     assert verdict == is_pure(rho)
+
+
+def test_nullspace_matches_full_svd_on_tall_and_wide():
+    rng = np.random.default_rng(17)
+    for rows, cols, rank in ((12, 5, 3), (3, 7, 2)):
+        a = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) \
+            @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        r = int(np.sum(s > 1e-9 * (1.0 + s[0])))
+        full = vh[r:].conj().T
+        got = nullspace(a, 1e-9)
+        assert got.shape == full.shape == (cols, cols - rank)
+        assert np.abs(got @ got.conj().T - full @ full.conj().T).max() <= 1e-12
+
+
+def test_spectral_norm_of_a_stack_is_the_largest_member():
+    rng = np.random.default_rng(18)
+    stack = rng.standard_normal((3, 2, 4, 5)) + 1j * rng.standard_normal((3, 2, 4, 5))
+    per_matrix = max(np.linalg.norm(x, 2) for x in stack.reshape(6, 4, 5))
+    assert spectral_norm(stack) == per_matrix
+    assert spectral_norm(stack[0, 0]) == np.linalg.norm(stack[0, 0], 2)
+    assert spectral_norm(np.zeros((3, 0, 0))) == 0.0
