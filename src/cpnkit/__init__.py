@@ -11,10 +11,10 @@ from .algebra import (AlgebraElement, CStarAlgebra, cstar_norm, distance,
                       unit_index)
 from .maps import (CPnMap, CpnVerdict, LinearMap, apply_map, as_cpn,
                    check_hermitian_symmetry, compression_map, cpn_distance,
-                   cpn_from_entries, cpn_scale, depolarizing_map, flatten,
-                   identity_map, images_of, is_completely_n_positive,
-                   map_distance, map_from_images, order_leq, random_cpn_map,
-                   require_cpn, trace_map, unflatten, zero_map)
+                   cpn_scale, depolarizing_map, flatten, identity_map,
+                   images_of, is_completely_n_positive, map_from_images,
+                   order_leq, random_cpn_map, require_cpn, trace_map,
+                   unflatten, zero_map)
 from .dilation import (DilationReport, ProjectionSet, Representation,
                        StinespringDilation, component_projections,
                        diagonal_direct_sum_check, dilate, dilate_from_gram,
@@ -46,14 +46,14 @@ __all__ = [
     "apply_connecting", "apply_map", "as_cpn", "build_extreme_family",
     "check_hermitian_symmetry", "check_thread", "commutant",
     "component_projections", "compress", "compression_map", "cpn_distance",
-    "cpn_from_entries", "cpn_scale", "cstar_norm", "depolarizing_map",
+    "cpn_scale", "cstar_norm", "depolarizing_map",
     "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",
     "element_from_coords", "equivalence_residual", "evaluate_continuous_map",
     "extension_witness", "flatten", "gram_matrix", "identity_map",
     "images_of", "intertwiner", "intertwiner_space",
     "is_completely_n_positive", "are_disjoint", "is_extreme", "is_hermitian",
     "is_positive", "is_pure", "is_unitary", "make_algebra", "make_tower",
-    "map_distance", "map_from_images", "matrix_units",
+    "map_from_images", "matrix_units",
     "nonextreme_decomposition", "order_equivalence_check", "order_leq",
     "projection_tower", "random_cpn_map", "random_element",
     "random_hermitian", "random_unitary", "rep_apply", "require_cpn",

@@ -18,7 +18,9 @@ representation block a_k (x) I_{r_k} acts on C^{d_k} (x) C^{r_k}, and
 V[(k, p, s), x] = conj(K_s[x, p]).  A second, independent route builds
 the same data from the Gram matrix of formal generators
 (matrix unit alpha, slot i, basis vector u); it exists as a
-cross-checking oracle.
+cross-checking oracle.  canonical_frame brings any representation into
+the frame dilate() outputs already have, where the commutant and the
+intertwiners have closed forms; linalg's nullspace solvers are test oracles.
 """
 from __future__ import annotations
 
@@ -29,11 +31,10 @@ import numpy as np
 from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
                       unit_index_table, unit_product_index)
 from .errors import CertificationError, ValidationError
-from .linalg import (commutant_basis_of, herm, intertwiner_basis_of,
-                     nearest_unitary, numerical_rank, orth, solve_sandwich,
-                     spectral_norm)
-from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, flatten,
-                   images_of, require_cpn, stack_images, subblocks)
+from .linalg import (herm, nearest_unitary, numerical_rank, orth,
+                     solve_sandwich, spectral_norm)
+from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, cpn_verdict,
+                   flatten, images_of, require_cpn, stack_images, subblocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,22 +76,14 @@ def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
     return out
 
 
-def block_offsets(block_dims, multiplicities) -> list[int]:
-    """Start of each block's summand C^{d_k} (x) C^{r_k}, plus the total."""
-    offsets = [0]
-    for d, r in zip(block_dims, multiplicities):
-        offsets.append(offsets[-1] + d * r)
-    return offsets
-
-
 def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
     """Matrix-unit images of the canonical representation (+)_k a_k (x) I_{r_k}.
 
     Block k acts on C^{d_k} (x) C^{r_k}, basis vector (p, s) at
     offset_k + p * r_k + s.  This is the frame dilate() returns and the
-    frame the closed-form commutant and intertwiner bases assume.
+    one canonical_frame conjugates every representation into.
     """
-    offsets = block_offsets(algebra.block_dims, multiplicities)
+    offsets = np.cumsum([0] + [d * r for d, r in zip(algebra.block_dims, multiplicities)])
     images = np.zeros((algebra.dim, offsets[-1], offsets[-1]), dtype=complex)
     idx = 0
     for k, d in enumerate(algebra.block_dims):
@@ -102,61 +95,80 @@ def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
     return images
 
 
-def in_canonical_frame(rep: Representation) -> bool:
-    """Whether rep carries multiplicities and its images are exactly the
-    canonical images for them (an O(dim A * H^2) comparison)."""
-    mults = rep.multiplicities
-    if (mults is None or len(mults) != rep.algebra.num_blocks
-            or any(r < 0 for r in mults)
-            or block_offsets(rep.algebra.block_dims, mults)[-1] != rep.space_dim):
-        return False
-    return np.array_equal(rep.images, canonical_images(rep.algebra, mults))
+def representation_bound(rep: Representation, tol: float) -> float:
+    """tol * (1 + max ||Phi(e)||), tol floored at a rounding allowance ~ H."""
+    floor = 1e4 * np.finfo(float).eps * max(1, rep.space_dim)
+    return max(tol, floor) * (1.0 + spectral_norm(rep.images))
 
 
-def _block_tensor_basis(block_dims, source_mults, target_mults) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis I_{d_k} (x) E_st / sqrt(d_k) of
-    (+)_k I_{d_k} (x) M_{t_k x s_k}, as maps between canonical frames."""
-    src = block_offsets(block_dims, source_mults)
-    dst = block_offsets(block_dims, target_mults)
+def canonical_frame(rep: Representation, tol: float = 1e-9) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Unitary U and multiplicities (r_1, ..., r_K, r_0) with U* Phi(.) U =
+    (+)_k a_k (x) I_{r_k} (+) 0_{r_0}, r_0 the dimension of ker Phi(1).
+
+    Column (k, p, s) of U is Phi(e_p1^(k)) Q_k[:, s], Q_k an orthonormal
+    basis of the range of Phi(e_11^(k)).  O(dim A * H^3).  Raises
+    CertificationError unless the images are a *-representation.
+    """
+    alg, h, imgs = rep.algebra, rep.space_dim, rep.images
+    # (projection, its lifts Phi(e_p1)) per block, then ker Phi(1) as a d = 1 block
+    parts = [(imgs[unit_index(alg, k, 0, 0)], imgs[[unit_index(alg, k, p, 0) for p in range(d)]])
+             for k, d in enumerate(alg.block_dims)]
+    parts.append((np.eye(h) - rep_apply(rep, alg.unit()), np.eye(h)[None]))
+    columns, mults = [], []
+    for proj, lifts in parts:
+        w, vecs = np.linalg.eigh(herm(proj))
+        q = vecs[:, w > 0.5]
+        if q.shape[1] > 1:  # LAPACK orders it freely; this makes U = I in the frame
+            q = q[:, np.argsort(np.abs(q).argmax(axis=0), kind="stable")]
+        mults.append(q.shape[1])
+        # columns (p, s) of the block are Phi(e_p1) Q[:, s]
+        columns.append((lifts @ q).transpose(1, 0, 2).reshape(h, len(lifts) * q.shape[1]))
+    u = np.hstack(columns)
+    if u.shape[1] != h:
+        raise CertificationError(
+            f"canonical frame has {u.shape[1]} vectors in dimension {h}: "
+            "the images are not a *-representation")
+    canon = np.zeros_like(imgs)
+    canon[:, :h - mults[-1], :h - mults[-1]] = canonical_images(alg, mults[:-1])
+    residuals = np.concatenate([(u.conj().T @ u - np.eye(h))[None],
+                                u.conj().T @ imgs @ u - canon])
+    worst = spectral_norm(residuals)
+    if not worst <= representation_bound(rep, tol):
+        raise CertificationError(
+            f"canonical frame certificate failed (residual {worst:.3e}): "
+            "the images are not a *-representation")
+    return u, tuple(mults)
+
+
+def _frame_basis(block_dims, u1, mults1, u2, mults2) -> list[np.ndarray]:
+    """Orthonormal basis (1/sqrt d_k) sum_p u2_{k,p,a} u1_{k,p,b}* of
+    U_2 ((+)_k I_{d_k} (x) M_{s_k x r_k}) U_1*, from the frame columns."""
     basis = []
-    for k, d in enumerate(block_dims):
-        r, s = source_mults[k], target_mults[k]
-        for a in range(s):
-            for b in range(r):
-                e = np.zeros((s, r))
-                e[a, b] = 1.0 / np.sqrt(d)
-                x = np.zeros((dst[-1], src[-1]), dtype=complex)
-                x[dst[k]:dst[k + 1], src[k]:src[k + 1]] = np.kron(np.eye(d), e)
-                basis.append(x)
+    o1 = o2 = 0
+    for d, r, s in zip(block_dims, mults1, mults2):
+        a1 = u1[:, o1:o1 + d * r].reshape(len(u1), d, r)
+        a2 = u2[:, o2:o2 + d * s].reshape(len(u2), d, s)
+        basis += [a2[:, :, a] @ a1[:, :, b].conj().T / np.sqrt(d)
+                  for a in range(s) for b in range(r)]
+        o1 += d * r
+        o2 += d * s
     return basis
 
 
 def commutant_basis(rep: Representation, tol: float = 1e-9) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the commutant Phi(A)'.
-
-    In the canonical frame this is the closed form (+)_k I_{d_k} (x) M_{r_k},
-    of dimension sum_k r_k^2; any other representation goes through the
-    nullspace solve of linalg.commutant_basis_of.
-    """
-    if in_canonical_frame(rep):
-        return _block_tensor_basis(rep.algebra.block_dims, rep.multiplicities,
-                                   rep.multiplicities)
-    return commutant_basis_of(list(rep.images), rep.space_dim, tol)
+    """Frobenius-orthonormal basis of the commutant Phi(A)': the closed form
+    (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} in the canonical frame."""
+    u, mults = canonical_frame(rep, tol)
+    return _frame_basis(rep.algebra.block_dims + (1,), u, mults, u, mults)
 
 
 def intertwiner_basis(rep1: Representation, rep2: Representation,
                       tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X}, X of shape (H_2, H_1),
-    for two representations of one algebra.
-
-    Between two canonical frames this is the closed form
-    (+)_k I_{d_k} (x) M_{s_k x r_k}; otherwise linalg.intertwiner_basis_of.
-    """
-    if in_canonical_frame(rep1) and in_canonical_frame(rep2):
-        return _block_tensor_basis(rep1.algebra.block_dims, rep1.multiplicities,
-                                   rep2.multiplicities)
-    return intertwiner_basis_of(list(rep1.images), list(rep2.images),
-                                rep1.space_dim, rep2.space_dim, tol)
+    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X}, X of shape (H_2, H_1):
+    (+)_k I_{d_k} (x) M_{s_k x r_k} between the canonical frames."""
+    u1, mults1 = canonical_frame(rep1, tol)
+    u2, mults2 = canonical_frame(rep2, tol)
+    return _frame_basis(rep1.algebra.block_dims + (1,), u1, mults1, u2, mults2)
 
 
 @dataclass(frozen=True)
@@ -185,9 +197,7 @@ def verify_representation(rep: Representation, tol: float = 1e-9) -> Representat
         mult = max(mult, spectral_norm(imgs[i] @ imgs - expect))
     star = spectral_norm(imgs.conj().swapaxes(-2, -1)
                          - imgs[[star_index(alg, idx) for idx in range(alg.dim)]])
-    diagonal = [unit_index(alg, k, p, p)
-                for k, d in enumerate(alg.block_dims) for p in range(d)]
-    unital = spectral_norm(imgs[diagonal].sum(axis=0) - np.eye(rep.space_dim))
+    unital = spectral_norm(rep_apply(rep, alg.unit()) - np.eye(rep.space_dim))
     return RepresentationReport(mult, star, unital)
 
 
@@ -232,34 +242,27 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
     Eigenpairs with eigenvalue above rank_tol * (1 + block norm) are kept
     (rank_tol defaults to tol); the zero map yields a zero-dimensional,
     vacuously minimal dilation.  Raises PositivityError when rho is not
-    completely n-positive to tol.
+    completely n-positive to tol; the verdict comes from the same
+    eigendecomposition that yields the Kraus factors.
     """
-    require_cpn(rho, tol)
     if rank_tol is None:
         rank_tol = tol
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
     flat = flatten(rho)
-    kraus: list[list[np.ndarray]] = []
+    eigs = [np.linalg.eigh(herm(c)) for c in flat.choi_blocks]
+    cpn_verdict(flat, m, [w for w, _ in eigs], tol).require()
+    rows: list[np.ndarray] = []
     mults: list[int] = []
-    for d, c in zip(alg.block_dims, flat.choi_blocks):
-        w, vecs = np.linalg.eigh(herm(c))
+    for d, (w, vecs) in zip(alg.block_dims, eigs):
         cutoff = rank_tol * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
-        keep = np.nonzero(w > cutoff)[0]
-        ks = [np.sqrt(w[s]) * vecs[:, s].reshape(d, n * m).T for s in keep]
-        kraus.append(ks)
-        mults.append(len(ks))
-    offsets = block_offsets(alg.block_dims, mults)
-    space_dim = offsets[-1]
-    v = np.zeros((space_dim, n * m), dtype=complex)
-    for k, d in enumerate(alg.block_dims):
-        lo = offsets[k]
-        r = mults[k]
-        for s, ks in enumerate(kraus[k]):
-            # ks has shape (n m, d); rows of V at (k, p, s) hold conj(ks[:, p])
-            for p in range(d):
-                v[lo + p * r + s, :] = ks[:, p].conj()
-    rep = Representation(alg, space_dim, canonical_images(alg, mults),
+        keep = w > cutoff
+        mults.append(int(keep.sum()))
+        # kraus[p, x, s] = K_s[x, p]; row (k, p, s) of V is conj(K_s[:, p])
+        kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n * m, mults[-1])
+        rows.append(kraus.conj().transpose(0, 2, 1).reshape(-1, n * m))
+    v = np.vstack(rows)
+    rep = Representation(alg, len(v), canonical_images(alg, mults),
                          multiplicities=tuple(mults))
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)

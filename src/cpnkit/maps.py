@@ -242,10 +242,6 @@ class CPnMap:
     __rmul__ = __mul__
 
 
-def cpn_from_entries(entries) -> CPnMap:
-    return CPnMap(tuple(tuple(row) for row in entries))
-
-
 def as_cpn(phi: LinearMap) -> CPnMap:
     """Wrap a single map as a 1 x 1 CPnMap."""
     return CPnMap(((phi,),))
@@ -288,13 +284,6 @@ def cpn_scale(rho: CPnMap) -> float:
     return 1.0 + max(spectral_norm(b) for b in flatten(rho).choi_blocks)
 
 
-def map_distance(phi: LinearMap, psi: LinearMap) -> float:
-    """Largest Choi-block spectral-norm difference."""
-    if phi.domain != psi.domain or phi.codomain_dim != psi.codomain_dim:
-        raise ValidationError("maps have different domain or codomain")
-    return max(spectral_norm(a - b) for a, b in zip(phi.choi_blocks, psi.choi_blocks))
-
-
 def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:
     """Largest entrywise Choi-block difference."""
     if rho.n != theta.n:
@@ -318,6 +307,38 @@ class CpnVerdict:
     min_eig: float
     hermitian_symmetric: bool
 
+    def require(self) -> CpnVerdict:
+        """Return self, or raise PositivityError when the verdict is negative."""
+        if not self.verdict:
+            if not self.hermitian_symmetric:
+                raise PositivityError(
+                    "map matrix is not Hermitian-symmetric", min_eig=self.min_eig)
+            raise PositivityError(
+                f"map is not completely n-positive (min eigenvalue {self.min_eig:.3e})",
+                min_eig=self.min_eig)
+        return self
+
+
+def cpn_verdict(flat: LinearMap, m: int, spectra, tol: float) -> CpnVerdict:
+    """is_completely_n_positive's verdict from flat = flatten(rho), m and the
+    ascending spectra of herm(C) for flat's Choi blocks C, so that a caller
+    needing eigenvectors too decomposes each block once."""
+    norms = [spectral_norm(c) for c in flat.choi_blocks]
+    asymmetry = max(spectral_norm(subblocks(c - c.conj().T, m))
+                    for c in flat.choi_blocks)
+    symmetric = asymmetry <= tol * (1.0 + max(norms))
+    min_eig = np.inf
+    positive = True
+    for w, norm in zip(spectra, norms):
+        if w.size == 0:
+            continue
+        min_eig = min(min_eig, float(w[0]))
+        if w[0] < -tol * (1.0 + norm):
+            positive = False
+    if not np.isfinite(min_eig):
+        min_eig = 0.0
+    return CpnVerdict(bool(symmetric and positive), float(min_eig), bool(symmetric))
+
 
 def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     """Check complete n-positivity via the flattened Choi blocks.
@@ -332,22 +353,8 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
     """
     flat = flatten(rho)
-    norms = [spectral_norm(c) for c in flat.choi_blocks]
-    asymmetry = max(spectral_norm(subblocks(c - c.conj().T, rho.codomain_dim))
-                    for c in flat.choi_blocks)
-    symmetric = asymmetry <= tol * (1.0 + max(norms))
-    min_eig = np.inf
-    positive = True
-    for c, norm in zip(flat.choi_blocks, norms):
-        w = np.linalg.eigvalsh(herm(c))
-        if w.size == 0:
-            continue
-        min_eig = min(min_eig, float(w[0]))
-        if w[0] < -tol * (1.0 + norm):
-            positive = False
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    return CpnVerdict(bool(symmetric and positive), float(min_eig), bool(symmetric))
+    return cpn_verdict(flat, rho.codomain_dim,
+                       [np.linalg.eigvalsh(herm(c)) for c in flat.choi_blocks], tol)
 
 
 def order_leq(theta: CPnMap, rho: CPnMap, tol: float = 1e-9) -> bool:
@@ -364,15 +371,7 @@ def order_leq(theta: CPnMap, rho: CPnMap, tol: float = 1e-9) -> bool:
 
 def require_cpn(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     """Raise PositivityError unless rho is completely n-positive."""
-    chk = is_completely_n_positive(rho, tol)
-    if not chk.verdict:
-        if not chk.hermitian_symmetric:
-            raise PositivityError(
-                "map matrix is not Hermitian-symmetric", min_eig=chk.min_eig)
-        raise PositivityError(
-            f"map is not completely n-positive (min eigenvalue {chk.min_eig:.3e})",
-            min_eig=chk.min_eig)
-    return chk
+    return is_completely_n_positive(rho, tol).require()
 
 
 def random_cpn_map(domain: CStarAlgebra, codomain_dim: int, n: int, rank: int,

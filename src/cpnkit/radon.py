@@ -189,7 +189,9 @@ def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
     rescales its spectrum affinely onto [0, 1].  Deterministic under the
     given generator state.  Pass a precomputed commutant basis to skip
     recomputing it when sampling repeatedly from one dilation; otherwise
-    dilation.commutant_basis picks the closed form or the nullspace solve.
+    dilation.commutant_basis builds it from the canonical frame, which is
+    the identity for a dilate() output, so the basis there is
+    (+)_k I_{d_k} (x) E_st / sqrt(d_k) in (k, s, t) order.
     """
     if basis is None:
         basis = commutant_basis(dil.rep, tol)

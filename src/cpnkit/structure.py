@@ -11,13 +11,11 @@ joint completion [rho_11, rho_12; rho_21, rho_22] that is completely
 off-diagonal class is decided by injectivity of T -> P T P on the
 commutant, P projecting onto span{V_i xi}.
 
-Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} up to a
-unitary, so its commutant is (+)_k I_{d_k} (x) M_{r_k} and the
-intertwiners between two of them are (+)_k I_{d_k} (x) M_{s_k x r_k}.
-Representations in that canonical frame -- every one dilate() returns --
-use these closed forms; any other representation (from dilate_from_gram,
-diagonal_direct_sum_check, or built by hand) goes through the nullspace
-solve in linalg, which also serves the tests as the oracle.
+Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} (+) 0 up
+to a unitary, which dilation.canonical_frame finds and certifies in
+O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
+intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
+alike.  Images that are not a *-representation raise CertificationError.
 """
 from __future__ import annotations
 
@@ -28,7 +26,8 @@ import numpy as np
 from .algebra import (AlgebraElement, cstar_norm, distance, is_unitary,
                       star_index)
 from .dilation import (Representation, StinespringDilation, commutant_basis,
-                       dilate, intertwiner_basis, rep_apply)
+                       dilate, intertwiner_basis, rep_apply,
+                       representation_bound)
 from .errors import CertificationError, ValidationError
 from .linalg import (herm, nullspace, numerical_rank, orth, partial_isometry,
                      spectral_norm)
@@ -55,10 +54,9 @@ class CommutantBasis:
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
     """Orthonormal basis of Phi(A)' over all matrix units.
 
-    Canonical-frame representations get the closed form
-    (+)_k I_{d_k} (x) E_st / sqrt(d_k); others a stacked nullspace solve.
-    Either way the basis is certified: each element commutes with every
-    Phi(e), and the span is closed under adjoints; failures raise.
+    The closed form (+)_k I_{d_k} (x) E_st / sqrt(d_k) in the canonical
+    frame, certified: each element commutes with every Phi(e), and the span
+    is closed under adjoints; failures raise CertificationError.
     """
     basis = commutant_basis(rep, tol)
     commute = max((spectral_norm(b @ rep.images - rep.images @ b) for b in basis),
@@ -70,8 +68,7 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
         # distance of each b* from span(basis), without forming the projector
         adjoint = float(np.linalg.norm(adj - stack @ (stack.conj().T @ adj),
                                        axis=0).max())
-    bound = max(tol, 1e4 * np.finfo(float).eps * max(1, rep.space_dim))
-    if max(commute, adjoint) > bound * (1.0 + spectral_norm(rep.images)):
+    if max(commute, adjoint) > representation_bound(rep, tol):
         raise CertificationError(
             f"commutant certificate failed (residuals {commute:.3e}, {adjoint:.3e})")
     return CommutantBasis(rep, tuple(basis), commute, adjoint)
@@ -80,17 +77,18 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
 def is_pure(rho: CPnMap, tol: float = 1e-9,
             dilation: StinespringDilation | None = None) -> bool:
     """Purity via irreducibility: the dilation commutant has dimension 1."""
-    require_cpn(rho, tol)
-    dil = dilation if dilation is not None else dilate(rho, tol)
-    return commutant(dil.rep, tol).dimension == 1
+    if dilation is None:
+        dilation = dilate(rho, tol)
+    else:
+        require_cpn(rho, tol)
+    return commutant(dilation.rep, tol).dimension == 1
 
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
                       tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
 
-    Closed form (+)_k I_{d_k} (x) M_{s_k x r_k} when both representations
-    are in the canonical frame, a nullspace solve otherwise.
+    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between canonical frames.
     """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
@@ -188,16 +186,18 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     its dilation, the certified commutant basis {T_s} and the matrix whose
     columns are vec(P T_s P), P projecting onto span{V_i xi}.
     """
-    require_cpn(rho, tol)
+    if dilation is None:
+        dilation = dilate(rho, tol)
+    else:
+        require_cpn(rho, tol)
     _membership_check(rho, tol)
-    dil = dilation if dilation is not None else dilate(rho, tol)
-    basis = commutant(dil.rep, tol)
-    q = orth(dil.joint_isometry, tol)
+    basis = commutant(dilation.rep, tol)
+    q = orth(dilation.joint_isometry, tol)
     p = q @ q.conj().T
-    stack = np.zeros((dil.space_dim ** 2, basis.dimension), dtype=complex)
+    stack = np.zeros((dilation.space_dim ** 2, basis.dimension), dtype=complex)
     for s, b in enumerate(basis.basis):
         stack[:, s] = (p @ b @ p).ravel()
-    return dil, basis, stack
+    return dilation, basis, stack
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,

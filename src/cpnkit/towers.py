@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, CStarAlgebra, cstar_norm, distance,
-                      element_from_coords, matrix_units, unit_index,
-                      unit_index_table, unit_product_index)
+                      element_from_coords, unit_index)
+from .dilation import Representation, verify_representation
 from .errors import ValidationError
-from .maps import CPnMap, apply_map, flatten
+from .maps import CPnMap, apply_map, flatten, identity_map, images_of
 from .linalg import numerical_rank, spectral_norm
 
 
@@ -66,33 +66,25 @@ def make_tower(levels, connecting, tol: float = 1e-9) -> Tower:
     """Build a tower and verify every connecting map is a surjective
     unital *-homomorphism; violations raise ValidationError naming the
     level and the failed axiom.
+
+    The *-homomorphism residuals are verify_representation's on pi embedded
+    block-diagonally, whose spectral norm is the C*-norm on (+) M_d.
     """
     tower = Tower(tuple(levels), tuple(connecting))
     for p in range(1, tower.num_levels):
         upper = tower.levels[p]
         lower = tower.levels[p - 1]
         mat = tower.connecting[p - 1]
-        units = matrix_units(upper)
-        imgs = [apply_connecting(tower, p, e) for e in units]
-        scale = 1.0 + spectral_norm(mat)
-        # *-preservation on matrix units
-        table = unit_index_table(upper)
-        for idx, (k, r, s) in enumerate(table):
-            sidx = unit_index(upper, k, s, r)
-            if distance(imgs[idx].adjoint(), imgs[sidx]) > tol * scale:
-                raise ValidationError(
-                    f"connecting map {p} is not *-preserving")
-        # multiplicativity on pairs of matrix units
-        for i in range(upper.dim):
-            for j in range(upper.dim):
-                prod = unit_product_index(upper, i, j)
-                expect = imgs[prod] if prod is not None else lower.zero()
-                if distance(imgs[i] @ imgs[j], expect) > tol * scale:
-                    raise ValidationError(
-                        f"connecting map {p} is not multiplicative")
-        unit_img = apply_connecting(tower, p, upper.unit())
-        if distance(unit_img, lower.unit()) > tol * scale:
-            raise ValidationError(f"connecting map {p} is not unital")
+        # pi(e_alpha) = sum_beta mat[beta, alpha] e_beta, block-diagonally
+        embedded = np.tensordot(mat.T, images_of(identity_map(lower)), 1)
+        report = verify_representation(
+            Representation(upper, sum(lower.block_dims), embedded), tol)
+        bound = tol * (1.0 + spectral_norm(mat))
+        for residual, axiom in ((report.star_residual, "*-preserving"),
+                                (report.multiplicative_residual, "multiplicative"),
+                                (report.unital_residual, "unital")):
+            if residual > bound:
+                raise ValidationError(f"connecting map {p} is not {axiom}")
         if numerical_rank(mat, tol) != lower.dim:
             raise ValidationError(f"connecting map {p} is not surjective")
     return tower

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, PositivityError, Representation,
+from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
                     StinespringDilation, ValidationError, as_cpn,
                     component_projections,
                     diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
                     identity_map, images_of, make_algebra, matrix_units,
-                    random_cpn_map,
-                    random_element, rep_apply, spanning_matrix,
+                    random_cpn_map, random_element, require_cpn, rep_apply,
+                    spanning_matrix,
                     unitary_equivalence, verify_dilation,
                     verify_representation, zero_map)
 
@@ -71,6 +71,32 @@ def test_dilate_rejects_non_cpn():
     bad = CPnMap(((ident, 2.0 * ident), (2.0 * ident, ident)))
     with pytest.raises(PositivityError):
         dilate(bad)
+
+
+def test_dilate_positivity_error_matches_require_cpn():
+    # dilate reads its verdict off the eigendecomposition it dilates with;
+    # its error is require_cpn's, min_eig equal up to rounding (eigh and
+    # eigvalsh are different LAPACK drivers)
+    rng = np.random.default_rng(8)
+    alg = make_algebra((2, 1))
+    ident = identity_map(make_algebra((2,)))
+    phi = random_cpn_map(alg, 2, 1, 2, rng).entries[0][0]
+    skew = LinearMap(alg, 2, tuple(b + 0.1 * np.triu(np.ones(b.shape), 1)
+                                   for b in phi.choi_blocks))
+    cases = [CPnMap(((ident, 2.0 * ident), (2.0 * ident, ident))),
+             random_cpn_map(alg, 2, 2, 3, rng) - 0.3 * random_cpn_map(alg, 2, 2, 1, rng),
+             as_cpn(skew)]
+    messages = set()
+    for rho in cases:
+        with pytest.raises(PositivityError) as expected:
+            require_cpn(rho)
+        with pytest.raises(PositivityError) as got:
+            dilate(rho)
+        assert str(got.value) == str(expected.value)
+        assert got.value.min_eig == pytest.approx(expected.value.min_eig, rel=1e-12)
+        messages.add(str(got.value).split(" (")[0])
+    assert messages == {"map is not completely n-positive",
+                        "map matrix is not Hermitian-symmetric"}
 
 
 def test_padded_dilation_is_not_minimal():

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, ExtremeFamilySpec, LinearMap, PositivityError,
-                    Representation, ValidationError, apply_map, as_cpn,
+from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
+                    PositivityError, Representation, StinespringDilation,
+                    ValidationError, apply_map, as_cpn,
                     build_extreme_family, commutant, compression_map,
                     cpn_distance, cpn_scale, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
@@ -11,8 +14,7 @@ from cpnkit import (CPnMap, ExtremeFamilySpec, LinearMap, PositivityError,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
                     star_index, trace_map, zero_map)
-from cpnkit import dilation as dilation_mod
-from cpnkit.dilation import in_canonical_frame
+from cpnkit.dilation import canonical_frame
 from cpnkit.linalg import (commutant_basis_of, intertwiner_basis_of,
                            nullspace, spectral_norm)
 
@@ -264,7 +266,7 @@ def test_flatten_consistency_for_witness():
     assert w.min() > -1e-9
 
 
-# Closed-form commutant and intertwiner bases against the nullspace oracle
+# Frame commutant and intertwiner bases against the nullspace oracle
 
 
 def span_projector(basis, shape):
@@ -280,20 +282,16 @@ def assert_same_space(fast, oracle, shape):
     assert gap <= 1e-8
 
 
-def count_nullspace_calls(monkeypatch):
-    calls = {"commutant": 0, "intertwiner": 0}
+def forbid_oracles(monkeypatch):
+    """Make the nullspace oracles raise wherever cpnkit could reach them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code called a nullspace oracle")
 
-    def spy(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(dilation_mod, "commutant_basis_of",
-                        spy("commutant", commutant_basis_of))
-    monkeypatch.setattr(dilation_mod, "intertwiner_basis_of",
-                        spy("intertwiner", intertwiner_basis_of))
-    return calls
+    for name, module in list(sys.modules.items()):
+        if name == "cpnkit" or name.startswith("cpnkit."):
+            for oracle in ("commutant_basis_of", "intertwiner_basis_of"):
+                if hasattr(module, oracle):
+                    monkeypatch.setattr(module, oracle, forbidden)
 
 
 def with_zero_block(rho, block):
@@ -312,17 +310,39 @@ def oracle_maps(dims, rng):
     return maps
 
 
+def random_unitary_matrix(h, rng):
+    g = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    u, _ = np.linalg.qr(g)
+    return u
+
+
+def conjugated(rep, u, pad=0):
+    """Representation u (rep (+) 0_pad) u*, keeping rep's multiplicities."""
+    h = rep.space_dim + pad
+    images = np.zeros((rep.algebra.dim, h, h), dtype=complex)
+    images[:, :rep.space_dim, :rep.space_dim] = rep.images
+    return Representation(rep.algebra, h, u @ images @ u.conj().T,
+                          multiplicities=rep.multiplicities)
+
+
+def commutant_oracle(rep):
+    return commutant_basis_of(list(rep.images), rep.space_dim, 1e-9)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 1), (2, 1)])
 def test_closed_form_commutant_matches_oracle(dims, monkeypatch):
     rng = np.random.default_rng(sum(dims))
     for rho in oracle_maps(dims, rng):
         dil = dilate(rho)
         rep = dil.rep
-        assert in_canonical_frame(rep)
-        oracle = commutant_basis_of(list(rep.images), rep.space_dim, 1e-9)
-        calls = count_nullspace_calls(monkeypatch)
+        # a dilate() output is its own canonical frame, so seeded draws from
+        # the commutant basis do not depend on how the frame is found
+        u, mults = canonical_frame(rep)
+        assert np.array_equal(u, np.eye(rep.space_dim))
+        assert mults == rep.multiplicities + (0,)
+        oracle = commutant_oracle(rep)
+        forbid_oracles(monkeypatch)
         fast = commutant(rep)
-        assert calls["commutant"] == 0
         assert fast.dimension == sum(r * r for r in rep.multiplicities)
         assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
         monkeypatch.undo()
@@ -336,14 +356,80 @@ def test_closed_form_intertwiners_match_oracle(dims, monkeypatch):
         for d2 in dils:
             oracle = intertwiner_basis_of(list(d1.rep.images), list(d2.rep.images),
                                           d1.space_dim, d2.space_dim, 1e-9)
-            calls = count_nullspace_calls(monkeypatch)
+            forbid_oracles(monkeypatch)
             fast = intertwiner_space(d1, d2)
-            assert calls["intertwiner"] == 0
             expected = sum(r * s for r, s in zip(d1.rep.multiplicities,
                                                  d2.rep.multiplicities))
             assert len(fast) == expected
             assert_same_space(fast, oracle, (d2.space_dim, d1.space_dim))
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 1)])
+def test_frame_bases_match_oracle_on_conjugated_representations(dims, monkeypatch):
+    rng = np.random.default_rng(20 + sum(dims))
+    for rho in oracle_maps(dims, rng)[:4]:
+        dil = dilate(rho)
+        u = random_unitary_matrix(dil.space_dim, rng)
+        rep = conjugated(dil.rep, u)
+        moved = StinespringDilation(rep, tuple(u @ v for v in dil.isometries), rho)
+        oracle = commutant_oracle(rep)
+        pairs = [(dil, moved), (moved, dil), (moved, moved)]
+        inter_oracles = [intertwiner_basis_of(list(a.rep.images), list(b.rep.images),
+                                              a.space_dim, b.space_dim, 1e-9)
+                         for a, b in pairs]
+        forbid_oracles(monkeypatch)
+        fast = commutant(rep)
+        assert fast.dimension == sum(r * r for r in dil.rep.multiplicities)
+        assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
+        for (a, b), inter in zip(pairs, inter_oracles):
+            assert_same_space(intertwiner_space(a, b), inter,
+                              (b.space_dim, a.space_dim))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 1), (3, 1)])
+def test_frame_commutant_of_non_unital_representation(dims, monkeypatch):
+    # the kernel of Phi(1) is one more summand, with the full matrix
+    # algebra as its commutant
+    rng = np.random.default_rng(30 + sum(dims))
+    dil = dilate(random_cpn_map(make_algebra(dims), 2, 1, 2, rng))
+    pad = 2
+    rep = conjugated(dil.rep, random_unitary_matrix(dil.space_dim + pad, rng), pad)
+    oracle = commutant_oracle(rep)
+    forbid_oracles(monkeypatch)
+    fast = commutant(rep)
+    assert fast.dimension == sum(r * r for r in dil.rep.multiplicities) + pad * pad
+    assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 1)])
+def test_frame_commutant_of_gram_dilations(dims, monkeypatch):
+    rng = np.random.default_rng(40 + sum(dims))
+    for rho in oracle_maps(dims, rng)[:4]:
+        gram = dilate_from_gram(rho)
+        oracle = commutant_oracle(gram.rep)
+        forbid_oracles(monkeypatch)
+        fast = commutant(gram.rep)
+        assert fast.dimension == sum(r * r for r in dilate(rho).rep.multiplicities)
+        assert_same_space(list(fast.basis), oracle, (gram.space_dim,) * 2)
+        monkeypatch.undo()
+
+
+def test_commutant_rejects_images_that_are_not_a_representation():
+    rng = np.random.default_rng(50)
+    dil = dilate(random_cpn_map(make_algebra((2, 1)), 2, 1, 2, rng))
+    rep = conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng))
+    noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
+    for size in (1e-6, 1e-2, 1.0):
+        bad = Representation(rep.algebra, rep.space_dim, rep.images + size * noise)
+        with pytest.raises(CertificationError):
+            commutant(bad)
+    # a rank-one projection with no partner is not a representation of (2, 1)
+    half = rep.images.copy()
+    half[1] = 0.0
+    with pytest.raises(CertificationError):
+        commutant(Representation(rep.algebra, rep.space_dim, half))
 
 
 def test_zero_block_pair_is_disjoint_and_shared_block_has_witness():
@@ -362,24 +448,20 @@ def test_zero_block_pair_is_disjoint_and_shared_block_has_witness():
 
 def test_zero_map_commutant_is_empty():
     dil = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
-    assert dil.space_dim == 0 and in_canonical_frame(dil.rep)
+    assert dil.space_dim == 0
     assert commutant(dil.rep).dimension == 0
     assert intertwiner_space(dil, dil) == []
 
 
-def test_conjugated_representation_takes_nullspace_route(monkeypatch):
+def test_conjugated_representation_takes_frame_route(monkeypatch):
     rng = np.random.default_rng(3)
     alg = make_algebra((2, 1))
     dil = dilate(random_cpn_map(alg, 2, 1, 2, rng))
     h = dil.space_dim
-    g = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
-    u, _ = np.linalg.qr(g)
-    rep = Representation(alg, h, tuple(u @ img @ u.conj().T for img in dil.rep.images),
-                         multiplicities=dil.rep.multiplicities)
-    assert not in_canonical_frame(rep)
-    calls = count_nullspace_calls(monkeypatch)
+    u = random_unitary_matrix(h, rng)
+    rep = conjugated(dil.rep, u)
+    forbid_oracles(monkeypatch)
     basis = commutant(rep)
-    assert calls["commutant"] == 1
     assert basis.dimension == sum(r * r for r in rep.multiplicities)
     # conjugating the closed-form basis gives the same space
     closed = [u @ b @ u.conj().T for b in commutant(dil.rep).basis]
@@ -392,10 +474,8 @@ def test_conjugated_representation_takes_nullspace_route(monkeypatch):
 def test_gram_dilation_purity_matches(make, monkeypatch):
     rho = make()
     gram = dilate_from_gram(rho)
-    assert not in_canonical_frame(gram.rep)
-    calls = count_nullspace_calls(monkeypatch)
+    forbid_oracles(monkeypatch)
     verdict = is_pure(rho, dilation=gram)
-    assert calls["commutant"] == 1
     monkeypatch.undo()
     assert verdict == is_pure(rho)
 
