@@ -24,6 +24,7 @@ intertwiners have closed forms; linalg's nullspace solvers are test oracles.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,10 @@ class Representation:
 
     images is stored as a read-only (dim A, H, H) complex array in
     canonical matrix-unit order; any sequence of H x H matrices is
-    accepted on construction.
+    accepted on construction.  multiplicities, when given, are the r_k of
+    (+)_k a_k (x) I_{r_k}, one per algebra block; each must lie within 1/2
+    of tr Phi(e_11^(k)), the rank of that projection, a unitarily invariant
+    O(K H) check.
     """
 
     algebra: CStarAlgebra
@@ -60,8 +64,18 @@ class Representation:
         images.flags.writeable = False
         object.__setattr__(self, "images", images)
         if self.multiplicities is not None:
-            object.__setattr__(self, "multiplicities",
-                               tuple(int(r) for r in self.multiplicities))
+            mults = tuple(int(r) for r in self.multiplicities)
+            alg = self.algebra
+            if len(mults) != alg.num_blocks:
+                raise ValidationError(
+                    f"expected {alg.num_blocks} multiplicities, got {len(mults)}")
+            traces = np.trace(images[[unit_index(alg, k, 0, 0) for k in range(alg.num_blocks)]],
+                              axis1=1, axis2=2)
+            if not np.all(np.abs(traces - mults) <= 0.5):
+                raise ValidationError(
+                    f"multiplicities {mults} contradict the images: "
+                    f"tr Phi(e_11) per block is {np.round(traces.real, 6).tolist()}")
+            object.__setattr__(self, "multiplicities", mults)
 
 
 def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
@@ -230,10 +244,13 @@ class StinespringDilation:
     def n(self) -> int:
         return len(self.isometries)
 
-    @property
+    @functools.cached_property
     def joint_isometry(self) -> np.ndarray:
-        """V = [V_1 ... V_n] : C^{n m} -> H, so that V* Phi(a) V = flatten(rho)(a)."""
-        return np.hstack(self.isometries)
+        """V = [V_1 ... V_n] : C^{n m} -> H, so that V* Phi(a) V = flatten(rho)(a);
+        built once per dilation, read-only."""
+        v = np.hstack(self.isometries)
+        v.flags.writeable = False
+        return v
 
 
 def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> StinespringDilation:
@@ -392,23 +409,15 @@ def gram_matrix(rho: CPnMap) -> np.ndarray:
     dimension.
     """
     alg = rho.domain
-    n, m = rho.n, rho.codomain_dim
+    nm = rho.n * rho.codomain_dim
+    imgs = images_of(rho.flat)  # block (i, j) of imgs[e] is rho_ij(e)
     table = unit_index_table(alg)
-    entry_images = [[images_of(rho.entries[i][j]) for j in range(n)] for i in range(n)]
-    size = alg.dim * n * m
-    g = np.zeros((size, size), dtype=complex)
+    g = np.zeros((alg.dim * nm, alg.dim * nm), dtype=complex)
     for ai, (k1, p1, q1) in enumerate(table):
         for bi, (k2, p2, q2) in enumerate(table):
             # e_alpha* e_beta = delta_{k1 k2} delta_{p1 p2} e_{q1 q2}
-            if k1 != k2 or p1 != p2:
-                continue
-            prod = unit_index(alg, k1, q1, q2)
-            for i in range(n):
-                for j in range(n):
-                    blk = entry_images[i][j][prod]
-                    rows = slice((ai * n + i) * m, (ai * n + i) * m + m)
-                    colz = slice((bi * n + j) * m, (bi * n + j) * m + m)
-                    g[rows, colz] = blk
+            if k1 == k2 and p1 == p2:
+                g[ai * nm:(ai + 1) * nm, bi * nm:(bi + 1) * nm] = imgs[unit_index(alg, k1, q1, q2)]
     return g
 
 

@@ -22,23 +22,21 @@ def herm(a: np.ndarray) -> np.ndarray:
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value over a matrix or a stack of matrices (any
-    leading axes); 0.0 when the input is empty."""
+    leading axes); 0.0 when the input is empty.
+
+    Read straight off the SVD, whose values come in descending order: the
+    same numbers np.linalg.norm(a, 2, axis=(-2, -1)) takes the max of,
+    without its axis handling."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
+    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
 
 
 def numerical_rank(a: np.ndarray, tol: float) -> int:
-    s = singular_values(a)
-    if s.size == 0:
+    if a.size == 0:
         return 0
+    s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > tol * (1.0 + s[0])))
 
 
@@ -87,8 +85,6 @@ def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0:
-        return np.zeros_like(a)
     keep = s > tol * (1.0 + s[0])
     return u[:, keep] @ vh[keep]
 

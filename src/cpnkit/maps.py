@@ -11,9 +11,17 @@ C_k = sum_pq E_pq (x) phi(E_pq).  A CPnMap is an n x n matrix
 is the single map a -> [rho_ij(a)] into the (n m) x (n m) matrices,
 complete n-positivity of [rho_ij] being complete positivity of the
 flatten, i.e. positive semidefinite flattened Choi blocks.
+
+The flatten is the one stored form of a CPnMap: flatten is an attribute
+read, unflatten wraps without copying and the entries are built on
+demand.  LinearMap(...) and CPnMap(entries) validate their input; maps
+derived from validated ones (sums, scalar multiples, compressions) are
+not validated again.  All Choi blocks are read-only arrays.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +60,8 @@ class LinearMap:
             return NotImplemented
         if other.domain != self.domain or other.codomain_dim != self.codomain_dim:
             raise ValidationError("maps have different domain or codomain")
-        return LinearMap(self.domain, self.codomain_dim,
-                         tuple(op(a, b) for a, b in zip(self.choi_blocks, other.choi_blocks)))
+        return _trusted_map(self.domain, self.codomain_dim,
+                            [op(a, b) for a, b in zip(self.choi_blocks, other.choi_blocks)])
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -62,15 +70,28 @@ class LinearMap:
         return self._binary(other, np.subtract)
 
     def __neg__(self):
-        return LinearMap(self.domain, self.codomain_dim, tuple(-b for b in self.choi_blocks))
+        return _trusted_map(self.domain, self.codomain_dim, [-b for b in self.choi_blocks])
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex, np.number)):
-            return LinearMap(self.domain, self.codomain_dim,
-                             tuple(scalar * b for b in self.choi_blocks))
+            return _trusted_map(self.domain, self.codomain_dim,
+                                [(scalar * b).astype(complex, copy=False)
+                                 for b in self.choi_blocks])
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def _trusted_map(domain: CStarAlgebra, codomain_dim: int, blocks) -> LinearMap:
+    """LinearMap around complex Choi blocks the library computed, with the
+    right shapes, from validated data: made read-only, not validated again."""
+    phi = object.__new__(LinearMap)
+    for b in blocks:
+        b.flags.writeable = False
+    object.__setattr__(phi, "domain", domain)
+    object.__setattr__(phi, "codomain_dim", codomain_dim)
+    object.__setattr__(phi, "choi_blocks", tuple(blocks))
+    return phi
 
 
 def apply_map(phi: LinearMap, a: AlgebraElement) -> np.ndarray:
@@ -97,14 +118,16 @@ def subblocks(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def stack_images(images, count: int, dim: int) -> np.ndarray:
-    """Validated (count, dim, dim) complex stack of matrix-unit images."""
-    images = list(images)
-    if len(images) != count:
-        raise ValidationError(f"expected {count} images, got {len(images)}")
-    for idx, img in enumerate(images):
-        if np.shape(img) != (dim, dim):
-            raise ValidationError(
-                f"image {idx} must have shape {(dim, dim)}, got {np.shape(img)}")
+    """Validated (count, dim, dim) complex stack of matrix-unit images, a
+    new array; an array of that shape needs no image-by-image check."""
+    if not (isinstance(images, np.ndarray) and images.shape == (count, dim, dim)):
+        images = list(images)
+        if len(images) != count:
+            raise ValidationError(f"expected {count} images, got {len(images)}")
+        for idx, img in enumerate(images):
+            if np.shape(img) != (dim, dim):
+                raise ValidationError(
+                    f"image {idx} must have shape {(dim, dim)}, got {np.shape(img)}")
     return np.array(images, dtype=complex).reshape(count, dim, dim)
 
 
@@ -118,7 +141,7 @@ def map_from_images(domain: CStarAlgebra, codomain_dim: int, images) -> LinearMa
         grid = stack[idx:idx + d * d].reshape(d, d, m, m)
         blocks.append(grid.swapaxes(1, 2).reshape(d * m, d * m))
         idx += d * d
-    return LinearMap(domain, m, tuple(blocks))
+    return _trusted_map(domain, m, blocks)
 
 
 def images_of(phi: LinearMap) -> np.ndarray:
@@ -130,55 +153,35 @@ def images_of(phi: LinearMap) -> np.ndarray:
 
 
 def identity_map(domain: CStarAlgebra) -> LinearMap:
-    """The defining representation a -> diag(a_1, ..., a_K) as a map."""
+    """The defining representation a -> diag(a_1, ..., a_K) as a map.
+
+    Its Choi block k is w w^T with w[(p, a)] = [a = o_k + p], o_k the
+    offset of block k in the diagonal."""
     m = sum(domain.block_dims)
-    images = []
-    off = 0
-    for d in domain.block_dims:
-        for p in range(d):
-            for q in range(d):
-                img = np.zeros((m, m), dtype=complex)
-                img[off + p, off + q] = 1.0
-                images.append(img)
-        off += d
-    return map_from_images(domain, m, images)
+    offsets = np.cumsum((0,) + domain.block_dims)
+    ws = [np.eye(m)[o:o + d].ravel() for o, d in zip(offsets, domain.block_dims)]
+    return LinearMap(domain, m, tuple(np.outer(w, w) for w in ws))
 
 
 def compression_map(domain: CStarAlgebra, block: int) -> LinearMap:
-    """The block compression a -> a_block."""
+    """The block compression a -> a_block: Choi block w w^T, w = vec(I), on
+    that block and zero on the others."""
     if not 0 <= block < domain.num_blocks:
         raise ValidationError(f"block index {block} out of range")
     m = domain.block_dims[block]
-    images = []
-    for k, d in enumerate(domain.block_dims):
-        for p in range(d):
-            for q in range(d):
-                img = np.zeros((m, m), dtype=complex)
-                if k == block:
-                    img[p, q] = 1.0
-                images.append(img)
-    return map_from_images(domain, m, images)
+    w = np.eye(m).ravel()
+    return LinearMap(domain, m, tuple(np.outer(w, w) if k == block else np.zeros((d * m, d * m))
+                                      for k, d in enumerate(domain.block_dims)))
 
 
 def depolarizing_map(d: int) -> LinearMap:
-    """a -> tr(a) I_d / d on the single-block algebra M_d."""
-    domain = CStarAlgebra((d,))
-    images = []
-    for p in range(d):
-        for q in range(d):
-            img = np.eye(d, dtype=complex) / d if p == q else np.zeros((d, d), dtype=complex)
-            images.append(img)
-    return map_from_images(domain, d, images)
+    """a -> tr(a) I_d / d on the single-block algebra M_d; its Choi block is I / d."""
+    return LinearMap(CStarAlgebra((d,)), d, (np.eye(d * d) / d,))
 
 
 def trace_map(domain: CStarAlgebra) -> LinearMap:
-    """a -> [sum_k tr(a_k)] into the 1 x 1 matrices."""
-    images = []
-    for d in domain.block_dims:
-        for p in range(d):
-            for q in range(d):
-                images.append(np.array([[1.0 + 0j if p == q else 0.0]]))
-    return map_from_images(domain, 1, images)
+    """a -> [sum_k tr(a_k)] into the 1 x 1 matrices; its Choi blocks are identities."""
+    return LinearMap(domain, 1, tuple(np.eye(d) for d in domain.block_dims))
 
 
 def zero_map(domain: CStarAlgebra, codomain_dim: int) -> LinearMap:
@@ -187,14 +190,22 @@ def zero_map(domain: CStarAlgebra, codomain_dim: int) -> LinearMap:
         np.zeros((d * m, d * m), dtype=complex) for d in domain.block_dims))
 
 
-@dataclass(frozen=True, eq=False)
+def _entry_grid(c: np.ndarray, d: int, n: int, m: int) -> np.ndarray:
+    """(n, n, d m, d m) stack of entry Choi blocks from a flattened Choi block
+    c of a d x d algebra block: entry (i, j) of it is rho_ij's Choi block."""
+    return c.reshape(d, n, m, d, n, m).transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d * m, d * m)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CPnMap:
-    """n x n matrix [rho_ij] of linear maps with common domain and codomain."""
+    """n x n matrix [rho_ij] of linear maps with common domain and codomain,
+    stored as its flatten."""
 
-    entries: tuple[tuple[LinearMap, ...], ...]
+    n: int
+    flat: LinearMap
 
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
+    def __init__(self, entries):
+        entries = tuple(tuple(row) for row in entries)
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise ValidationError("entries must form a nonempty square matrix of maps")
@@ -203,19 +214,33 @@ class CPnMap:
             for e in row:
                 if e.domain != first.domain or e.codomain_dim != first.codomain_dim:
                     raise ValidationError("all entries must share domain and codomain")
-        object.__setattr__(self, "entries", entries)
+        m = first.codomain_dim
+        blocks = []
+        for k, d in enumerate(first.domain.block_dims):
+            c = np.array([[e.choi_blocks[k] for e in row] for row in entries])
+            # (i, j, p, a, q, b) -> composite indices (p, i, a), (q, j, b)
+            blocks.append(c.reshape(n, n, d, m, d, m).transpose(2, 0, 3, 4, 1, 5)
+                          .reshape(d * n * m, d * n * m))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "flat", _trusted_map(first.domain, n * m, blocks))
+        self.__dict__["entries"] = entries
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[LinearMap, ...], ...]:
+        """The maps rho_ij, read off the flatten on first use."""
+        n, m = self.n, self.codomain_dim
+        grids = [_entry_grid(c, d, n, m)
+                 for d, c in zip(self.domain.block_dims, self.flat.choi_blocks)]
+        return tuple(tuple(_trusted_map(self.domain, m, [g[i, j] for g in grids])
+                           for j in range(n)) for i in range(n))
 
     @property
     def domain(self) -> CStarAlgebra:
-        return self.entries[0][0].domain
+        return self.flat.domain
 
     @property
     def codomain_dim(self) -> int:
-        return self.entries[0][0].codomain_dim
+        return self.flat.codomain_dim // self.n
 
     def entry(self, i: int, j: int) -> LinearMap:
         return self.entries[i][j]
@@ -225,18 +250,17 @@ class CPnMap:
             return NotImplemented
         if other.n != self.n:
             raise ValidationError("map matrices have different size")
-        return CPnMap(tuple(tuple(op(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+        return unflatten(op(self.flat, other.flat), self.n)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, operator.sub)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex, np.number)):
-            return CPnMap(tuple(tuple(scalar * e for e in row) for row in self.entries))
+            return unflatten(scalar * self.flat, self.n)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -244,12 +268,7 @@ class CPnMap:
 
 def as_cpn(phi: LinearMap) -> CPnMap:
     """Wrap a single map as a 1 x 1 CPnMap."""
-    return CPnMap(((phi,),))
-
-
-def _entry_choi_blocks(rho: CPnMap, k: int) -> np.ndarray:
-    """(n, n, d_k m, d_k m) stack of the entries' Choi blocks for algebra block k."""
-    return np.array([[e.choi_blocks[k] for e in row] for row in rho.entries])
+    return unflatten(phi, 1)
 
 
 def flatten(rho: CPnMap) -> LinearMap:
@@ -258,25 +277,20 @@ def flatten(rho: CPnMap) -> LinearMap:
     Block row i of the output is rho_i1(a) ... rho_in(a); the composite
     codomain index is i * m + a.
     """
-    n, m = rho.n, rho.codomain_dim
-    blocks = []
-    for k, d in enumerate(rho.domain.block_dims):
-        c = _entry_choi_blocks(rho, k).reshape(n, n, d, m, d, m)  # (i, j, p, a, q, b)
-        blocks.append(c.transpose(2, 0, 3, 4, 1, 5).reshape(d * n * m, d * n * m))
-    return LinearMap(rho.domain, n * m, tuple(blocks))
+    return rho.flat
 
 
 def unflatten(phi: LinearMap, n: int) -> CPnMap:
-    """Inverse of flatten; codomain_dim of phi must be divisible by n."""
+    """Inverse of flatten: phi read as an n x n map matrix, without copying;
+    codomain_dim of phi must be divisible by n."""
+    n = operator.index(n)
     if n < 1 or phi.codomain_dim % n != 0:
         raise ValidationError(
             f"codomain dimension {phi.codomain_dim} is not divisible by n={n}")
-    m = phi.codomain_dim // n
-    # per algebra block, the (n, n, d m, d m) stack of entry Choi blocks
-    grids = [c.reshape(d, n, m, d, n, m).transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d * m, d * m)
-             for d, c in zip(phi.domain.block_dims, phi.choi_blocks)]
-    return CPnMap(tuple(tuple(LinearMap(phi.domain, m, tuple(g[i, j] for g in grids))
-                              for j in range(n)) for i in range(n)))
+    rho = object.__new__(CPnMap)
+    object.__setattr__(rho, "n", n)
+    object.__setattr__(rho, "flat", phi)
+    return rho
 
 
 def cpn_scale(rho: CPnMap) -> float:
@@ -285,13 +299,10 @@ def cpn_scale(rho: CPnMap) -> float:
 
 
 def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:
-    """Largest entrywise Choi-block difference."""
-    if rho.n != theta.n:
-        raise ValidationError("map matrices have different size")
-    if rho.domain != theta.domain or rho.codomain_dim != theta.codomain_dim:
-        raise ValidationError("maps have different domain or codomain")
-    return max(spectral_norm(_entry_choi_blocks(rho, k) - _entry_choi_blocks(theta, k))
-               for k in range(rho.domain.num_blocks))
+    """Largest entrywise Choi-block difference; the subtraction checks shapes."""
+    diff = rho - theta
+    return max(spectral_norm(_entry_grid(c, d, diff.n, diff.codomain_dim))
+               for d, c in zip(diff.domain.block_dims, diff.flat.choi_blocks))
 
 
 def check_hermitian_symmetry(rho: CPnMap, tol: float = 1e-9) -> bool:
@@ -352,7 +363,7 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     the flattened Choi blocks C, i.e. max over e_pq and i, j of
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
     """
-    flat = flatten(rho)
+    flat = rho.flat
     return cpn_verdict(flat, rho.codomain_dim,
                        [np.linalg.eigvalsh(herm(c)) for c in flat.choi_blocks], tol)
 
@@ -392,5 +403,4 @@ def random_cpn_map(domain: CStarAlgebra, codomain_dim: int, n: int, rank: int,
         q = d * n * m
         g = (rng.standard_normal((q, rank)) + 1j * rng.standard_normal((q, rank))) / np.sqrt(2)
         blocks.append(g @ g.conj().T)
-    flat = LinearMap(domain, n * m, tuple(blocks))
-    return unflatten(flat, n)
+    return unflatten(_trusted_map(domain, n * m, blocks), n)

@@ -13,7 +13,7 @@ from .algebra import AlgebraElement, CStarAlgebra, make_algebra
 from .dilation import StinespringDilation
 from .errors import SchemaError
 from .maps import CPnMap, LinearMap
-from .towers import ContinuousCPnMap, Tower, make_tower
+from .towers import Tower, make_tower
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -177,19 +177,6 @@ def tower_from_json(obj, tol: float = 1e-9) -> Tower:
     mats = [json_to_matrix(c, (levels[p].dim, levels[p + 1].dim))
             for p, c in enumerate(raw_conn)]
     return make_tower(levels, mats, tol)
-
-
-def continuous_map_to_json(cm: ContinuousCPnMap) -> dict:
-    return {"level": cm.level, "map": cpn_map_to_json(cm.base)}
-
-
-def continuous_map_from_json(obj, tower: Tower) -> ContinuousCPnMap:
-    if not isinstance(obj, dict) or "level" not in obj or "map" not in obj:
-        raise SchemaError("continuous map must be an object with 'level' and 'map'")
-    level = obj["level"]
-    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-        raise SchemaError("'level' must be a positive integer")
-    return ContinuousCPnMap(tower, level, cpn_map_from_json(obj["map"]))
 
 
 def commutant_element_to_json(matrix: np.ndarray) -> dict:

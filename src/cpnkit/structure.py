@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, cstar_norm, distance, is_unitary,
-                      star_index)
+from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
 from .dilation import (Representation, StinespringDilation, commutant_basis,
                        dilate, intertwiner_basis, rep_apply,
                        representation_bound)
@@ -33,7 +32,7 @@ from .linalg import (herm, nullspace, numerical_rank, orth, partial_isometry,
                      spectral_norm)
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
-                   require_cpn, unflatten)
+                   require_cpn, subblocks, unflatten)
 from .radon import compress
 
 
@@ -140,9 +139,8 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     alg = rho11.domain
     images12 = v1.conj().T @ d1.rep.images @ w.conj().T @ v2
     map12 = map_from_images(alg, m, images12)
-    # rho_21(a) = rho_12(a*)*: adjoint images under the unit star permutation
-    images21 = images12[[star_index(alg, idx) for idx in range(alg.dim)]]
-    map21 = map_from_images(alg, m, images21.conj().swapaxes(-2, -1))
+    # rho_21(a) = rho_12(a*)*, whose Choi blocks are the adjoints of rho_12's
+    map21 = LinearMap(alg, m, tuple(c.conj().T for c in map12.choi_blocks))
     witness = CPnMap(((rho11.entries[0][0], map12), (map21, rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
     off_norm = spectral_norm(images12)
@@ -155,16 +153,12 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
 
 def _membership_check(rho: CPnMap, tol: float) -> None:
     """rho_ii(1) = I and rho_ij(1) = 0 for i < j, else ValidationError."""
-    unit = rho.domain.unit()
-    eye = np.eye(rho.codomain_dim)
+    # block (i, j) of flatten(rho)(1) - I is rho_ij(1) - delta_ij I
+    dev = subblocks(apply_map(rho.flat, rho.domain.unit()) - np.eye(rho.flat.codomain_dim),
+                    rho.codomain_dim)
     scale = cpn_scale(rho)
-    bad = []
-    for i in range(rho.n):
-        for j in range(i, rho.n):
-            val = apply_map(rho.entries[i][j], unit)
-            target = eye if i == j else np.zeros_like(eye)
-            if spectral_norm(val - target) > tol * scale:
-                bad.append((i, j))
+    bad = [(i, j) for i in range(rho.n) for j in range(i, rho.n)
+           if spectral_norm(dev[i, j]) > tol * scale]
     if bad:
         raise ValidationError(
             f"map matrix is not unital with zero off-diagonal at the unit; "

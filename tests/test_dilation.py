@@ -238,6 +238,19 @@ def test_multiplicities_sum_to_space_dim():
     assert dil.space_dim == sum(d * r for d, r in zip(alg.block_dims, mults))
 
 
+def test_representation_rejects_contradicting_multiplicities():
+    alg = make_algebra((2,))
+    dil = dilate(random_cpn_map(alg, 2, 1, 2, np.random.default_rng(16)))
+    assert dil.rep.multiplicities == (2,) and dil.space_dim == 4
+    imgs = dil.rep.images
+    assert Representation(alg, 4, imgs, multiplicities=(2,)).multiplicities == (2,)
+    for wrong in ((5,), (1,), (2, 0), ()):
+        with pytest.raises(ValidationError):
+            Representation(alg, 4, imgs, multiplicities=wrong)
+    with pytest.raises(ValidationError):
+        Representation(alg, 4, np.full_like(imgs, np.nan), multiplicities=(2,))
+
+
 def test_factor_residual_matches_per_matrix_loop():
     rng = np.random.default_rng(14)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, PositivityError, ValidationError, apply_map,
-                    check_hermitian_symmetry, compression_map, cpn_distance,
-                    depolarizing_map, flatten, identity_map, images_of,
+from cpnkit import (CPnMap, LinearMap, PositivityError, ValidationError,
+                    apply_map, as_cpn, check_hermitian_symmetry, compress,
+                    compression_map, cpn_distance, depolarizing_map, dilate,
+                    flatten, identity_map, images_of,
                     is_completely_n_positive, make_algebra, map_from_images,
                     matrix_units, order_leq, random_cpn_map, random_element,
                     require_cpn, trace_map, unflatten, unit_index, zero_map)
@@ -254,3 +255,117 @@ def test_cpn_arithmetic():
     want = (2.0 * apply_map(flatten(rho), a) + apply_map(flatten(sig), a)
             - apply_map(flatten(rho), a))
     assert np.allclose(apply_map(flatten(lhs), a), want)
+
+
+def loop_entry_blocks(phi, n):
+    """Entry Choi blocks by literal loops over the flattened Choi blocks:
+    C_ij[(p, a), (q, b)] = C[(p, i, a), (q, j, b)], keyed (i, j, k)."""
+    m = phi.codomain_dim // n
+    out = {}
+    for k, (d, c) in enumerate(zip(phi.domain.block_dims, phi.choi_blocks)):
+        for i in range(n):
+            for j in range(n):
+                blk = np.zeros((d * m, d * m), dtype=complex)
+                for p in range(d):
+                    for q in range(d):
+                        r, s = (p * n + i) * m, (q * n + j) * m
+                        blk[p * m:(p + 1) * m, q * m:(q + 1) * m] = c[r:r + m, s:s + m]
+                out[i, j, k] = blk
+    return out
+
+
+def test_flat_storage_entries_and_round_trip():
+    rng = np.random.default_rng(20)
+    alg = make_algebra((2, 1))
+    rho = random_cpn_map(alg, 3, 2, 4, rng)
+    flat = flatten(rho)
+    assert unflatten(flat, 2).flat is flat and flatten(unflatten(flat, 2)) is flat
+    want = loop_entry_blocks(flat, 2)
+    for (i, j, k), blk in want.items():
+        assert np.array_equal(rho.entries[i][j].choi_blocks[k], blk)
+    assert rho.entries is rho.entries
+    rebuilt = CPnMap(rho.entries)
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.flat.choi_blocks, flat.choi_blocks))
+    assert (rebuilt.n, rebuilt.codomain_dim, rebuilt.domain) == (2, 3, alg)
+    one = as_cpn(rho.entries[0][1])
+    assert flatten(one) is rho.entries[0][1] and one.n == 1
+
+
+def test_flat_arithmetic_is_entrywise():
+    rng = np.random.default_rng(21)
+    alg = make_algebra((2, 1))
+    rho = random_cpn_map(alg, 2, 2, 3, rng)
+    sig = random_cpn_map(alg, 2, 2, 2, rng)
+    cases = [(rho + sig, np.add, sig), (rho - sig, np.subtract, sig),
+             (2.5 * rho, lambda a, _: 2.5 * a, None),
+             (rho * (1 - 2j), lambda a, _: (1 - 2j) * a, None),
+             (np.float64(0.5) * rho, lambda a, _: 0.5 * a, None)]
+    for got, op, other in cases:
+        assert got.n == 2 and got.codomain_dim == 2
+        for i in range(2):
+            for j in range(2):
+                for k in range(alg.num_blocks):
+                    a = rho.entries[i][j].choi_blocks[k]
+                    b = other.entries[i][j].choi_blocks[k] if other is not None else None
+                    assert np.array_equal(got.entries[i][j].choi_blocks[k], op(a, b))
+    phi = rho.entries[0][1]
+    assert all(np.array_equal(x, -y) for x, y in zip((-phi).choi_blocks, phi.choi_blocks))
+    with pytest.raises(ValidationError):
+        rho + random_cpn_map(alg, 2, 1, 2, rng)
+    with pytest.raises(ValidationError):
+        rho + random_cpn_map(alg, 1, 4, 2, rng)
+
+
+def test_public_constructors_still_validate():
+    alg = make_algebra((2,))
+    phi = identity_map(alg)
+    other = identity_map(make_algebra((1, 1)))
+    for bad in ((), ((phi, phi), (phi,)), ((phi,), (phi,)), ((phi, other), (other, phi))):
+        with pytest.raises(ValidationError):
+            CPnMap(bad)
+    with pytest.raises(ValidationError):
+        LinearMap(alg, 2, (np.eye(3),))
+    with pytest.raises(ValidationError):
+        LinearMap(alg, 2, (np.eye(4), np.eye(4)))
+    with pytest.raises(ValidationError):
+        unflatten(random_cpn_map(alg, 3, 2, 2, np.random.default_rng(22)).flat, 4)
+
+
+def test_library_built_arrays_are_read_only():
+    rng = np.random.default_rng(23)
+    alg = make_algebra((2, 1))
+    rho = random_cpn_map(alg, 2, 2, 3, rng)
+    dil = dilate(rho)
+    maps = [rho.flat, (rho + rho).flat, (rho - rho).flat, (3 * rho).flat,
+            rho.entries[1][0], -rho.entries[0][0], identity_map(alg),
+            map_from_images(alg, 2, images_of(rho.entries[0][0])),
+            compress(dil, 0.5 * np.eye(dil.space_dim)).flat]
+    arrays = [b for phi in maps for b in phi.choi_blocks] + [dil.joint_isometry]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert dil.joint_isometry is dil.joint_isometry
+
+
+def test_closed_form_choi_blocks_match_image_loops():
+    alg = make_algebra((2, 1, 3))
+    dims, m = alg.block_dims, sum(alg.block_dims)
+    ident, comp, trace = [], [], []
+    off = 0
+    for k, d in enumerate(dims):
+        for p in range(d):
+            for q in range(d):
+                img = np.zeros((m, m))
+                img[off + p, off + q] = 1.0
+                ident.append(img)
+                img = np.zeros((3, 3))
+                if k == 2:
+                    img[p, q] = 1.0
+                comp.append(img)
+                trace.append([[float(p == q)]])
+        off += d
+    depol = [np.eye(3) / 3 if p == q else np.zeros((3, 3)) for p in range(3) for q in range(3)]
+    for phi, images in ((identity_map(alg), ident), (compression_map(alg, 2), comp),
+                        (trace_map(alg), trace), (depolarizing_map(3), depol)):
+        assert np.array_equal(images_of(phi), np.array(images, dtype=complex))

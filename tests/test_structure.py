@@ -500,3 +500,8 @@ def test_spectral_norm_of_a_stack_is_the_largest_member():
     assert spectral_norm(stack) == per_matrix
     assert spectral_norm(stack[0, 0]) == np.linalg.norm(stack[0, 0], 2)
     assert spectral_norm(np.zeros((3, 0, 0))) == 0.0
+    assert spectral_norm(np.zeros((0, 4))) == 0.0
+    # read off the SVD, bitwise what np.linalg.norm(., 2) takes the max of
+    low_rank = stack[:, :, :, :1] @ stack[:, :, :1, :]
+    for a in (stack, stack[1], stack[0, 1], stack.real, low_rank, np.zeros((2, 3, 3))):
+        assert spectral_norm(a) == np.linalg.norm(a, 2, axis=(-2, -1)).max()
