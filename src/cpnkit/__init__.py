@@ -26,7 +26,8 @@ from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
                     sample_unit_interval)
 from .structure import (CommutantBasis, ConvexDecomposition,
                         ExtremalityReport, ExtremeFamilySpec,
-                        build_extreme_family, commutant, extension_witness,
+                        build_extreme_family, commutant, commutant_dimension,
+                        extension_witness,
                         are_disjoint, intertwiner_space, is_extreme, is_pure,
                         nonextreme_decomposition)
 from .towers import (ContinuousCPnMap, Tower, apply_connecting, check_thread,
@@ -44,7 +45,7 @@ __all__ = [
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
     "ExtremeFamilySpec", "ContinuousCPnMap", "Tower",
     "apply_connecting", "apply_map", "as_cpn", "build_extreme_family",
-    "check_hermitian_symmetry", "check_thread", "commutant",
+    "check_hermitian_symmetry", "check_thread", "commutant", "commutant_dimension",
     "component_projections", "compress", "compression_map", "cpn_distance",
     "cpn_scale", "cstar_norm", "depolarizing_map",
     "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",

@@ -27,7 +27,7 @@ from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
-from .structure import (commutant, extension_witness, is_extreme,
+from .structure import (commutant_dimension, extension_witness, is_extreme,
                         nonextreme_decomposition)
 from .acceptance import run_all
 
@@ -135,10 +135,10 @@ def _cmd_rn(args) -> int:
 def _cmd_pure(args) -> int:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
-    basis = commutant(dil.rep, args.tol)
-    pure = basis.dimension == 1
+    dim = commutant_dimension(dil.rep, args.tol)
+    pure = dim == 1
     report = _envelope("pure", args.tol, pure, {
-        "commutant_dimension": basis.dimension,
+        "commutant_dimension": dim,
         "space_dim": dil.space_dim,
     })
     _emit(report, args.output)

@@ -77,6 +77,11 @@ class Representation:
                     f"tr Phi(e_11) per block is {np.round(traces.real, 6).tolist()}")
             object.__setattr__(self, "multiplicities", mults)
 
+    @functools.cached_property
+    def norm(self) -> float:
+        """max_e ||Phi(e)|| over the matrix units, computed once."""
+        return spectral_norm(self.images)
+
 
 def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
     """Evaluate the representation on an algebra element."""
@@ -112,16 +117,20 @@ def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
 def representation_bound(rep: Representation, tol: float) -> float:
     """tol * (1 + max ||Phi(e)||), tol floored at a rounding allowance ~ H."""
     floor = 1e4 * np.finfo(float).eps * max(1, rep.space_dim)
-    return max(tol, floor) * (1.0 + spectral_norm(rep.images))
+    return max(tol, floor) * (1.0 + rep.norm)
 
 
-def canonical_frame(rep: Representation, tol: float = 1e-9) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Unitary U and multiplicities (r_1, ..., r_K, r_0) with U* Phi(.) U =
-    (+)_k a_k (x) I_{r_k} (+) 0_{r_0}, r_0 the dimension of ker Phi(1).
+def canonical_frame(rep: Representation, tol: float = 1e-9
+                    ) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """Unitary U, multiplicities (r_1, ..., r_K, r_0) with U* Phi(.) U =
+    (+)_k a_k (x) I_{r_k} (+) 0_{r_0}, r_0 the dimension of ker Phi(1), and
+    the certified residual eps = max(||U*U - I||, max_e ||U* Phi(e) U - C_e||),
+    C_e the canonical images.
 
     Column (k, p, s) of U is Phi(e_p1^(k)) Q_k[:, s], Q_k an orthonormal
     basis of the range of Phi(e_11^(k)).  O(dim A * H^3).  Raises
-    CertificationError unless the images are a *-representation.
+    CertificationError unless the images are a *-representation, i.e.
+    unless eps <= representation_bound(rep, tol).
     """
     alg, h, imgs = rep.algebra, rep.space_dim, rep.images
     # (projection, its lifts Phi(e_p1)) per block, then ker Phi(1) as a d = 1 block
@@ -151,7 +160,7 @@ def canonical_frame(rep: Representation, tol: float = 1e-9) -> tuple[np.ndarray,
         raise CertificationError(
             f"canonical frame certificate failed (residual {worst:.3e}): "
             "the images are not a *-representation")
-    return u, tuple(mults)
+    return u, tuple(mults), worst
 
 
 def _frame_basis(block_dims, u1, mults1, u2, mults2) -> list[np.ndarray]:
@@ -172,7 +181,7 @@ def _frame_basis(block_dims, u1, mults1, u2, mults2) -> list[np.ndarray]:
 def commutant_basis(rep: Representation, tol: float = 1e-9) -> list[np.ndarray]:
     """Frobenius-orthonormal basis of the commutant Phi(A)': the closed form
     (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} in the canonical frame."""
-    u, mults = canonical_frame(rep, tol)
+    u, mults, _ = canonical_frame(rep, tol)
     return _frame_basis(rep.algebra.block_dims + (1,), u, mults, u, mults)
 
 
@@ -180,8 +189,8 @@ def intertwiner_basis(rep1: Representation, rep2: Representation,
                       tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X}, X of shape (H_2, H_1):
     (+)_k I_{d_k} (x) M_{s_k x r_k} between the canonical frames."""
-    u1, mults1 = canonical_frame(rep1, tol)
-    u2, mults2 = canonical_frame(rep2, tol)
+    u1, mults1, _ = canonical_frame(rep1, tol)
+    u2, mults2, _ = canonical_frame(rep2, tol)
     return _frame_basis(rep1.algebra.block_dims + (1,), u1, mults1, u2, mults2)
 
 

@@ -8,7 +8,9 @@ matrix therefore has rank 0 for every positive tol.
 Certificates are measured on stacks: spectral_norm accepts any array of
 shape (..., r, c) and returns the largest spectral norm over the leading
 axes, so a residual over all matrix units, such as
-max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X.
+max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X;
+spectral_norms returns the norm of each member, so the gates of one
+check (||T||, ||T - T*||, the commutator) share one SVD call.
 """
 from __future__ import annotations
 
@@ -20,17 +22,23 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value over a matrix or a stack of matrices (any
-    leading axes); 0.0 when the input is empty.
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (any leading axes),
+    zeros when the matrices are empty.
 
     Read straight off the SVD, whose values come in descending order: the
-    same numbers np.linalg.norm(a, 2, axis=(-2, -1)) takes the max of,
-    without its axis handling."""
+    numbers np.linalg.norm(a, 2, axis=(-2, -1)) gives, without its axis
+    handling.  Several certificates stacked into one array cost one call."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value over a matrix or a stack of matrices (any
+    leading axes); 0.0 when the input is empty."""
+    return float(spectral_norms(a).max(initial=0.0))
 
 
 def numerical_rank(a: np.ndarray, tol: float) -> int:

@@ -234,6 +234,12 @@ class CPnMap:
         return tuple(tuple(_trusted_map(self.domain, m, [g[i, j] for g in grids])
                            for j in range(n)) for i in range(n))
 
+    @functools.cached_property
+    def scale(self) -> float:
+        """1 + the largest flattened Choi block norm, computed once per map:
+        the storage is immutable, and derived maps are new objects."""
+        return 1.0 + max(spectral_norm(b) for b in self.flat.choi_blocks)
+
     @property
     def domain(self) -> CStarAlgebra:
         return self.flat.domain
@@ -295,7 +301,7 @@ def unflatten(phi: LinearMap, n: int) -> CPnMap:
 
 def cpn_scale(rho: CPnMap) -> float:
     """1 + the largest flattened Choi block norm; the relative-tolerance scale."""
-    return 1.0 + max(spectral_norm(b) for b in flatten(rho).choi_blocks)
+    return rho.scale
 
 
 def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:

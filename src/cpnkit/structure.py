@@ -12,10 +12,14 @@ off-diagonal class is decided by injectivity of T -> P T P on the
 commutant, P projecting onto span{V_i xi}.
 
 Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} (+) 0 up
-to a unitary, which dilation.canonical_frame finds and certifies in
+to a unitary U, which dilation.canonical_frame finds and certifies in
 O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
 intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
 alike.  Images that are not a *-representation raise CertificationError.
+
+Purity and extremality work in frame coordinates and build no H x H
+commutant basis; their commute certificate is commutator_bound, derived
+from the frame residual.
 """
 from __future__ import annotations
 
@@ -24,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
-from .dilation import (Representation, StinespringDilation, commutant_basis,
-                       dilate, intertwiner_basis, rep_apply,
+from .dilation import (Representation, StinespringDilation, canonical_frame,
+                       commutant_basis, dilate, intertwiner_basis, rep_apply,
                        representation_bound)
 from .errors import CertificationError, ValidationError
-from .linalg import (herm, nullspace, numerical_rank, orth, partial_isometry,
-                     spectral_norm)
+from .linalg import herm, numerical_rank, orth, partial_isometry, spectral_norm
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
                    require_cpn, subblocks, unflatten)
@@ -73,6 +76,37 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
     return CommutantBasis(rep, tuple(basis), commute, adjoint)
 
 
+def commutator_bound(rep: Representation, eps: float) -> float:
+    """B(eps) = 2 eps (1 + eps) (1 + max_e ||Phi(e)||), eps the frame residual.
+
+    B dominates max ||[U E U*, Phi(e)]|| over the closed-form commutant
+    elements, E = (+)_k I_{d_k} (x) E_ab / sqrt(d_k), ||E|| <= 1.  With
+    F = I - U U* and Delta_e = U* Phi(e) U - C_e,
+
+        [U E U*, Phi(e)] = U [E, Delta_e] U* + U E U* Phi(e) F - F Phi(e) U E U*,
+
+    and ||U||^2 = ||U*U|| <= 1 + eps, ||Delta_e|| <= eps, ||F|| = ||U*U - I||
+    <= eps for square U.
+    """
+    return 2.0 * eps * (1.0 + eps) * (1.0 + rep.norm)
+
+
+def _certified_frame(rep: Representation, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """canonical_frame, with the commutant certificate B(eps) checked against
+    the bound commutant() holds its measured residuals to."""
+    u, mults, eps = canonical_frame(rep, tol)
+    bound = commutator_bound(rep, eps)
+    if bound > representation_bound(rep, tol):
+        raise CertificationError(
+            f"commutant certificate failed (frame residual {eps:.3e}, bound {bound:.3e})")
+    return u, mults
+
+
+def commutant_dimension(rep: Representation, tol: float = 1e-9) -> int:
+    """dim Phi(A)' = sum_k r_k^2 (r_0 included), read off the certified frame."""
+    return sum(r * r for r in _certified_frame(rep, tol)[1])
+
+
 def is_pure(rho: CPnMap, tol: float = 1e-9,
             dilation: StinespringDilation | None = None) -> bool:
     """Purity via irreducibility: the dilation commutant has dimension 1."""
@@ -80,7 +114,7 @@ def is_pure(rho: CPnMap, tol: float = 1e-9,
         dilation = dilate(rho, tol)
     else:
         require_cpn(rho, tol)
-    return commutant(dilation.rep, tol).dimension == 1
+    return commutant_dimension(dilation.rep, tol) == 1
 
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
@@ -177,21 +211,29 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     """Shared start of is_extreme and nonextreme_decomposition.
 
     Checks rho (completely n-positive, in the unital class), then returns
-    its dilation, the certified commutant basis {T_s} and the matrix whose
-    columns are vec(P T_s P), P projecting onto span{V_i xi}.
+    its dilation, the certified frame (U, multiplicities) and the matrix
+    of T -> Q* T Q on the closed-form commutant basis, Q = orth(V): with
+    G = Q* U, column (k, a, b) is vec((1/sqrt d_k) sum_p G_{k,p,a} G_{k,p,b}*).
+    X -> Q X Q* is a Frobenius isometry, so these q^2 <= (n m)^2 rows have
+    the singular values of the H^2-row stack of P T_s P, P = Q Q*.
     """
     if dilation is None:
         dilation = dilate(rho, tol)
     else:
         require_cpn(rho, tol)
     _membership_check(rho, tol)
-    basis = commutant(dilation.rep, tol)
-    q = orth(dilation.joint_isometry, tol)
-    p = q @ q.conj().T
-    stack = np.zeros((dilation.space_dim ** 2, basis.dimension), dtype=complex)
-    for s, b in enumerate(basis.basis):
-        stack[:, s] = (p @ b @ p).ravel()
-    return dilation, basis, stack
+    u, mults = _certified_frame(dilation.rep, tol)
+    g = orth(dilation.joint_isometry, tol).conj().T @ u
+    q = len(g)
+    mat = np.zeros((q * q, sum(r * r for r in mults)), dtype=complex)
+    col = off = 0
+    for d, r in zip(rho.domain.block_dims + (1,), mults):
+        for p in range(d):
+            gp = g[:, off + p * r:off + (p + 1) * r]
+            mat[:, col:col + r * r] += np.kron(gp / np.sqrt(d), gp.conj())
+        off += d * r
+        col += r * r
+    return dilation, u, mults, mat
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
@@ -199,12 +241,12 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     """Extremality among map matrices with rho_ii(1) = I, rho_ij(1) = 0 (i < j).
 
     Criterion: T -> P T P is injective on the commutant, where P projects
-    onto H_0 = span{V_i xi}.  Membership failures raise ValidationError
-    naming the offending entries.
+    onto H_0 = span{V_i xi}; decided in frame coordinates.  Membership
+    failures raise ValidationError naming the offending entries.
     """
-    _, basis, stack = _compressed_commutant(rho, tol, dilation)
-    rank = numerical_rank(stack, tol)
-    return ExtremalityReport(rank == basis.dimension, basis.dimension, rank)
+    _, _, _, mat = _compressed_commutant(rho, tol, dilation)
+    rank = numerical_rank(mat, tol)
+    return ExtremalityReport(rank == mat.shape[1], mat.shape[1], rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,14 +266,25 @@ def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
     From a Hermitian commutant element T with P T P = 0 and ||T|| = 1,
     the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices in
     the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
-    both differing from rho.  Raises ValidationError when rho is extreme.
+    both differing from rho.  The kernel vector of the frame-coordinate
+    matrix, from the SVD that also gives its rank, is (X_k)_k with
+    T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*.  Raises ValidationError
+    when rho is extreme.
     """
-    dil, basis, stack = _compressed_commutant(rho, tol, dilation)
-    null = nullspace(stack, tol)
-    if null.shape[1] == 0:
+    dil, u, mults, mat = _compressed_commutant(rho, tol, dilation)
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > tol * (1.0 + s[0])))  # as numerical_rank
+    if rank == mat.shape[1]:
         raise ValidationError("map matrix is extreme; no decomposition exists")
-    coeffs = null[:, 0]
-    raw = sum(c * b for c, b in zip(coeffs, basis.basis))
+    coeffs = vh[rank].conj()
+    mid = np.zeros((dil.space_dim, dil.space_dim), dtype=complex)
+    col = off = 0
+    for d, r in zip(rho.domain.block_dims + (1,), mults):
+        x = coeffs[col:col + r * r].reshape(r, r) / np.sqrt(d)
+        mid[off:off + d * r, off:off + d * r] = np.kron(np.eye(d), x)
+        off += d * r
+        col += r * r
+    raw = u @ mid @ u.conj().T
     cand1 = herm(raw)
     cand2 = herm(1j * raw)
     t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2

@@ -3,7 +3,7 @@ import pytest
 
 from cpnkit import (CPnMap, LinearMap, PositivityError, ValidationError,
                     apply_map, as_cpn, check_hermitian_symmetry, compress,
-                    compression_map, cpn_distance, depolarizing_map, dilate,
+                    compression_map, cpn_distance, cpn_scale, depolarizing_map, dilate,
                     flatten, identity_map, images_of,
                     is_completely_n_positive, make_algebra, map_from_images,
                     matrix_units, order_leq, random_cpn_map, random_element,
@@ -369,3 +369,21 @@ def test_closed_form_choi_blocks_match_image_loops():
     for phi, images in ((identity_map(alg), ident), (compression_map(alg, 2), comp),
                         (trace_map(alg), trace), (depolarizing_map(3), depol)):
         assert np.array_equal(images_of(phi), np.array(images, dtype=complex))
+
+
+def test_cpn_scale_is_computed_once_per_map():
+    rng = np.random.default_rng(21)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    theta = random_cpn_map(make_algebra((2, 1)), 2, 2, 2, rng)
+    fresh = 1.0 + max(np.linalg.norm(b, 2) for b in flatten(rho).choi_blocks)
+    assert "scale" not in rho.__dict__
+    assert cpn_scale(rho) == fresh
+    assert rho.__dict__["scale"] == fresh
+    assert cpn_scale(rho) is cpn_scale(rho)
+    # maps derived by arithmetic are new objects with their own scale
+    for derived in (2.0 * rho, rho + theta, rho - theta, -1 * rho,
+                    unflatten(flatten(rho), 2), CPnMap(rho.entries)):
+        assert "scale" not in derived.__dict__
+        expect = 1.0 + max(np.linalg.norm(b, 2) for b in flatten(derived).choi_blocks)
+        assert cpn_scale(derived) == expect
+    assert cpn_scale(2.0 * rho) != cpn_scale(rho)

@@ -5,8 +5,14 @@ from cpnkit import (DominationError, ValidationError, as_cpn, commutant,
                     compress, cpn_distance, cpn_scale, depolarizing_map,
                     dilate, identity_map, images_of, intertwiner, make_algebra,
                     order_equivalence_check, random_cpn_map, rn_operator,
-                    sample_unit_interval)
-from cpnkit.radon import commutant_residual
+                    sample_unit_interval, zero_map)
+from cpnkit.linalg import spectral_norm, spectral_norms
+from cpnkit.radon import _norm_and_commutator
+
+
+def commutant_residual(dil, t):
+    """max over matrix units of ||[T, Phi(e)]||."""
+    return spectral_norm(t @ dil.rep.images - dil.rep.images @ t)
 
 
 def test_half_map_recovers_half_identity():
@@ -158,3 +164,45 @@ def test_compress_matches_per_matrix_products():
             for idx, img in enumerate(dil.rep.images):
                 expect = vs[i].conj().T @ t @ img @ vs[j]
                 assert np.abs(got[idx] - expect).max() <= 1e-13 * cpn_scale(rho)
+
+
+def test_fused_gates_match_separate_norms():
+    # compress, rn_operator and intertwiner take ||T|| (or ||W||), ||T - T*||
+    # and the commutator residual from one batched SVD: bitwise the values
+    # of separate spectral_norm calls, and plain floats
+    rng = np.random.default_rng(19)
+    for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
+        alg = make_algebra(dims)
+        for rank in (1, 2, 3):
+            dil = dilate(random_cpn_map(alg, 2, 2, rank, rng))
+            h = dil.space_dim
+            imgs = dil.rep.images
+            t = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+            fused = _norm_and_commutator(dil, t, t - t.conj().T)
+            separate = (spectral_norm(t), spectral_norm(t - t.conj().T),
+                        commutant_residual(dil, t))
+            assert fused == separate
+            assert all(type(x) is float for x in fused)
+            w = rng.standard_normal((h + 1, h)) + 1j * rng.standard_normal((h + 1, h))
+            other = rng.standard_normal((alg.dim, h + 1, h + 1))
+            norm, *inter = spectral_norms(np.concatenate([w[None], w @ imgs - other @ w]))
+            assert norm == spectral_norm(w)
+            assert max(inter) == spectral_norm(w @ imgs - other @ w)
+    empty = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
+    assert empty.space_dim == 0
+    assert _norm_and_commutator(empty, np.zeros((0, 0)), np.zeros((0, 0))) == (0.0, 0.0, 0.0)
+
+
+def test_compress_gate_order_and_messages():
+    # the commutator gate is checked before the Hermitian one, as before
+    rng = np.random.default_rng(20)
+    dil = dilate(random_cpn_map(make_algebra((2,)), 2, 2, 2, rng))
+    n = dil.space_dim
+    skew_outside = np.triu(np.ones((n, n)), 1) + np.eye(n)
+    assert commutant_residual(dil, skew_outside) > 1e-6
+    with pytest.raises(ValidationError, match="not in the commutant"):
+        compress(dil, skew_outside)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        compress(dil, 1j * np.eye(n))
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        compress(dil, -np.eye(n))

@@ -6,17 +6,19 @@ import pytest
 from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
-                    build_extreme_family, commutant, compression_map,
+                    build_extreme_family, commutant, commutant_dimension,
+                    compression_map,
                     cpn_distance, cpn_scale, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
                     identity_map, images_of, intertwiner_space, are_disjoint,
                     is_completely_n_positive, is_extreme, is_pure,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
-                    star_index, trace_map, zero_map)
-from cpnkit.dilation import canonical_frame
-from cpnkit.linalg import (commutant_basis_of, intertwiner_basis_of,
-                           nullspace, spectral_norm)
+                    star_index, trace_map, unflatten, zero_map)
+from cpnkit.dilation import canonical_frame, representation_bound
+from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
+                           nullspace, numerical_rank, orth, spectral_norm)
+from cpnkit.structure import _compressed_commutant, commutator_bound
 
 
 def vector_state(alg, xi):
@@ -289,7 +291,7 @@ def forbid_oracles(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name == "cpnkit" or name.startswith("cpnkit."):
-            for oracle in ("commutant_basis_of", "intertwiner_basis_of"):
+            for oracle in ("commutant_basis_of", "intertwiner_basis_of", "nullspace"):
                 if hasattr(module, oracle):
                     monkeypatch.setattr(module, oracle, forbidden)
 
@@ -337,7 +339,8 @@ def test_closed_form_commutant_matches_oracle(dims, monkeypatch):
         rep = dil.rep
         # a dilate() output is its own canonical frame, so seeded draws from
         # the commutant basis do not depend on how the frame is found
-        u, mults = canonical_frame(rep)
+        u, mults, eps = canonical_frame(rep)
+        assert eps == 0.0
         assert np.array_equal(u, np.eye(rep.space_dim))
         assert mults == rep.multiplicities + (0,)
         oracle = commutant_oracle(rep)
@@ -505,3 +508,166 @@ def test_spectral_norm_of_a_stack_is_the_largest_member():
     low_rank = stack[:, :, :, :1] @ stack[:, :, :1, :]
     for a in (stack, stack[1], stack[0, 1], stack.real, low_rank, np.zeros((2, 3, 3))):
         assert spectral_norm(a) == np.linalg.norm(a, 2, axis=(-2, -1)).max()
+
+
+# Purity and extremality in frame coordinates against the P T_s P route
+
+
+def unital_map(dims, n, m, ranks, rng):
+    """Random map matrix with flatten(rho)(1) = I and Choi ranks r_k, or None
+    when the image of the unit is singular before normalizing."""
+    nm = n * m
+    raw = []
+    for d, r in zip(dims, ranks):
+        g = rng.standard_normal((d * nm, r)) + 1j * rng.standard_normal((d * nm, r))
+        raw.append(g @ g.conj().T)
+    unit = sum(c[p * nm:(p + 1) * nm, p * nm:(p + 1) * nm]
+               for d, c in zip(dims, raw) for p in range(d))
+    w, v = np.linalg.eigh(unit)
+    if w[0] <= 1e-6 * w[-1]:
+        return None
+    lift = (v / np.sqrt(w)) @ v.conj().T
+    blocks = tuple(herm(np.kron(np.eye(d), lift) @ c @ np.kron(np.eye(d), lift))
+                   for d, c in zip(dims, raw))
+    return unflatten(LinearMap(make_algebra(dims), nm, blocks), n)
+
+
+def unital_maps(count, rng):
+    out = []
+    combos = [(dims, n) for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)) for n in (1, 2)]
+    while len(out) < count:
+        dims, n = combos[len(out) % len(combos)]
+        m = int(rng.integers(1, 3))
+        ranks = tuple(int(rng.integers(0, min(d * n * m, 4) + 1)) for d in dims)
+        rho = unital_map(dims, n, m, ranks, rng)
+        if rho is not None:
+            out.append(rho)
+    return out
+
+
+def ptp_route(dil, tol=1e-9):
+    """The H^2-row route: rank of the stack of vec(P T_s P) over the certified
+    commutant basis, with its singular values."""
+    basis = commutant(dil.rep, tol).basis
+    q = orth(dil.joint_isometry, tol)
+    p = q @ q.conj().T
+    stack = np.stack([(p @ b @ p).ravel() for b in basis], axis=1)
+    rank = numerical_rank(stack, tol)
+    return (rank == len(basis), len(basis), rank), np.linalg.svd(stack, compute_uv=False)
+
+
+def report_tuple(rep):
+    return rep.extreme, rep.commutant_dim, rep.compression_rank
+
+
+def test_frame_extremality_matches_ptp_route(monkeypatch):
+    rng = np.random.default_rng(60)
+    maps = unital_maps(210, rng)
+    verdicts = set()
+    for rho in maps:
+        dil = dilate(rho)
+        expected, s_old = ptp_route(dil)
+        forbid_oracles(monkeypatch)
+        got = is_extreme(rho, dilation=dil)
+        _, _, _, mat = _compressed_commutant(rho, 1e-9, dil)
+        assert is_pure(rho, dilation=dil) == (expected[1] == 1)
+        monkeypatch.undo()
+        assert report_tuple(got) == expected
+        s_new = np.linalg.svd(mat, compute_uv=False)
+        k = min(len(s_new), len(s_old))
+        assert np.abs(s_new[:k] - s_old[:k]).max() <= 1e-13 * s_old[0]
+        assert np.all(s_old[k:] <= 1e-13 * s_old[0])
+        verdicts.add(got.extreme)
+    assert verdicts == {True, False}
+
+
+def test_frame_extremality_on_conjugated_and_gram_dilations(monkeypatch):
+    rng = np.random.default_rng(61)
+    for rho in unital_maps(30, rng):
+        dil = dilate(rho)
+        u = random_unitary_matrix(dil.space_dim, rng)
+        moved = StinespringDilation(conjugated(dil.rep, u),
+                                    tuple(u @ v for v in dil.isometries), rho)
+        gram = dilate_from_gram(rho)
+        expected = [ptp_route(d)[0] for d in (dil, moved, gram)]
+        assert expected[1] == expected[2] == expected[0]
+        forbid_oracles(monkeypatch)
+        for d, want in zip((moved, gram), expected[1:]):
+            assert report_tuple(is_extreme(rho, dilation=d)) == want
+            assert is_pure(rho, dilation=d) == (want[1] == 1)
+        monkeypatch.undo()
+
+
+def test_commutator_bound_dominates_measured_residuals():
+    # B(eps) plus the rounding floor of representation_bound covers the
+    # per-element commute residual commutant() measures
+    rng = np.random.default_rng(62)
+    reps = []
+    for dims in ((2,), (2, 2), (3, 1), (2, 1)):
+        for rho in oracle_maps(dims, rng)[:4]:
+            dil = dilate(rho)
+            reps.append(conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng)))
+            reps.append(conjugated(dil.rep, random_unitary_matrix(dil.space_dim + 2, rng), 2))
+            reps.append(dilate_from_gram(rho).rep)
+    for rep in reps:
+        _, _, eps = canonical_frame(rep)
+        residual = commutant(rep).commute_residual
+        assert residual <= commutator_bound(rep, eps) + representation_bound(rep, 0.0)
+    # perturbed images, where eps is far above rounding, at a looser tol
+    for rep in reps[:12]:
+        noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
+        bad = Representation(rep.algebra, rep.space_dim, rep.images + 1e-9 * noise)
+        _, _, eps = canonical_frame(bad, 1e-6)
+        assert eps > 1e-10
+        residual = commutant(bad, 1e-6).commute_residual
+        assert residual <= commutator_bound(bad, eps) + representation_bound(bad, 0.0)
+
+
+def test_commutator_bound_failure_raises():
+    # eps within representation_bound but B(eps) beyond it: the frame
+    # certificate alone would pass, the commutant certificate must not
+    rng = np.random.default_rng(63)
+    rep = dilate(random_cpn_map(make_algebra((2,)), 2, 1, 2, rng)).rep
+    noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
+    bad = Representation(rep.algebra, rep.space_dim, rep.images + 1e-7 * noise)
+    _, _, eps = canonical_frame(bad, 1e-6)
+    tol = 1.5 * eps / (1.0 + bad.norm)
+    canonical_frame(bad, tol)
+    assert commutator_bound(bad, eps) > representation_bound(bad, tol)
+    with pytest.raises(CertificationError):
+        commutant_dimension(bad, tol)
+
+
+def assert_certified_decomposition(rho, dec):
+    scale = cpn_scale(rho)
+    avg = dec.beta * dec.part1 + (1.0 - dec.beta) * dec.part2
+    assert cpn_distance(avg, rho) <= 1e-9 * scale
+    assert cpn_distance(dec.part1, rho) > 1e-6 * scale
+    assert cpn_distance(dec.part2, rho) > 1e-6 * scale
+    eye = np.eye(rho.n * rho.codomain_dim)
+    for part in (dec.part1, dec.part2):
+        assert is_completely_n_positive(part).verdict
+        assert np.abs(apply_map(flatten(part), part.domain.unit()) - eye).max() <= 1e-9
+    t = dec.kernel_element
+    assert np.abs(t - t.conj().T).max() <= 1e-12
+    assert spectral_norm(t) == pytest.approx(1.0)
+
+
+def test_nonextreme_decomposition_from_frame_coordinates(monkeypatch):
+    dep = as_cpn(depolarizing_map(2))
+    rng = np.random.default_rng(64)
+    multi = unital_map((2, 1), 1, 2, (4, 2), rng)
+    conj = dilate(multi)
+    u = random_unitary_matrix(conj.space_dim, rng)
+    moved = StinespringDilation(conjugated(conj.rep, u), tuple(u @ v for v in conj.isometries),
+                                multi)
+    forbid_oracles(monkeypatch)
+    for rho, dil in ((dep, None), (multi, None), (multi, moved)):
+        rep = is_extreme(rho, dilation=dil)
+        assert not rep.extreme
+        dec = nonextreme_decomposition(rho, dilation=dil)
+        assert_certified_decomposition(rho, dec)
+        # P T P = 0 on the dilation's span: T compresses to zero
+        d = dil if dil is not None else dilate(rho)
+        v = d.joint_isometry
+        assert np.abs(v.conj().T @ dec.kernel_element @ v).max() <= 1e-12
