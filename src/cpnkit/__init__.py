@@ -15,21 +15,20 @@ from .maps import (CPnMap, CpnVerdict, LinearMap, apply_map, as_cpn,
                    images_of, is_completely_n_positive, map_from_images,
                    order_leq, random_cpn_map, require_cpn, trace_map,
                    unflatten, zero_map)
-from .dilation import (DilationReport, ProjectionSet, Representation,
-                       StinespringDilation, component_projections,
-                       diagonal_direct_sum_check, dilate, dilate_from_gram,
-                       equivalence_residual, gram_matrix, rep_apply,
+from .dilation import (CommutantBasis, DilationReport, ProjectionSet,
+                       Representation, StinespringDilation, commutant,
+                       component_projections, diagonal_direct_sum_check,
+                       dilate, dilate_from_gram, equivalence_residual,
+                       gram_matrix, rep_apply,
                        spanning_matrix, unitary_equivalence,
                        verify_dilation, verify_representation)
 from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
                     intertwiner, order_equivalence_check, rn_operator,
                     sample_unit_interval)
-from .structure import (CommutantBasis, ConvexDecomposition,
-                        ExtremalityReport, ExtremeFamilySpec,
-                        build_extreme_family, commutant, commutant_dimension,
-                        extension_witness,
-                        are_disjoint, intertwiner_space, is_extreme, is_pure,
-                        nonextreme_decomposition)
+from .structure import (ConvexDecomposition, ExtremalityReport,
+                        ExtremeFamilySpec, build_extreme_family,
+                        extension_witness, are_disjoint, intertwiner_space,
+                        is_extreme, is_pure, nonextreme_decomposition)
 from .towers import (ContinuousCPnMap, Tower, apply_connecting, check_thread,
                      evaluate_continuous_map, make_tower, projection_tower,
                      seminorm)
@@ -45,7 +44,7 @@ __all__ = [
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
     "ExtremeFamilySpec", "ContinuousCPnMap", "Tower",
     "apply_connecting", "apply_map", "as_cpn", "build_extreme_family",
-    "check_hermitian_symmetry", "check_thread", "commutant", "commutant_dimension",
+    "check_hermitian_symmetry", "check_thread", "commutant",
     "component_projections", "compress", "compression_map", "cpn_distance",
     "cpn_scale", "cstar_norm", "depolarizing_map",
     "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",

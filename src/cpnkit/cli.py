@@ -20,15 +20,14 @@ import numpy as np
 
 from . import __version__
 from . import serialize
-from .dilation import dilate, verify_dilation
+from .dilation import commutant, dilate, verify_dilation
 from .errors import (CertificationError, DominationError, PositivityError,
                      SchemaError, ValidationError)
 from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
-from .structure import (commutant_dimension, extension_witness, is_extreme,
-                        nonextreme_decomposition)
+from .structure import extension_witness, is_extreme, nonextreme_decomposition
 from .acceptance import run_all
 
 
@@ -135,7 +134,7 @@ def _cmd_rn(args) -> int:
 def _cmd_pure(args) -> int:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
-    dim = commutant_dimension(dil.rep, args.tol)
+    dim = commutant(dil.rep, args.tol).dimension
     pure = dim == 1
     report = _envelope("pure", args.tol, pure, {
         "commutant_dimension": dim,

@@ -20,7 +20,10 @@ the same data from the Gram matrix of formal generators
 (matrix unit alpha, slot i, basis vector u); it exists as a
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
-intertwiners have closed forms; linalg's nullspace solvers are test oracles.
+intertwiners have closed forms.  commutant() certifies that frame once,
+with B(eps) from the frame residual as its commute certificate, and reads
+the commutant's dimension and elements off it; linalg's nullspace
+solvers are test oracles.
 """
 from __future__ import annotations
 
@@ -163,35 +166,100 @@ def canonical_frame(rep: Representation, tol: float = 1e-9
     return u, tuple(mults), worst
 
 
-def _frame_basis(block_dims, u1, mults1, u2, mults2) -> list[np.ndarray]:
+def _frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
     """Orthonormal basis (1/sqrt d_k) sum_p u2_{k,p,a} u1_{k,p,b}* of
-    U_2 ((+)_k I_{d_k} (x) M_{s_k x r_k}) U_1*, from the frame columns."""
-    basis = []
-    o1 = o2 = 0
+    U_2 ((+)_k I_{d_k} (x) M_{s_k x r_k}) U_1*, from the frame columns, as
+    a (sum_k s_k r_k, H_2, H_1) stack in (k, a, b) order."""
+    basis = np.empty((sum(r * s for r, s in zip(mults1, mults2)), len(u2), len(u1)),
+                     dtype=complex)
+    o1 = o2 = col = 0
     for d, r, s in zip(block_dims, mults1, mults2):
-        a1 = u1[:, o1:o1 + d * r].reshape(len(u1), d, r)
-        a2 = u2[:, o2:o2 + d * s].reshape(len(u2), d, s)
-        basis += [a2[:, :, a] @ a1[:, :, b].conj().T / np.sqrt(d)
-                  for a in range(s) for b in range(r)]
+        # (s, H_2, d) @ (r, d, H_1) -> (s, r, H_2, H_1), summing over p
+        a2 = u2[:, o2:o2 + d * s].reshape(len(u2), d, s).transpose(2, 0, 1)
+        a1 = u1[:, o1:o1 + d * r].reshape(len(u1), d, r).conj().transpose(2, 1, 0)
+        block = basis[col:col + s * r]
+        np.matmul(a2[:, None], a1[None], out=block.reshape(s, r, len(u2), len(u1)))
+        block /= np.sqrt(d)
         o1 += d * r
         o2 += d * s
+        col += s * r
     return basis
 
 
-def commutant_basis(rep: Representation, tol: float = 1e-9) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the commutant Phi(A)': the closed form
-    (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} in the canonical frame."""
-    u, mults, _ = canonical_frame(rep, tol)
-    return _frame_basis(rep.algebra.block_dims + (1,), u, mults, u, mults)
+def commutator_bound(rep: Representation, eps: float) -> float:
+    """B(eps) = 2 eps (1 + eps) (1 + max_e ||Phi(e)||), eps the frame residual.
+
+    B dominates max ||[U E U*, Phi(e)]|| over the closed-form commutant
+    elements, E = (+)_k I_{d_k} (x) E_ab / sqrt(d_k), ||E|| <= 1.  With
+    F = I - U U* and Delta_e = U* Phi(e) U - C_e,
+
+        [U E U*, Phi(e)] = U [E, Delta_e] U* + U E U* Phi(e) F - F Phi(e) U E U*,
+
+    and ||U||^2 = ||U*U|| <= 1 + eps, ||Delta_e|| <= eps, ||F|| = ||U*U - I||
+    <= eps for square U.
+    """
+    return 2.0 * eps * (1.0 + eps) * (1.0 + rep.norm)
 
 
-def intertwiner_basis(rep1: Representation, rep2: Representation,
-                      tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X}, X of shape (H_2, H_1):
-    (+)_k I_{d_k} (x) M_{s_k x r_k} between the canonical frames."""
-    u1, mults1, _ = canonical_frame(rep1, tol)
-    u2, mults2, _ = canonical_frame(rep2, tol)
-    return _frame_basis(rep1.algebra.block_dims + (1,), u1, mults1, u2, mults2)
+@dataclass(frozen=True, eq=False)
+class CommutantBasis:
+    """Phi(A)' = U ((+)_k I_{d_k} (x) M_{r_k}) U* on the certified canonical
+    frame U that commutant() returns; the last block, d = 1 and r_0, is
+    the kernel of Phi(1).  Coefficients are in the (k, a, b) order of basis.
+    """
+
+    rep: Representation
+    frame: np.ndarray
+    multiplicities: tuple[int, ...]
+    frame_residual: float
+
+    @property
+    def dimension(self) -> int:
+        return sum(r * r for r in self.multiplicities)
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return self.rep.algebra.block_dims + (1,)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Frobenius-orthonormal basis (+)_k I_{d_k} (x) E_ab / sqrt(d_k) in the
+        frame, a read-only (dimension, H, H) stack, built on first use."""
+        b = _frame_basis(self.block_dims, self.frame, self.multiplicities,
+                         self.frame, self.multiplicities)
+        b.flags.writeable = False
+        return b
+
+    def element(self, coeffs) -> np.ndarray:
+        """sum_i coeffs[i] basis[i] = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*,
+        X_k block k's coefficients as an r_k x r_k matrix, in O(H^3)."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (self.dimension,):
+            raise ValidationError(
+                f"expected {self.dimension} coefficients, got shape {coeffs.shape}")
+        u = self.frame
+        scaled = np.empty_like(u)
+        col = off = 0
+        for d, r in zip(self.block_dims, self.multiplicities):
+            x = coeffs[col:col + r * r].reshape(r, r) / np.sqrt(d)
+            scaled[:, off:off + d * r] = \
+                (u[:, off:off + d * r].reshape(len(u), d, r) @ x).reshape(len(u), d * r)
+            off += d * r
+            col += r * r
+        return scaled @ u.conj().T
+
+
+def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
+    """The commutant Phi(A)' on the canonical frame, certified by
+    commutator_bound(rep, eps) <= representation_bound(rep, tol); adjoint
+    closure is exact in frame coordinates (b_ab* = b_ba).  Failures raise
+    CertificationError."""
+    u, mults, eps = canonical_frame(rep, tol)
+    bound = commutator_bound(rep, eps)
+    if bound > representation_bound(rep, tol):
+        raise CertificationError(
+            f"commutant certificate failed (frame residual {eps:.3e}, bound {bound:.3e})")
+    return CommutantBasis(rep, u, mults, eps)
 
 
 @dataclass(frozen=True)

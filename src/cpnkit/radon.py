@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (StinespringDilation, commutant_basis, dilate,
+from .dilation import (CommutantBasis, StinespringDilation, commutant, dilate,
                        spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
@@ -181,24 +181,23 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
 
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
-                         tol: float = 1e-9, basis=None) -> np.ndarray:
+                         tol: float = 1e-9,
+                         basis: CommutantBasis | None = None) -> np.ndarray:
     """Random element of [0, I] in the commutant of a dilation.
 
-    Draws a Hermitian combination of the computed commutant basis and
-    rescales its spectrum affinely onto [0, 1].  Deterministic under the
-    given generator state.  Pass a precomputed commutant basis to skip
-    recomputing it when sampling repeatedly from one dilation; otherwise
-    dilation.commutant_basis builds it from the canonical frame, which is
-    the identity for a dilate() output, so the basis there is
-    (+)_k I_{d_k} (x) E_st / sqrt(d_k) in (k, s, t) order.
+    Draws complex coefficients in the (k, a, b) order of the commutant
+    basis, takes the Hermitian part of their CommutantBasis.element (the
+    basis itself is not built) and rescales its spectrum affinely onto
+    [0, 1].  Deterministic under the given generator state.  Pass
+    basis = commutant(dil.rep, tol) to certify the frame once when sampling
+    repeatedly from one dilation.
     """
     if basis is None:
-        basis = commutant_basis(dil.rep, tol)
-    if not basis:
+        basis = commutant(dil.rep, tol)
+    if basis.dimension == 0:
         return np.zeros((0, 0), dtype=complex)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    raw = sum(c * b for c, b in zip(coeffs, basis))
-    h = herm(raw)
+    coeffs = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    h = herm(basis.element(coeffs))
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
     if hi - lo <= tol * (1.0 + max(abs(lo), abs(hi))):

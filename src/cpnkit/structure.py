@@ -15,11 +15,10 @@ Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} (+) 0 up
 to a unitary U, which dilation.canonical_frame finds and certifies in
 O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
 intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
-alike.  Images that are not a *-representation raise CertificationError.
-
-Purity and extremality work in frame coordinates and build no H x H
-commutant basis; their commute certificate is commutator_bound, derived
-from the frame residual.
+alike.  Every verdict here reads dilation.commutant(), that frame with
+B(eps) as its one commute certificate, and none builds the H x H
+commutant basis.  Images that are not a *-representation raise
+CertificationError.
 """
 from __future__ import annotations
 
@@ -28,83 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
-from .dilation import (Representation, StinespringDilation, canonical_frame,
-                       commutant_basis, dilate, intertwiner_basis, rep_apply,
-                       representation_bound)
+from .dilation import (StinespringDilation, _frame_basis, commutant, dilate,
+                       rep_apply)
 from .errors import CertificationError, ValidationError
 from .linalg import herm, numerical_rank, orth, partial_isometry, spectral_norm
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
                    require_cpn, subblocks, unflatten)
 from .radon import compress
-
-
-@dataclass(frozen=True, eq=False)
-class CommutantBasis:
-    """Orthonormal basis (Frobenius inner product) of a representation commutant."""
-
-    rep: Representation
-    basis: tuple[np.ndarray, ...]
-    commute_residual: float
-    adjoint_residual: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
-    """Orthonormal basis of Phi(A)' over all matrix units.
-
-    The closed form (+)_k I_{d_k} (x) E_st / sqrt(d_k) in the canonical
-    frame, certified: each element commutes with every Phi(e), and the span
-    is closed under adjoints; failures raise CertificationError.
-    """
-    basis = commutant_basis(rep, tol)
-    commute = max((spectral_norm(b @ rep.images - rep.images @ b) for b in basis),
-                  default=0.0)
-    adjoint = 0.0
-    if basis:
-        stack = np.stack([b.ravel() for b in basis], axis=1)  # columns
-        adj = np.stack([b.conj().T.ravel() for b in basis], axis=1)
-        # distance of each b* from span(basis), without forming the projector
-        adjoint = float(np.linalg.norm(adj - stack @ (stack.conj().T @ adj),
-                                       axis=0).max())
-    if max(commute, adjoint) > representation_bound(rep, tol):
-        raise CertificationError(
-            f"commutant certificate failed (residuals {commute:.3e}, {adjoint:.3e})")
-    return CommutantBasis(rep, tuple(basis), commute, adjoint)
-
-
-def commutator_bound(rep: Representation, eps: float) -> float:
-    """B(eps) = 2 eps (1 + eps) (1 + max_e ||Phi(e)||), eps the frame residual.
-
-    B dominates max ||[U E U*, Phi(e)]|| over the closed-form commutant
-    elements, E = (+)_k I_{d_k} (x) E_ab / sqrt(d_k), ||E|| <= 1.  With
-    F = I - U U* and Delta_e = U* Phi(e) U - C_e,
-
-        [U E U*, Phi(e)] = U [E, Delta_e] U* + U E U* Phi(e) F - F Phi(e) U E U*,
-
-    and ||U||^2 = ||U*U|| <= 1 + eps, ||Delta_e|| <= eps, ||F|| = ||U*U - I||
-    <= eps for square U.
-    """
-    return 2.0 * eps * (1.0 + eps) * (1.0 + rep.norm)
-
-
-def _certified_frame(rep: Representation, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """canonical_frame, with the commutant certificate B(eps) checked against
-    the bound commutant() holds its measured residuals to."""
-    u, mults, eps = canonical_frame(rep, tol)
-    bound = commutator_bound(rep, eps)
-    if bound > representation_bound(rep, tol):
-        raise CertificationError(
-            f"commutant certificate failed (frame residual {eps:.3e}, bound {bound:.3e})")
-    return u, mults
-
-
-def commutant_dimension(rep: Representation, tol: float = 1e-9) -> int:
-    """dim Phi(A)' = sum_k r_k^2 (r_0 included), read off the certified frame."""
-    return sum(r * r for r in _certified_frame(rep, tol)[1])
 
 
 def is_pure(rho: CPnMap, tol: float = 1e-9,
@@ -114,18 +44,22 @@ def is_pure(rho: CPnMap, tol: float = 1e-9,
         dilation = dilate(rho, tol)
     else:
         require_cpn(rho, tol)
-    return commutant_dimension(dilation.rep, tol) == 1
+    return commutant(dilation.rep, tol).dimension == 1
 
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
                       tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
 
-    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between canonical frames.
+    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
+    the two certified commutants.
     """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
-    return intertwiner_basis(d1.rep, d2.rep, tol)
+    c1 = commutant(d1.rep, tol)
+    c2 = commutant(d2.rep, tol)
+    return list(_frame_basis(c1.block_dims, c1.frame, c1.multiplicities,
+                             c2.frame, c2.multiplicities))
 
 
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
@@ -211,29 +145,23 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     """Shared start of is_extreme and nonextreme_decomposition.
 
     Checks rho (completely n-positive, in the unital class), then returns
-    its dilation, the certified frame (U, multiplicities) and the matrix
-    of T -> Q* T Q on the closed-form commutant basis, Q = orth(V): with
-    G = Q* U, column (k, a, b) is vec((1/sqrt d_k) sum_p G_{k,p,a} G_{k,p,b}*).
-    X -> Q X Q* is a Frobenius isometry, so these q^2 <= (n m)^2 rows have
-    the singular values of the H^2-row stack of P T_s P, P = Q Q*.
+    its dilation, the certified commutant and the matrix of T -> Q* T Q on
+    the closed-form commutant basis, Q = orth(V): the frame basis with
+    G = Q* U in place of U, column (k, a, b) vec((1/sqrt d_k) sum_p
+    G_{k,p,a} G_{k,p,b}*).  X -> Q X Q* is a Frobenius isometry, so these
+    q^2 <= (n m)^2 rows have the singular values of the H^2-row stack of
+    P T_s P, P = Q Q*.
     """
     if dilation is None:
         dilation = dilate(rho, tol)
     else:
         require_cpn(rho, tol)
     _membership_check(rho, tol)
-    u, mults = _certified_frame(dilation.rep, tol)
-    g = orth(dilation.joint_isometry, tol).conj().T @ u
-    q = len(g)
-    mat = np.zeros((q * q, sum(r * r for r in mults)), dtype=complex)
-    col = off = 0
-    for d, r in zip(rho.domain.block_dims + (1,), mults):
-        for p in range(d):
-            gp = g[:, off + p * r:off + (p + 1) * r]
-            mat[:, col:col + r * r] += np.kron(gp / np.sqrt(d), gp.conj())
-        off += d * r
-        col += r * r
-    return dilation, u, mults, mat
+    comm = commutant(dilation.rep, tol)
+    g = orth(dilation.joint_isometry, tol).conj().T @ comm.frame
+    mults = comm.multiplicities
+    mat = _frame_basis(comm.block_dims, g, mults, g, mults).reshape(comm.dimension, -1).T
+    return dilation, comm, mat
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
@@ -244,7 +172,7 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     onto H_0 = span{V_i xi}; decided in frame coordinates.  Membership
     failures raise ValidationError naming the offending entries.
     """
-    _, _, _, mat = _compressed_commutant(rho, tol, dilation)
+    _, _, mat = _compressed_commutant(rho, tol, dilation)
     rank = numerical_rank(mat, tol)
     return ExtremalityReport(rank == mat.shape[1], mat.shape[1], rank)
 
@@ -268,23 +196,22 @@ def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
     the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
     both differing from rho.  The kernel vector of the frame-coordinate
     matrix, from the SVD that also gives its rank, is (X_k)_k with
-    T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*.  Raises ValidationError
-    when rho is extreme.
+    T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*; it is a column of the
+    kernel projector, so T depends on the kernel, not on the basis LAPACK
+    lists for it.  Raises ValidationError when rho is extreme.
     """
-    dil, u, mults, mat = _compressed_commutant(rho, tol, dilation)
+    dil, comm, mat = _compressed_commutant(rho, tol, dilation)
     _, s, vh = np.linalg.svd(mat)
     rank = int(np.sum(s > tol * (1.0 + s[0])))  # as numerical_rank
     if rank == mat.shape[1]:
         raise ValidationError("map matrix is extreme; no decomposition exists")
-    coeffs = vh[rank].conj()
-    mid = np.zeros((dil.space_dim, dil.space_dim), dtype=complex)
-    col = off = 0
-    for d, r in zip(rho.domain.block_dims + (1,), mults):
-        x = coeffs[col:col + r * r].reshape(r, r) / np.sqrt(d)
-        mid[off:off + d * r, off:off + d * r] = np.kron(np.eye(d), x)
-        off += d * r
-        col += r * r
-    raw = u @ mid @ u.conj().T
+    # the projector column with the largest diagonal entry (nonzero, as the
+    # trace is dim ker >= 1); ties within tol go to the first index, so
+    # rounding cannot reorder them
+    ker = vh[rank:]
+    proj = ker.conj().T @ ker
+    diag = proj.diagonal().real
+    raw = comm.element(proj[:, int(np.argmax(diag >= diag.max() - tol))])
     cand1 = herm(raw)
     cand2 = herm(1j * raw)
     t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2

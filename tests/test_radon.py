@@ -132,9 +132,9 @@ def test_sample_with_precomputed_basis_matches():
     rng = np.random.default_rng(7)
     rho = random_cpn_map(make_algebra((2,)), 2, 2, 2, rng)
     dil = dilate(rho)
-    basis = commutant(dil.rep).basis
+    comm = commutant(dil.rep)
     a = sample_unit_interval(dil, np.random.default_rng(3))
-    b = sample_unit_interval(dil, np.random.default_rng(3), basis=basis)
+    b = sample_unit_interval(dil, np.random.default_rng(3), basis=comm)
     assert np.allclose(a, b, atol=1e-12)
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,19 +7,21 @@ import pytest
 from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
-                    build_extreme_family, commutant, commutant_dimension,
-                    compression_map,
+                    build_extreme_family, commutant, compression_map,
                     cpn_distance, cpn_scale, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
                     identity_map, images_of, intertwiner_space, are_disjoint,
                     is_completely_n_positive, is_extreme, is_pure,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
-                    star_index, trace_map, unflatten, zero_map)
-from cpnkit.dilation import canonical_frame, representation_bound
+                    sample_unit_interval, star_index, trace_map, unflatten,
+                    zero_map)
+import cpnkit.dilation as cpnkit_dilation
+from cpnkit.dilation import canonical_frame, commutator_bound, representation_bound
 from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
                            nullspace, numerical_rank, orth, spectral_norm)
-from cpnkit.structure import _compressed_commutant, commutator_bound
+import cpnkit.structure as cpnkit_structure
+from cpnkit.structure import _compressed_commutant
 
 
 def vector_state(alg, xi):
@@ -569,7 +572,7 @@ def test_frame_extremality_matches_ptp_route(monkeypatch):
         expected, s_old = ptp_route(dil)
         forbid_oracles(monkeypatch)
         got = is_extreme(rho, dilation=dil)
-        _, _, _, mat = _compressed_commutant(rho, 1e-9, dil)
+        _, _, mat = _compressed_commutant(rho, 1e-9, dil)
         assert is_pure(rho, dilation=dil) == (expected[1] == 1)
         monkeypatch.undo()
         assert report_tuple(got) == expected
@@ -598,9 +601,22 @@ def test_frame_extremality_on_conjugated_and_gram_dilations(monkeypatch):
         monkeypatch.undo()
 
 
+def measured_commute_residual(comm):
+    """max ||[b, Phi(e)]|| over comm.basis, after asserting that the basis is
+    closed under adjoints: b_ab* = b_ba, exact in frame coordinates and to
+    matmul rounding on the H x H matrices."""
+    imgs = comm.rep.images
+    residual = max((spectral_norm(b @ imgs - imgs @ b) for b in comm.basis), default=0.0)
+    swap = []
+    for r in comm.multiplicities:
+        swap += [len(swap) + b * r + a for a in range(r) for b in range(r)]
+    assert np.abs(comm.basis.conj().swapaxes(-2, -1) - comm.basis[swap]).max(initial=0.0) <= 1e-14
+    return residual
+
+
 def test_commutator_bound_dominates_measured_residuals():
     # B(eps) plus the rounding floor of representation_bound covers the
-    # per-element commute residual commutant() measures
+    # per-element commute residual measured over commutant(rep).basis
     rng = np.random.default_rng(62)
     reps = []
     for dims in ((2,), (2, 2), (3, 1), (2, 1)):
@@ -610,17 +626,19 @@ def test_commutator_bound_dominates_measured_residuals():
             reps.append(conjugated(dil.rep, random_unitary_matrix(dil.space_dim + 2, rng), 2))
             reps.append(dilate_from_gram(rho).rep)
     for rep in reps:
-        _, _, eps = canonical_frame(rep)
-        residual = commutant(rep).commute_residual
-        assert residual <= commutator_bound(rep, eps) + representation_bound(rep, 0.0)
+        comm = commutant(rep)
+        residual = measured_commute_residual(comm)
+        assert residual <= commutator_bound(rep, comm.frame_residual) \
+            + representation_bound(rep, 0.0)
     # perturbed images, where eps is far above rounding, at a looser tol
     for rep in reps[:12]:
         noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
         bad = Representation(rep.algebra, rep.space_dim, rep.images + 1e-9 * noise)
-        _, _, eps = canonical_frame(bad, 1e-6)
-        assert eps > 1e-10
-        residual = commutant(bad, 1e-6).commute_residual
-        assert residual <= commutator_bound(bad, eps) + representation_bound(bad, 0.0)
+        comm = commutant(bad, 1e-6)
+        assert comm.frame_residual > 1e-10
+        residual = measured_commute_residual(comm)
+        assert residual <= commutator_bound(bad, comm.frame_residual) \
+            + representation_bound(bad, 0.0)
 
 
 def test_commutator_bound_failure_raises():
@@ -635,7 +653,7 @@ def test_commutator_bound_failure_raises():
     canonical_frame(bad, tol)
     assert commutator_bound(bad, eps) > representation_bound(bad, tol)
     with pytest.raises(CertificationError):
-        commutant_dimension(bad, tol)
+        commutant(bad, tol)
 
 
 def assert_certified_decomposition(rho, dec):
@@ -671,3 +689,127 @@ def test_nonextreme_decomposition_from_frame_coordinates(monkeypatch):
         d = dil if dil is not None else dilate(rho)
         v = d.joint_isometry
         assert np.abs(v.conj().T @ dec.kernel_element @ v).max() <= 1e-12
+
+
+def test_decomposition_does_not_depend_on_the_kernel_basis(monkeypatch):
+    # a unitary W on the left keeps the kernel of the q^2 x sum r^2 matrix
+    # but changes the kernel basis LAPACK lists; the decomposition must not move
+    dep = as_cpn(depolarizing_map(2))
+    base = nonextreme_decomposition(dep)
+    _, _, mat = _compressed_commutant(dep, 1e-9, None)
+    assert mat.shape[1] - numerical_rank(mat, 1e-9) == 12
+    rng = np.random.default_rng(65)
+    real = cpnkit_structure._compressed_commutant
+    for _ in range(5):
+        w = random_unitary_matrix(mat.shape[0], rng)
+
+        def rotated(*args):
+            out = real(*args)
+            return (*out[:-1], w @ out[-1])
+
+        monkeypatch.setattr(cpnkit_structure, "_compressed_commutant", rotated)
+        moved = nonextreme_decomposition(dep)
+        monkeypatch.undo()
+        assert np.abs(moved.kernel_element - base.kernel_element).max() <= 1e-10
+
+
+# One certified commutant: dimension and elements from the frame, basis on demand
+
+
+def frame_reps(rng):
+    """dilate, conjugated, padded (non-unital) and Gram representations; the
+    fifth oracle map has a zero Choi block, so a zero multiplicity."""
+    reps = []
+    for dims in ((2,), (2, 1), (3, 1)):
+        for rho in oracle_maps(dims, rng)[:5]:
+            dil = dilate(rho)
+            reps += [dil.rep,
+                     conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng)),
+                     conjugated(dil.rep, random_unitary_matrix(dil.space_dim + 2, rng), 2),
+                     dilate_from_gram(rho).rep]
+    return reps
+
+
+def test_element_is_the_basis_combination():
+    rng = np.random.default_rng(66)
+    zero_blocks = padded = 0
+    for rep in frame_reps(rng):
+        comm = commutant(rep)
+        zero_blocks += 0 in comm.multiplicities[:-1] and rep.space_dim > 0
+        padded += comm.multiplicities[-1] > 0
+        coeffs = rng.standard_normal(comm.dimension) + 1j * rng.standard_normal(comm.dimension)
+        want = np.tensordot(coeffs, comm.basis, axes=1)
+        got = comm.element(coeffs)
+        assert got.shape == want.shape == (rep.space_dim,) * 2
+        assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
+    assert zero_blocks and padded
+    with pytest.raises(ValidationError):
+        comm.element(np.zeros(comm.dimension + 1))
+
+
+def record_commutants(monkeypatch):
+    """Route every cpnkit call of commutant() through a recorder; returns
+    the list the certified objects are appended to."""
+    made = []
+    real = cpnkit_dilation.commutant
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    for name, module in list(sys.modules.items()):
+        if (name == "cpnkit" or name.startswith("cpnkit.")) \
+                and getattr(module, "commutant", None) is real:
+            monkeypatch.setattr(module, "commutant", recording)
+    return made
+
+
+def test_verdicts_do_not_build_the_commutant_basis(monkeypatch):
+    rng = np.random.default_rng(67)
+    dep = as_cpn(depolarizing_map(2))
+    multi = unital_map((2, 1), 1, 2, (4, 2), rng)
+    made = record_commutants(monkeypatch)
+    for rho in (dep, multi):
+        dil = dilate(rho)
+        is_pure(rho, dilation=dil)
+        is_extreme(rho, dilation=dil)
+        nonextreme_decomposition(rho, dilation=dil)
+        sample_unit_interval(dil, rng)
+    assert len(made) == 8
+    assert all("basis" not in vars(comm) for comm in made)
+    assert made[0].basis.shape == (made[0].dimension,) + (made[0].rep.space_dim,) * 2
+    assert "basis" in vars(made[0])
+
+
+def test_commutant_dimension_at_h64_stays_small():
+    rho = random_cpn_map(make_algebra((2,)), 8, 2, 32, np.random.default_rng(68))
+    dil = dilate(rho)
+    assert dil.space_dim == 64
+    tracemalloc.start()
+    try:
+        dim = commutant(dil.rep).dimension
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 32 * 32
+    assert peak < 10e6
+
+
+def test_commutant_dimension_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(69)
+    dil = dilate(random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng))
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for rep in (dil.rep, conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng))):
+        rep.norm  # max ||Phi(e)|| is cached on the representation
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        dim = commutant(rep).dimension
+        monkeypatch.undo()
+        assert dim == sum(r * r for r in dil.rep.multiplicities)
+        assert len(calls) == 1  # the frame certificate
+        calls.clear()
