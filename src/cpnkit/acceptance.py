@@ -138,19 +138,18 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
     for i in range(instances):
         rho = _instance(rng, i, max_rank=4)
         dil = dilate(rho, tol)
-        comm = commutant(dil.rep, tol)
         eye = np.eye(dil.space_dim, dtype=complex)
         scale = cpn_scale(rho)
         worst_unit = max(worst_unit,
                          cpn_distance(compress(dil, eye, tol), rho) / scale)
         budget = min(per_instance, pairs - done)
         for j in range(budget):
-            t1 = sample_unit_interval(dil, rng, tol, basis=comm)
+            t1 = sample_unit_interval(dil, rng, tol)
             if j % 2 == 0:
                 beta = float(rng.uniform(0.0, 1.0))
                 t2 = t1 + beta * (eye - t1)
             else:
-                t2 = sample_unit_interval(dil, rng, tol, basis=comm)
+                t2 = sample_unit_interval(dil, rng, tol)
             chk = order_equivalence_check(dil, t1, t2, tol)
             agree = agree and chk.agree
             alpha = float(rng.uniform(0.1, 2.0))

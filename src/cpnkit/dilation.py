@@ -20,9 +20,9 @@ the same data from the Gram matrix of formal generators
 (matrix unit alpha, slot i, basis vector u); it exists as a
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
-intertwiners have closed forms.  commutant() certifies that frame once,
-with B(eps) from the frame residual as its commute certificate, and reads
-the commutant's dimension and elements off it; linalg's nullspace
+intertwiners have closed forms; Representation.frame caches it.
+commutant() is its one gate, with B(eps) from the frame residual as the
+commute certificate, and reads the commutant off it; linalg's nullspace
 solvers are test oracles.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
                       unit_index_table, unit_product_index)
 from .errors import CertificationError, ValidationError
 from .linalg import (herm, nearest_unitary, numerical_rank, orth,
-                     solve_sandwich, spectral_norm)
+                     significant, solve_sandwich, spectral_norm)
 from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, cpn_verdict,
                    flatten, images_of, require_cpn, stack_images, subblocks)
 
@@ -85,6 +85,11 @@ class Representation:
         """max_e ||Phi(e)|| over the matrix units, computed once."""
         return spectral_norm(self.images)
 
+    @functools.cached_property
+    def frame(self) -> tuple[np.ndarray, tuple[int, ...], float]:
+        """canonical_frame(self), computed once; commutant() gates it."""
+        return canonical_frame(self)
+
 
 def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
     """Evaluate the representation on an algebra element."""
@@ -123,17 +128,16 @@ def representation_bound(rep: Representation, tol: float) -> float:
     return max(tol, floor) * (1.0 + rep.norm)
 
 
-def canonical_frame(rep: Representation, tol: float = 1e-9
-                    ) -> tuple[np.ndarray, tuple[int, ...], float]:
+def canonical_frame(rep: Representation) -> tuple[np.ndarray, tuple[int, ...], float]:
     """Unitary U, multiplicities (r_1, ..., r_K, r_0) with U* Phi(.) U =
     (+)_k a_k (x) I_{r_k} (+) 0_{r_0}, r_0 the dimension of ker Phi(1), and
-    the certified residual eps = max(||U*U - I||, max_e ||U* Phi(e) U - C_e||),
-    C_e the canonical images.
+    the residual eps = max(||U*U - I||, max_e ||U* Phi(e) U - C_e||), C_e
+    the canonical images.
 
     Column (k, p, s) of U is Phi(e_p1^(k)) Q_k[:, s], Q_k an orthonormal
-    basis of the range of Phi(e_11^(k)).  O(dim A * H^3).  Raises
-    CertificationError unless the images are a *-representation, i.e.
-    unless eps <= representation_bound(rep, tol).
+    basis of the range of Phi(e_11^(k)).  O(dim A * H^3) and free of
+    tolerances: commutant() holds eps to its bound.  Raises
+    CertificationError when the frame has the wrong number of vectors.
     """
     alg, h, imgs = rep.algebra, rep.space_dim, rep.images
     # (projection, its lifts Phi(e_p1)) per block, then ker Phi(1) as a d = 1 block
@@ -150,6 +154,7 @@ def canonical_frame(rep: Representation, tol: float = 1e-9
         # columns (p, s) of the block are Phi(e_p1) Q[:, s]
         columns.append((lifts @ q).transpose(1, 0, 2).reshape(h, len(lifts) * q.shape[1]))
     u = np.hstack(columns)
+    u.flags.writeable = False  # cached on the representation, shared by every commutant
     if u.shape[1] != h:
         raise CertificationError(
             f"canonical frame has {u.shape[1]} vectors in dimension {h}: "
@@ -158,12 +163,7 @@ def canonical_frame(rep: Representation, tol: float = 1e-9
     canon[:, :h - mults[-1], :h - mults[-1]] = canonical_images(alg, mults[:-1])
     residuals = np.concatenate([(u.conj().T @ u - np.eye(h))[None],
                                 u.conj().T @ imgs @ u - canon])
-    worst = spectral_norm(residuals)
-    if not worst <= representation_bound(rep, tol):
-        raise CertificationError(
-            f"canonical frame certificate failed (residual {worst:.3e}): "
-            "the images are not a *-representation")
-    return u, tuple(mults), worst
+    return u, tuple(mults), spectral_norm(residuals)
 
 
 def _frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
@@ -250,15 +250,16 @@ class CommutantBasis:
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
-    """The commutant Phi(A)' on the canonical frame, certified by
-    commutator_bound(rep, eps) <= representation_bound(rep, tol); adjoint
-    closure is exact in frame coordinates (b_ab* = b_ba).  Failures raise
-    CertificationError."""
-    u, mults, eps = canonical_frame(rep, tol)
+    """The commutant Phi(A)' on the cached frame rep.frame, certified by
+    B(eps) = commutator_bound(rep, eps) <= representation_bound(rep, tol) = R,
+    the frame's one gate: it gives 2 eps (1 + eps) <= max(tol, floor), so
+    eps < R, and a NaN eps fails it.  Adjoint closure is exact in frame
+    coordinates (b_ab* = b_ba).  Failures raise CertificationError."""
+    u, mults, eps = rep.frame
     bound = commutator_bound(rep, eps)
-    if bound > representation_bound(rep, tol):
+    if not bound <= representation_bound(rep, tol):
         raise CertificationError(
-            f"commutant certificate failed (frame residual {eps:.3e}, bound {bound:.3e})")
+            f"images are not a *-representation (frame residual {eps:.3e}, bound {bound:.3e})")
     return CommutantBasis(rep, u, mults, eps)
 
 
@@ -349,8 +350,7 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
     rows: list[np.ndarray] = []
     mults: list[int] = []
     for d, (w, vecs) in zip(alg.block_dims, eigs):
-        cutoff = rank_tol * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
-        keep = w > cutoff
+        keep = significant(w, rank_tol)
         mults.append(int(keep.sum()))
         # kraus[p, x, s] = K_s[x, p]; row (k, p, s) of V is conj(K_s[:, p])
         kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n * m, mults[-1])
@@ -360,6 +360,19 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
                          multiplicities=tuple(mults))
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)
+
+
+def dilation_of(rho: CPnMap, tol: float,
+                dilation: StinespringDilation | None) -> StinespringDilation:
+    """dilate(rho, tol), or dilation once rho is completely n-positive and,
+    to tol * cpn_scale(rho) as in unitary_equivalence, its source."""
+    if dilation is None:
+        return dilate(rho, tol)
+    require_cpn(rho, tol)
+    if not (dilation.source is rho
+            or cpn_distance(dilation.source, rho) <= tol * cpn_scale(rho)):
+        raise ValidationError("dilation is not a dilation of the given map matrix")
+    return dilation
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -511,8 +524,7 @@ def dilate_from_gram(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     n, m = rho.n, rho.codomain_dim
     g = gram_matrix(rho)
     w, y = np.linalg.eigh(herm(g))
-    cutoff = tol * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
-    keep = np.nonzero(w > cutoff)[0]
+    keep = np.nonzero(significant(w, tol))[0]
     space_dim = len(keep)
     # columns of x are the generator coordinates in an orthonormal basis
     x = (np.sqrt(w[keep])[:, None] * y[:, keep].conj().T)

@@ -1,8 +1,8 @@
 """Dense linear-algebra helpers used throughout the package.
 
 Conventions: vec() is row-major (numpy order), so vec(A X B) =
-kron(A, B.T) @ vec(X).  All rank and nullspace decisions use the
-relative cutoff tol * (1 + largest singular value); an all-zero
+kron(A, B.T) @ vec(X).  Every rank and nullspace decision, and dilate's
+Kraus cutoff, is significant(): tol * (1 + largest |value|); an all-zero
 matrix therefore has rank 0 for every positive tol.
 
 Certificates are measured on stacks: spectral_norm accepts any array of
@@ -41,21 +41,20 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(spectral_norms(a).max(initial=0.0))
 
 
+def significant(x: np.ndarray, tol: float) -> np.ndarray:
+    """Mask x > tol * (1 + max |x|), the one rank cutoff; on descending
+    singular values max |x| is x[0]."""
+    return x > tol * (1.0 + (float(np.abs(x).max()) if x.size else 0.0))
+
+
 def numerical_rank(a: np.ndarray, tol: float) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol * (1.0 + s[0])))
+    return int(significant(np.linalg.svd(a, compute_uv=False), tol).sum())
 
 
 def orth(a: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the column space, as columns."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > tol * (1.0 + s[0]))) if s.size else 0
-    return u[:, :r]
+    u, s, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
+    return u[:, :significant(s, tol).sum()]
 
 
 def nullspace(a: np.ndarray, tol: float) -> np.ndarray:
@@ -72,8 +71,7 @@ def nullspace(a: np.ndarray, tol: float) -> np.ndarray:
     if rows == 0 or a.size == 0 or not np.any(a):
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    r = int(np.sum(s > tol * (1.0 + s[0])))
-    return vh[r:].conj().T
+    return vh[significant(s, tol).sum():].conj().T
 
 
 def nearest_unitary(a: np.ndarray) -> np.ndarray:
@@ -90,10 +88,8 @@ def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
     SVD directions with singular value above tol * (1 + s_max) are kept
     with unit weight; the rest are dropped.
     """
-    if a.size == 0:
-        return a.copy()
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > tol * (1.0 + s[0])
+    keep = significant(s, tol)
     return u[:, keep] @ vh[keep]
 
 

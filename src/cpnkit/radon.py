@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (CommutantBasis, StinespringDilation, commutant, dilate,
+from .dilation import (StinespringDilation, commutant, dilate, dilation_of,
                        spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
@@ -75,8 +75,7 @@ class Intertwiner:
 
 
 def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
-                source_dilation: StinespringDilation | None = None,
-                target_dilation: StinespringDilation | None = None) -> Intertwiner:
+                source_dilation: StinespringDilation | None = None) -> Intertwiner:
     """The canonical contraction between the dilations of rho and theta <= rho.
 
     Raises DominationError when rho - theta is not completely n-positive.
@@ -91,8 +90,8 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
         raise DominationError(
             f"theta is not dominated by rho (min eigenvalue {diff.min_eig:.3e})",
             min_eig=diff.min_eig)
-    dr = source_dilation if source_dilation is not None else dilate(rho, tol)
-    dt = target_dilation if target_dilation is not None else dilate(theta, tol)
+    dr = dilation_of(rho, tol, source_dilation)
+    dt = dilate(theta, tol)
     xr = spanning_matrix(dr)
     xt = spanning_matrix(dt)
     w = solve_sandwich(xr, xt)
@@ -181,19 +180,17 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
 
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
-                         tol: float = 1e-9,
-                         basis: CommutantBasis | None = None) -> np.ndarray:
+                         tol: float = 1e-9) -> np.ndarray:
     """Random element of [0, I] in the commutant of a dilation.
 
     Draws complex coefficients in the (k, a, b) order of the commutant
     basis, takes the Hermitian part of their CommutantBasis.element (the
     basis itself is not built) and rescales its spectrum affinely onto
-    [0, 1].  Deterministic under the given generator state.  Pass
-    basis = commutant(dil.rep, tol) to certify the frame once when sampling
-    repeatedly from one dilation.
+    [0, 1].  Deterministic under the given generator state.  The frame is
+    cached on the representation, so repeated draws from one dilation
+    compute it once.
     """
-    if basis is None:
-        basis = commutant(dil.rep, tol)
+    basis = commutant(dil.rep, tol)
     if basis.dimension == 0:
         return np.zeros((0, 0), dtype=complex)
     coeffs = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)

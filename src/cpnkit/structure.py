@@ -28,9 +28,10 @@ import numpy as np
 
 from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
 from .dilation import (StinespringDilation, _frame_basis, commutant, dilate,
-                       rep_apply)
+                       dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import herm, numerical_rank, orth, partial_isometry, spectral_norm
+from .linalg import (herm, numerical_rank, orth, partial_isometry, significant,
+                     spectral_norm)
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    cpn_scale, is_completely_n_positive, map_from_images,
                    require_cpn, subblocks, unflatten)
@@ -40,11 +41,7 @@ from .radon import compress
 def is_pure(rho: CPnMap, tol: float = 1e-9,
             dilation: StinespringDilation | None = None) -> bool:
     """Purity via irreducibility: the dilation commutant has dimension 1."""
-    if dilation is None:
-        dilation = dilate(rho, tol)
-    else:
-        require_cpn(rho, tol)
-    return commutant(dilation.rep, tol).dimension == 1
+    return commutant(dilation_of(rho, tol, dilation).rep, tol).dimension == 1
 
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
@@ -63,15 +60,16 @@ def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
 
 
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
-    """Whether the dilation representations admit no nonzero intertwiner.
+    """Whether the dilation representations admit no nonzero intertwiner:
+    sum_k r_k s_k = 0 over the multiplicities of the two certified frames.
 
     Both inputs must be completely positive (n = 1) maps with a common
     domain and codomain.
     """
     _check_pair(rho11, rho22)
-    d1 = dilate(rho11, tol)
-    d2 = dilate(rho22, tol)
-    return len(intertwiner_space(d1, d2, tol)) == 0
+    c1 = commutant(dilate(rho11, tol).rep, tol)
+    c2 = commutant(dilate(rho22, tol).rep, tol)
+    return sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities)) == 0
 
 
 def _check_pair(rho11: CPnMap, rho22: CPnMap) -> None:
@@ -144,7 +142,7 @@ def _compressed_commutant(rho: CPnMap, tol: float,
                           dilation: StinespringDilation | None):
     """Shared start of is_extreme and nonextreme_decomposition.
 
-    Checks rho (completely n-positive, in the unital class), then returns
+    Checks rho as dilation_of and _membership_check do, then returns
     its dilation, the certified commutant and the matrix of T -> Q* T Q on
     the closed-form commutant basis, Q = orth(V): the frame basis with
     G = Q* U in place of U, column (k, a, b) vec((1/sqrt d_k) sum_p
@@ -152,10 +150,7 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     q^2 <= (n m)^2 rows have the singular values of the H^2-row stack of
     P T_s P, P = Q Q*.
     """
-    if dilation is None:
-        dilation = dilate(rho, tol)
-    else:
-        require_cpn(rho, tol)
+    dilation = dilation_of(rho, tol, dilation)
     _membership_check(rho, tol)
     comm = commutant(dilation.rep, tol)
     g = orth(dilation.joint_isometry, tol).conj().T @ comm.frame
@@ -202,7 +197,7 @@ def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
     """
     dil, comm, mat = _compressed_commutant(rho, tol, dilation)
     _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > tol * (1.0 + s[0])))  # as numerical_rank
+    rank = int(significant(s, tol).sum())
     if rank == mat.shape[1]:
         raise ValidationError("map matrix is extreme; no decomposition exists")
     # the projector column with the largest diagonal entry (nonzero, as the

@@ -75,3 +75,20 @@ def test_verdicts_invariant_under_unitary_conjugation(shape):
     assert is_pure(rho, dilation=other) == is_pure(rho, dilation=dil)
     assert report_tuple(is_extreme(rho, dilation=other)) \
         == report_tuple(is_extreme(rho, dilation=dil))
+
+
+@DETERMINISTIC
+@given(shapes())
+def test_verdicts_invariant_under_rescaling(shape):
+    # every cutoff is relative, so c rho has the structure of rho
+    dims, n, m, ranks, seed = shape
+    rho = map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))
+
+    def structure(r):
+        dil = dilate(r)
+        return (dil.space_dim, dil.rep.multiplicities, commutant(dil.rep).dimension,
+                is_pure(r, dilation=dil))
+
+    want = structure(rho)
+    for c in (1e-6, 1e-3, 1e3, 1e6):
+        assert structure(c * rho) == want

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cpnkit import (DominationError, ValidationError, as_cpn, commutant,
-                    compress, cpn_distance, cpn_scale, depolarizing_map,
-                    dilate, identity_map, images_of, intertwiner, make_algebra,
-                    order_equivalence_check, random_cpn_map, rn_operator,
-                    sample_unit_interval, zero_map)
+from cpnkit import (DominationError, ValidationError, as_cpn, compress,
+                    cpn_distance, cpn_scale, depolarizing_map, dilate,
+                    identity_map, images_of, intertwiner, is_extreme, is_pure,
+                    make_algebra, order_equivalence_check, random_cpn_map,
+                    rn_operator, sample_unit_interval, zero_map)
+import cpnkit.dilation as cpnkit_dilation
 from cpnkit.linalg import spectral_norm, spectral_norms
 from cpnkit.radon import _norm_and_commutator
 
@@ -128,14 +129,25 @@ def test_sample_unit_interval_properties():
     assert np.array_equal(a, b)
 
 
-def test_sample_with_precomputed_basis_matches():
-    rng = np.random.default_rng(7)
-    rho = random_cpn_map(make_algebra((2,)), 2, 2, 2, rng)
+def test_frame_is_computed_once_per_dilation(monkeypatch):
+    # is_pure, is_extreme and repeated draws share the frame cached on the
+    # representation; the draws keep their count and order
+    rho = as_cpn(depolarizing_map(2))
     dil = dilate(rho)
-    comm = commutant(dil.rep)
+    made = []
+    real = cpnkit_dilation.canonical_frame
+
+    def counting(rep):
+        made.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(cpnkit_dilation, "canonical_frame", counting)
+    assert not is_pure(rho, dilation=dil)
+    assert not is_extreme(rho, dilation=dil).extreme
     a = sample_unit_interval(dil, np.random.default_rng(3))
-    b = sample_unit_interval(dil, np.random.default_rng(3), basis=comm)
-    assert np.allclose(a, b, atol=1e-12)
+    b = sample_unit_interval(dil, np.random.default_rng(3))
+    assert len(made) == 1 and made[0] is dil.rep
+    assert np.array_equal(a, b)
 
 
 def test_rn_operator_reports_certificates():

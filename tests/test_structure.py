@@ -14,8 +14,8 @@ from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
                     is_completely_n_positive, is_extreme, is_pure,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
-                    sample_unit_interval, star_index, trace_map, unflatten,
-                    zero_map)
+                    rn_operator, sample_unit_interval, star_index, trace_map,
+                    unflatten, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 from cpnkit.dilation import canonical_frame, commutator_bound, representation_bound
 from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
@@ -648,11 +648,11 @@ def test_commutator_bound_failure_raises():
     rep = dilate(random_cpn_map(make_algebra((2,)), 2, 1, 2, rng)).rep
     noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
     bad = Representation(rep.algebra, rep.space_dim, rep.images + 1e-7 * noise)
-    _, _, eps = canonical_frame(bad, 1e-6)
+    _, _, eps = canonical_frame(bad)
     tol = 1.5 * eps / (1.0 + bad.norm)
-    canonical_frame(bad, tol)
+    assert eps <= representation_bound(bad, tol)
     assert commutator_bound(bad, eps) > representation_bound(bad, tol)
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match=r"not a \*-representation"):
         commutant(bad, tol)
 
 
@@ -813,3 +813,71 @@ def test_commutant_dimension_takes_one_svd(monkeypatch):
         assert dim == sum(r * r for r in dil.rep.multiplicities)
         assert len(calls) == 1  # the frame certificate
         calls.clear()
+
+
+# One frame per representation: computed once, gated by every commutant() call
+
+
+def count_kernels(monkeypatch):
+    """Count np.linalg.eigh and np.linalg.svd calls from here on."""
+    calls = []
+    for name in ("eigh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_second_commutant_reads_the_cached_frame(monkeypatch):
+    rng = np.random.default_rng(70)
+    dil = dilate(random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng))
+    for rep in (dil.rep, conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng))):
+        first = commutant(rep, 1e-9)
+        calls = count_kernels(monkeypatch)
+        second = commutant(rep, 1e-6)
+        monkeypatch.undo()
+        assert calls == []
+        assert second.frame is first.frame and not first.frame.flags.writeable
+        assert (second.multiplicities, second.frame_residual) \
+            == (first.multiplicities, first.frame_residual)
+
+
+def test_frame_with_wrong_vector_count_raises_on_every_call(monkeypatch):
+    rng = np.random.default_rng(71)
+    rep = dilate(random_cpn_map(make_algebra((2, 1)), 2, 1, 2, rng)).rep
+    images = rep.images.copy()
+    images[0] = np.eye(rep.space_dim)  # Phi(e_11) = I has too many lifts
+    bad = Representation(rep.algebra, rep.space_dim, images)
+    for _ in range(2):
+        calls = count_kernels(monkeypatch)
+        with pytest.raises(CertificationError, match="vectors in dimension"):
+            commutant(bad)
+        monkeypatch.undo()
+        assert "eigh" in calls and "frame" not in vars(bad)
+
+
+def test_foreign_dilation_is_rejected():
+    ident = as_cpn(identity_map(m2()))
+    dep = as_cpn(depolarizing_map(2))
+    foreign = dilate(dep)
+    foreign_map = "not a dilation of the given map matrix"
+    for call in (lambda: is_pure(ident, dilation=foreign),
+                 lambda: is_extreme(ident, dilation=foreign),
+                 lambda: nonextreme_decomposition(ident, dilation=foreign),
+                 lambda: rn_operator(ident, 0.5 * ident, source_dilation=foreign)):
+        with pytest.raises(ValidationError, match=foreign_map):
+            call()
+    # positivity, then the source, then membership in the unital class
+    with pytest.raises(PositivityError):
+        is_pure(-1.0 * ident, dilation=foreign)
+    with pytest.raises(ValidationError, match=foreign_map):
+        is_extreme(2.0 * ident, dilation=foreign)
+    with pytest.raises(ValidationError, match="not unital"):
+        is_extreme(2.0 * ident, dilation=dilate(2.0 * ident))
+    # an equal but distinct map matrix owns the dilation
+    assert not is_pure(as_cpn(depolarizing_map(2)), dilation=foreign)
+    assert is_extreme(as_cpn(depolarizing_map(2)), dilation=foreign).commutant_dim == 16
