@@ -15,6 +15,7 @@ from .algebra import make_algebra, random_element, star_index, cstar_norm
 from .dilation import (dilate, dilate_from_gram, diagonal_direct_sum_check,
                        equivalence_residual, gram_matrix, unitary_equivalence,
                        verify_dilation)
+from .errors import ValidationError
 from .linalg import herm, spectral_norm
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, compression_map,
                    cpn_distance, cpn_scale, depolarizing_map, flatten,
@@ -366,16 +367,23 @@ def criterion_10_tower(seed: int = 0, count: int = 100,
 
 def run_all(seed: int = 0, tol: float = 1e-9,
             count: int | None = None) -> list[CriterionResult]:
-    """Run every acceptance criterion; count overrides instance counts."""
+    """Run every acceptance criterion; count, when given, overrides the
+    instance counts and must be at least 1."""
+    if count is not None and count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
+
+    def n(default: int) -> int:
+        return default if count is None else count
+
     return [
-        criterion_1_dilation(seed, count or 200, tol),
-        criterion_2_gram(seed, count or 50, tol),
-        criterion_3_round_trip(seed, count or 200, tol),
-        criterion_4_order(seed, count or 1000, tol),
-        criterion_5_contraction(seed, count or 50, tol),
-        criterion_6_purity(seed, count or 30, tol),
-        criterion_7_disjointness(seed, count or 10, tol),
+        criterion_1_dilation(seed, n(200), tol),
+        criterion_2_gram(seed, n(50), tol),
+        criterion_3_round_trip(seed, n(200), tol),
+        criterion_4_order(seed, n(1000), tol),
+        criterion_5_contraction(seed, n(50), tol),
+        criterion_6_purity(seed, n(30), tol),
+        criterion_7_disjointness(seed, n(10), tol),
         criterion_8_extremality(seed, tol),
         criterion_9_direct_sum(seed, tol),
-        criterion_10_tower(seed, count or 100, tol),
+        criterion_10_tower(seed, n(100), tol),
     ]

@@ -3,10 +3,14 @@
 Exit codes partition three ways: 0 means the command ran and its
 mathematical verdict (if any) is affirmative, 1 means the verdict is
 negative (a map fails positivity, domination fails, a property does not
-hold), and 2 means the inputs never reached a verdict (unreadable files,
-schema violations, non-finite numbers or tolerances, bad arguments, a
-failed certificate or linear-algebra routine, a floating-point overflow
-or invalid operation).
+hold), and 2 means the inputs never reached a verdict (usage errors,
+unreadable files or an unwritable output path, schema violations,
+non-finite numbers or tolerances, a failed certificate or linear-algebra
+routine, a floating-point overflow or invalid operation).
+
+Each command returns its output text and exit code; ``main`` alone
+writes the text and turns every error, usage errors included, into one
+JSON object on stderr.
 """
 from __future__ import annotations
 
@@ -31,23 +35,19 @@ from .structure import extension_witness, is_extreme, nonextreme_decomposition
 from .acceptance import run_all
 
 
-def _require_tol(name: str, val: float) -> float:
-    """A tolerance must be a finite positive number; inf and nan would
-    make every check pass or fail vacuously."""
-    if not (math.isfinite(val) and val > 0.0):
-        raise SchemaError(f"{name} must be a finite positive number, got {val!r}")
-    return val
-
-
-def _env_tol() -> float:
-    raw = os.environ.get("CPN_TOL")
-    if raw is None:
-        return 1e-9
+def _tol(arg: str | None) -> float:
+    """--tol, else CPN_TOL, else 1e-9.  A tolerance must be a finite
+    positive number; inf and nan would make every check pass or fail
+    vacuously."""
+    name, raw = (("--tol", arg) if arg is not None
+                 else ("CPN_TOL", os.environ.get("CPN_TOL", "1e-9")))
     try:
         val = float(raw)
     except ValueError as exc:
-        raise SchemaError(f"CPN_TOL is not a number: {raw!r}") from exc
-    return _require_tol("CPN_TOL", val)
+        raise SchemaError(f"{name} is not a number: {raw!r}") from exc
+    if not (math.isfinite(val) and val > 0.0):
+        raise SchemaError(f"{name} must be a finite positive number, got {val!r}")
+    return val
 
 
 def _load_json(path: str) -> object:
@@ -64,87 +64,84 @@ def _load_map(path: str):
     return serialize.cpn_map_from_json(_load_json(path))
 
 
-def _emit(report: dict, output: str | None) -> None:
+def _write(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _report(args, verdict: bool, certificates: dict, **extra) -> tuple[str, int]:
+    """The JSON report of a verdict and its exit code: 0 affirmative, 1 negative."""
+    report = {
+        "command": args.command,
+        "verdict": verdict,
+        "certificates": certificates,
+        "tol": args.tol,
+        "version": __version__,
+        **extra,
+    }
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise CertificationError(f"report holds a non-finite number: {exc}") from exc
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return text, 0 if verdict else 1
 
 
-def _envelope(command: str, tol: float, verdict, certificates: dict,
-              **extra) -> dict:
-    report = {
-        "command": command,
-        "verdict": verdict,
-        "certificates": certificates,
-        "tol": tol,
-        "version": __version__,
-    }
-    report.update(extra)
-    return report
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     chk = is_completely_n_positive(rho, args.tol)
-    report = _envelope("check", args.tol, bool(chk.verdict), {
+    return _report(args, bool(chk.verdict), {
         "min_choi_eigenvalue": float(chk.min_eig),
         "hermitian_symmetric": bool(chk.hermitian_symmetric),
         "n": rho.n,
         "codomain_dim": rho.codomain_dim,
     })
-    _emit(report, args.output)
-    return 0 if chk.verdict else 1
 
 
-def _cmd_dilate(args) -> int:
-    rank_tol = args.tol if args.rank_tol is None \
-        else _require_tol("--rank-tol", args.rank_tol)
+def _cmd_dilate(args) -> tuple[str, int]:
     rho = _load_map(args.map)
-    dil = dilate(rho, args.tol, rank_tol=rank_tol)
+    dil = dilate(rho, args.tol)
     rep = verify_dilation(rho, dil, args.tol)
-    report = _envelope("dilate", args.tol, True, {
+    if not rep.ok(args.tol):
+        raise CertificationError(
+            f"dilation fails its certificate: factor residual {float(rep.factor_residual):.3g} "
+            f"against {args.tol * rep.scale:.3g}, span {rep.span_dim} of {rep.space_dim}")
+    return _report(args, True, {
         "factor_residual": float(rep.factor_residual),
         "minimal": bool(rep.minimal),
         "scale": float(rep.scale),
     }, space_dim=dil.space_dim, dilation=serialize.dilation_to_json(dil))
-    _emit(report, args.output)
-    return 0
 
 
-def _cmd_rn(args) -> int:
+def _cmd_rn(args) -> tuple[str, int]:
     rho = _load_map(args.rho)
     theta = _load_map(args.theta)
     elem = rn_operator(rho, theta, args.tol)
-    report = _envelope("rn", args.tol, True, {
+    return _report(args, True, {
         "commutant_residual": float(elem.commutant_residual),
         "spectrum_min": float(min(elem.spectrum)) if elem.spectrum else 0.0,
         "spectrum_max": float(max(elem.spectrum)) if elem.spectrum else 0.0,
         "reconstruction_residual": float(elem.reconstruction_residual),
     }, operator=serialize.commutant_element_to_json(elem.matrix))
-    _emit(report, args.output)
-    return 0
 
 
-def _cmd_pure(args) -> int:
+def _cmd_pure(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
     dim = commutant(dil.rep, args.tol).dimension
-    pure = dim == 1
-    report = _envelope("pure", args.tol, pure, {
+    return _report(args, dim == 1, {
         "commutant_dimension": dim,
         "space_dim": dil.space_dim,
     })
-    _emit(report, args.output)
-    return 0 if pure else 1
 
 
-def _cmd_extreme(args) -> int:
+def _cmd_extreme(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
     rep = is_extreme(rho, args.tol, dilation=dil)
@@ -160,12 +157,10 @@ def _cmd_extreme(args) -> int:
             "part1": serialize.cpn_map_to_json(decomp.part1),
             "part2": serialize.cpn_map_to_json(decomp.part2),
         }
-    report = _envelope("extreme", args.tol, rep.extreme, certificates, **extra)
-    _emit(report, args.output)
-    return 0 if rep.extreme else 1
+    return _report(args, rep.extreme, certificates, **extra)
 
 
-def _cmd_disjoint(args) -> int:
+def _cmd_disjoint(args) -> tuple[str, int]:
     rho = _load_map(args.first)
     theta = _load_map(args.second)
     # the maps are disjoint exactly when no completion witness exists
@@ -176,43 +171,36 @@ def _cmd_disjoint(args) -> int:
     if not disjoint:
         certificates["witness_offdiagonal_norm"] = spectral_norm(images_of(wit.entry(0, 1)))
         extra["witness"] = serialize.cpn_map_to_json(wit)
-    report = _envelope("disjoint", args.tol, disjoint, certificates, **extra)
-    _emit(report, args.output)
-    return 0 if disjoint else 1
+    return _report(args, disjoint, certificates, **extra)
 
 
-def _cmd_random(args) -> int:
-    for name in ("d", "m", "n"):
-        if getattr(args, name) < 1:
-            raise SchemaError(f"--{name} must be at least 1")
-    if args.rank < 0:
-        raise SchemaError("--rank must be nonnegative")
+def _cmd_random(args) -> tuple[str, int]:
+    # the library rejects --d, --m, --n below 1 and a negative --rank
     rng = np.random.default_rng(args.seed)
     rho = random_cpn_map(make_algebra((args.d,)), args.m, args.n,
                          args.rank, rng)
     payload = serialize.cpn_map_to_json(rho)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", 0
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[str, int]:
     results = run_all(args.seed, args.tol, args.count)
-    for res in results:
-        sys.stdout.write(res.line() + "\n")
     ok = all(res.passed for res in results)
-    sys.stdout.write("suite: %s (%d/%d criteria)\n"
-                     % ("PASS" if ok else "FAIL",
-                        sum(res.passed for res in results), len(results)))
-    return 0 if ok else 1
+    summary = "suite: %s (%d/%d criteria)\n" % (
+        "PASS" if ok else "FAIL", sum(res.passed for res in results), len(results))
+    return "".join(res.line() + "\n" for res in results) + summary, 0 if ok else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError instead of printing usage and exiting,
+    so they reach main's JSON error path; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpnkit",
         description="Dilation, Radon-Nikodym and structure tools for "
                     "matrices of completely positive maps.")
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, output=True):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", default=None,
                        help="tolerance (default: CPN_TOL env var or 1e-9)")
         if output:
             p.add_argument("-o", "--output", default=None,
@@ -234,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilate", help="build and verify the minimal dilation")
     p.add_argument("map")
-    p.add_argument("--rank-tol", type=float, default=None,
-                   help="eigenvalue cutoff for the dilation rank")
     add_common(p)
     p.set_defaults(func=_cmd_dilate)
 
@@ -292,20 +278,18 @@ def _error_report(exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _env_tol()
-        elif getattr(args, "tol", None) is not None:
-            _require_tol("--tol", args.tol)
+        args = build_parser().parse_args(argv)
+        if "tol" in vars(args):
+            args.tol = _tol(args.tol)
         # an overflow or invalid value means no trustworthy verdict: raise it
         # as FloatingPointError instead of printing numpy warnings
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            text, code = args.func(args)
+        _write(text, getattr(args, "output", None))
+        return code
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except (PositivityError, DominationError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 1

@@ -331,17 +331,15 @@ class StinespringDilation:
         return v
 
 
-def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> StinespringDilation:
+def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     """Minimal dilation via eigendecomposition of the flattened Choi blocks.
 
-    Eigenpairs with eigenvalue above rank_tol * (1 + block norm) are kept
-    (rank_tol defaults to tol); the zero map yields a zero-dimensional,
-    vacuously minimal dilation.  Raises PositivityError when rho is not
-    completely n-positive to tol; the verdict comes from the same
-    eigendecomposition that yields the Kraus factors.
+    Eigenpairs with eigenvalue above tol * (1 + block norm) are kept; the
+    zero map yields a zero-dimensional, vacuously minimal dilation.  Raises
+    PositivityError when rho is not completely n-positive to tol; the
+    verdict comes from the same eigendecomposition that yields the Kraus
+    factors.
     """
-    if rank_tol is None:
-        rank_tol = tol
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
     flat = flatten(rho)
@@ -350,7 +348,7 @@ def dilate(rho: CPnMap, tol: float = 1e-9, rank_tol: float | None = None) -> Sti
     rows: list[np.ndarray] = []
     mults: list[int] = []
     for d, (w, vecs) in zip(alg.block_dims, eigs):
-        keep = significant(w, rank_tol)
+        keep = significant(w, tol)
         mults.append(int(keep.sum()))
         # kraus[p, x, s] = K_s[x, p]; row (k, p, s) of V is conj(K_s[:, p])
         kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n * m, mults[-1])

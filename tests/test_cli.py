@@ -1,11 +1,21 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cpnkit
 from cpnkit import (CPnMap, compression_map, cpn_distance, depolarizing_map,
                     identity_map, images_of, make_algebra)
 from cpnkit import serialize as ser
-from cpnkit.cli import main
+from cpnkit.acceptance import run_all
+from cpnkit.cli import build_parser, main
+from cpnkit.dilation import DilationReport
+from cpnkit.errors import ValidationError
 
 
 def write_map(path, rho):
@@ -74,6 +84,18 @@ def test_dilate_report(tmp_path, capsys):
     payload = json.loads(err)["error"]
     assert payload["type"] == "PositivityError"
     assert payload["min_eig"] < 0
+
+
+def test_dilate_failed_certificate_exit_2(tmp_path, capsys, monkeypatch):
+    # a dilation whose factorization or minimality fails is no verdict
+    from cpnkit import cli
+    good, _ = make_files(tmp_path)
+    for failing in (DilationReport(1.45, 2, 2, True, 7.48),
+                    DilationReport(0.0, 1, 2, False, 1.0)):
+        monkeypatch.setattr(cli, "verify_dilation", lambda rho, dil, tol: failing)
+        code, out, err = run(capsys, "dilate", good)
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "CertificationError"
 
 
 def test_rn_command(tmp_path, capsys):
@@ -178,9 +200,43 @@ def test_random_rank_zero_is_zero_map(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    assert main([]) == 2
-    assert main(["not-a-command"]) == 2
-    capsys.readouterr()
+    for argv in ([], ["not-a-command"]):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
+
+# per command: an unknown flag, a missing positional where the command has
+# one, and a malformed number; MAP stands for a valid map file
+USAGE_ERRORS = [
+    ["check", "MAP", "--bogus"], ["check"], ["check", "MAP", "--tol", "abc"],
+    ["dilate", "MAP", "--bogus"], ["dilate"], ["dilate", "MAP", "--tol", "1e-9x"],
+    ["rn", "MAP", "MAP", "--bogus"], ["rn", "MAP"], ["rn", "MAP", "MAP", "--tol", ""],
+    ["pure", "MAP", "--bogus"], ["pure"], ["pure", "MAP", "--tol", "abc"],
+    ["extreme", "MAP", "--bogus"], ["extreme"], ["extreme", "MAP", "--tol", "abc"],
+    ["disjoint", "MAP", "MAP", "--bogus"], ["disjoint", "MAP"],
+    ["disjoint", "MAP", "MAP", "--tol", "abc"],
+    ["random", "--bogus"], ["random", "--d", "two"], ["random", "--seed", "1.5"],
+    ["suite", "--bogus"], ["suite", "--count", "x"], ["suite", "--tol", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_json(tmp_path, capsys, argv):
+    good, _ = make_files(tmp_path)
+    code, out, err = run(capsys, *(good if a == "MAP" else a for a in argv))
+    assert_json_error(code, out, err)
+    assert json.loads(err)["error"]["type"] == "SchemaError"
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    good, _ = make_files(tmp_path)
+    target = tmp_path / "missing" / "x.json"
+    for argv in (["check", good], ["random"]):
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+        assert not target.parent.exists()
 
 
 def test_version_flag(capsys):
@@ -202,6 +258,15 @@ def test_tol_validation(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["tol"] == 1e-7
 
 
+def test_suite_count_below_one(capsys):
+    for count in (0, -1):
+        with pytest.raises(ValidationError):
+            run_all(0, 1e-9, count)
+        code, out, err = run(capsys, "suite", "--count", str(count))
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_suite_command(capsys):
     code, out, _ = run(capsys, "suite", "--count", "3")
     assert code == 0
@@ -221,8 +286,9 @@ def test_nonfinite_tolerances_exit_2(tmp_path, capsys, monkeypatch):
     good, _ = make_files(tmp_path)
     assert_json_error(*run(capsys, "check", good, "--tol", "1e400"))
     assert_json_error(*run(capsys, "check", good, "--tol", "nan"))
-    assert_json_error(*run(capsys, "dilate", good, "--rank-tol", "nan"))
-    assert_json_error(*run(capsys, "dilate", good, "--rank-tol", "0"))
+    code, out, err = run(capsys, "dilate", good, "--rank-tol", "1e-9")
+    assert_json_error(code, out, err)
+    assert "unrecognized arguments: --rank-tol" in json.loads(err)["error"]["message"]
     monkeypatch.setenv("CPN_TOL", "inf")
     assert_json_error(*run(capsys, "check", good))
 
@@ -269,14 +335,17 @@ def test_nonfinite_report_exit_2(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "CertificationError"
 
 
+def run_module(*argv):
+    """python -m cpnkit in a fresh interpreter."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cpnkit.__file__)))
+    return subprocess.run([sys.executable, "-m", "cpnkit", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_overflow_stderr_is_one_json_object(tmp_path):
     # in a fresh interpreter numpy would print RuntimeWarning lines before
     # the error; the CLI raises them instead, so stderr stays one object
-    import os
-    import subprocess
-    import sys
-
-    import cpnkit
     good, _ = make_files(tmp_path)
     payload = json.loads(open(good).read())
     for row in payload["entries"][0][0]["choi_blocks"][0]:
@@ -284,12 +353,31 @@ def test_overflow_stderr_is_one_json_object(tmp_path):
             z[:] = [1.7e308, 0.0]
     f = tmp_path / "overflow.json"
     f.write_text(json.dumps(payload))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cpnkit.__file__)))
     for command in ("check", "dilate", "pure", "extreme"):
-        proc = subprocess.run([sys.executable, "-m", "cpnkit", command, str(f)],
-                              capture_output=True, text=True, env=env)
+        proc = run_module(command, str(f))
         assert proc.returncode == 2, command
         assert proc.stdout == ""
         report = json.loads(proc.stderr)  # raises unless exactly one object
         assert report["error"]["type"] == "FloatingPointError"
+
+
+def test_usage_error_stderr_is_one_json_object(tmp_path):
+    # argparse prints no usage text of its own
+    good, _ = make_files(tmp_path)
+    proc = run_module("dilate", good, "--bogus")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "SchemaError"
+
+
+def test_readme_cli_lines_parse():
+    # every documented invocation must still parse; parsing opens no file
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    commands = set()
+    for line in block.splitlines():
+        if line.startswith("cpnkit "):
+            argv = shlex.split(line.split("#", 1)[0])[1:]
+            commands.add(build_parser().parse_args(argv).command)
+    assert commands == {"check", "dilate", "rn", "pure", "extreme", "disjoint",
+                        "random", "suite"}

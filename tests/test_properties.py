@@ -14,8 +14,8 @@ from cpnkit import (LinearMap, StinespringDilation, commutant, dilate,
                     unflatten)
 from cpnkit.linalg import commutant_basis_of
 
-from test_structure import (conjugated, random_unitary_matrix, report_tuple,
-                            unital_map)
+from test_structure import (conjugated, ptp_route, random_unitary_matrix,
+                            report_tuple, unital_map)
 
 DOMAINS = ((2,), (3,), (2, 1), (2, 2), (3, 1), (1, 1, 2))
 
@@ -92,3 +92,13 @@ def test_verdicts_invariant_under_rescaling(shape):
     want = structure(rho)
     for c in (1e-6, 1e-3, 1e3, 1e6):
         assert structure(c * rho) == want
+
+
+@DETERMINISTIC
+@given(shapes())
+def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
+    dims, n, m, ranks, seed = shape
+    rho = unital_map(dims, n, m, ranks, np.random.default_rng(seed))
+    assume(rho is not None)
+    dil = dilate(rho)
+    assert report_tuple(is_extreme(rho, dilation=dil)) == ptp_route(dil)[0]
