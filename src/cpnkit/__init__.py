@@ -5,21 +5,18 @@ two-sided tower model for inverse limits of such algebras."""
 from .errors import (CertificationError, DominationError, PositivityError,
                      SchemaError, ValidationError)
 from .algebra import (AlgebraElement, CStarAlgebra, cstar_norm, distance,
-                      element_from_coords, is_hermitian, is_positive,
-                      is_unitary, make_algebra, matrix_units, random_element,
-                      random_hermitian, random_unitary, star_index,
-                      unit_index)
+                      element_from_coords, is_unitary, make_algebra,
+                      matrix_units, random_element, star_index, unit_index)
 from .maps import (CPnMap, CpnVerdict, LinearMap, apply_map, as_cpn,
                    check_hermitian_symmetry, compression_map, cpn_distance,
-                   cpn_scale, depolarizing_map, flatten, identity_map,
-                   images_of, is_completely_n_positive, map_from_images,
-                   order_leq, random_cpn_map, require_cpn, trace_map,
-                   unflatten, zero_map)
-from .dilation import (CommutantBasis, DilationReport, ProjectionSet,
-                       Representation, StinespringDilation, commutant,
-                       component_projections, diagonal_direct_sum_check,
-                       dilate, dilate_from_gram, equivalence_residual,
-                       gram_matrix, rep_apply,
+                   depolarizing_map, flatten, identity_map, images_of,
+                   is_completely_n_positive, map_from_images, order_leq,
+                   random_cpn_map, require_cpn, trace_map, unflatten,
+                   zero_map)
+from .dilation import (CommutantBasis, DilationReport, Representation,
+                       StinespringDilation, commutant,
+                       diagonal_direct_sum_check, dilate, dilate_from_gram,
+                       equivalence_residual, gram_matrix, rep_apply,
                        spanning_matrix, unitary_equivalence,
                        verify_dilation, verify_representation)
 from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
@@ -39,26 +36,23 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "CStarAlgebra", "CPnMap", "CpnVerdict", "LinearMap",
     "CertificationError", "DominationError", "PositivityError", "SchemaError",
-    "ValidationError", "DilationReport", "ProjectionSet", "Representation",
+    "ValidationError", "DilationReport", "Representation",
     "StinespringDilation", "CommutantElement", "Intertwiner", "OrderCheck",
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
-    "ExtremeFamilySpec", "ContinuousCPnMap", "Tower",
-    "apply_connecting", "apply_map", "as_cpn", "build_extreme_family",
-    "check_hermitian_symmetry", "check_thread", "commutant",
-    "component_projections", "compress", "compression_map", "cpn_distance",
-    "cpn_scale", "cstar_norm", "depolarizing_map",
+    "ExtremeFamilySpec", "ContinuousCPnMap", "Tower", "apply_connecting",
+    "apply_map", "as_cpn", "build_extreme_family", "check_hermitian_symmetry",
+    "check_thread", "commutant", "compress", "compression_map",
+    "cpn_distance", "cstar_norm", "depolarizing_map",
     "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",
     "element_from_coords", "equivalence_residual", "evaluate_continuous_map",
     "extension_witness", "flatten", "gram_matrix", "identity_map",
     "images_of", "intertwiner", "intertwiner_space",
-    "is_completely_n_positive", "are_disjoint", "is_extreme", "is_hermitian",
-    "is_positive", "is_pure", "is_unitary", "make_algebra", "make_tower",
-    "map_from_images", "matrix_units",
-    "nonextreme_decomposition", "order_equivalence_check", "order_leq",
-    "projection_tower", "random_cpn_map", "random_element",
-    "random_hermitian", "random_unitary", "rep_apply", "require_cpn",
-    "rn_operator", "sample_unit_interval", "seminorm", "serialize",
-    "spanning_matrix", "star_index", "trace_map", "unit_index",
-    "unitary_equivalence", "unflatten", "verify_dilation",
+    "is_completely_n_positive", "are_disjoint", "is_extreme", "is_pure",
+    "is_unitary", "make_algebra", "make_tower", "map_from_images",
+    "matrix_units", "nonextreme_decomposition", "order_equivalence_check",
+    "order_leq", "projection_tower", "random_cpn_map", "random_element",
+    "rep_apply", "require_cpn", "rn_operator", "sample_unit_interval",
+    "seminorm", "serialize", "spanning_matrix", "star_index", "trace_map",
+    "unit_index", "unitary_equivalence", "unflatten", "verify_dilation",
     "verify_representation", "zero_map", "__version__",
 ]

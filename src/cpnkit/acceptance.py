@@ -18,14 +18,13 @@ from .dilation import (dilate, dilate_from_gram, diagonal_direct_sum_check,
 from .errors import ValidationError
 from .linalg import herm, spectral_norm
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, compression_map,
-                   cpn_distance, cpn_scale, depolarizing_map, flatten,
-                   identity_map, images_of, is_completely_n_positive,
-                   map_from_images, random_cpn_map, zero_map)
+                   cpn_distance, depolarizing_map, flatten, identity_map,
+                   images_of, is_completely_n_positive, map_from_images,
+                   random_cpn_map, zero_map)
 from .radon import (compress, intertwiner, order_equivalence_check,
                     rn_operator, sample_unit_interval)
 from .structure import (ExtremeFamilySpec, build_extreme_family, commutant,
-                        extension_witness, are_disjoint, is_extreme, is_pure,
-                        nonextreme_decomposition)
+                        extension_witness, are_disjoint, is_extreme, is_pure)
 from .towers import (ContinuousCPnMap, apply_connecting,
                      evaluate_continuous_map, projection_tower)
 
@@ -117,7 +116,7 @@ def criterion_3_round_trip(seed: int = 0, count: int = 200,
         worst_t = max(worst_t, spectral_norm(elem.matrix - t_in)
                       / (1.0 + spectral_norm(t_in)))
         worst_map = max(worst_map, cpn_distance(compress(dil, elem.matrix, tol), theta)
-                        / cpn_scale(theta))
+                        / theta.scale)
     elapsed = time.perf_counter() - t0
     passed = worst_t <= 1e-8 and worst_map <= 1e-9
     return CriterionResult(3, "Radon-Nikodym round trip", passed,
@@ -140,7 +139,7 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
         rho = _instance(rng, i, max_rank=4)
         dil = dilate(rho, tol)
         eye = np.eye(dil.space_dim, dtype=complex)
-        scale = cpn_scale(rho)
+        scale = rho.scale
         worst_unit = max(worst_unit,
                          cpn_distance(compress(dil, eye, tol), rho) / scale)
         budget = min(per_instance, pairs - done)
@@ -184,10 +183,9 @@ def criterion_5_contraction(seed: int = 0, count: int = 50,
         t_in = sample_unit_interval(dil, rng, tol)
         theta = compress(dil, t_in, tol)
         w = intertwiner(rho, theta, tol, source_dilation=dil)
-        scale = cpn_scale(rho)
         worst_norm = max(worst_norm, w.norm)
         worst_res = max(worst_res,
-                        max(w.isometry_residual, w.intertwining_residual) / scale)
+                        max(w.isometry_residual, w.intertwining_residual) / rho.scale)
     elapsed = time.perf_counter() - t0
     passed = worst_norm <= 1.0 + 1e-10 and worst_res <= 1e-9
     return CriterionResult(5, "intertwiner contraction certificates", passed,
@@ -292,8 +290,8 @@ def criterion_8_extremality(seed: int = 0, tol: float = 1e-9) -> CriterionResult
     dep = as_cpn(depolarizing_map(2))
     rep = is_extreme(dep, tol)
     checks["depolarizing_not_extreme"] = not rep.extreme
-    decomp = nonextreme_decomposition(dep, tol)
-    scale = cpn_scale(dep)
+    decomp = rep.decomposition()
+    scale = dep.scale
     avg = decomp.beta * decomp.part1 + (1.0 - decomp.beta) * decomp.part2
     checks["decomposition_averages"] = cpn_distance(avg, dep) <= 1e-9 * scale
     checks["decomposition_nontrivial"] = (

@@ -182,25 +182,6 @@ def distance(a: AlgebraElement, b: AlgebraElement) -> float:
     return cstar_norm(a - b)
 
 
-def is_hermitian(a: AlgebraElement, tol: float = 1e-9) -> bool:
-    return distance(a, a.adjoint()) <= tol * (1.0 + cstar_norm(a))
-
-
-def is_positive(a: AlgebraElement, tol: float = 1e-9) -> bool:
-    """Positivity in the C*-sense: Hermitian with nonnegative block spectra.
-
-    Tolerances are relative: eigenvalues above -tol * (1 + block norm) pass.
-    """
-    if not is_hermitian(a, tol):
-        return False
-    for b in a.blocks:
-        scale = 1.0 + spectral_norm(b)
-        w = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-        if w.size and w[0] < -tol * scale:
-            return False
-    return True
-
-
 def is_unitary(a: AlgebraElement, tol: float = 1e-9) -> bool:
     u = a.algebra.unit()
     return (distance(a.adjoint() @ a, u) <= tol * (1.0 + cstar_norm(a))
@@ -213,19 +194,3 @@ def random_element(algebra: CStarAlgebra, rng: np.random.Generator) -> AlgebraEl
         (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
         for d in algebra.block_dims)
     return AlgebraElement(algebra, blocks)
-
-
-def random_hermitian(algebra: CStarAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    a = random_element(algebra, rng)
-    return 0.5 * (a + a.adjoint())
-
-
-def random_unitary(algebra: CStarAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    """Haar-ish unitary per block via QR of a Gaussian matrix."""
-    blocks = []
-    for d in algebra.block_dims:
-        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        q, r = np.linalg.qr(g)
-        q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        blocks.append(q)
-    return AlgebraElement(algebra, tuple(blocks))

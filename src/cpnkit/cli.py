@@ -31,7 +31,7 @@ from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
-from .structure import extension_witness, is_extreme, nonextreme_decomposition
+from .structure import extension_witness, is_extreme
 from .acceptance import run_all
 
 
@@ -125,10 +125,10 @@ def _cmd_rn(args) -> tuple[str, int]:
     elem = rn_operator(rho, theta, args.tol)
     return _report(args, True, {
         "commutant_residual": float(elem.commutant_residual),
-        "spectrum_min": float(min(elem.spectrum)) if elem.spectrum else 0.0,
-        "spectrum_max": float(max(elem.spectrum)) if elem.spectrum else 0.0,
+        "spectrum_min": elem.spectrum[0],
+        "spectrum_max": elem.spectrum[1],
         "reconstruction_residual": float(elem.reconstruction_residual),
-    }, operator=serialize.commutant_element_to_json(elem.matrix))
+    }, operator={"matrix": serialize.matrix_to_json(elem.matrix)})
 
 
 def _cmd_pure(args) -> tuple[str, int]:
@@ -142,16 +142,14 @@ def _cmd_pure(args) -> tuple[str, int]:
 
 
 def _cmd_extreme(args) -> tuple[str, int]:
-    rho = _load_map(args.map)
-    dil = dilate(rho, args.tol)
-    rep = is_extreme(rho, args.tol, dilation=dil)
+    rep = is_extreme(_load_map(args.map), args.tol)
     certificates = {
         "commutant_dimension": rep.commutant_dim,
         "compression_rank": rep.compression_rank,
     }
     extra = {}
     if not rep.extreme:
-        decomp = nonextreme_decomposition(rho, args.tol, dilation=dil)
+        decomp = rep.decomposition()
         extra["decomposition"] = {
             "beta": decomp.beta,
             "part1": serialize.cpn_map_to_json(decomp.part1),
@@ -282,6 +280,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "tol" in vars(args):
             args.tol = _tol(args.tol)
+        if getattr(args, "seed", 0) < 0:  # numpy generators take no negative seed
+            raise SchemaError(f"--seed must be a nonnegative integer, got {args.seed}")
         # an overflow or invalid value means no trustworthy verdict: raise it
         # as FloatingPointError instead of printing numpy warnings
         with np.errstate(over="raise", invalid="raise"):

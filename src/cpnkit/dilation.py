@@ -35,10 +35,10 @@ import numpy as np
 from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
                       unit_index_table, unit_product_index)
 from .errors import CertificationError, ValidationError
-from .linalg import (herm, nearest_unitary, numerical_rank, orth,
-                     significant, solve_sandwich, spectral_norm)
-from .maps import (CPnMap, as_cpn, cpn_distance, cpn_scale, cpn_verdict,
-                   flatten, images_of, require_cpn, stack_images, subblocks)
+from .linalg import (herm, nearest_unitary, numerical_rank, significant,
+                     solve_sandwich, spectral_norm)
+from .maps import (CPnMap, as_cpn, cpn_distance, cpn_verdict, flatten,
+                   images_of, require_cpn, stack_images, subblocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,25 +363,21 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
 def dilation_of(rho: CPnMap, tol: float,
                 dilation: StinespringDilation | None) -> StinespringDilation:
     """dilate(rho, tol), or dilation once rho is completely n-positive and,
-    to tol * cpn_scale(rho) as in unitary_equivalence, its source."""
+    to tol * rho.scale as in unitary_equivalence, its source."""
     if dilation is None:
         return dilate(rho, tol)
     require_cpn(rho, tol)
     if not (dilation.source is rho
-            or cpn_distance(dilation.source, rho) <= tol * cpn_scale(rho)):
+            or cpn_distance(dilation.source, rho) <= tol * rho.scale):
         raise ValidationError("dilation is not a dilation of the given map matrix")
     return dilation
 
 
-def _side_by_side(stack: np.ndarray) -> np.ndarray:
-    """The r x (k c) matrix [stack[0] ... stack[k-1]] of a (k, r, c) stack."""
-    k, r, c = stack.shape
-    return stack.swapaxes(0, 1).reshape(r, k * c)
-
-
 def spanning_matrix(dil: StinespringDilation) -> np.ndarray:
     """Columns Phi(e_alpha) V_i xi_u ordered by (alpha, i, u)."""
-    return _side_by_side(dil.rep.images @ dil.joint_isometry)
+    stack = dil.rep.images @ dil.joint_isometry
+    k, h, c = stack.shape
+    return stack.swapaxes(0, 1).reshape(h, k * c)
 
 
 @dataclass(frozen=True)
@@ -402,7 +398,6 @@ def verify_dilation(rho: CPnMap, dil: StinespringDilation,
     if dil.source.n != rho.n or dil.source.domain != rho.domain \
             or dil.source.codomain_dim != rho.codomain_dim:
         raise ValidationError("dilation and map have incompatible shapes")
-    scale = cpn_scale(rho)
     v = dil.joint_isometry
     # block (i, j) of V* Phi(e) V - flatten(rho)(e) is V_i* Phi(e) V_j - rho_ij(e)
     diff = v.conj().T @ dil.rep.images @ v - images_of(flatten(rho))
@@ -410,7 +405,7 @@ def verify_dilation(rho: CPnMap, dil: StinespringDilation,
     span = spanning_matrix(dil)
     span_dim = numerical_rank(span, tol)
     return DilationReport(worst, span_dim, dil.space_dim,
-                          span_dim == dil.space_dim, scale)
+                          span_dim == dil.space_dim, rho.scale)
 
 
 def equivalence_residual(d1: StinespringDilation, d2: StinespringDilation,
@@ -433,7 +428,7 @@ def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
     """
     if d1.space_dim != d2.space_dim:
         return None
-    if cpn_distance(d1.source, d2.source) > tol * cpn_scale(d1.source):
+    if cpn_distance(d1.source, d2.source) > tol * d1.source.scale:
         raise ValidationError("dilations do not come from a common map matrix")
     for d in (d1, d2):
         report = verify_dilation(d.source, d, tol)
@@ -446,46 +441,12 @@ def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
     x1 = spanning_matrix(d1)
     x2 = spanning_matrix(d2)
     u = nearest_unitary(solve_sandwich(x1, x2))
-    scale = cpn_scale(d1.source)
+    scale = d1.source.scale
     res = equivalence_residual(d1, d2, u)
     if res > max(tol * scale, 1e3 * np.finfo(float).eps * scale * d1.space_dim):
         raise CertificationError(
             f"intertwining unitary certificate failed (residual {res:.3e})")
     return u
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Projections onto the subspaces generated by each slot of a dilation."""
-
-    projections: tuple[np.ndarray, ...]
-    dims: tuple[int, ...]
-    commute_residual: float
-    fix_residual: float
-
-
-def component_projections(dil: StinespringDilation, tol: float = 1e-9) -> ProjectionSet:
-    """P_i = projection onto span{Phi(e) V_i xi}; each lies in the commutant.
-
-    Certifies [P_i, Phi(e)] = 0 and P_i V_i = V_i; failures raise.
-    """
-    imgs = dil.rep.images
-    projections = []
-    dims = []
-    commute = 0.0
-    fix = 0.0
-    for vi in dil.isometries:
-        q = orth(_side_by_side(imgs @ vi), tol)
-        p = q @ q.conj().T
-        projections.append(p)
-        dims.append(q.shape[1])
-        commute = max(commute, spectral_norm(p @ imgs - imgs @ p))
-        fix = max(fix, spectral_norm(p @ vi - vi))
-    scale = cpn_scale(dil.source)
-    if max(commute, fix) > max(tol * scale, 1e3 * np.finfo(float).eps * scale * max(1, dil.space_dim)):
-        raise CertificationError(
-            f"component projection certificate failed (residuals {commute:.3e}, {fix:.3e})")
-    return ProjectionSet(tuple(projections), tuple(dims), commute, fix)
 
 
 def gram_matrix(rho: CPnMap) -> np.ndarray:
@@ -574,7 +535,7 @@ def diagonal_direct_sum_check(rho: CPnMap, tol: float = 1e-9) -> DirectSumReport
     tol; certifies the intertwining unitary between the two dilations.
     """
     n, m = rho.n, rho.codomain_dim
-    scale = cpn_scale(rho)
+    scale = rho.scale
     for i in range(n):
         for j in range(n):
             if i == j:

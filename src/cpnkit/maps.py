@@ -299,11 +299,6 @@ def unflatten(phi: LinearMap, n: int) -> CPnMap:
     return rho
 
 
-def cpn_scale(rho: CPnMap) -> float:
-    """1 + the largest flattened Choi block norm; the relative-tolerance scale."""
-    return rho.scale
-
-
 def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:
     """Largest entrywise Choi-block difference; the subtraction checks shapes."""
     diff = rho - theta

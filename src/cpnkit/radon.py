@@ -22,7 +22,7 @@ from .dilation import (StinespringDilation, commutant, dilate, dilation_of,
                        spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
-from .maps import (CPnMap, cpn_distance, cpn_scale, is_completely_n_positive,
+from .maps import (CPnMap, cpn_distance, is_completely_n_positive,
                    map_from_images, order_leq, unflatten)
 
 
@@ -95,7 +95,7 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     xr = spanning_matrix(dr)
     xt = spanning_matrix(dt)
     w = solve_sandwich(xr, xt)
-    scale = cpn_scale(rho)
+    scale = rho.scale
     norm, *inter = spectral_norms(np.concatenate(
         [w[None], w @ dr.rep.images - dt.rep.images @ w])).tolist()
     iso_res = spectral_norm(w @ np.array(dr.isometries) - np.array(dt.isometries))
@@ -135,7 +135,7 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
         spectrum = (float(eigs[0]), float(eigs[-1]))
     else:
         spectrum = (0.0, 0.0)
-    scale = cpn_scale(rho)
+    scale = rho.scale
     recon = cpn_distance(compress(dr, t, tol), theta)
     if com_res > tol * (1.0 + t_norm) \
             or spectrum[0] < -tol * scale or spectrum[1] > 1.0 + tol * scale \

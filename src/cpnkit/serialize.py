@@ -9,11 +9,10 @@ import cmath
 
 import numpy as np
 
-from .algebra import AlgebraElement, CStarAlgebra, make_algebra
+from .algebra import CStarAlgebra, make_algebra
 from .dilation import StinespringDilation
 from .errors import SchemaError
 from .maps import CPnMap, LinearMap
-from .towers import Tower, make_tower
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -80,25 +79,6 @@ def algebra_from_json(obj) -> CStarAlgebra:
     return make_algebra(blocks)
 
 
-def element_to_json(a: AlgebraElement) -> dict:
-    return {"blocks": [matrix_to_json(b) for b in a.blocks]}
-
-
-def element_from_json(obj, algebra: CStarAlgebra | None = None) -> AlgebraElement:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise SchemaError("element must be an object with a 'blocks' list")
-    raw = obj["blocks"]
-    if not isinstance(raw, list) or len(raw) == 0:
-        raise SchemaError("'blocks' must be a nonempty list of matrices")
-    mats = [json_to_matrix(b) for b in raw]
-    for k, b in enumerate(mats):
-        if b.shape[0] != b.shape[1]:
-            raise SchemaError(f"element block {k} is not square")
-    if algebra is None:
-        algebra = make_algebra(tuple(b.shape[0] for b in mats))
-    return AlgebraElement(algebra, tuple(mats))
-
-
 def linear_map_to_json(phi: LinearMap) -> dict:
     return {"choi_blocks": [matrix_to_json(b) for b in phi.choi_blocks]}
 
@@ -155,35 +135,3 @@ def dilation_to_json(dil: StinespringDilation) -> dict:
         "images": [matrix_to_json(img) for img in dil.rep.images],
         "isometries": [matrix_to_json(v) for v in dil.isometries],
     }
-
-
-def tower_to_json(tower: Tower) -> dict:
-    return {
-        "levels": [algebra_to_json(a) for a in tower.levels],
-        "connecting": [matrix_to_json(c) for c in tower.connecting],
-    }
-
-
-def tower_from_json(obj, tol: float = 1e-9) -> Tower:
-    if not isinstance(obj, dict) or "levels" not in obj or "connecting" not in obj:
-        raise SchemaError("tower must be an object with 'levels' and 'connecting'")
-    raw_levels = obj["levels"]
-    if not isinstance(raw_levels, list) or len(raw_levels) == 0:
-        raise SchemaError("'levels' must be a nonempty list")
-    levels = [algebra_from_json(a) for a in raw_levels]
-    raw_conn = obj["connecting"]
-    if not isinstance(raw_conn, list) or len(raw_conn) != len(levels) - 1:
-        raise SchemaError(f"'connecting' must list {len(levels) - 1} matrices")
-    mats = [json_to_matrix(c, (levels[p].dim, levels[p + 1].dim))
-            for p, c in enumerate(raw_conn)]
-    return make_tower(levels, mats, tol)
-
-
-def commutant_element_to_json(matrix: np.ndarray) -> dict:
-    return {"matrix": matrix_to_json(matrix)}
-
-
-def commutant_element_from_json(obj, space_dim: int) -> np.ndarray:
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise SchemaError("commutant element must be an object with 'matrix'")
-    return json_to_matrix(obj["matrix"], (space_dim, space_dim))

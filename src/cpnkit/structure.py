@@ -22,19 +22,19 @@ CertificationError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
-from .dilation import (StinespringDilation, _frame_basis, commutant, dilate,
-                       dilation_of, rep_apply)
+from .dilation import (CommutantBasis, StinespringDilation, _frame_basis,
+                       commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import (herm, numerical_rank, orth, partial_isometry, significant,
+from .linalg import (herm, numerical_rank, orth, partial_isometry,
                      spectral_norm)
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
-                   cpn_scale, is_completely_n_positive, map_from_images,
-                   require_cpn, subblocks, unflatten)
+                   is_completely_n_positive, map_from_images, require_cpn,
+                   subblocks, unflatten)
 from .radon import compress
 
 
@@ -110,7 +110,7 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     witness = CPnMap(((rho11.entries[0][0], map12), (map21, rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
     off_norm = spectral_norm(images12)
-    if not chk.verdict or off_norm <= tol * cpn_scale(witness):
+    if not chk.verdict or off_norm <= tol * witness.scale:
         raise CertificationError(
             f"extension witness certificate failed (cpn {chk.verdict}, "
             f"min eig {chk.min_eig:.3e}, off-diagonal norm {off_norm:.3e})")
@@ -122,25 +122,81 @@ def _membership_check(rho: CPnMap, tol: float) -> None:
     # block (i, j) of flatten(rho)(1) - I is rho_ij(1) - delta_ij I
     dev = subblocks(apply_map(rho.flat, rho.domain.unit()) - np.eye(rho.flat.codomain_dim),
                     rho.codomain_dim)
-    scale = cpn_scale(rho)
     bad = [(i, j) for i in range(rho.n) for j in range(i, rho.n)
-           if spectral_norm(dev[i, j]) > tol * scale]
+           if spectral_norm(dev[i, j]) > tol * rho.scale]
     if bad:
         raise ValidationError(
             f"map matrix is not unital with zero off-diagonal at the unit; "
             f"failing entries {bad}")
 
 
+@dataclass(frozen=True, eq=False)
+class ConvexDecomposition:
+    """Nontrivial convex split beta * rho_1 + (1 - beta) * rho_2 = rho."""
+
+    beta: float
+    part1: CPnMap
+    part2: CPnMap
+    kernel_element: np.ndarray
+
+
 @dataclass(frozen=True)
 class ExtremalityReport:
+    """The verdict and what it was read from, which decomposition() reuses:
+    the input, its dilation and certified commutant, the frame matrix."""
+
     extreme: bool
     commutant_dim: int
     compression_rank: int
+    rho: CPnMap = field(compare=False, repr=False)
+    tol: float = field(compare=False, repr=False)
+    dilation: StinespringDilation = field(compare=False, repr=False)
+    comm: CommutantBasis = field(compare=False, repr=False)
+    matrix: np.ndarray = field(compare=False, repr=False)
+
+    def decomposition(self) -> ConvexDecomposition:
+        """A certified convex decomposition of the non-extreme input.
+
+        From a Hermitian commutant element T with P T P = 0 and ||T|| = 1,
+        the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices in
+        the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
+        both differing from rho.  A kernel vector of the frame-coordinate
+        matrix is (X_k)_k with T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*;
+        it is a column of the kernel projector, so T depends on the kernel,
+        not on the basis LAPACK lists for it.  ValidationError when extreme.
+        """
+        if self.extreme:
+            raise ValidationError("map matrix is extreme; no decomposition exists")
+        rho, tol = self.rho, self.tol
+        # the projector column with the largest diagonal entry (nonzero, as the
+        # trace is dim ker >= 1); ties within tol go to the first index, so
+        # rounding cannot reorder them
+        ker = np.linalg.svd(self.matrix)[2][self.compression_rank:]
+        proj = ker.conj().T @ ker
+        diag = proj.diagonal().real
+        raw = self.comm.element(proj[:, int(np.argmax(diag >= diag.max() - tol))])
+        cand1 = herm(raw)
+        cand2 = herm(1j * raw)
+        t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2
+        t = t / spectral_norm(t)
+        eye = np.eye(self.dilation.space_dim, dtype=complex)
+        part1 = compress(self.dilation, eye + 0.5 * t, tol)
+        part2 = compress(self.dilation, eye - 0.5 * t, tol)
+        scale = rho.scale
+        avg = 0.5 * part1 + 0.5 * part2
+        if cpn_distance(avg, rho) > tol * scale:
+            raise CertificationError("decomposition does not average to the input")
+        if cpn_distance(part1, rho) <= tol * scale or cpn_distance(part2, rho) <= tol * scale:
+            raise CertificationError("decomposition is trivial")
+        for part in (part1, part2):
+            _membership_check(part, tol)
+            require_cpn(part, tol)
+        return ConvexDecomposition(0.5, part1, part2, t)
 
 
 def _compressed_commutant(rho: CPnMap, tol: float,
                           dilation: StinespringDilation | None):
-    """Shared start of is_extreme and nonextreme_decomposition.
+    """The data is_extreme decides on and its report decomposes with.
 
     Checks rho as dilation_of and _membership_check do, then returns
     its dilation, the certified commutant and the matrix of T -> Q* T Q on
@@ -167,63 +223,17 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     onto H_0 = span{V_i xi}; decided in frame coordinates.  Membership
     failures raise ValidationError naming the offending entries.
     """
-    _, _, mat = _compressed_commutant(rho, tol, dilation)
+    dil, comm, mat = _compressed_commutant(rho, tol, dilation)
     rank = numerical_rank(mat, tol)
-    return ExtremalityReport(rank == mat.shape[1], mat.shape[1], rank)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexDecomposition:
-    """Nontrivial convex split beta * rho_1 + (1 - beta) * rho_2 = rho."""
-
-    beta: float
-    part1: CPnMap
-    part2: CPnMap
-    kernel_element: np.ndarray
+    return ExtremalityReport(rank == mat.shape[1], mat.shape[1], rank,
+                             rho, tol, dil, comm, mat)
 
 
 def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
                              dilation: StinespringDilation | None = None) -> ConvexDecomposition:
-    """Exhibit a certified convex decomposition of a non-extreme map matrix.
-
-    From a Hermitian commutant element T with P T P = 0 and ||T|| = 1,
-    the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices in
-    the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
-    both differing from rho.  The kernel vector of the frame-coordinate
-    matrix, from the SVD that also gives its rank, is (X_k)_k with
-    T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*; it is a column of the
-    kernel projector, so T depends on the kernel, not on the basis LAPACK
-    lists for it.  Raises ValidationError when rho is extreme.
-    """
-    dil, comm, mat = _compressed_commutant(rho, tol, dilation)
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(significant(s, tol).sum())
-    if rank == mat.shape[1]:
-        raise ValidationError("map matrix is extreme; no decomposition exists")
-    # the projector column with the largest diagonal entry (nonzero, as the
-    # trace is dim ker >= 1); ties within tol go to the first index, so
-    # rounding cannot reorder them
-    ker = vh[rank:]
-    proj = ker.conj().T @ ker
-    diag = proj.diagonal().real
-    raw = comm.element(proj[:, int(np.argmax(diag >= diag.max() - tol))])
-    cand1 = herm(raw)
-    cand2 = herm(1j * raw)
-    t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2
-    t = t / spectral_norm(t)
-    eye = np.eye(dil.space_dim, dtype=complex)
-    part1 = compress(dil, eye + 0.5 * t, tol)
-    part2 = compress(dil, eye - 0.5 * t, tol)
-    scale = cpn_scale(rho)
-    avg = 0.5 * part1 + 0.5 * part2
-    if cpn_distance(avg, rho) > tol * scale:
-        raise CertificationError("decomposition does not average to the input")
-    if cpn_distance(part1, rho) <= tol * scale or cpn_distance(part2, rho) <= tol * scale:
-        raise CertificationError("decomposition is trivial")
-    for part in (part1, part2):
-        _membership_check(part, tol)
-        require_cpn(part, tol)
-    return ConvexDecomposition(0.5, part1, part2, t)
+    """is_extreme(rho, tol, dilation).decomposition(): a certified convex
+    decomposition of a non-extreme map matrix; ValidationError when extreme."""
+    return is_extreme(rho, tol, dilation).decomposition()
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +280,7 @@ def build_extreme_family(spec: ExtremeFamilySpec, tol: float = 1e-9) -> CPnMap:
     n = len(spec.unitaries)
     rho = unflatten(map_from_images(alg, n * m, w.conj().T @ base_dil.rep.images @ w), n)
     require_cpn(rho, tol)
-    scale = cpn_scale(rho)
+    scale = rho.scale
     eye = np.eye(m)
     for i in range(n):
         diag = as_cpn(rho.entries[i][i])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cpnkit import (ValidationError, cstar_norm, distance,
-                    element_from_coords, is_hermitian, is_positive,
-                    is_unitary, make_algebra, matrix_units, random_element,
-                    random_hermitian, random_unitary, star_index, unit_index)
+                    element_from_coords, is_unitary, make_algebra,
+                    matrix_units, random_element, star_index, unit_index)
 from cpnkit.algebra import unit_product_index
 
 
@@ -112,34 +111,10 @@ def test_cstar_norm_is_max_block_norm():
     assert cstar_norm(a) == pytest.approx(4.0)
 
 
-def test_hermitian_positive_unitary_predicates():
+def test_is_unitary_predicate():
     alg = make_algebra((2,))
-    h = alg.element([np.array([[2.0, 1.0], [1.0, 3.0]])])
-    assert is_hermitian(h)
-    assert is_positive(h)
-    neg = alg.element([np.diag([1.0, -0.5])])
-    assert is_hermitian(neg)
-    assert not is_positive(neg)
-    skew = alg.element([np.array([[0.0, 1.0], [-1.0, 0.0]])])
-    assert not is_hermitian(skew)
-    assert not is_positive(skew)
     assert is_unitary(alg.unit())
     assert not is_unitary(2.0 * alg.unit())
-
-
-def test_random_unitary_is_unitary():
-    alg = make_algebra((2, 3))
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        u = random_unitary(alg, rng)
-        assert is_unitary(u, 1e-10)
-
-
-def test_random_hermitian_is_hermitian():
-    alg = make_algebra((2, 3))
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        assert is_hermitian(random_hermitian(alg, rng), 1e-12)
 
 
 def test_elements_are_immutable():

@@ -108,7 +108,7 @@ def test_rn_command(tmp_path, capsys):
     code, out, _ = run(capsys, "rn", rho_f, half_f)
     assert code == 0
     report = json.loads(out)
-    mat = ser.commutant_element_from_json(report["operator"], 2)
+    mat = ser.json_to_matrix(report["operator"]["matrix"], (2, 2))
     assert np.allclose(mat, 0.5 * np.eye(2), atol=1e-9)
 
     # reversing the roles breaks domination
@@ -138,6 +138,24 @@ def test_pure_and_extreme_commands(tmp_path, capsys):
     beta = report["decomposition"]["beta"]
     avg = beta * part1 + (1.0 - beta) * part2
     assert cpn_distance(avg, dep) <= 1e-8
+
+
+def test_extreme_builds_the_compressed_commutant_once(tmp_path, capsys, monkeypatch):
+    # the decomposition reuses the matrix the verdict was read from
+    import cpnkit.structure as structure
+    real = structure._compressed_commutant
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, "_compressed_commutant", counted)
+    dep_f = write_map(tmp_path / "dep.json", CPnMap(((depolarizing_map(2),),)))
+    code, out, _ = run(capsys, "extreme", dep_f)
+    assert code == 1
+    assert "decomposition" in json.loads(out)
+    assert len(calls) == 1
 
 
 def test_disjoint_command(tmp_path, capsys):
@@ -239,6 +257,14 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
         assert not target.parent.exists()
 
 
+def test_negative_seed_exit_2(capsys):
+    # numpy generators take no negative seed; both seeded commands refuse it
+    for argv in (["random", "--seed", "-1"], ["suite", "--seed", "-1", "--count", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert_json_error(code, out, err)
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
@@ -295,7 +321,7 @@ def test_nonfinite_tolerances_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_nonfinite_matrix_entry_exit_2(tmp_path, capsys):
     good, _ = make_files(tmp_path)
-    payload = json.loads(open(good).read())
+    payload = json.loads(Path(good).read_text())
     for bad in (float("nan"), float("inf")):
         payload["entries"][0][0]["choi_blocks"][0][0][0] = [bad, 0.0]
         f = tmp_path / "nonfinite.json"
@@ -311,7 +337,7 @@ def test_nonfinite_matrix_entry_exit_2(tmp_path, capsys):
 def test_linalg_failure_exit_2(tmp_path, capsys):
     # finite entries whose Hermitian part overflows to inf reach eigvalsh
     good, _ = make_files(tmp_path)
-    payload = json.loads(open(good).read())
+    payload = json.loads(Path(good).read_text())
     block = payload["entries"][0][0]["choi_blocks"][0]
     for row in block:
         for z in row:
@@ -347,7 +373,7 @@ def test_overflow_stderr_is_one_json_object(tmp_path):
     # in a fresh interpreter numpy would print RuntimeWarning lines before
     # the error; the CLI raises them instead, so stderr stays one object
     good, _ = make_files(tmp_path)
-    payload = json.loads(open(good).read())
+    payload = json.loads(Path(good).read_text())
     for row in payload["entries"][0][0]["choi_blocks"][0]:
         for z in row:
             z[:] = [1.7e308, 0.0]

@@ -3,7 +3,6 @@ import pytest
 
 from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
                     StinespringDilation, ValidationError, as_cpn,
-                    component_projections,
                     diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
                     identity_map, images_of, make_algebra, matrix_units,
@@ -168,20 +167,6 @@ def test_unitary_equivalence_rejects_different_sources():
     assert d1.space_dim == d2.space_dim
     with pytest.raises(ValidationError):
         unitary_equivalence(d1, d2)
-
-
-def test_component_projections():
-    rng = np.random.default_rng(5)
-    rho = random_cpn_map(make_algebra((2,)), 2, 3, 3, rng)
-    dil = dilate(rho)
-    ps = component_projections(dil)
-    assert len(ps.projections) == 3
-    assert ps.commute_residual <= 1e-10
-    assert ps.fix_residual <= 1e-10
-    for p, v in zip(ps.projections, dil.isometries):
-        assert np.allclose(p @ p, p, atol=1e-10)
-        assert np.allclose(p.conj().T, p, atol=1e-10)
-        assert np.allclose(p @ v, v, atol=1e-10)
 
 
 def test_rep_apply_is_multiplicative():

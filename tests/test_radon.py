@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpnkit import (DominationError, ValidationError, as_cpn, compress,
-                    cpn_distance, cpn_scale, depolarizing_map, dilate,
+                    cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
                     rn_operator, sample_unit_interval, zero_map)
@@ -30,7 +30,7 @@ def test_compress_identity_returns_source():
     rho = random_cpn_map(make_algebra((2,)), 2, 2, 3, rng)
     dil = dilate(rho)
     back = compress(dil, np.eye(dil.space_dim))
-    assert cpn_distance(back, rho) <= 1e-10 * cpn_scale(rho)
+    assert cpn_distance(back, rho) <= 1e-10 * rho.scale
 
 
 def test_round_trip_many_instances():
@@ -46,7 +46,7 @@ def test_round_trip_many_instances():
             err = np.abs(elem.matrix - t0).max()
             assert err <= 1e-8 * (1.0 + np.abs(t0).max())
             again = compress(dil, elem.matrix)
-            assert cpn_distance(again, theta) <= 1e-9 * cpn_scale(theta)
+            assert cpn_distance(again, theta) <= 1e-9 * theta.scale
 
 
 def test_domination_failure_raises():
@@ -65,7 +65,7 @@ def test_intertwiner_certificates():
     t0 = sample_unit_interval(dil, rng)
     theta = compress(dil, t0)
     w = intertwiner(rho, theta, source_dilation=dil)
-    scale = cpn_scale(rho)
+    scale = rho.scale
     assert w.norm <= 1.0 + 1e-10
     assert w.isometry_residual <= 1e-9 * scale
     assert w.intertwining_residual <= 1e-9 * scale
@@ -158,7 +158,7 @@ def test_rn_operator_reports_certificates():
     theta = compress(dil, t0)
     elem = rn_operator(rho, theta, source_dilation=dil)
     assert elem.commutant_residual <= 1e-9
-    assert elem.reconstruction_residual <= 1e-9 * cpn_scale(theta)
+    assert elem.reconstruction_residual <= 1e-9 * theta.scale
     assert min(elem.spectrum) >= -1e-9
     assert max(elem.spectrum) <= 1.0 + 1e-9
 
@@ -175,7 +175,7 @@ def test_compress_matches_per_matrix_products():
             got = images_of(theta.entry(i, j))
             for idx, img in enumerate(dil.rep.images):
                 expect = vs[i].conj().T @ t @ img @ vs[j]
-                assert np.abs(got[idx] - expect).max() <= 1e-13 * cpn_scale(rho)
+                assert np.abs(got[idx] - expect).max() <= 1e-13 * rho.scale
 
 
 def test_fused_gates_match_separate_norms():

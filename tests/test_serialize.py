@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cpnkit import (SchemaError, cpn_distance, dilate, distance, make_algebra,
-                    projection_tower, random_cpn_map, random_element)
+from cpnkit import SchemaError, cpn_distance, dilate, make_algebra, random_cpn_map
 from cpnkit import serialize as ser
 
 
@@ -46,16 +45,6 @@ def test_algebra_round_trip():
                 {"blocks": [True]}, {"blocks": [-1]}):
         with pytest.raises(SchemaError):
             ser.algebra_from_json(bad)
-
-
-def test_element_round_trip():
-    alg = make_algebra((2, 3))
-    rng = np.random.default_rng(1)
-    a = random_element(alg, rng)
-    back = ser.element_from_json(ser.element_to_json(a), alg)
-    assert distance(a, back) < 1e-15
-    inferred = ser.element_from_json(ser.element_to_json(a))
-    assert distance(a, inferred) < 1e-15
 
 
 def test_cpn_map_round_trip():
@@ -110,24 +99,3 @@ def test_dilation_serialization():
     img0 = ser.json_to_matrix(obj["images"][0],
                               (dil.space_dim, dil.space_dim))
     assert np.allclose(img0, dil.rep.images[0])
-
-
-def test_tower_round_trip():
-    tower = projection_tower((2, 2), (0,))
-    back = ser.tower_from_json(ser.tower_to_json(tower))
-    assert back.num_levels == 2
-    assert back.levels[0] == tower.levels[0]
-    assert np.allclose(back.connecting[0], tower.connecting[0])
-    obj = ser.tower_to_json(tower)
-    obj["connecting"] = []
-    with pytest.raises(SchemaError):
-        ser.tower_from_json(obj)
-
-
-def test_commutant_element_round_trip():
-    rng = np.random.default_rng(6)
-    t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    back = ser.commutant_element_from_json(ser.commutant_element_to_json(t), 3)
-    assert np.allclose(t, back)
-    with pytest.raises(SchemaError):
-        ser.commutant_element_from_json({"matrix": [[[1.0, 0.0]]]}, 3)

@@ -8,7 +8,7 @@ from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
                     build_extreme_family, commutant, compression_map,
-                    cpn_distance, cpn_scale, depolarizing_map, dilate,
+                    cpn_distance, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
                     identity_map, images_of, intertwiner_space, are_disjoint,
                     is_completely_n_positive, is_extreme, is_pure,
@@ -215,7 +215,7 @@ def test_depolarizing_not_extreme_and_decomposes():
     dec = nonextreme_decomposition(dep)
     assert 0.0 < dec.beta < 1.0
     avg = dec.beta * dec.part1 + (1.0 - dec.beta) * dec.part2
-    scale = cpn_scale(dep)
+    scale = dep.scale
     assert cpn_distance(avg, dep) <= 1e-9 * scale
     assert cpn_distance(dec.part1, dep) > 1e-6 * scale
     assert cpn_distance(dec.part2, dep) > 1e-6 * scale
@@ -657,7 +657,7 @@ def test_commutator_bound_failure_raises():
 
 
 def assert_certified_decomposition(rho, dec):
-    scale = cpn_scale(rho)
+    scale = rho.scale
     avg = dec.beta * dec.part1 + (1.0 - dec.beta) * dec.part2
     assert cpn_distance(avg, rho) <= 1e-9 * scale
     assert cpn_distance(dec.part1, rho) > 1e-6 * scale
