@@ -20,8 +20,8 @@ from .dilation import (CommutantBasis, DilationReport, Representation,
                        spanning_matrix, unitary_equivalence,
                        verify_dilation, verify_representation)
 from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
-                    intertwiner, order_equivalence_check, rn_operator,
-                    sample_unit_interval)
+                    compress_stack, intertwiner, order_equivalence_check,
+                    order_equivalence_checks, rn_operator, sample_unit_interval)
 from .structure import (ConvexDecomposition, ExtremalityReport,
                         ExtremeFamilySpec, build_extreme_family,
                         extension_witness, are_disjoint, intertwiner_space,
@@ -41,7 +41,7 @@ __all__ = [
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
     "ExtremeFamilySpec", "ContinuousCPnMap", "Tower", "apply_connecting",
     "apply_map", "as_cpn", "build_extreme_family", "check_hermitian_symmetry",
-    "check_thread", "commutant", "compress", "compression_map",
+    "check_thread", "commutant", "compress", "compress_stack", "compression_map",
     "cpn_distance", "cstar_norm", "depolarizing_map",
     "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",
     "element_from_coords", "equivalence_residual", "evaluate_continuous_map",
@@ -50,7 +50,8 @@ __all__ = [
     "is_completely_n_positive", "are_disjoint", "is_extreme", "is_pure",
     "is_unitary", "make_algebra", "make_tower", "map_from_images",
     "matrix_units", "nonextreme_decomposition", "order_equivalence_check",
-    "order_leq", "projection_tower", "random_cpn_map", "random_element",
+    "order_equivalence_checks", "order_leq", "projection_tower",
+    "random_cpn_map", "random_element",
     "rep_apply", "require_cpn", "rn_operator", "sample_unit_interval",
     "seminorm", "serialize", "spanning_matrix", "star_index", "trace_map",
     "unit_index", "unitary_equivalence", "unflatten", "verify_dilation",

@@ -18,8 +18,8 @@ import numpy as np
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a*)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (a + a*)/2 of a matrix or of each matrix of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:

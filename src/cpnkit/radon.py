@@ -22,17 +22,82 @@ from .dilation import (StinespringDilation, commutant, dilate, dilation_of,
                        spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
-from .maps import (CPnMap, cpn_distance, is_completely_n_positive,
-                   map_from_images, order_leq, unflatten)
+from .maps import (CPnMap, _trusted_map, cpn_distance, is_completely_n_positive,
+                   order_leq, unflatten)
 
 
-def _norm_and_commutator(dil: StinespringDilation, t: np.ndarray, *extra: np.ndarray):
-    """||T||, ||X|| for each extra X, and max_e ||[T, Phi(e)]||, as floats
-    from one batched SVD; bitwise the values of separate spectral_norm calls."""
+def _gate_values(dil: StinespringDilation, ts: np.ndarray):
+    """Per-element gate values of a (k, H, H) stack: ||T_i||, ||T_i - T_i*||,
+    max_e ||[T_i, Phi(e)]|| and the ascending spectrum of herm(T_i), as
+    arrays with leading axis k, from one SVD call and one eigvalsh call;
+    bitwise the values of separate per-element calls."""
+    k, h = len(ts), dil.space_dim
     imgs = dil.rep.images
-    norms = spectral_norms(np.concatenate([t[None], *(x[None] for x in extra),
-                                           t @ imgs - imgs @ t])).tolist()
-    return (*norms[:1 + len(extra)], max(norms[1 + len(extra):]))
+    e = len(imgs)
+    # [T; T - T*; [T, Phi(e)]] built in one buffer, the commutators one
+    # matrix unit at a time, so the stack is the only large array
+    stack = np.empty((k * (2 + e), h, h), dtype=complex)
+    stack[:k] = ts
+    np.subtract(ts, ts.conj().swapaxes(-1, -2), out=stack[k:2 * k])
+    comm = stack[2 * k:].reshape(k, e, h, h)
+    np.matmul(ts[:, None], imgs, out=comm)
+    for j, img in enumerate(imgs):
+        comm[:, j] -= img @ ts
+    norms = spectral_norms(stack)
+    residuals = norms[2 * k:].reshape(k, e).max(axis=1)
+    return norms[:k], norms[k:2 * k], residuals, np.linalg.eigvalsh(herm(ts))
+
+
+def _compressions(dil: StinespringDilation, ts: np.ndarray) -> list[CPnMap]:
+    """The maps V* T_i Phi(.) V of a (k, H, H) stack, ungated: one product
+    for the stack, cut into Choi blocks once per algebra block."""
+    v = dil.joint_isometry
+    k, q = len(ts), v.shape[1]
+    domain = dil.source.domain
+    imgs = v.conj().T @ ts[:, None] @ dil.rep.images @ v
+    blocks, idx = [], 0
+    for d in domain.block_dims:
+        grid = imgs[:, idx:idx + d * d].reshape(k, d, d, q, q)
+        blocks.append(grid.swapaxes(2, 3).reshape(k, d * q, d * q))
+        idx += d * d
+    return [unflatten(_trusted_map(domain, q, [b[i] for b in blocks]), dil.n)
+            for i in range(k)]
+
+
+def _operator(dil: StinespringDilation, t) -> np.ndarray:
+    """t as a complex H x H array, else ValidationError."""
+    t = np.asarray(t, dtype=complex)
+    if t.shape != (dil.space_dim, dil.space_dim):
+        raise ValidationError(
+            f"operator must have shape {(dil.space_dim, dil.space_dim)}, got {t.shape}")
+    return t
+
+
+def compress_stack(dil: StinespringDilation, ts, tol: float = 1e-9) -> list[CPnMap]:
+    """compress over a (k, H, H) stack of operators: the list of rho_{T_i}.
+
+    Every element passes compress's gates, checked in stack order and, per
+    element, in compress's order, so the first bad element raises the
+    message compress raises for it alone.  The gates of the whole stack
+    cost one SVD call and one eigvalsh call.
+    """
+    ts = np.asarray(ts, dtype=complex)
+    h = dil.space_dim
+    if ts.ndim != 3 or ts.shape[1:] != (h, h):
+        raise ValidationError(f"operators must have shape (k, {h}, {h}), got {ts.shape}")
+    norms, asyms, residuals, spectra = _gate_values(dil, ts)
+    for norm, asym, res, eigs in zip(norms.tolist(), asyms.tolist(),
+                                     residuals.tolist(), spectra):
+        scale = 1.0 + norm
+        if res > tol * scale:
+            raise ValidationError(
+                f"operator is not in the commutant (residual {res:.3e})")
+        if asym > tol * scale:
+            raise ValidationError("operator is not Hermitian")
+        if eigs.size and eigs[0] < -tol * scale:
+            raise ValidationError(
+                f"operator is not positive semidefinite (min eigenvalue {float(eigs[0]):.3e})")
+    return _compressions(dil, ts)
 
 
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
@@ -40,26 +105,9 @@ def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnM
 
     T must commute with every Phi(e) and be positive semidefinite, both
     to relative tolerance 1 + ||T||; violations raise ValidationError.
+    compress_stack with a stack of one.
     """
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (dil.space_dim, dil.space_dim):
-        raise ValidationError(
-            f"operator must have shape {(dil.space_dim, dil.space_dim)}, got {t.shape}")
-    norm, asym, res = _norm_and_commutator(dil, t, t - t.conj().T)
-    scale = 1.0 + norm
-    if res > tol * scale:
-        raise ValidationError(
-            f"operator is not in the commutant (residual {res:.3e})")
-    if asym > tol * scale:
-        raise ValidationError("operator is not Hermitian")
-    if t.size:
-        lo = float(np.linalg.eigvalsh(herm(t))[0])
-        if lo < -tol * scale:
-            raise ValidationError(
-                f"operator is not positive semidefinite (min eigenvalue {lo:.3e})")
-    v = dil.joint_isometry
-    flat = map_from_images(dil.source.domain, v.shape[1], v.conj().T @ t @ dil.rep.images @ v)
-    return unflatten(flat, dil.n)
+    return compress_stack(dil, _operator(dil, t)[None], tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +177,20 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     w_obj = intertwiner(rho, theta, tol, source_dilation=source_dilation)
     dr = w_obj.source
     t = w_obj.matrix.conj().T @ w_obj.matrix
-    t_norm, com_res = _norm_and_commutator(dr, t)
-    if t.size:
-        eigs = np.linalg.eigvalsh(herm(t))
-        spectrum = (float(eigs[0]), float(eigs[-1]))
-    else:
-        spectrum = (0.0, 0.0)
-    scale = rho.scale
-    recon = cpn_distance(compress(dr, t, tol), theta)
-    if com_res > tol * (1.0 + t_norm) \
-            or spectrum[0] < -tol * scale or spectrum[1] > 1.0 + tol * scale \
+    norms, asyms, residuals, spectra = _gate_values(dr, t[None])
+    t_norm, asym, com_res = norms[0].item(), asyms[0].item(), residuals[0].item()
+    eigs = spectra[0]
+    spectrum = (float(eigs[0]), float(eigs[-1])) if eigs.size else (0.0, 0.0)
+    recon = cpn_distance(_compressions(dr, t[None])[0], theta)
+    # compress's gates, relative to 1 + ||T||, and the spectrum and
+    # reconstruction bounds, relative to the scale of rho
+    t_scale, scale = 1.0 + t_norm, rho.scale
+    if max(com_res, asym) > tol * t_scale \
+            or spectrum[0] < -tol * min(t_scale, scale) or spectrum[1] > 1.0 + tol * scale \
             or recon > tol * scale:
         raise CertificationError(
             f"Radon-Nikodym certificate failed (commutant {com_res:.3e}, "
-            f"spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], "
+            f"Hermitian {asym:.3e}, spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], "
             f"reconstruction {recon:.3e})")
     return CommutantElement(dr, t, com_res, spectrum, recon)
 
@@ -159,24 +207,39 @@ class OrderCheck:
         return self.operator_leq == self.map_leq
 
 
+def order_equivalence_checks(dil: StinespringDilation, t1s, t2s,
+                             tol: float = 1e-9) -> list[OrderCheck]:
+    """order_equivalence_check over paired (k, H, H) stacks T1s, T2s.
+
+    One compress_stack of [T1s; T2s], so every T1 is gated before any T2,
+    and one eigvalsh and one SVD call over the differences T2 - T1.
+    """
+    t1s = np.asarray(t1s, dtype=complex)
+    t2s = np.asarray(t2s, dtype=complex)
+    if t1s.shape != t2s.shape:
+        raise ValidationError(f"operator stacks differ in shape: {t1s.shape}, {t2s.shape}")
+    k = len(t1s)
+    maps = compress_stack(dil, np.concatenate([t1s, t2s]), tol)
+    diffs = t2s - t1s
+    if dil.space_dim:
+        lows = np.linalg.eigvalsh(herm(diffs))[:, 0]
+        op_leq = (lows >= -tol * (1.0 + spectral_norms(diffs))).tolist()
+    else:
+        op_leq = [True] * k
+    return [OrderCheck(op, bool(order_leq(maps[i], maps[k + i], tol)))
+            for i, op in enumerate(op_leq)]
+
+
 def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
                             t2: np.ndarray, tol: float = 1e-9) -> OrderCheck:
     """Compare T1 <= T2 with compress(D, T1) <= compress(D, T2).
 
     Both operators must be positive commutant elements.  Disagreement of
     the two verdicts indicates a library defect; callers should treat it
-    as such.
+    as such.  order_equivalence_checks with stacks of one.
     """
-    t1 = np.asarray(t1, dtype=complex)
-    t2 = np.asarray(t2, dtype=complex)
-    m_leq = order_leq(compress(dil, t1, tol), compress(dil, t2, tol), tol)
-    diff = t2 - t1
-    if diff.size:
-        lo = float(np.linalg.eigvalsh(herm(diff))[0])
-        op_leq = lo >= -tol * (1.0 + spectral_norm(diff))
-    else:
-        op_leq = True
-    return OrderCheck(bool(op_leq), bool(m_leq))
+    return order_equivalence_checks(dil, _operator(dil, t1)[None],
+                                    _operator(dil, t2)[None], tol)[0]
 
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,

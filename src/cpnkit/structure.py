@@ -35,7 +35,7 @@ from .linalg import (herm, numerical_rank, orth, partial_isometry,
 from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
                    is_completely_n_positive, map_from_images, require_cpn,
                    subblocks, unflatten)
-from .radon import compress
+from .radon import compress_stack
 
 
 def is_pure(rho: CPnMap, tol: float = 1e-9,
@@ -180,8 +180,7 @@ class ExtremalityReport:
         t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2
         t = t / spectral_norm(t)
         eye = np.eye(self.dilation.space_dim, dtype=complex)
-        part1 = compress(self.dilation, eye + 0.5 * t, tol)
-        part2 = compress(self.dilation, eye - 0.5 * t, tol)
+        part1, part2 = compress_stack(self.dilation, [eye + 0.5 * t, eye - 0.5 * t], tol)
         scale = rho.scale
         avg = 0.5 * part1 + 0.5 * part2
         if cpn_distance(avg, rho) > tol * scale:

@@ -293,6 +293,14 @@ def test_suite_count_below_one(capsys):
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+def test_run_all_rejects_negative_seed():
+    # numpy generators take no negative seed; the library says so itself
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        run_all(-1)
+    with pytest.raises(ValidationError):
+        run_all(-5, 1e-9, 1)
+
+
 def test_suite_command(capsys):
     code, out, _ = run(capsys, "suite", "--count", "3")
     assert code == 0

@@ -1,17 +1,22 @@
-"""Deterministic property tests of the certified commutant.
+"""Deterministic property tests of the certified commutant and of the
+stacked compression gates.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
-blocks and rank-deficient maps, which the acceptance criteria, all on
-single-block domains, do not.
+blocks, rank-deficient maps and the zero map (H = 0), which the
+acceptance criteria, all on single-block domains, do not.
 """
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpnkit import (LinearMap, StinespringDilation, commutant, dilate,
+from cpnkit import (LinearMap, StinespringDilation, ValidationError, commutant,
+                    compress, compress_stack, cpn_distance, dilate,
                     dilate_from_gram, is_extreme, is_pure, make_algebra,
-                    unflatten)
+                    map_from_images, order_equivalence_check,
+                    order_equivalence_checks, sample_unit_interval, unflatten)
+from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.linalg import commutant_basis_of
 
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
@@ -102,3 +107,124 @@ def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
     assume(rho is not None)
     dil = dilate(rho)
     assert report_tuple(is_extreme(rho, dilation=dil)) == ptp_route(dil)[0]
+
+
+def unit_interval_stack(dil, rng, k):
+    """k draws from [0, I] in the commutant, the identity last."""
+    draws = [sample_unit_interval(dil, rng) for _ in range(k - 1)]
+    return np.array(draws + [np.eye(dil.space_dim, dtype=complex)]).reshape(
+        k, dil.space_dim, dil.space_dim)
+
+
+def product_compress(dil, t):
+    """V* T Phi(.) V matrix unit by matrix unit, with no gate."""
+    v = dil.joint_isometry
+    images = [v.conj().T @ t @ img @ v for img in dil.rep.images]
+    return unflatten(map_from_images(dil.source.domain, v.shape[1], images), dil.n)
+
+
+def raised(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    return str(exc.value)
+
+
+@DETERMINISTIC
+@given(shapes(), st.integers(1, 4))
+def test_stacked_compress_matches_single_calls(shape, k):
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    dil = dilate(map_with_ranks(dims, n, m, ranks, rng))
+    ts = unit_interval_stack(dil, rng, k)
+    stacked = compress_stack(dil, ts)
+    assert len(stacked) == k
+    for t, got in zip(ts, stacked):
+        for want in (compress(dil, t), product_compress(dil, t)):
+            assert got.n == want.n and got.codomain_dim == want.codomain_dim
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.flat.choi_blocks, want.flat.choi_blocks))
+    assert compress_stack(dil, ts[:0]) == []
+
+
+@DETERMINISTIC
+@given(shapes(), st.integers(1, 4))
+def test_stacked_order_checks_match_single_calls(shape, k):
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    dil = dilate(map_with_ranks(dims, n, m, ranks, rng))
+    t1s = unit_interval_stack(dil, rng, k)
+    # ordered, reversed and unrelated pairs
+    t2s = np.array([t1 + 0.5 * (t1s[-1] - t1) if i % 3 == 0
+                    else 0.5 * t1 if i % 3 == 1 else sample_unit_interval(dil, rng)
+                    for i, t1 in enumerate(t1s)]).reshape(t1s.shape)
+    assert order_equivalence_checks(dil, t1s, t2s) == \
+        [order_equivalence_check(dil, t1, t2) for t1, t2 in zip(t1s, t2s)]
+
+
+@DETERMINISTIC
+@given(shapes(), st.integers(2, 5), st.data())
+def test_first_bad_element_raises_its_single_call_message(shape, k, data):
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    dil = dilate(map_with_ranks(dims, n, m, ranks, rng))
+    h = dil.space_dim
+    assume(h > 0)
+    eye = np.eye(h, dtype=complex)
+    g = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    # a Hermitian g + g* - c I fails the commutator gate or, where every
+    # operator commutes, the PSD gate
+    noncommuting = g + g.conj().T - 4.0 * np.abs(g).sum() * eye
+    bads = {"commutant": noncommuting, "hermitian": 1j * eye, "psd": -eye}
+    first = data.draw(st.sampled_from(sorted(bads)))
+    i = data.draw(st.integers(0, k - 2))
+    ts = unit_interval_stack(dil, rng, k)
+    ts[i] = bads[first]
+    ts[-1] = bads["psd" if first != "psd" else "hermitian"]
+    want = raised(lambda: compress(dil, ts[i]))
+    assert raised(lambda: compress_stack(dil, ts)) == want
+    # the T1 stack is gated before the T2 stack
+    assert raised(lambda: order_equivalence_checks(dil, ts[::-1], ts)) \
+        == raised(lambda: compress(dil, ts[-1]))
+
+
+def reference_criterion_4(seed, pairs, tol=1e-9):
+    """criterion_4_order's details from one compress and one order check
+    per call, pair by pair, in the same draw order."""
+    rng = np.random.default_rng([seed, 4])
+    per_instance = 20
+    agree, worst_affine, worst_unit, done = True, 0.0, 0.0, 0
+    for i in range(max(1, pairs // per_instance)):
+        rho = _instance(rng, i, max_rank=4)
+        dil = dilate(rho, tol)
+        eye = np.eye(dil.space_dim, dtype=complex)
+        scale = rho.scale
+        worst_unit = max(worst_unit, cpn_distance(compress(dil, eye, tol), rho) / scale)
+        budget = min(per_instance, pairs - done)
+        for j in range(budget):
+            t1 = sample_unit_interval(dil, rng, tol)
+            if j % 2 == 0:
+                beta = float(rng.uniform(0.0, 1.0))
+                t2 = t1 + beta * (eye - t1)
+            else:
+                t2 = sample_unit_interval(dil, rng, tol)
+            chk = order_equivalence_check(dil, t1, t2, tol)
+            agree = agree and chk.agree
+            alpha = float(rng.uniform(0.1, 2.0))
+            lhs = compress(dil, t1 + t2, tol)
+            rhs = compress(dil, t1, tol) + compress(dil, t2, tol)
+            worst_affine = max(worst_affine, cpn_distance(lhs, rhs) / scale)
+            worst_affine = max(worst_affine,
+                               cpn_distance(compress(dil, alpha * t1, tol),
+                                            alpha * compress(dil, t1, tol)) / scale)
+        done += budget
+        if done >= pairs:
+            break
+    return {"pairs": done, "verdicts_agree": agree,
+            "max_affine_residual": worst_affine, "max_unit_residual": worst_unit}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grouped_criterion_4_matches_pairwise_reference(seed):
+    for pairs in (40, 33):
+        assert criterion_4_order(seed, pairs=pairs).details \
+            == reference_criterion_4(seed, pairs)

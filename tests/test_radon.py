@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cpnkit import (DominationError, ValidationError, as_cpn, compress,
-                    cpn_distance, depolarizing_map, dilate,
+from cpnkit import (CertificationError, DominationError, ValidationError,
+                    as_cpn, compress, cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
                     rn_operator, sample_unit_interval, zero_map)
 import cpnkit.dilation as cpnkit_dilation
-from cpnkit.linalg import spectral_norm, spectral_norms
-from cpnkit.radon import _norm_and_commutator
+import cpnkit.radon as cpnkit_radon
+from cpnkit.linalg import herm, spectral_norm, spectral_norms
+from cpnkit.radon import _gate_values
 
 
 def commutant_residual(dil, t):
@@ -181,7 +184,7 @@ def test_compress_matches_per_matrix_products():
 def test_fused_gates_match_separate_norms():
     # compress, rn_operator and intertwiner take ||T|| (or ||W||), ||T - T*||
     # and the commutator residual from one batched SVD: bitwise the values
-    # of separate spectral_norm calls, and plain floats
+    # of separate spectral_norm calls, for each member of a stack too
     rng = np.random.default_rng(19)
     for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
         alg = make_algebra(dims)
@@ -189,12 +192,14 @@ def test_fused_gates_match_separate_norms():
             dil = dilate(random_cpn_map(alg, 2, 2, rank, rng))
             h = dil.space_dim
             imgs = dil.rep.images
-            t = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
-            fused = _norm_and_commutator(dil, t, t - t.conj().T)
-            separate = (spectral_norm(t), spectral_norm(t - t.conj().T),
-                        commutant_residual(dil, t))
-            assert fused == separate
-            assert all(type(x) is float for x in fused)
+            ts = rng.standard_normal((3, h, h)) + 1j * rng.standard_normal((3, h, h))
+            norms, asyms, residuals, spectra = _gate_values(dil, ts)
+            for i, t in enumerate(ts):
+                fused = (norms[i].item(), asyms[i].item(), residuals[i].item())
+                separate = (spectral_norm(t), spectral_norm(t - t.conj().T),
+                            commutant_residual(dil, t))
+                assert fused == separate
+                assert np.array_equal(spectra[i], np.linalg.eigvalsh(herm(t)))
             w = rng.standard_normal((h + 1, h)) + 1j * rng.standard_normal((h + 1, h))
             other = rng.standard_normal((alg.dim, h + 1, h + 1))
             norm, *inter = spectral_norms(np.concatenate([w[None], w @ imgs - other @ w]))
@@ -202,7 +207,21 @@ def test_fused_gates_match_separate_norms():
             assert max(inter) == spectral_norm(w @ imgs - other @ w)
     empty = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
     assert empty.space_dim == 0
-    assert _norm_and_commutator(empty, np.zeros((0, 0)), np.zeros((0, 0))) == (0.0, 0.0, 0.0)
+    values = _gate_values(empty, np.zeros((2, 0, 0)))
+    assert [v.shape for v in values] == [(2,), (2,), (2,), (2, 0)]
+    assert not any(v.any() for v in values)
+
+
+def test_herm_is_stack_aware():
+    # .T on a 3-D stack reverses every axis; the Hermitian part must be
+    # taken matrix by matrix, and stay bitwise the 2-D formula on a matrix
+    rng = np.random.default_rng(21)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    got = herm(stack)
+    for a, h in zip(stack, got):
+        assert np.array_equal(h, 0.5 * (a + a.conj().T))
+        assert np.array_equal(herm(a), h)
+    assert np.array_equal(got, got.conj().swapaxes(-1, -2))
 
 
 def test_compress_gate_order_and_messages():
@@ -218,3 +237,38 @@ def test_compress_gate_order_and_messages():
         compress(dil, 1j * np.eye(n))
     with pytest.raises(ValidationError, match="not positive semidefinite"):
         compress(dil, -np.eye(n))
+
+
+def test_rn_operator_gates_t_once(monkeypatch):
+    # the gate values of T are computed once and the reconstruction is not
+    # gated again
+    rng = np.random.default_rng(22)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    dil = dilate(rho)
+    theta = compress(dil, sample_unit_interval(dil, rng))
+    calls = []
+    real = cpnkit_radon._gate_values
+    monkeypatch.setattr(cpnkit_radon, "_gate_values",
+                        lambda d, ts: calls.append(len(ts)) or real(d, ts))
+    elem = rn_operator(rho, theta, source_dilation=dil)
+    assert calls == [1]
+    assert elem.reconstruction_residual <= 1e-9 * theta.scale
+
+
+def test_rn_operator_failed_certificate_reports_values(monkeypatch):
+    # a W scaled past a contraction gives T with spectrum above 1 and a
+    # wrong reconstruction; both values reach the message
+    rng = np.random.default_rng(23)
+    rho = random_cpn_map(make_algebra((2,)), 2, 2, 2, rng)
+    dil = dilate(rho)
+    theta = compress(dil, sample_unit_interval(dil, rng))
+    real = cpnkit_radon.intertwiner
+
+    def inflated(*args, **kwargs):
+        w = real(*args, **kwargs)
+        return dataclasses.replace(w, matrix=1.5 * w.matrix)
+
+    monkeypatch.setattr(cpnkit_radon, "intertwiner", inflated)
+    with pytest.raises(CertificationError,
+                       match=r"Radon-Nikodym certificate failed .*spectrum .*reconstruction"):
+        rn_operator(rho, theta, source_dilation=dil)
