@@ -16,13 +16,14 @@ from .dilation import (dilate, dilate_from_gram, diagonal_direct_sum_check,
                        equivalence_residual, gram_matrix, unitary_equivalence,
                        verify_dilation)
 from .errors import ValidationError
-from .linalg import herm, spectral_norm
-from .maps import (CPnMap, LinearMap, apply_map, as_cpn, compression_map,
-                   cpn_distance, depolarizing_map, flatten, identity_map,
-                   images_of, is_completely_n_positive, map_from_images,
-                   random_cpn_map, zero_map)
-from .radon import (compress, compress_stack, intertwiner,
-                    order_equivalence_checks, rn_operator, sample_unit_interval)
+from .linalg import herm, spectral_norm, spectral_norms
+from .maps import (CPnMap, LinearMap, _cpn_distances, apply_map, as_cpn,
+                   compression_map, cpn_distance, depolarizing_map, flatten,
+                   identity_map, images_of, is_completely_n_positive,
+                   map_from_images, random_cpn_map, zero_map)
+from .radon import (_coefficients, _gated_compressions, _order_checks,
+                    _unit_interval, compress, intertwiner, rn_operator,
+                    sample_unit_interval)
 from .structure import (ExtremeFamilySpec, build_extreme_family, commutant,
                         extension_witness, are_disjoint, is_extreme, is_pure)
 from .towers import (ContinuousCPnMap, apply_connecting,
@@ -113,8 +114,8 @@ def criterion_3_round_trip(seed: int = 0, count: int = 200,
         t_in = sample_unit_interval(dil, rng, tol)
         theta = compress(dil, t_in, tol)
         elem = rn_operator(rho, theta, tol, source_dilation=dil)
-        worst_t = max(worst_t, spectral_norm(elem.matrix - t_in)
-                      / (1.0 + spectral_norm(t_in)))
+        residual, norm = spectral_norms(np.array([elem.matrix - t_in, t_in])).tolist()
+        worst_t = max(worst_t, residual / (1.0 + norm))
         worst_map = max(worst_map, elem.reconstruction_residual / theta.scale)
     elapsed = time.perf_counter() - t0
     passed = worst_t <= 1e-8 and worst_map <= 1e-9
@@ -128,14 +129,15 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
     """Order isomorphism, affinity and unit reconstruction.
 
     Each instance's pairs are drawn in order (t1, then beta or t2, then
-    alpha; compressing draws nothing) and checked in groups: one stacked
-    compress of [T1; T2; T1 + T2; alpha T1] and one stacked order check
-    per group, whose size bounds the stacks' memory.
+    alpha) and checked in groups, whose size bounds the stacks' memory.
+    A group's draws are formed in one stacked call, and [T1; T2; T1 + T2;
+    alpha T1] is gated and compressed once; the order checks and one
+    stacked affinity distance read those maps.
     """
     rng = np.random.default_rng([seed, 4])
     t0 = time.perf_counter()
     per_instance = 20
-    group = 5
+    group = 10
     instances = max(1, pairs // per_instance)
     agree = True
     worst_affine = 0.0
@@ -144,34 +146,37 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
     for i in range(instances):
         rho = _instance(rng, i, max_rank=4)
         dil = dilate(rho, tol)
+        basis = commutant(dil.rep, tol)
         eye = np.eye(dil.space_dim, dtype=complex)
         scale = rho.scale
         worst_unit = max(worst_unit,
                          cpn_distance(compress(dil, eye, tol), rho) / scale)
         budget = min(per_instance, pairs - done)
         for start in range(0, budget, group):
-            t1s, t2s, alphas = [], [], []
+            coeffs, betas, alphas = [], [], []
             for j in range(start, min(start + group, budget)):
-                t1 = sample_unit_interval(dil, rng, tol)
+                coeffs.append(_coefficients(basis, rng))
                 if j % 2 == 0:
-                    beta = float(rng.uniform(0.0, 1.0))
-                    t2 = t1 + beta * (eye - t1)
+                    betas.append(float(rng.uniform(0.0, 1.0)))
                 else:
-                    t2 = sample_unit_interval(dil, rng, tol)
-                t1s.append(t1)
-                t2s.append(t2)
+                    betas.append(None)
+                    coeffs.append(_coefficients(basis, rng))
                 alphas.append(float(rng.uniform(0.1, 2.0)))
+            draws = iter(_unit_interval(basis, np.array(coeffs), tol))
+            t1s, t2s = [], []
+            for beta in betas:
+                t1s.append(next(draws))
+                t2s.append(next(draws) if beta is None else t1s[-1] + beta * (eye - t1s[-1]))
             k = len(t1s)
-            t1s, t2s = np.array(t1s), np.array(t2s)
-            checks = order_equivalence_checks(dil, t1s, t2s, tol)
-            agree = agree and all(chk.agree for chk in checks)
-            scaled = np.array(alphas)[:, None, None] * t1s
-            maps = compress_stack(dil, np.concatenate([t1s, t2s, t1s + t2s, scaled]), tol)
-            for j, alpha in enumerate(alphas):
-                m1, m2, m12, m_alpha = maps[j::k]
-                worst_affine = max(worst_affine, cpn_distance(m12, m1 + m2) / scale)
-                worst_affine = max(worst_affine,
-                                   cpn_distance(m_alpha, alpha * m1) / scale)
+            t1s, t2s, alphas = np.array(t1s), np.array(t2s), np.array(alphas)
+            blocks = _gated_compressions(
+                dil, np.concatenate([t1s, t2s, t1s + t2s, alphas[:, None, None] * t1s]), tol)
+            agree = agree and all(chk.agree for chk in _order_checks(dil, t1s, t2s, blocks, tol))
+            affine = _cpn_distances(
+                [np.concatenate([b[2 * k:3 * k] - (b[:k] + b[k:2 * k]),
+                                 b[3 * k:] - alphas[:, None, None] * b[:k]]) for b in blocks],
+                rho.domain.block_dims, rho.n, rho.codomain_dim)
+            worst_affine = max(worst_affine, max(affine) / scale)
         done += budget
         if done >= pairs:
             break

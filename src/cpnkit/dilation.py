@@ -232,18 +232,21 @@ class CommutantBasis:
 
     def element(self, coeffs) -> np.ndarray:
         """sum_i coeffs[i] basis[i] = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*,
-        X_k block k's coefficients as an r_k x r_k matrix, in O(H^3)."""
+        X_k block k's coefficients as an r_k x r_k matrix, in O(H^3).  A
+        (k, dimension) stack of coefficients gives the (k, H, H) stack of
+        elements, member i bitwise the element of row i alone."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.dimension,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (self.dimension,):
             raise ValidationError(
                 f"expected {self.dimension} coefficients, got shape {coeffs.shape}")
         u = self.frame
-        scaled = np.empty_like(u)
+        h, lead = len(u), coeffs.shape[:-1]
+        scaled = np.empty(lead + u.shape, dtype=complex)
         col = off = 0
         for d, r in zip(self.block_dims, self.multiplicities):
-            x = coeffs[col:col + r * r].reshape(r, r) / np.sqrt(d)
-            scaled[:, off:off + d * r] = \
-                (u[:, off:off + d * r].reshape(len(u), d, r) @ x).reshape(len(u), d * r)
+            x = coeffs[..., col:col + r * r].reshape(*lead, 1, r, r) / np.sqrt(d)
+            scaled[..., off:off + d * r] = \
+                (u[:, off:off + d * r].reshape(h, d, r) @ x).reshape(*lead, h, d * r)
             off += d * r
             col += r * r
         return scaled @ u.conj().T

@@ -21,6 +21,7 @@ not validated again.  All Choi blocks are read-only arrays.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, CStarAlgebra
 from .errors import PositivityError, ValidationError
-from .linalg import herm, spectral_norm
+from .linalg import herm, spectral_norm, spectral_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +192,13 @@ def zero_map(domain: CStarAlgebra, codomain_dim: int) -> LinearMap:
 
 
 def _entry_grid(c: np.ndarray, d: int, n: int, m: int) -> np.ndarray:
-    """(n, n, d m, d m) stack of entry Choi blocks from a flattened Choi block
-    c of a d x d algebra block: entry (i, j) of it is rho_ij's Choi block."""
-    return c.reshape(d, n, m, d, n, m).transpose(1, 4, 0, 2, 3, 5).reshape(n, n, d * m, d * m)
+    """(..., n, n, d m, d m) stack of entry Choi blocks from flattened Choi
+    blocks c (any leading axes) of a d x d algebra block: entry (i, j) of
+    it is rho_ij's Choi block."""
+    lead = c.shape[:-2]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + a for a in (1, 4, 0, 2, 3, 5))
+    return c.reshape(*lead, d, n, m, d, n, m).transpose(axes).reshape(
+        *lead, n, n, d * m, d * m)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -299,11 +304,21 @@ def unflatten(phi: LinearMap, n: int) -> CPnMap:
     return rho
 
 
+def _cpn_distances(diffs, block_dims, n: int, m: int) -> list[float]:
+    """cpn_distance of k pairs of n x n map matrices of one shape, from the
+    flattened Choi blocks of their differences, one (k, d n m, d n m) stack
+    per algebra block: one SVD call per block, member i bitwise the
+    distance of pair i alone."""
+    return [max(dists) for dists in zip(*(
+        spectral_norms(_entry_grid(c, d, n, m)).max(axis=(-2, -1), initial=0.0).tolist()
+        for d, c in zip(block_dims, diffs)))]
+
+
 def cpn_distance(rho: CPnMap, theta: CPnMap) -> float:
     """Largest entrywise Choi-block difference; the subtraction checks shapes."""
     diff = rho - theta
-    return max(spectral_norm(_entry_grid(c, d, diff.n, diff.codomain_dim))
-               for d, c in zip(diff.domain.block_dims, diff.flat.choi_blocks))
+    return _cpn_distances([c[None] for c in diff.flat.choi_blocks],
+                          diff.domain.block_dims, diff.n, diff.codomain_dim)[0]
 
 
 def check_hermitian_symmetry(rho: CPnMap, tol: float = 1e-9) -> bool:
@@ -331,25 +346,39 @@ class CpnVerdict:
         return self
 
 
+def _cpn_verdicts(stacks, m: int, tol: float, spectra=None) -> list[CpnVerdict]:
+    """is_completely_n_positive's verdicts on k maps of one shape, from their
+    flattened Choi blocks as one (k, q, q) stack per algebra block and, when
+    given, the ascending spectra of their Hermitian parts as (k, q) stacks.
+
+    Per block: one SVD call for the norms, one over the m x m sub-blocks
+    of C - C* and, without spectra, one eigvalsh call.  Member i is
+    bitwise the verdict on map i alone.
+    """
+    if spectra is None:
+        spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
+    norms = [spectral_norms(c).tolist() for c in stacks]
+    asyms = [spectral_norms(subblocks(c - c.conj().swapaxes(-1, -2), m))
+             .max(axis=(-2, -1), initial=0.0).tolist() for c in stacks]
+    # a block with an empty spectrum takes no part in positivity or min_eig
+    lows = [w[:, 0].tolist() if w.shape[-1] else None for w in spectra]
+    verdicts = []
+    for i, block_norms in enumerate(zip(*norms)):
+        symmetric = max(a[i] for a in asyms) <= tol * (1.0 + max(block_norms))
+        firsts = [(low[i], norm) for low, norm in zip(lows, block_norms) if low is not None]
+        positive = not any(w < -tol * (1.0 + norm) for w, norm in firsts)
+        min_eig = min([np.inf] + [w for w, _ in firsts])
+        verdicts.append(CpnVerdict(symmetric and positive,
+                                   min_eig if math.isfinite(min_eig) else 0.0, symmetric))
+    return verdicts
+
+
 def cpn_verdict(flat: LinearMap, m: int, spectra, tol: float) -> CpnVerdict:
     """is_completely_n_positive's verdict from flat = flatten(rho), m and the
     ascending spectra of herm(C) for flat's Choi blocks C, so that a caller
     needing eigenvectors too decomposes each block once."""
-    norms = [spectral_norm(c) for c in flat.choi_blocks]
-    asymmetry = max(spectral_norm(subblocks(c - c.conj().T, m))
-                    for c in flat.choi_blocks)
-    symmetric = asymmetry <= tol * (1.0 + max(norms))
-    min_eig = np.inf
-    positive = True
-    for w, norm in zip(spectra, norms):
-        if w.size == 0:
-            continue
-        min_eig = min(min_eig, float(w[0]))
-        if w[0] < -tol * (1.0 + norm):
-            positive = False
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    return CpnVerdict(bool(symmetric and positive), float(min_eig), bool(symmetric))
+    return _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
+                         [w[None] for w in spectra])[0]
 
 
 def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
@@ -364,9 +393,7 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     the flattened Choi blocks C, i.e. max over e_pq and i, j of
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
     """
-    flat = rho.flat
-    return cpn_verdict(flat, rho.codomain_dim,
-                       [np.linalg.eigvalsh(herm(c)) for c in flat.choi_blocks], tol)
+    return _cpn_verdicts([c[None] for c in rho.flat.choi_blocks], rho.codomain_dim, tol)[0]
 
 
 def order_leq(theta: CPnMap, rho: CPnMap, tol: float = 1e-9) -> bool:

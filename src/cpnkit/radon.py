@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (StinespringDilation, commutant, dilate, dilation_of,
-                       spanning_matrix)
+from .dilation import (CommutantBasis, StinespringDilation, commutant, dilate,
+                       dilation_of, spanning_matrix)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
-from .maps import (CPnMap, _trusted_map, cpn_distance, is_completely_n_positive,
-                   order_leq, unflatten)
+from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
+                   is_completely_n_positive, unflatten)
 
 
 def _gate_values(dil: StinespringDilation, ts: np.ndarray):
@@ -48,20 +48,27 @@ def _gate_values(dil: StinespringDilation, ts: np.ndarray):
     return norms[:k], norms[k:2 * k], residuals, np.linalg.eigvalsh(herm(ts))
 
 
-def _compressions(dil: StinespringDilation, ts: np.ndarray) -> list[CPnMap]:
-    """The maps V* T_i Phi(.) V of a (k, H, H) stack, ungated: one product
-    for the stack, cut into Choi blocks once per algebra block."""
+def _compressions(dil: StinespringDilation, ts: np.ndarray) -> list[np.ndarray]:
+    """The Choi blocks of the maps V* T_i Phi(.) V of a (k, H, H) stack,
+    ungated, as one (k, d q, d q) stack per algebra block: one product for
+    the stack, cut into Choi blocks once per algebra block."""
     v = dil.joint_isometry
     k, q = len(ts), v.shape[1]
-    domain = dil.source.domain
     imgs = v.conj().T @ ts[:, None] @ dil.rep.images @ v
     blocks, idx = [], 0
-    for d in domain.block_dims:
+    for d in dil.source.domain.block_dims:
         grid = imgs[:, idx:idx + d * d].reshape(k, d, d, q, q)
         blocks.append(grid.swapaxes(2, 3).reshape(k, d * q, d * q))
         idx += d * d
+    return blocks
+
+
+def _maps(dil: StinespringDilation, blocks: list[np.ndarray]) -> list[CPnMap]:
+    """The map matrices whose flattened Choi blocks are the members of
+    per-block stacks from _compressions, without copying."""
+    domain, q = dil.source.domain, dil.joint_isometry.shape[1]
     return [unflatten(_trusted_map(domain, q, [b[i] for b in blocks]), dil.n)
-            for i in range(k)]
+            for i in range(len(blocks[0]))]
 
 
 def _operator(dil: StinespringDilation, t) -> np.ndarray:
@@ -73,14 +80,8 @@ def _operator(dil: StinespringDilation, t) -> np.ndarray:
     return t
 
 
-def compress_stack(dil: StinespringDilation, ts, tol: float = 1e-9) -> list[CPnMap]:
-    """compress over a (k, H, H) stack of operators: the list of rho_{T_i}.
-
-    Every element passes compress's gates, checked in stack order and, per
-    element, in compress's order, so the first bad element raises the
-    message compress raises for it alone.  The gates of the whole stack
-    cost one SVD call and one eigvalsh call.
-    """
+def _gated_compressions(dil: StinespringDilation, ts, tol: float) -> list[np.ndarray]:
+    """compress_stack's gates, then _compressions of the stack."""
     ts = np.asarray(ts, dtype=complex)
     h = dil.space_dim
     if ts.ndim != 3 or ts.shape[1:] != (h, h):
@@ -98,6 +99,17 @@ def compress_stack(dil: StinespringDilation, ts, tol: float = 1e-9) -> list[CPnM
             raise ValidationError(
                 f"operator is not positive semidefinite (min eigenvalue {float(eigs[0]):.3e})")
     return _compressions(dil, ts)
+
+
+def compress_stack(dil: StinespringDilation, ts, tol: float = 1e-9) -> list[CPnMap]:
+    """compress over a (k, H, H) stack of operators: the list of rho_{T_i}.
+
+    Every element passes compress's gates, checked in stack order and, per
+    element, in compress's order, so the first bad element raises the
+    message compress raises for it alone.  The gates of the whole stack
+    cost one SVD call and one eigvalsh call.
+    """
+    return _maps(dil, _gated_compressions(dil, ts, tol))
 
 
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
@@ -181,7 +193,7 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     t_norm, asym, com_res = norms[0].item(), asyms[0].item(), residuals[0].item()
     eigs = spectra[0]
     spectrum = (float(eigs[0]), float(eigs[-1])) if eigs.size else (0.0, 0.0)
-    recon = cpn_distance(_compressions(dr, t[None])[0], theta)
+    recon = cpn_distance(_maps(dr, _compressions(dr, t[None]))[0], theta)
     # compress's gates, relative to 1 + ||T||, and the spectrum and
     # reconstruction bounds, relative to the scale of rho
     t_scale, scale = 1.0 + t_norm, rho.scale
@@ -207,27 +219,36 @@ class OrderCheck:
         return self.operator_leq == self.map_leq
 
 
-def order_equivalence_checks(dil: StinespringDilation, t1s, t2s,
-                             tol: float = 1e-9) -> list[OrderCheck]:
-    """order_equivalence_check over paired (k, H, H) stacks T1s, T2s.
-
-    One compress_stack of [T1s; T2s], so every T1 is gated before any T2,
-    and one eigvalsh and one SVD call over the differences T2 - T1.
-    """
-    t1s = np.asarray(t1s, dtype=complex)
-    t2s = np.asarray(t2s, dtype=complex)
-    if t1s.shape != t2s.shape:
-        raise ValidationError(f"operator stacks differ in shape: {t1s.shape}, {t2s.shape}")
+def _order_checks(dil: StinespringDilation, t1s: np.ndarray, t2s: np.ndarray,
+                  blocks: list[np.ndarray], tol: float) -> list[OrderCheck]:
+    """OrderChecks of paired (k, H, H) stacks, given per-block stacks of
+    compressions that begin [rho_T1s; rho_T2s]: one eigvalsh and one SVD
+    call on T2 - T1, one stacked verdict on rho_T2 - rho_T1."""
     k = len(t1s)
-    maps = compress_stack(dil, np.concatenate([t1s, t2s]), tol)
     diffs = t2s - t1s
     if dil.space_dim:
         lows = np.linalg.eigvalsh(herm(diffs))[:, 0]
         op_leq = (lows >= -tol * (1.0 + spectral_norms(diffs))).tolist()
     else:
         op_leq = [True] * k
-    return [OrderCheck(op, bool(order_leq(maps[i], maps[k + i], tol)))
-            for i, op in enumerate(op_leq)]
+    maps = _cpn_verdicts([b[k:2 * k] - b[:k] for b in blocks],
+                         dil.source.codomain_dim, tol)
+    return [OrderCheck(op, chk.verdict) for op, chk in zip(op_leq, maps)]
+
+
+def order_equivalence_checks(dil: StinespringDilation, t1s, t2s,
+                             tol: float = 1e-9) -> list[OrderCheck]:
+    """order_equivalence_check over paired (k, H, H) stacks T1s, T2s.
+
+    One gated compression of [T1s; T2s], so every T1 is gated before any
+    T2, then _order_checks.
+    """
+    t1s = np.asarray(t1s, dtype=complex)
+    t2s = np.asarray(t2s, dtype=complex)
+    if t1s.shape != t2s.shape:
+        raise ValidationError(f"operator stacks differ in shape: {t1s.shape}, {t2s.shape}")
+    blocks = _gated_compressions(dil, np.concatenate([t1s, t2s]), tol)
+    return _order_checks(dil, t1s, t2s, blocks, tol)
 
 
 def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
@@ -240,6 +261,27 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
     """
     return order_equivalence_checks(dil, _operator(dil, t1)[None],
                                     _operator(dil, t2)[None], tol)[0]
+
+
+def _coefficients(basis: CommutantBasis, rng: np.random.Generator) -> np.ndarray:
+    """sample_unit_interval's draw: complex coefficients in the (k, a, b)
+    order of the commutant basis."""
+    return rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+
+
+def _unit_interval(basis: CommutantBasis, coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """The elements of [0, I] that sample_unit_interval forms from a
+    (k, dimension) stack of draws, as a (k, H, H) stack: one element call
+    and one eigvalsh call, member i bitwise the element of draw i alone."""
+    h = herm(basis.element(coeffs))
+    w = np.linalg.eigvalsh(h)
+    lo, hi = w[:, 0], w[:, -1]
+    # essentially scalar elements get a deterministic interior point
+    scalar = hi - lo <= tol * (1.0 + np.maximum(abs(lo), abs(hi)))
+    eye = np.eye(h.shape[-1])
+    out = (h - lo[:, None, None] * eye) / np.where(scalar, 1.0, hi - lo)[:, None, None]
+    out[scalar] = 0.5 * eye
+    return out
 
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
@@ -256,11 +298,4 @@ def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
     basis = commutant(dil.rep, tol)
     if basis.dimension == 0:
         return np.zeros((0, 0), dtype=complex)
-    coeffs = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-    h = herm(basis.element(coeffs))
-    w = np.linalg.eigvalsh(h)
-    lo, hi = float(w[0]), float(w[-1])
-    if hi - lo <= tol * (1.0 + max(abs(lo), abs(hi))):
-        # essentially scalar; pick a deterministic interior point
-        return 0.5 * np.eye(dil.space_dim, dtype=complex)
-    return (h - lo * np.eye(dil.space_dim)) / (hi - lo)
+    return _unit_interval(basis, _coefficients(basis, rng)[None], tol)[0]

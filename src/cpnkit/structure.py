@@ -32,10 +32,10 @@ from .dilation import (CommutantBasis, StinespringDilation, _frame_basis,
 from .errors import CertificationError, ValidationError
 from .linalg import (herm, numerical_rank, orth, partial_isometry,
                      spectral_norm)
-from .maps import (CPnMap, LinearMap, apply_map, as_cpn, cpn_distance,
-                   is_completely_n_positive, map_from_images, require_cpn,
-                   subblocks, unflatten)
-from .radon import compress_stack
+from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts, apply_map,
+                   as_cpn, is_completely_n_positive, map_from_images,
+                   require_cpn, subblocks, unflatten)
+from .radon import _gated_compressions, _maps
 
 
 def is_pure(rho: CPnMap, tol: float = 1e-9,
@@ -180,16 +180,21 @@ class ExtremalityReport:
         t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2
         t = t / spectral_norm(t)
         eye = np.eye(self.dilation.space_dim, dtype=complex)
-        part1, part2 = compress_stack(self.dilation, [eye + 0.5 * t, eye - 0.5 * t], tol)
-        scale = rho.scale
-        avg = 0.5 * part1 + 0.5 * part2
-        if cpn_distance(avg, rho) > tol * scale:
+        blocks = _gated_compressions(self.dilation, [eye + 0.5 * t, eye - 0.5 * t], tol)
+        part1, part2 = _maps(self.dilation, blocks)
+        bound = tol * rho.scale
+        avg, dist1, dist2 = _cpn_distances(
+            [np.concatenate([0.5 * b[:1] + 0.5 * b[1:], b]) - c
+             for b, c in zip(blocks, rho.flat.choi_blocks)],
+            rho.domain.block_dims, rho.n, rho.codomain_dim)
+        if avg > bound:
             raise CertificationError("decomposition does not average to the input")
-        if cpn_distance(part1, rho) <= tol * scale or cpn_distance(part2, rho) <= tol * scale:
+        if dist1 <= bound or dist2 <= bound:
             raise CertificationError("decomposition is trivial")
-        for part in (part1, part2):
+        for part, verdict in zip((part1, part2),
+                                 _cpn_verdicts(blocks, rho.codomain_dim, tol)):
             _membership_check(part, tol)
-            require_cpn(part, tol)
+            verdict.require()
         return ConvexDecomposition(0.5, part1, part2, t)
 
 

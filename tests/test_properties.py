@@ -1,5 +1,5 @@
-"""Deterministic property tests of the certified commutant and of the
-stacked compression gates.
+"""Deterministic property tests of the certified commutant, of the
+stacked compression gates and of the stacked map-side verdicts.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, StinespringDilation, ValidationError, commutant,
                     compress, compress_stack, cpn_distance, dilate,
-                    dilate_from_gram, is_extreme, is_pure, make_algebra,
-                    map_from_images, order_equivalence_check,
-                    order_equivalence_checks, sample_unit_interval, unflatten)
+                    dilate_from_gram, is_completely_n_positive, is_extreme,
+                    is_pure, make_algebra, map_from_images,
+                    order_equivalence_check, order_equivalence_checks,
+                    sample_unit_interval, unflatten)
 from cpnkit.acceptance import _instance, criterion_4_order
-from cpnkit.linalg import commutant_basis_of
+from cpnkit.linalg import commutant_basis_of, herm
+from cpnkit.maps import _cpn_distances, _cpn_verdicts, _trusted_map, cpn_verdict
+from cpnkit.radon import _coefficients, _unit_interval
 
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
@@ -187,6 +190,108 @@ def test_first_bad_element_raises_its_single_call_message(shape, k, data):
         == raised(lambda: compress(dil, ts[-1]))
 
 
+def spoiled(rho, rng, kind):
+    """rho as drawn, or with every Choi block made non-Hermitian-symmetric
+    or shifted below zero."""
+    if kind == "drawn":
+        return rho
+    blocks = []
+    for c in rho.flat.choi_blocks:
+        q = len(c)
+        if kind == "asymmetric":
+            blocks.append(c + 1e-3 * (1.0 + np.abs(c).max())
+                          * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))))
+        else:
+            blocks.append(c - (1.0 + np.abs(c).sum()) * np.eye(q))
+    return unflatten(LinearMap(rho.domain, rho.flat.codomain_dim, tuple(blocks)), rho.n)
+
+
+def choi_stacks(maps, rho):
+    """Per-block (k, q, q) stacks of the flattened Choi blocks of maps
+    shaped like rho."""
+    return [np.array([r.flat.choi_blocks[b] for r in maps]).reshape((len(maps),) + c.shape)
+            for b, c in enumerate(rho.flat.choi_blocks)]
+
+
+def verdict_bits(v):
+    return v.verdict, v.min_eig.hex(), v.hermitian_symmetric
+
+
+@DETERMINISTIC
+@given(shapes(), st.integers(0, 5))
+def test_stacked_verdicts_and_distances_match_single_calls(shape, k):
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    kinds = ("drawn", "asymmetric", "not_positive")
+    maps = [spoiled(map_with_ranks(dims, n, m, ranks, rng), rng, kinds[i % 3])
+            for i in range(k)]
+    others = [map_with_ranks(dims, n, m, ranks, rng) for _ in range(k)]
+    stacks = choi_stacks(maps, rho)
+    want = [verdict_bits(is_completely_n_positive(r)) for r in maps]
+    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, 1e-9)] == want
+    spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
+    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, 1e-9, spectra)] == want
+    assert not any(bits[0] for i, bits in enumerate(want) if i % 3)
+    diffs = [a - b for a, b in zip(stacks, choi_stacks(others, rho))]
+    assert [d.hex() for d in _cpn_distances(diffs, dims, n, m)] == \
+        [cpn_distance(a, b).hex() for a, b in zip(maps, others)]
+
+
+def test_stacked_verdicts_on_empty_spectra():
+    # blocks with no rows: every member is vacuously positive, min_eig 0.0
+    flat = _trusted_map(make_algebra((1, 1)), 0, [np.zeros((0, 0), dtype=complex)] * 2)
+    single = cpn_verdict(flat, 1, [np.zeros(0)] * 2, 1e-9)
+    assert verdict_bits(single) == (True, (0.0).hex(), True)
+    got = _cpn_verdicts([np.zeros((3, 0, 0), dtype=complex)] * 2, 1, 1e-9)
+    assert [verdict_bits(v) for v in got] == [verdict_bits(single)] * 3
+
+
+@DETERMINISTIC
+@given(shapes(), st.integers(1, 5))
+def test_stacked_unit_interval_draws_match_sequential_calls(shape, k):
+    dims, n, m, ranks, seed = shape
+    dil = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed)))
+    basis = commutant(dil.rep)
+    assume(basis.dimension > 0)
+    sequential, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [sample_unit_interval(dil, sequential) for _ in range(k)]
+    coeffs = np.array([_coefficients(basis, stacked) for _ in range(k)])
+    got = _unit_interval(basis, coeffs, 1e-9)
+    assert got.shape == (k, dil.space_dim, dil.space_dim)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert sequential.standard_normal() == stacked.standard_normal()
+    elements = basis.element(coeffs)
+    assert all(np.array_equal(e, basis.element(c)) for e, c in zip(elements, coeffs))
+
+
+def test_stacked_unit_interval_draws_take_the_scalar_branch():
+    half = 0.5 * np.eye(2)
+    for dims, ranks in (((2,), (1,)), ((2, 1), (1, 0))):
+        # commutant dimension 1: every draw is a multiple of I, hence I / 2
+        dil = dilate(map_with_ranks(dims, 1, 1, ranks, np.random.default_rng(5)))
+        basis = commutant(dil.rep)
+        assert basis.dimension == 1
+        sequential, stacked = np.random.default_rng(7), np.random.default_rng(7)
+        want = [sample_unit_interval(dil, sequential) for _ in range(3)]
+        got = _unit_interval(basis, np.array([_coefficients(basis, stacked) for _ in range(3)]),
+                             1e-9)
+        assert all(np.array_equal(a, b) and np.array_equal(a, half) for a, b in zip(got, want))
+        assert sequential.standard_normal() == stacked.standard_normal()
+    # a stack mixing a drawn element with the identity, whose coordinates
+    # are sqrt(d_k) I_{r_k} per block
+    dil = dilate(map_with_ranks((2, 1), 1, 2, (2, 1), np.random.default_rng(9)))
+    basis = commutant(dil.rep)
+    ident = np.concatenate([np.sqrt(d) * np.eye(r).ravel()
+                            for d, r in zip(basis.block_dims, basis.multiplicities)])
+    coeffs = np.array([_coefficients(basis, np.random.default_rng(3)), ident])
+    got = _unit_interval(basis, coeffs, 1e-9)
+    assert np.array_equal(got[1], 0.5 * np.eye(dil.space_dim))
+    assert not np.array_equal(got[0], got[1])
+    assert all(np.array_equal(g, _unit_interval(basis, c[None], 1e-9)[0])
+               for g, c in zip(got, coeffs))
+
+
 def reference_criterion_4(seed, pairs, tol=1e-9):
     """criterion_4_order's details from one compress and one order check
     per call, pair by pair, in the same draw order."""
@@ -225,6 +330,8 @@ def reference_criterion_4(seed, pairs, tol=1e-9):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grouped_criterion_4_matches_pairwise_reference(seed):
-    for pairs in (40, 33):
+    # 47 runs two full instances and drops the rest; 13 ends on a
+    # partial group of 3 pairs
+    for pairs in (40, 33, 47, 13):
         assert criterion_4_order(seed, pairs=pairs).details \
             == reference_criterion_4(seed, pairs)
