@@ -20,10 +20,11 @@ the same data from the Gram matrix of formal generators
 (matrix unit alpha, slot i, basis vector u); it exists as a
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
-intertwiners have closed forms; Representation.frame caches it.
-commutant() is its one gate, with B(eps) from the frame residual as the
-commute certificate, and reads the commutant off it; linalg's nullspace
-solvers are test oracles.
+intertwiners have closed forms; Representation.frame caches it, and
+dilate() seeds it in closed form (U = I, eps = 0), so only other
+representations compute it.  commutant() is its one gate, with B(eps)
+from the frame residual as the commute certificate, and reads the
+commutant off it; linalg's nullspace solvers are test oracles.
 """
 from __future__ import annotations
 
@@ -87,7 +88,8 @@ class Representation:
 
     @functools.cached_property
     def frame(self) -> tuple[np.ndarray, tuple[int, ...], float]:
-        """canonical_frame(self), computed once; commutant() gates it."""
+        """canonical_frame(self), computed once, or seeded by dilate() with
+        its closed form; commutant() gates it."""
         return canonical_frame(self)
 
 
@@ -113,11 +115,12 @@ def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
     offsets = np.cumsum([0] + [d * r for d, r in zip(algebra.block_dims, multiplicities)])
     images = np.zeros((algebra.dim, offsets[-1], offsets[-1]), dtype=complex)
     idx = 0
-    for k, d in enumerate(algebra.block_dims):
+    for k, (d, r) in enumerate(zip(algebra.block_dims, multiplicities)):
         lo, hi = offsets[k], offsets[k + 1]
-        units = np.eye(d * d).reshape(d, d, d, d)  # units[p, q] = e_pq
-        images[idx:idx + d * d, lo:hi, lo:hi] = np.kron(
-            units, np.eye(multiplicities[k])).reshape(d * d, hi - lo, hi - lo)
+        # entry [p, q, x, s, y, t] = [p = x] [q = y] [s = t]: e_pq (x) I_r
+        e = np.eye(d)
+        units = e[:, None, :, None, None, None] * e[:, None, None, :, None] * np.eye(r)[:, None, :]
+        images[idx:idx + d * d, lo:hi, lo:hi] = units.reshape(d * d, hi - lo, hi - lo)
         idx += d * d
     return images
 
@@ -341,7 +344,8 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     zero map yields a zero-dimensional, vacuously minimal dilation.  Raises
     PositivityError when rho is not completely n-positive to tol; the
     verdict comes from the same eigendecomposition that yields the Kraus
-    factors.
+    factors.  The images are canonical_images itself, so the frame (U = I,
+    r_0 = 0, eps = 0) and norm (1; 0 when H = 0) are seeded, not computed.
     """
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
@@ -357,8 +361,11 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
         kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n * m, mults[-1])
         rows.append(kraus.conj().transpose(0, 2, 1).reshape(-1, n * m))
     v = np.vstack(rows)
-    rep = Representation(alg, len(v), canonical_images(alg, mults),
-                         multiplicities=tuple(mults))
+    h = len(v)
+    rep = Representation(alg, h, canonical_images(alg, mults), multiplicities=tuple(mults))
+    frame = np.eye(h, dtype=complex)
+    frame.flags.writeable = False
+    rep.__dict__.update(frame=(frame, rep.multiplicities + (0,), 0.0), norm=1.0 if h else 0.0)
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)
 

@@ -245,6 +245,11 @@ class CPnMap:
         the storage is immutable, and derived maps are new objects."""
         return 1.0 + max(spectral_norm(b) for b in self.flat.choi_blocks)
 
+    @functools.cached_property
+    def _verdicts(self) -> dict[float, CpnVerdict]:
+        """is_completely_n_positive's verdicts by tol, kept like scale."""
+        return {}
+
     @property
     def domain(self) -> CStarAlgebra:
         return self.flat.domain
@@ -392,8 +397,13 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     Symmetry is measured as the largest m x m sub-block of C - C* over
     the flattened Choi blocks C, i.e. max over e_pq and i, j of
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
+    Decided once per map and tol; later calls return the same verdict.
     """
-    return _cpn_verdicts([c[None] for c in rho.flat.choi_blocks], rho.codomain_dim, tol)[0]
+    memo = rho._verdicts
+    if tol not in memo:
+        memo[tol] = _cpn_verdicts([c[None] for c in rho.flat.choi_blocks],
+                                  rho.codomain_dim, tol)[0]
+    return memo[tol]
 
 
 def order_leq(theta: CPnMap, rho: CPnMap, tol: float = 1e-9) -> bool:

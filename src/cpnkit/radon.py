@@ -292,8 +292,8 @@ def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
     basis, takes the Hermitian part of their CommutantBasis.element (the
     basis itself is not built) and rescales its spectrum affinely onto
     [0, 1].  Deterministic under the given generator state.  The frame is
-    cached on the representation, so repeated draws from one dilation
-    compute it once.
+    cached on the representation (seeded by dilate), so repeated draws
+    from one dilation compute it at most once.
     """
     basis = commutant(dil.rep, tol)
     if basis.dimension == 0:

@@ -8,6 +8,8 @@ from cpnkit import (CPnMap, LinearMap, PositivityError, ValidationError,
                     is_completely_n_positive, make_algebra, map_from_images,
                     matrix_units, order_leq, random_cpn_map, random_element,
                     require_cpn, trace_map, unflatten, unit_index, zero_map)
+import cpnkit.maps as cpnkit_maps
+from cpnkit.dilation import dilation_of
 
 
 def test_identity_map_acts_as_identity():
@@ -387,3 +389,56 @@ def test_cpn_scale_is_computed_once_per_map():
         expect = 1.0 + max(np.linalg.norm(b, 2) for b in flatten(derived).choi_blocks)
         assert derived.scale == expect
     assert (2.0 * rho).scale != rho.scale
+
+
+def test_cpn_verdict_is_kept_per_map_and_tolerance(monkeypatch):
+    rng = np.random.default_rng(22)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    first = is_completely_n_positive(rho)
+    decided = []
+    real = cpnkit_maps._cpn_verdicts
+
+    def counting(*args, **kwargs):
+        decided.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cpnkit_maps, "_cpn_verdicts", counting)
+    assert is_completely_n_positive(rho) is first
+    assert require_cpn(rho) is first and check_hermitian_symmetry(rho)
+    assert decided == []
+    # another tolerance is another verdict, decided once
+    other = is_completely_n_positive(rho, 1e-6)
+    assert is_completely_n_positive(rho, 1e-6) is other and len(decided) == 1
+    # maps derived by arithmetic are new objects, deciding their own
+    assert is_completely_n_positive(2 * rho) is not first
+    assert not is_completely_n_positive(rho - 2 * rho).verdict
+    assert len(decided) == 3 and first.verdict
+
+
+def test_cpn_verdict_memo_follows_tolerance_not_call_order():
+    # one flattened Choi eigenvalue of -1e-8 against a block norm of 1
+    def slightly_negative():
+        return as_cpn(LinearMap(make_algebra((2,)), 1, (np.diag([1.0, -1e-8]),)))
+
+    for order in ((1e-9, 1e-7), (1e-7, 1e-9)):
+        rho = slightly_negative()
+        verdicts = {tol: is_completely_n_positive(rho, tol) for tol in order}
+        assert not verdicts[1e-9].verdict and verdicts[1e-7].verdict
+        assert verdicts[1e-9].min_eig == verdicts[1e-7].min_eig == -1e-8
+        assert all(is_completely_n_positive(rho, tol) is v for tol, v in verdicts.items())
+
+
+def test_memoised_verdict_raises_the_same_error():
+    ident = identity_map(make_algebra((2,)))
+    negative = CPnMap(((ident, 2.0 * ident), (2.0 * ident, ident)))
+    e = random_cpn_map(make_algebra((2,)), 2, 2, 3, np.random.default_rng(23)).entries
+    asymmetric = CPnMap(((e[0][0], e[0][1] + ident), (e[1][0], e[1][1])))
+    foreign = dilate(as_cpn(depolarizing_map(2)))
+    negative_text = r"map is not completely n-positive \(min eigenvalue -2\.000e\+00\)"
+    # the first call decides, the rest read the kept verdict; dilate decides its own
+    for rho, text in ((negative, negative_text),
+                      (asymmetric, "map matrix is not Hermitian-symmetric")):
+        for call in (require_cpn, require_cpn, lambda r: dilation_of(r, 1e-9, foreign),
+                     lambda r: dilation_of(r, 1e-9, None)):
+            with pytest.raises(PositivityError, match=f"^{text}$"):
+                call(rho)

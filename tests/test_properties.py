@@ -1,5 +1,6 @@
-"""Deterministic property tests of the certified commutant, of the
-stacked compression gates and of the stacked map-side verdicts.
+"""Deterministic property tests of the certified commutant and the frame
+dilate() seeds, of the stacked compression gates and of the stacked
+map-side verdicts.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -8,17 +9,18 @@ acceptance criteria, all on single-block domains, do not.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cpnkit import (LinearMap, StinespringDilation, ValidationError, commutant,
-                    compress, compress_stack, cpn_distance, dilate,
-                    dilate_from_gram, is_completely_n_positive, is_extreme,
+from cpnkit import (LinearMap, Representation, StinespringDilation,
+                    ValidationError, commutant, compress, compress_stack,
+                    cpn_distance, dilate, dilate_from_gram, is_completely_n_positive, is_extreme,
                     is_pure, make_algebra, map_from_images,
                     order_equivalence_check, order_equivalence_checks,
                     sample_unit_interval, unflatten)
 from cpnkit.acceptance import _instance, criterion_4_order
-from cpnkit.linalg import commutant_basis_of, herm
+from cpnkit.dilation import canonical_frame, canonical_images
+from cpnkit.linalg import commutant_basis_of, herm, spectral_norm
 from cpnkit.maps import _cpn_distances, _cpn_verdicts, _trusted_map, cpn_verdict
 from cpnkit.radon import _coefficients, _unit_interval
 
@@ -32,10 +34,10 @@ DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None,
 
 
 @st.composite
-def shapes(draw):
+def shapes(draw, domains=DOMAINS):
     """(block dims, n, m, Choi rank per block, seed); ranks start at 0 and
     stay below d n m, so zero blocks and rank-deficient maps occur."""
-    dims = draw(st.sampled_from(DOMAINS))
+    dims = draw(st.sampled_from(domains))
     n = draw(st.integers(1, 2))
     m = draw(st.integers(1, 2))
     ranks = tuple(draw(st.integers(0, min(d * n * m, 3))) for d in dims)
@@ -110,6 +112,46 @@ def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
     assume(rho is not None)
     dil = dilate(rho)
     assert report_tuple(is_extreme(rho, dilation=dil)) == ptp_route(dil)[0]
+
+
+def kron_canonical_images(alg, mults):
+    """(+)_k a_k (x) I_{r_k} on the matrix units, one np.kron per unit."""
+    h = sum(d * r for d, r in zip(alg.block_dims, mults))
+    images = np.zeros((alg.dim, h, h), dtype=complex)
+    idx = lo = 0
+    for d, r in zip(alg.block_dims, mults):
+        for p in range(d):
+            for q in range(d):
+                unit = np.zeros((d, d))
+                unit[p, q] = 1.0
+                images[idx, lo:lo + d * r, lo:lo + d * r] = np.kron(unit, np.eye(r))
+                idx += 1
+        lo += d * r
+    return images
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@DETERMINISTIC
+@given(shapes(((2,), (3,), (2, 1), (2, 2), (3, 1))))
+@example(((2, 1), 2, 1, (0, 0), 0))  # the zero map, H = 0
+@example(((3, 1), 1, 2, (2, 0), 1))  # a zero-rank block
+def test_seeded_frame_is_the_computed_one(shape):
+    # dilate() seeds (U, r, eps) and the norm; canonical_frame and
+    # spectral_norm on a fresh, validated copy of its images are the oracle
+    dims, n, m, ranks, seed = shape
+    rep = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))).rep
+    fresh = Representation(rep.algebra, rep.space_dim, rep.images,
+                           multiplicities=rep.multiplicities)
+    (u, mults, eps), (want_u, want_mults, want_eps) = rep.frame, canonical_frame(fresh)
+    assert same_bits(u, want_u) and not u.flags.writeable
+    assert mults == want_mults == ranks + (0,)
+    assert same_bits(np.float64(eps), np.float64(want_eps))
+    assert same_bits(np.float64(rep.norm), np.float64(spectral_norm(fresh.images)))
+    assert same_bits(canonical_images(rep.algebra, ranks),
+                     kron_canonical_images(rep.algebra, ranks))
 
 
 def unit_interval_stack(dil, rng, k):
@@ -298,7 +340,7 @@ def reference_criterion_4(seed, pairs, tol=1e-9):
     rng = np.random.default_rng([seed, 4])
     per_instance = 20
     agree, worst_affine, worst_unit, done = True, 0.0, 0.0, 0
-    for i in range(max(1, pairs // per_instance)):
+    for i in range(-(-pairs // per_instance)):
         rho = _instance(rng, i, max_rank=4)
         dil = dilate(rho, tol)
         eye = np.eye(dil.space_dim, dtype=complex)
@@ -322,16 +364,14 @@ def reference_criterion_4(seed, pairs, tol=1e-9):
                                cpn_distance(compress(dil, alpha * t1, tol),
                                             alpha * compress(dil, t1, tol)) / scale)
         done += budget
-        if done >= pairs:
-            break
     return {"pairs": done, "verdicts_agree": agree,
             "max_affine_residual": worst_affine, "max_unit_residual": worst_unit}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grouped_criterion_4_matches_pairwise_reference(seed):
-    # 47 runs two full instances and drops the rest; 13 ends on a
-    # partial group of 3 pairs
+    # 47 runs two full instances and a third of 7 pairs; 33 ends on a
+    # partial instance of 13, and 13 on a partial group of 3 pairs
     for pairs in (40, 33, 47, 13):
         assert criterion_4_order(seed, pairs=pairs).details \
             == reference_criterion_4(seed, pairs)

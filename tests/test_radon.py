@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cpnkit import (CertificationError, DominationError, ValidationError,
-                    as_cpn, compress, cpn_distance, depolarizing_map, dilate,
+from cpnkit import (CertificationError, DominationError, StinespringDilation,
+                    ValidationError, as_cpn, compress, cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
                     rn_operator, sample_unit_interval, zero_map)
@@ -12,6 +12,7 @@ import cpnkit.dilation as cpnkit_dilation
 import cpnkit.radon as cpnkit_radon
 from cpnkit.linalg import herm, spectral_norm, spectral_norms
 from cpnkit.radon import _gate_values
+from test_structure import conjugated, random_unitary_matrix
 
 
 def commutant_residual(dil, t):
@@ -133,24 +134,30 @@ def test_sample_unit_interval_properties():
 
 
 def test_frame_is_computed_once_per_dilation(monkeypatch):
-    # is_pure, is_extreme and repeated draws share the frame cached on the
-    # representation; the draws keep their count and order
+    # dilate() seeds its frame, so its output computes none; any other
+    # representation computes it once, shared by is_pure, is_extreme and
+    # repeated draws, which keep their count and order
     rho = as_cpn(depolarizing_map(2))
     dil = dilate(rho)
-    made = []
+    u = random_unitary_matrix(dil.space_dim, np.random.default_rng(4))
+    turned = StinespringDilation(conjugated(dil.rep, u),
+                                 tuple(u @ v for v in dil.isometries), rho)
     real = cpnkit_dilation.canonical_frame
+    for d, frames in ((dil, 0), (turned, 1)):
+        made = []
 
-    def counting(rep):
-        made.append(rep)
-        return real(rep)
+        def counting(rep):
+            made.append(rep)
+            return real(rep)
 
-    monkeypatch.setattr(cpnkit_dilation, "canonical_frame", counting)
-    assert not is_pure(rho, dilation=dil)
-    assert not is_extreme(rho, dilation=dil).extreme
-    a = sample_unit_interval(dil, np.random.default_rng(3))
-    b = sample_unit_interval(dil, np.random.default_rng(3))
-    assert len(made) == 1 and made[0] is dil.rep
-    assert np.array_equal(a, b)
+        monkeypatch.setattr(cpnkit_dilation, "canonical_frame", counting)
+        assert not is_pure(rho, dilation=d)
+        assert not is_extreme(rho, dilation=d).extreme
+        a = sample_unit_interval(d, np.random.default_rng(3))
+        b = sample_unit_interval(d, np.random.default_rng(3))
+        monkeypatch.undo()
+        assert len(made) == frames and all(rep is d.rep for rep in made)
+        assert np.array_equal(a, b)
 
 
 def test_rn_operator_reports_certificates():
