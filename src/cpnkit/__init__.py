@@ -10,7 +10,7 @@ from .algebra import (AlgebraElement, CStarAlgebra, cstar_norm, distance,
 from .maps import (CPnMap, CpnVerdict, LinearMap, apply_map, as_cpn,
                    check_hermitian_symmetry, compression_map, cpn_distance,
                    depolarizing_map, flatten, identity_map, images_of,
-                   is_completely_n_positive, map_from_images, order_leq,
+                   is_completely_n_positive, map_from_images,
                    random_cpn_map, require_cpn, trace_map, unflatten,
                    zero_map)
 from .dilation import (CommutantBasis, DilationReport, Representation,
@@ -20,12 +20,12 @@ from .dilation import (CommutantBasis, DilationReport, Representation,
                        spanning_matrix, unitary_equivalence,
                        verify_dilation, verify_representation)
 from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
-                    compress_stack, intertwiner, order_equivalence_check,
-                    order_equivalence_checks, rn_operator, sample_unit_interval)
-from .structure import (ConvexDecomposition, ExtremalityReport,
-                        ExtremeFamilySpec, build_extreme_family,
-                        extension_witness, are_disjoint, intertwiner_space,
-                        is_extreme, is_pure, nonextreme_decomposition)
+                    intertwiner, order_equivalence_check, rn_operator,
+                    sample_unit_interval)
+from .structure import (ConvexDecomposition, ExtremalityReport, are_disjoint,
+                        build_extreme_family, extension_witness,
+                        intertwiner_space, is_extreme, is_pure,
+                        nonextreme_decomposition)
 from .towers import (ContinuousCPnMap, Tower, apply_connecting, check_thread,
                      evaluate_continuous_map, make_tower, projection_tower,
                      seminorm)
@@ -39,21 +39,20 @@ __all__ = [
     "ValidationError", "DilationReport", "Representation",
     "StinespringDilation", "CommutantElement", "Intertwiner", "OrderCheck",
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
-    "ExtremeFamilySpec", "ContinuousCPnMap", "Tower", "apply_connecting",
-    "apply_map", "as_cpn", "build_extreme_family", "check_hermitian_symmetry",
-    "check_thread", "commutant", "compress", "compress_stack", "compression_map",
-    "cpn_distance", "cstar_norm", "depolarizing_map",
-    "diagonal_direct_sum_check", "dilate", "dilate_from_gram", "distance",
-    "element_from_coords", "equivalence_residual", "evaluate_continuous_map",
-    "extension_witness", "flatten", "gram_matrix", "identity_map",
-    "images_of", "intertwiner", "intertwiner_space",
-    "is_completely_n_positive", "are_disjoint", "is_extreme", "is_pure",
-    "is_unitary", "make_algebra", "make_tower", "map_from_images",
-    "matrix_units", "nonextreme_decomposition", "order_equivalence_check",
-    "order_equivalence_checks", "order_leq", "projection_tower",
-    "random_cpn_map", "random_element",
-    "rep_apply", "require_cpn", "rn_operator", "sample_unit_interval",
-    "seminorm", "serialize", "spanning_matrix", "star_index", "trace_map",
-    "unit_index", "unitary_equivalence", "unflatten", "verify_dilation",
-    "verify_representation", "zero_map", "__version__",
+    "ContinuousCPnMap", "Tower", "apply_connecting", "apply_map", "as_cpn",
+    "build_extreme_family", "check_hermitian_symmetry", "check_thread",
+    "commutant", "compress", "compression_map", "cpn_distance", "cstar_norm",
+    "depolarizing_map", "diagonal_direct_sum_check", "dilate",
+    "dilate_from_gram", "distance", "element_from_coords",
+    "equivalence_residual", "evaluate_continuous_map", "extension_witness",
+    "flatten", "gram_matrix", "identity_map", "images_of", "intertwiner",
+    "intertwiner_space", "is_completely_n_positive", "are_disjoint",
+    "is_extreme", "is_pure", "is_unitary", "make_algebra", "make_tower",
+    "map_from_images", "matrix_units", "nonextreme_decomposition",
+    "order_equivalence_check", "projection_tower", "random_cpn_map",
+    "random_element", "rep_apply", "require_cpn", "rn_operator",
+    "sample_unit_interval", "seminorm", "serialize", "spanning_matrix",
+    "star_index", "trace_map", "unit_index", "unitary_equivalence",
+    "unflatten", "verify_dilation", "verify_representation", "zero_map",
+    "__version__",
 ]

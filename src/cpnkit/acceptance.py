@@ -11,21 +11,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import make_algebra, random_element, star_index, cstar_norm
+from .algebra import make_algebra, random_element, cstar_norm
 from .dilation import (dilate, dilate_from_gram, diagonal_direct_sum_check,
                        equivalence_residual, gram_matrix, unitary_equivalence,
                        verify_dilation)
 from .errors import ValidationError
-from .linalg import herm, spectral_norm, spectral_norms
-from .maps import (CPnMap, LinearMap, _cpn_distances, apply_map, as_cpn,
+from .linalg import herm, significant, spectral_norm, spectral_norms
+from .maps import (CPnMap, _cpn_distances, _hermitian_partner, apply_map, as_cpn,
                    compression_map, cpn_distance, depolarizing_map, flatten,
                    identity_map, images_of, is_completely_n_positive,
-                   map_from_images, random_cpn_map, zero_map)
+                   random_cpn_map, zero_map)
 from .radon import (_coefficients, _gated_compressions, _order_checks,
                     _unit_interval, compress, intertwiner, rn_operator,
                     sample_unit_interval)
-from .structure import (ExtremeFamilySpec, build_extreme_family, commutant,
-                        extension_witness, are_disjoint, is_extreme, is_pure)
+from .structure import (build_extreme_family, commutant, extension_witness,
+                        are_disjoint, is_extreme, is_pure)
 from .towers import (ContinuousCPnMap, apply_connecting,
                      evaluate_continuous_map, projection_tower)
 
@@ -84,9 +84,7 @@ def criterion_2_gram(seed: int = 0, count: int = 50,
         rho = _instance(rng, i, max_rank=4)
         dil = dilate(rho, tol)
         g = gram_matrix(rho)
-        w = np.linalg.eigvalsh(herm(g))
-        top = float(np.abs(w).max()) if w.size else 0.0
-        rank = int(np.sum(w > tol * (1.0 + top)))
+        rank = int(significant(np.linalg.eigvalsh(herm(g)), tol).sum())
         rank_ok = rank_ok and rank == dil.space_dim
         alt = dilate_from_gram(rho, tol)
         u = unitary_equivalence(alt, dil, tol)
@@ -226,8 +224,7 @@ def criterion_6_purity(seed: int = 0, count: int = 30,
     all_id = CPnMap(((ident, ident), (ident, ident)))
     checks["all_identity_pure"] = is_pure(all_id, tol)
     u2 = m2.element([np.diag([1.0, -1.0])])
-    fam = build_extreme_family(
-        ExtremeFamilySpec(ident, (m2.unit(), u2)), tol)
+    fam = build_extreme_family(ident, (m2.unit(), u2), tol)
     checks["extreme_family_pure"] = is_pure(fam, tol)
     formula_ok = True
     shapes = [(2,), (3,), (2, 1), (2, 2)]
@@ -245,13 +242,6 @@ def criterion_6_purity(seed: int = 0, count: int = 30,
     passed = all(checks.values())
     return CriterionResult(6, "purity and commutant dimensions", passed,
                            dict(checks, count=count), elapsed)
-
-
-def _hermitian_partner(map12: LinearMap) -> LinearMap:
-    """The map a -> map12(a*)* paired with map12 under Hermitian symmetry."""
-    alg = map12.domain
-    images21 = images_of(map12)[[star_index(alg, idx) for idx in range(alg.dim)]]
-    return map_from_images(alg, map12.codomain_dim, images21.conj().swapaxes(-2, -1))
 
 
 def criterion_7_disjointness(seed: int = 0, trials: int = 10,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 from .linalg import spectral_norm
 
 
@@ -23,7 +23,7 @@ class CStarAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
+        dims = tuple(as_index(d, "block dimension") for d in self.block_dims)
         if len(dims) == 0:
             raise ValidationError("algebra needs at least one block")
         if any(d < 1 for d in dims):

@@ -20,8 +20,9 @@ the same data from the Gram matrix of formal generators
 (matrix unit alpha, slot i, basis vector u); it exists as a
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
-intertwiners have closed forms; Representation.frame caches it, and
-dilate() seeds it in closed form (U = I, eps = 0), so only other
+intertwiners have closed forms; Representation.frame caches it, with
+the multiplicities r_k that Representation.multiplicities reads off it,
+and dilate() seeds it in closed form (U = I, eps = 0), so only other
 representations compute it.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
@@ -35,10 +36,10 @@ import numpy as np
 
 from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
                       unit_index_table, unit_product_index)
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, ValidationError, as_index
 from .linalg import (herm, nearest_unitary, numerical_rank, significant,
                      solve_sandwich, spectral_norm)
-from .maps import (CPnMap, as_cpn, cpn_distance, cpn_verdict, flatten,
+from .maps import (CPnMap, _cpn_verdicts, as_cpn, cpn_distance, flatten,
                    images_of, require_cpn, stack_images, subblocks)
 
 
@@ -48,38 +49,22 @@ class Representation:
 
     images is stored as a read-only (dim A, H, H) complex array in
     canonical matrix-unit order; any sequence of H x H matrices is
-    accepted on construction.  multiplicities, when given, are the r_k of
-    (+)_k a_k (x) I_{r_k}, one per algebra block; each must lie within 1/2
-    of tr Phi(e_11^(k)), the rank of that projection, a unitarily invariant
-    O(K H) check.
+    accepted on construction.  The multiplicities r_k of
+    (+)_k a_k (x) I_{r_k} are read off the cached frame, never given.
     """
 
     algebra: CStarAlgebra
     space_dim: int
     images: np.ndarray
-    multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n = int(self.space_dim)
+        n = as_index(self.space_dim, "space dimension")
         if n < 0:
             raise ValidationError("space dimension must be nonnegative")
         object.__setattr__(self, "space_dim", n)
         images = stack_images(self.images, self.algebra.dim, n)
         images.flags.writeable = False
         object.__setattr__(self, "images", images)
-        if self.multiplicities is not None:
-            mults = tuple(int(r) for r in self.multiplicities)
-            alg = self.algebra
-            if len(mults) != alg.num_blocks:
-                raise ValidationError(
-                    f"expected {alg.num_blocks} multiplicities, got {len(mults)}")
-            traces = np.trace(images[[unit_index(alg, k, 0, 0) for k in range(alg.num_blocks)]],
-                              axis1=1, axis2=2)
-            if not np.all(np.abs(traces - mults) <= 0.5):
-                raise ValidationError(
-                    f"multiplicities {mults} contradict the images: "
-                    f"tr Phi(e_11) per block is {np.round(traces.real, 6).tolist()}")
-            object.__setattr__(self, "multiplicities", mults)
 
     @functools.cached_property
     def norm(self) -> float:
@@ -91,6 +76,11 @@ class Representation:
         """canonical_frame(self), computed once, or seeded by dilate() with
         its closed form; commutant() gates it."""
         return canonical_frame(self)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """The frame's r_1, ..., r_K; free on dilate() outputs, whose frame is seeded."""
+        return self.frame[1][:-1]
 
 
 def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
@@ -351,7 +341,8 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     alg = rho.domain
     flat = flatten(rho)
     eigs = [np.linalg.eigh(herm(c)) for c in flat.choi_blocks]
-    cpn_verdict(flat, m, [w for w, _ in eigs], tol).require()
+    _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
+                  spectra=[w[None] for w, _ in eigs])[0].require()
     rows: list[np.ndarray] = []
     mults: list[int] = []
     for d, (w, vecs) in zip(alg.block_dims, eigs):
@@ -362,10 +353,10 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
         rows.append(kraus.conj().transpose(0, 2, 1).reshape(-1, n * m))
     v = np.vstack(rows)
     h = len(v)
-    rep = Representation(alg, h, canonical_images(alg, mults), multiplicities=tuple(mults))
+    rep = Representation(alg, h, canonical_images(alg, mults))
     frame = np.eye(h, dtype=complex)
     frame.flags.writeable = False
-    rep.__dict__.update(frame=(frame, rep.multiplicities + (0,), 0.0), norm=1.0 if h else 0.0)
+    rep.__dict__.update(frame=(frame, tuple(mults) + (0,), 0.0), norm=1.0 if h else 0.0)
     isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
     return StinespringDilation(rep, isoms, rho)
 

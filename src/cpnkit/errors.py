@@ -5,6 +5,7 @@ failure is a validation failure, while callers (notably the CLI) can
 still tell a mathematically meaningful negative (map not completely
 n-positive, domination failure) from a malformed input.
 """
+import operator
 
 
 class ValidationError(ValueError):
@@ -32,3 +33,11 @@ class CertificationError(RuntimeError):
 
     This signals a library defect, never bad user input.
     """
+
+
+def as_index(value, name: str) -> int:
+    """value through operator.index: a size such as 2.7 or 2.0 is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, CStarAlgebra
-from .errors import PositivityError, ValidationError
+from .errors import PositivityError, ValidationError, as_index
 from .linalg import herm, spectral_norm, spectral_norms
 
 
@@ -41,7 +41,7 @@ class LinearMap:
     choi_blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        m = int(self.codomain_dim)
+        m = as_index(self.codomain_dim, "codomain dimension")
         if m < 1:
             raise ValidationError(f"codomain dimension must be positive, got {m}")
         object.__setattr__(self, "codomain_dim", m)
@@ -93,6 +93,12 @@ def _trusted_map(domain: CStarAlgebra, codomain_dim: int, blocks) -> LinearMap:
     object.__setattr__(phi, "codomain_dim", codomain_dim)
     object.__setattr__(phi, "choi_blocks", tuple(blocks))
     return phi
+
+
+def _hermitian_partner(phi: LinearMap) -> LinearMap:
+    """a -> phi(a*)*, the entry rho_21 that Hermitian symmetry pairs with
+    rho_12 = phi: its Choi blocks are the adjoints of phi's."""
+    return _trusted_map(phi.domain, phi.codomain_dim, [c.conj().T for c in phi.choi_blocks])
 
 
 def apply_map(phi: LinearMap, a: AlgebraElement) -> np.ndarray:
@@ -299,7 +305,7 @@ def flatten(rho: CPnMap) -> LinearMap:
 def unflatten(phi: LinearMap, n: int) -> CPnMap:
     """Inverse of flatten: phi read as an n x n map matrix, without copying;
     codomain_dim of phi must be divisible by n."""
-    n = operator.index(n)
+    n = as_index(n, "n")
     if n < 1 or phi.codomain_dim % n != 0:
         raise ValidationError(
             f"codomain dimension {phi.codomain_dim} is not divisible by n={n}")
@@ -378,14 +384,6 @@ def _cpn_verdicts(stacks, m: int, tol: float, spectra=None) -> list[CpnVerdict]:
     return verdicts
 
 
-def cpn_verdict(flat: LinearMap, m: int, spectra, tol: float) -> CpnVerdict:
-    """is_completely_n_positive's verdict from flat = flatten(rho), m and the
-    ascending spectra of herm(C) for flat's Choi blocks C, so that a caller
-    needing eigenvectors too decomposes each block once."""
-    return _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
-                         [w[None] for w in spectra])[0]
-
-
 def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     """Check complete n-positivity via the flattened Choi blocks.
 
@@ -404,18 +402,6 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
         memo[tol] = _cpn_verdicts([c[None] for c in rho.flat.choi_blocks],
                                   rho.codomain_dim, tol)[0]
     return memo[tol]
-
-
-def order_leq(theta: CPnMap, rho: CPnMap, tol: float = 1e-9) -> bool:
-    """Whether theta <= rho, i.e. rho - theta is completely n-positive.
-
-    Only the difference is examined; theta itself is not required to be
-    completely n-positive.
-    """
-    if theta.n != rho.n or theta.domain != rho.domain \
-            or theta.codomain_dim != rho.codomain_dim:
-        raise ValidationError("maps are not comparable: different shape or spaces")
-    return is_completely_n_positive(rho - theta, tol).verdict
 
 
 def require_cpn(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:

@@ -10,7 +10,10 @@ is again completely n-positive, and T -> rho_T is an affine order
 isomorphism from the operator interval [0, I] in the commutant onto the
 map interval [0, rho].  Its inverse goes through the contraction W
 determined on the spanning family by W(Phi_rho(a) V_rho,i xi) =
-Phi_theta(a) V_theta,i xi, with T = W* W.
+Phi_theta(a) V_theta,i xi, with T = W* W.  compress and
+order_equivalence_check are the one-element case of the stacked
+_gated_compressions and _order_checks that criterion 4 and
+ExtremalityReport.decomposition call directly.
 """
 from __future__ import annotations
 
@@ -81,7 +84,14 @@ def _operator(dil: StinespringDilation, t) -> np.ndarray:
 
 
 def _gated_compressions(dil: StinespringDilation, ts, tol: float) -> list[np.ndarray]:
-    """compress_stack's gates, then _compressions of the stack."""
+    """compress's gates on a (k, H, H) stack of operators, then
+    _compressions of the stack.
+
+    Every element passes the gates, checked in stack order and, per
+    element, in compress's order, so the first bad element raises the
+    message compress raises for it alone.  The gates of the whole stack
+    cost one SVD call and one eigvalsh call.
+    """
     ts = np.asarray(ts, dtype=complex)
     h = dil.space_dim
     if ts.ndim != 3 or ts.shape[1:] != (h, h):
@@ -101,25 +111,14 @@ def _gated_compressions(dil: StinespringDilation, ts, tol: float) -> list[np.nda
     return _compressions(dil, ts)
 
 
-def compress_stack(dil: StinespringDilation, ts, tol: float = 1e-9) -> list[CPnMap]:
-    """compress over a (k, H, H) stack of operators: the list of rho_{T_i}.
-
-    Every element passes compress's gates, checked in stack order and, per
-    element, in compress's order, so the first bad element raises the
-    message compress raises for it alone.  The gates of the whole stack
-    cost one SVD call and one eigvalsh call.
-    """
-    return _maps(dil, _gated_compressions(dil, ts, tol))
-
-
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
     """The compression rho_T for a positive commutant element T.
 
     T must commute with every Phi(e) and be positive semidefinite, both
     to relative tolerance 1 + ||T||; violations raise ValidationError.
-    compress_stack with a stack of one.
+    _gated_compressions on a stack of one.
     """
-    return compress_stack(dil, _operator(dil, t)[None], tol)[0]
+    return _maps(dil, _gated_compressions(dil, _operator(dil, t)[None], tol))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,31 +235,17 @@ def _order_checks(dil: StinespringDilation, t1s: np.ndarray, t2s: np.ndarray,
     return [OrderCheck(op, chk.verdict) for op, chk in zip(op_leq, maps)]
 
 
-def order_equivalence_checks(dil: StinespringDilation, t1s, t2s,
-                             tol: float = 1e-9) -> list[OrderCheck]:
-    """order_equivalence_check over paired (k, H, H) stacks T1s, T2s.
-
-    One gated compression of [T1s; T2s], so every T1 is gated before any
-    T2, then _order_checks.
-    """
-    t1s = np.asarray(t1s, dtype=complex)
-    t2s = np.asarray(t2s, dtype=complex)
-    if t1s.shape != t2s.shape:
-        raise ValidationError(f"operator stacks differ in shape: {t1s.shape}, {t2s.shape}")
-    blocks = _gated_compressions(dil, np.concatenate([t1s, t2s]), tol)
-    return _order_checks(dil, t1s, t2s, blocks, tol)
-
-
 def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
                             t2: np.ndarray, tol: float = 1e-9) -> OrderCheck:
     """Compare T1 <= T2 with compress(D, T1) <= compress(D, T2).
 
-    Both operators must be positive commutant elements.  Disagreement of
-    the two verdicts indicates a library defect; callers should treat it
-    as such.  order_equivalence_checks with stacks of one.
+    Both operators must be positive commutant elements; T1 is gated
+    before T2.  Disagreement of the two verdicts indicates a library
+    defect; callers should treat it as such.
     """
-    return order_equivalence_checks(dil, _operator(dil, t1)[None],
-                                    _operator(dil, t2)[None], tol)[0]
+    t1s, t2s = _operator(dil, t1)[None], _operator(dil, t2)[None]
+    blocks = _gated_compressions(dil, np.concatenate([t1s, t2s]), tol)
+    return _order_checks(dil, t1s, t2s, blocks, tol)[0]
 
 
 def _coefficients(basis: CommutantBasis, rng: np.random.Generator) -> np.ndarray:

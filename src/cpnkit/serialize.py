@@ -128,10 +128,9 @@ def cpn_map_from_json(obj) -> CPnMap:
 
 
 def dilation_to_json(dil: StinespringDilation) -> dict:
-    mults = dil.rep.multiplicities
     return {
         "space_dim": dil.space_dim,
-        "multiplicities": list(mults) if mults is not None else None,
+        "multiplicities": list(dil.rep.multiplicities),
         "images": [matrix_to_json(img) for img in dil.rep.images],
         "isometries": [matrix_to_json(v) for v in dil.isometries],
     }

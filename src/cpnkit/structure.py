@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, cstar_norm, distance, is_unitary
+from .algebra import cstar_norm, distance, is_unitary
 from .dilation import (CommutantBasis, StinespringDilation, _frame_basis,
                        commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
 from .linalg import (herm, numerical_rank, orth, partial_isometry,
                      spectral_norm)
-from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts, apply_map,
-                   as_cpn, is_completely_n_positive, map_from_images,
-                   require_cpn, subblocks, unflatten)
+from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts,
+                   _hermitian_partner, apply_map, as_cpn, is_completely_n_positive,
+                   map_from_images, require_cpn, subblocks, unflatten)
 from .radon import _gated_compressions, _maps
 
 
@@ -105,9 +105,8 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     alg = rho11.domain
     images12 = v1.conj().T @ d1.rep.images @ w.conj().T @ v2
     map12 = map_from_images(alg, m, images12)
-    # rho_21(a) = rho_12(a*)*, whose Choi blocks are the adjoints of rho_12's
-    map21 = LinearMap(alg, m, tuple(c.conj().T for c in map12.choi_blocks))
-    witness = CPnMap(((rho11.entries[0][0], map12), (map21, rho22.entries[0][0])))
+    witness = CPnMap(((rho11.entries[0][0], map12),
+                      (_hermitian_partner(map12), rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
     off_norm = spectral_norm(images12)
     if not chk.verdict or off_norm <= tol * witness.scale:
@@ -240,48 +239,36 @@ def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
     return is_extreme(rho, tol, dilation).decomposition()
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremeFamilySpec:
-    """Data for the extreme construction: a pure unital base map and unitaries.
-
-    unitaries[0] must be the unit of the domain.
-    """
-
-    base: LinearMap
-    unitaries: tuple[AlgebraElement, ...]
-
-
-def build_extreme_family(spec: ExtremeFamilySpec, tol: float = 1e-9) -> CPnMap:
+def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMap:
     """rho_ij(a) = V* Phi(u_i)* Phi(a) Phi(u_j) V from a pure unital base.
 
-    The base must be unital, completely positive and pure; each u_i must
-    be unitary, with u_1 the unit.  The output is certified completely
-    n-positive and pure, with pure unital diagonal entries and
+    The base must be unital, completely positive and pure; each u_i of
+    unitaries must be unitary, with u_1 the unit.  The output is certified
+    completely n-positive and pure, with pure unital diagonal entries and
     rho_ij(u_i u_j*) = I.
     """
-    phi = spec.base
-    alg = phi.domain
-    m = phi.codomain_dim
+    alg = base.domain
+    m = base.codomain_dim
     unit = alg.unit()
-    if len(spec.unitaries) == 0:
+    if len(unitaries) == 0:
         raise ValidationError("at least one unitary is required")
-    if distance(spec.unitaries[0], unit) > tol * (1.0 + cstar_norm(unit)):
+    if distance(unitaries[0], unit) > tol * (1.0 + cstar_norm(unit)):
         raise ValidationError("the first unitary must be the unit")
-    for idx, u in enumerate(spec.unitaries):
+    for idx, u in enumerate(unitaries):
         if u.algebra != alg:
             raise ValidationError(f"unitary {idx} lives in a different algebra")
         if not is_unitary(u, tol):
             raise ValidationError(f"element {idx} is not unitary to tolerance")
-    unital_dev = spectral_norm(apply_map(phi, unit) - np.eye(m))
-    if unital_dev > tol * (1.0 + max(spectral_norm(b) for b in phi.choi_blocks)):
+    unital_dev = spectral_norm(apply_map(base, unit) - np.eye(m))
+    if unital_dev > tol * (1.0 + max(spectral_norm(b) for b in base.choi_blocks)):
         raise ValidationError(f"base map is not unital (residual {unital_dev:.3e})")
-    base_dil = dilate(as_cpn(phi), tol)
-    if not is_pure(as_cpn(phi), tol, dilation=base_dil):
+    base_dil = dilate(as_cpn(base), tol)
+    if not is_pure(as_cpn(base), tol, dilation=base_dil):
         raise ValidationError("base map is not pure")
     v = base_dil.isometries[0]
     # W = [Phi(u_1) V ... Phi(u_n) V]; block (i, j) of W* Phi(a) W is rho_ij(a)
-    w = np.hstack([rep_apply(base_dil.rep, u) @ v for u in spec.unitaries])
-    n = len(spec.unitaries)
+    w = np.hstack([rep_apply(base_dil.rep, u) @ v for u in unitaries])
+    n = len(unitaries)
     rho = unflatten(map_from_images(alg, n * m, w.conj().T @ base_dil.rep.images @ w), n)
     require_cpn(rho, tol)
     scale = rho.scale
@@ -293,7 +280,7 @@ def build_extreme_family(spec: ExtremeFamilySpec, tol: float = 1e-9) -> CPnMap:
         if not is_pure(diag, tol):
             raise CertificationError(f"diagonal entry {i} is not pure")
         for j in range(n):
-            uij = spec.unitaries[i] @ spec.unitaries[j].adjoint()
+            uij = unitaries[i] @ unitaries[j].adjoint()
             wit = apply_map(rho.entries[i][j], uij)
             if spectral_norm(wit - eye) > tol * scale:
                 raise CertificationError(

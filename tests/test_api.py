@@ -6,3 +6,23 @@ import cpnkit
 def test_every_exported_name_resolves():
     missing = [name for name in cpnkit.__all__ if not hasattr(cpnkit, name)]
     assert cpnkit.__all__ and missing == []
+
+
+def test_no_unused_module_level_imports():
+    # no linter is a dependency: every name a module imports at top level
+    # must be read somewhere in that module (the package's re-exports aside)
+    import ast
+    from pathlib import Path
+
+    unused = []
+    for path in sorted(Path(cpnkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert unused == []

@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -7,15 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cpnkit
 from cpnkit import (CPnMap, compression_map, cpn_distance, depolarizing_map,
-                    identity_map, images_of, make_algebra)
+                    identity_map, images_of, make_algebra, random_cpn_map)
 from cpnkit import serialize as ser
 from cpnkit.acceptance import run_all
 from cpnkit.cli import build_parser, main
 from cpnkit.dilation import DilationReport
 from cpnkit.errors import ValidationError
+
+from test_properties import DETERMINISTIC
 
 
 def write_map(path, rho):
@@ -415,3 +423,74 @@ def test_readme_cli_lines_parse():
             commands.add(build_parser().parse_args(argv).command)
     assert commands == {"check", "dilate", "rn", "pure", "extreme", "disjoint",
                         "random", "suite"}
+
+
+CONTRACT_MAPS = [ser.cpn_map_to_json(rho) for rho in (
+    random_cpn_map(make_algebra((2,)), 2, 2, 2, np.random.default_rng(0)),
+    random_cpn_map(make_algebra((2, 1)), 2, 1, 2, np.random.default_rng(1)),
+    CPnMap(((identity_map(make_algebra((2,))),),)))]
+
+MUTATIONS = ("none", "nan", "inf", "huge", "string", "drop", "n", "codomain",
+             "ragged", "nonhermitian")
+
+
+def mutated(wire, kind, data):
+    """A deep copy of a wire map with one defect of the given kind (none
+    for "none"), at a drawn entry, Choi block, row and column."""
+    obj = copy.deepcopy(wire)
+    n = obj["n"]
+    entry = obj["entries"][data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))]
+    block = data.draw(st.sampled_from(entry["choi_blocks"]))
+    row = data.draw(st.sampled_from(block))
+    col, part = data.draw(st.integers(0, len(row) - 1)), data.draw(st.integers(0, 1))
+    if kind in ("nan", "inf", "huge"):
+        row[col][part] = {"nan": math.nan, "inf": -math.inf, "huge": 1e308}[kind]
+    elif kind == "string":
+        target = data.draw(st.sampled_from(["number", "pair", "n"]))
+        if target == "number":
+            row[col][part] = "0.5"
+        elif target == "pair":
+            row[col] = "0.5"
+        else:
+            obj["n"] = str(n)
+    elif kind == "drop":
+        holder = data.draw(st.sampled_from([obj, entry, obj["domain"]]))
+        del holder[data.draw(st.sampled_from(sorted(holder)))]
+    elif kind in ("n", "codomain"):
+        key = "n" if kind == "n" else "codomain_dim"
+        obj[key] = data.draw(st.sampled_from([0, -1, obj[key] - 1, obj[key] + 1, 2.5,
+                                              True, None]))
+    elif kind == "ragged":
+        (row if data.draw(st.booleans()) else block).pop()
+    elif kind == "nonhermitian":
+        row[col][1] += data.draw(st.sampled_from([1e-6, 0.5, 1e3]))
+    return obj
+
+
+@DETERMINISTIC
+@given(st.sampled_from(range(len(CONTRACT_MAPS))), st.sampled_from(MUTATIONS),
+       st.sampled_from(["check", "dilate", "pure", "extreme", "rn", "disjoint"]),
+       st.booleans(), st.data())
+def test_cli_contract_on_mutated_wire_maps(tmp_path_factory, which, kind, command,
+                                           mutated_first, data):
+    # whatever the defect, main returns 0, 1 or 2 and stderr holds nothing
+    # or exactly one JSON line with an "error" key
+    base = CONTRACT_MAPS[which]
+    folder = tmp_path_factory.mktemp("contract")
+    paths = []
+    for name, obj in (("mutated", mutated(base, kind, data)), ("base", base)):
+        paths.append(str(folder / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(obj))
+    if command in ("rn", "disjoint"):
+        argv = [command] + (paths if mutated_first else paths[::-1])
+    else:
+        argv = [command, paths[0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert (err == "") >= (code == 0) and (err != "") >= (code == 2)
+    if err:
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "error" in json.loads(err)

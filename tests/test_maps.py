@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, LinearMap, PositivityError, ValidationError,
-                    apply_map, as_cpn, check_hermitian_symmetry, compress,
+from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
+                    ValidationError, apply_map, as_cpn, check_hermitian_symmetry, compress,
                     compression_map, cpn_distance, depolarizing_map, dilate,
                     flatten, identity_map, images_of,
                     is_completely_n_positive, make_algebra, map_from_images,
-                    matrix_units, order_leq, random_cpn_map, random_element,
+                    matrix_units, random_cpn_map, random_element,
                     require_cpn, trace_map, unflatten, unit_index, zero_map)
 import cpnkit.maps as cpnkit_maps
 from cpnkit.dilation import dilation_of
@@ -216,12 +216,23 @@ def test_images_are_a_stack_and_validated():
         map_from_images(alg, 3, list(imgs[:-1]) + [np.eye(2)])
 
 
-def test_order_leq():
-    rng = np.random.default_rng(8)
-    rho = random_cpn_map(make_algebra((2,)), 2, 2, 3, rng)
-    assert order_leq(0.5 * rho, rho)
-    assert not order_leq(rho, 0.5 * rho)
-    assert order_leq(rho, rho)
+def test_sizes_must_be_integers():
+    # a size is taken through operator.index: 2.0 and 2.5 are rejected,
+    # never truncated, and numpy integers pass
+    phi = identity_map(make_algebra((2,)))
+    for bad in (2.5, 1.9, 2.0):
+        for call in (lambda: make_algebra((bad,)),
+                     lambda: LinearMap(phi.domain, bad, phi.choi_blocks),
+                     lambda: Representation(phi.domain, bad, np.zeros((4, 2, 2))),
+                     lambda: unflatten(phi, bad)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                call()
+    two = np.int64(2)
+    got = (make_algebra((two,)).block_dims[0],
+           LinearMap(phi.domain, two, phi.choi_blocks).codomain_dim,
+           Representation(phi.domain, two, np.zeros((4, 2, 2))).space_dim,
+           unflatten(phi, two).n)
+    assert got == (2, 2, 2, 2) and all(type(x) is int for x in got)
 
 
 def test_entry_accessor_and_dims():

@@ -13,16 +13,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
-                    ValidationError, commutant, compress, compress_stack,
+                    ValidationError, commutant, compress,
                     cpn_distance, dilate, dilate_from_gram, is_completely_n_positive, is_extreme,
-                    is_pure, make_algebra, map_from_images,
-                    order_equivalence_check, order_equivalence_checks,
-                    sample_unit_interval, unflatten)
+                    is_pure, make_algebra, map_from_images, star_index,
+                    order_equivalence_check, sample_unit_interval, unflatten)
 from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import canonical_frame, canonical_images
 from cpnkit.linalg import commutant_basis_of, herm, spectral_norm
-from cpnkit.maps import _cpn_distances, _cpn_verdicts, _trusted_map, cpn_verdict
-from cpnkit.radon import _coefficients, _unit_interval
+from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
+                         images_of)
+from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _order_checks,
+                          _unit_interval)
 
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
@@ -143,8 +144,7 @@ def test_seeded_frame_is_the_computed_one(shape):
     # spectral_norm on a fresh, validated copy of its images are the oracle
     dims, n, m, ranks, seed = shape
     rep = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))).rep
-    fresh = Representation(rep.algebra, rep.space_dim, rep.images,
-                           multiplicities=rep.multiplicities)
+    fresh = Representation(rep.algebra, rep.space_dim, rep.images)
     (u, mults, eps), (want_u, want_mults, want_eps) = rep.frame, canonical_frame(fresh)
     assert same_bits(u, want_u) and not u.flags.writeable
     assert mults == want_mults == ranks + (0,)
@@ -168,6 +168,19 @@ def product_compress(dil, t):
     return unflatten(map_from_images(dil.source.domain, v.shape[1], images), dil.n)
 
 
+def stacked_compress(dil, ts):
+    """The maps rho_T of a (k, H, H) stack through the gated path that
+    criterion 4 and ExtremalityReport.decomposition run."""
+    return _maps(dil, _gated_compressions(dil, ts, 1e-9))
+
+
+def stacked_order_checks(dil, t1s, t2s):
+    """OrderChecks of paired stacks through the path criterion 4 runs:
+    one gated compression of [T1s; T2s], then _order_checks."""
+    return _order_checks(dil, t1s, t2s,
+                         _gated_compressions(dil, np.concatenate([t1s, t2s]), 1e-9), 1e-9)
+
+
 def raised(call):
     with pytest.raises(ValidationError) as exc:
         call()
@@ -181,14 +194,14 @@ def test_stacked_compress_matches_single_calls(shape, k):
     rng = np.random.default_rng(seed)
     dil = dilate(map_with_ranks(dims, n, m, ranks, rng))
     ts = unit_interval_stack(dil, rng, k)
-    stacked = compress_stack(dil, ts)
+    stacked = stacked_compress(dil, ts)
     assert len(stacked) == k
     for t, got in zip(ts, stacked):
         for want in (compress(dil, t), product_compress(dil, t)):
             assert got.n == want.n and got.codomain_dim == want.codomain_dim
             assert all(np.array_equal(a, b) for a, b in
                        zip(got.flat.choi_blocks, want.flat.choi_blocks))
-    assert compress_stack(dil, ts[:0]) == []
+    assert stacked_compress(dil, ts[:0]) == []
 
 
 @DETERMINISTIC
@@ -202,7 +215,7 @@ def test_stacked_order_checks_match_single_calls(shape, k):
     t2s = np.array([t1 + 0.5 * (t1s[-1] - t1) if i % 3 == 0
                     else 0.5 * t1 if i % 3 == 1 else sample_unit_interval(dil, rng)
                     for i, t1 in enumerate(t1s)]).reshape(t1s.shape)
-    assert order_equivalence_checks(dil, t1s, t2s) == \
+    assert stacked_order_checks(dil, t1s, t2s) == \
         [order_equivalence_check(dil, t1, t2) for t1, t2 in zip(t1s, t2s)]
 
 
@@ -226,10 +239,30 @@ def test_first_bad_element_raises_its_single_call_message(shape, k, data):
     ts[i] = bads[first]
     ts[-1] = bads["psd" if first != "psd" else "hermitian"]
     want = raised(lambda: compress(dil, ts[i]))
-    assert raised(lambda: compress_stack(dil, ts)) == want
+    assert raised(lambda: stacked_compress(dil, ts)) == want
     # the T1 stack is gated before the T2 stack
-    assert raised(lambda: order_equivalence_checks(dil, ts[::-1], ts)) \
+    assert raised(lambda: stacked_order_checks(dil, ts[::-1], ts)) \
         == raised(lambda: compress(dil, ts[-1]))
+
+
+@DETERMINISTIC
+@given(shapes(((2,), (2, 1), (2, 2))))
+def test_hermitian_partner_matches_the_images_route(shape):
+    # a -> phi(a*)* from adjoint Choi blocks against its definition on the
+    # matrix units, e -> phi(e*)*, for a map with no symmetry at all
+    dims, _, m, _, seed = shape
+    rng = np.random.default_rng(seed)
+    alg = make_algebra(dims)
+    phi = LinearMap(alg, m, tuple(rng.standard_normal((d * m, d * m))
+                                  + 1j * rng.standard_normal((d * m, d * m)) for d in dims))
+    images = images_of(phi)[[star_index(alg, idx) for idx in range(alg.dim)]]
+    want = map_from_images(alg, m, images.conj().swapaxes(-2, -1))
+    got = _hermitian_partner(phi)
+    assert (got.domain, got.codomain_dim) == (alg, m)
+    assert all(np.array_equal(a, b) and not a.flags.writeable
+               for a, b in zip(got.choi_blocks, want.choi_blocks))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(_hermitian_partner(got).choi_blocks, phi.choi_blocks))
 
 
 def spoiled(rho, rng, kind):
@@ -283,7 +316,8 @@ def test_stacked_verdicts_and_distances_match_single_calls(shape, k):
 def test_stacked_verdicts_on_empty_spectra():
     # blocks with no rows: every member is vacuously positive, min_eig 0.0
     flat = _trusted_map(make_algebra((1, 1)), 0, [np.zeros((0, 0), dtype=complex)] * 2)
-    single = cpn_verdict(flat, 1, [np.zeros(0)] * 2, 1e-9)
+    single = _cpn_verdicts([c[None] for c in flat.choi_blocks], 1, 1e-9,
+                           [np.zeros((1, 0))] * 2)[0]
     assert verdict_bits(single) == (True, (0.0).hex(), True)
     got = _cpn_verdicts([np.zeros((3, 0, 0), dtype=complex)] * 2, 1, 1e-9)
     assert [verdict_bits(v) for v in got] == [verdict_bits(single)] * 3

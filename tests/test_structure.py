@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpnkit import (CertificationError, CPnMap, ExtremeFamilySpec, LinearMap,
+from cpnkit import (CertificationError, CPnMap, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
                     build_extreme_family, commutant, compression_map,
@@ -147,8 +147,7 @@ def test_injected_off_diagonal_fails_positivity():
 def test_extreme_family_construction():
     alg = m2()
     u2 = alg.element([np.diag([1.0, -1.0])])
-    fam = build_extreme_family(ExtremeFamilySpec(identity_map(alg),
-                                                 (alg.unit(), u2)))
+    fam = build_extreme_family(identity_map(alg), (alg.unit(), u2))
     assert fam.n == 2
     assert is_completely_n_positive(fam).verdict
     assert is_pure(fam)
@@ -167,7 +166,7 @@ def test_extreme_family_vector_state():
     xi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     base = vector_state(alg, xi)
     u2 = alg.element([np.diag([1.0, -1.0])])
-    fam = build_extreme_family(ExtremeFamilySpec(base, (alg.unit(), u2)))
+    fam = build_extreme_family(base, (alg.unit(), u2))
     assert is_pure(fam)
     assert np.allclose(apply_map(fam.entry(0, 0), alg.unit()), [[1.0]])
     assert np.allclose(apply_map(fam.entry(1, 1), alg.unit()), [[1.0]])
@@ -179,19 +178,16 @@ def test_extreme_family_validation():
     u2 = alg.element([np.diag([1.0, -1.0])])
     with pytest.raises(ValidationError):
         # first unitary must be the unit
-        build_extreme_family(ExtremeFamilySpec(identity_map(alg), (u2, u2)))
+        build_extreme_family(identity_map(alg), (u2, u2))
     with pytest.raises(ValidationError):
         # non-unitary entry
-        build_extreme_family(ExtremeFamilySpec(
-            identity_map(alg), (alg.unit(), 2.0 * u2)))
+        build_extreme_family(identity_map(alg), (alg.unit(), 2.0 * u2))
     with pytest.raises(ValidationError):
         # non-unital base
-        build_extreme_family(ExtremeFamilySpec(
-            0.5 * identity_map(alg), (alg.unit(), u2)))
+        build_extreme_family(0.5 * identity_map(alg), (alg.unit(), u2))
     with pytest.raises(ValidationError):
         # base must be pure
-        build_extreme_family(ExtremeFamilySpec(
-            depolarizing_map(2), (alg.unit(), u2)))
+        build_extreme_family(depolarizing_map(2), (alg.unit(), u2))
 
 
 def test_block_diagonal_pair_extreme():
@@ -249,8 +245,7 @@ def test_extreme_family_membership():
     u2 = alg.element([np.diag([1.0, -1.0])])
     # with the identity base the off-diagonal at the unit equals u2, so
     # the family lies outside the zero-off-diagonal convex set
-    fam = build_extreme_family(ExtremeFamilySpec(identity_map(alg),
-                                                 (alg.unit(), u2)))
+    fam = build_extreme_family(identity_map(alg), (alg.unit(), u2))
     with pytest.raises(ValidationError):
         is_extreme(fam)
     # a vector state with <xi, u2 xi> = 0 keeps the family inside the
@@ -258,7 +253,7 @@ def test_extreme_family_membership():
     xi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     base = vector_state(alg, xi)
     assert abs(apply_map(base, u2)[0, 0]) < 1e-12
-    fam2 = build_extreme_family(ExtremeFamilySpec(base, (alg.unit(), u2)))
+    fam2 = build_extreme_family(base, (alg.unit(), u2))
     assert is_extreme(fam2).extreme
 
 
@@ -322,12 +317,11 @@ def random_unitary_matrix(h, rng):
 
 
 def conjugated(rep, u, pad=0):
-    """Representation u (rep (+) 0_pad) u*, keeping rep's multiplicities."""
+    """Representation u (rep (+) 0_pad) u*, with rep's multiplicities."""
     h = rep.space_dim + pad
     images = np.zeros((rep.algebra.dim, h, h), dtype=complex)
     images[:, :rep.space_dim, :rep.space_dim] = rep.images
-    return Representation(rep.algebra, h, u @ images @ u.conj().T,
-                          multiplicities=rep.multiplicities)
+    return Representation(rep.algebra, h, u @ images @ u.conj().T)
 
 
 def commutant_oracle(rep):
