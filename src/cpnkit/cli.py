@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize
-from .dilation import commutant, dilate, verify_dilation
+from .dilation import CommutantBasis, commutant, commutator_bound, dilate, verify_dilation
 from .errors import (CertificationError, DominationError, PositivityError,
                      SchemaError, ValidationError)
 from .maps import images_of, is_completely_n_positive, random_cpn_map
@@ -119,6 +119,12 @@ def _cmd_dilate(args) -> tuple[str, int]:
     }, space_dim=dil.space_dim, dilation=serialize.dilation_to_json(dil))
 
 
+def _frame_certificates(basis: CommutantBasis) -> dict:
+    """The frame residual eps and its commute bound B(eps) (0 on dilate outputs)."""
+    return {"frame_residual": float(basis.frame_residual),
+            "commutator_bound": commutator_bound(basis.rep, basis.frame_residual)}
+
+
 def _cmd_rn(args) -> tuple[str, int]:
     rho = _load_map(args.rho)
     theta = _load_map(args.theta)
@@ -128,16 +134,18 @@ def _cmd_rn(args) -> tuple[str, int]:
         "spectrum_min": elem.spectrum[0],
         "spectrum_max": elem.spectrum[1],
         "reconstruction_residual": float(elem.reconstruction_residual),
+        **_frame_certificates(commutant(elem.dilation.rep, args.tol)),
     }, operator={"matrix": serialize.matrix_to_json(elem.matrix)})
 
 
 def _cmd_pure(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
-    dim = commutant(dil.rep, args.tol).dimension
-    return _report(args, dim == 1, {
-        "commutant_dimension": dim,
+    basis = commutant(dil.rep, args.tol)
+    return _report(args, basis.dimension == 1, {
+        "commutant_dimension": basis.dimension,
         "space_dim": dil.space_dim,
+        **_frame_certificates(basis),
     })
 
 

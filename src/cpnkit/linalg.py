@@ -94,7 +94,12 @@ def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def solve_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimal-norm least-squares solution X of X @ a = b."""
+    """Minimal-norm least-squares solution X of X @ a = b.
+
+    The polar route of unitary_equivalence and dilate_from_gram's images
+    use it; on spanning matrices it is the test oracle for the frame-
+    coordinate Radon-Nikodym operator and intertwiner of radon.
+    """
     xt, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
     return xt.T
 

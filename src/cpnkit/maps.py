@@ -417,11 +417,12 @@ def random_cpn_map(domain: CStarAlgebra, codomain_dim: int, n: int, rank: int,
     shape (d_k n m, rank), which makes the output completely n-positive
     and Hermitian-symmetric by construction.  rank = 0 gives the zero map.
     """
-    if codomain_dim < 1 or n < 1:
+    m, n, rank = (as_index(codomain_dim, "codomain dimension"), as_index(n, "n"),
+                  as_index(rank, "rank"))
+    if m < 1 or n < 1:
         raise ValidationError("codomain dimension and n must be positive")
     if rank < 0:
         raise ValidationError("rank must be nonnegative")
-    m = codomain_dim
     blocks = []
     for d in domain.block_dims:
         q = d * n * m

@@ -8,9 +8,12 @@ the commutant Phi(A)', the compression
 
 is again completely n-positive, and T -> rho_T is an affine order
 isomorphism from the operator interval [0, I] in the commutant onto the
-map interval [0, rho].  Its inverse goes through the contraction W
-determined on the spanning family by W(Phi_rho(a) V_rho,i xi) =
-Phi_theta(a) V_theta,i xi, with T = W* W.  compress and
+map interval [0, rho].  Its inverse is read off the certified canonical
+frame U of the dilation: with A_k the rows of U* V at block k, theta's
+flattened Choi block is A_k* T_k A_k, so T = U ((+)_k I_{d_k} (x) T_k) U*
+with T_k = (A_k^+)* C_k A_k^+, one r_k-sized solve per block; the
+contraction W with T = W* W solves Y_k A_k = B_k on the frame rows of
+both dilations the same way.  compress and
 order_equivalence_check are the one-element case of the stacked
 _gated_compressions and _order_checks that criterion 4 and
 ExtremalityReport.decomposition call directly.
@@ -21,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (CommutantBasis, StinespringDilation, commutant, dilate,
-                       dilation_of, spanning_matrix)
+from .dilation import (CommutantBasis, StinespringDilation, commutant,
+                       commutator_bound, dilate, dilation_of)
 from .errors import CertificationError, DominationError, ValidationError
-from .linalg import herm, solve_sandwich, spectral_norm, spectral_norms
+from .linalg import herm, spectral_norm, spectral_norms
 from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
-                   is_completely_n_positive, unflatten)
+                   is_completely_n_positive, require_cpn, unflatten)
 
 
 def _gate_values(dil: StinespringDilation, ts: np.ndarray):
@@ -133,14 +136,9 @@ class Intertwiner:
     intertwining_residual: float
 
 
-def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
-                source_dilation: StinespringDilation | None = None) -> Intertwiner:
-    """The canonical contraction between the dilations of rho and theta <= rho.
-
-    Raises DominationError when rho - theta is not completely n-positive.
-    Certifies ||W|| <= 1, W V_rho,i = V_theta,i and the intertwining
-    relation; certificate failure raises, never passes silently.
-    """
+def _dominated(rho: CPnMap, theta: CPnMap, tol: float) -> None:
+    """ValidationError unless rho and theta are comparable, DominationError
+    unless rho - theta is completely n-positive."""
     if theta.n != rho.n or theta.domain != rho.domain \
             or theta.codomain_dim != rho.codomain_dim:
         raise ValidationError("maps are not comparable: different shape or spaces")
@@ -149,16 +147,60 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
         raise DominationError(
             f"theta is not dominated by rho (min eigenvalue {diff.min_eig:.3e})",
             min_eig=diff.min_eig)
+
+
+def _frame_rows(dil: StinespringDilation, basis: CommutantBasis) -> list[np.ndarray]:
+    """A_k = [A_k,1 ... A_k,d_k], the rows of U* V at block k of the frame,
+    as r_k x d_k n m matrices, one per algebra block: V* (I_{d_k} (x) X) V
+    restricted to block k has flattened Choi block A_k* X A_k."""
+    v = basis.frame.conj().T @ dil.joint_isometry
+    nm, rows, off = v.shape[1], [], 0
+    for d, r in zip(dil.source.domain.block_dims, basis.multiplicities):
+        # frame row (p, s) is row s of A_k,p
+        rows.append(v[off:off + d * r].reshape(d, r, nm).transpose(1, 0, 2).reshape(r, d * nm))
+        off += d * r
+    return rows
+
+
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse with the cutoff of lstsq (max(shape) eps), so
+    Y = B _pinv(A) is solve_sandwich's minimal-norm solution of Y A = B."""
+    return np.linalg.pinv(a, rtol=None)
+
+
+def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
+                source_dilation: StinespringDilation | None = None) -> Intertwiner:
+    """The canonical contraction between the dilations of rho and theta <= rho.
+
+    W = U_theta ((+)_k I_{d_k} (x) Y_k) U_rho* on the two certified frames,
+    Y_k the minimal-norm solution of Y_k A_k = B_k on their frame rows.
+    Raises DominationError when rho - theta is not completely n-positive.
+    Certifies ||W|| <= 1 and W V_rho,i = V_theta,i, both measured; the
+    intertwining residual is the sum of the frames' B(eps) times max ||Y_k||.
+    Certificate failure raises, never passes silently.
+    """
+    _dominated(rho, theta, tol)
     dr = dilation_of(rho, tol, source_dilation)
     dt = dilate(theta, tol)
-    xr = spanning_matrix(dr)
-    xt = spanning_matrix(dt)
-    w = solve_sandwich(xr, xt)
+    br, bt = commutant(dr.rep, tol), commutant(dt.rep, tol)
+    ys = [b @ _pinv(a) for a, b in zip(_frame_rows(dr, br), _frame_rows(dt, bt))]
+    # U_theta (+)_k I_{d_k} (x) Y_k, zero on the kernel blocks, then U_rho*
+    u1, u2 = br.frame, bt.frame
+    scaled = np.zeros((len(u2), len(u1)), dtype=complex)
+    o1 = o2 = 0
+    for d, r, s, y in zip(rho.domain.block_dims, br.multiplicities, bt.multiplicities, ys):
+        scaled[:, o1:o1 + d * r] = \
+            (u2[:, o2:o2 + d * s].reshape(len(u2), d, s) @ y).reshape(len(u2), d * r)
+        o1 += d * r
+        o2 += d * s
+    w = scaled @ u1.conj().T
     scale = rho.scale
-    norm, *inter = spectral_norms(np.concatenate(
-        [w[None], w @ dr.rep.images - dt.rep.images @ w])).tolist()
+    norm = spectral_norm(w)
     iso_res = spectral_norm(w @ np.array(dr.isometries) - np.array(dt.isometries))
-    int_res = max(inter)
+    y_norm = max(map(spectral_norm, ys), default=0.0)
+    # each frame's B(eps) bounds its side of W Phi_rho(e) - Phi_theta(e) W
+    int_res = (commutator_bound(dr.rep, br.frame_residual)
+               + commutator_bound(dt.rep, bt.frame_residual)) * y_norm
     if norm > 1.0 + tol * scale or max(iso_res, int_res) > tol * scale:
         raise CertificationError(
             f"intertwiner certificate failed (norm {norm:.12f}, residuals "
@@ -177,32 +219,53 @@ class CommutantElement:
     reconstruction_residual: float
 
 
+def _rn_blocks(dil: StinespringDilation, basis: CommutantBasis,
+               theta: CPnMap) -> list[np.ndarray]:
+    """T_k = (A_k^+)* C_k A_k^+ per algebra block, C_k theta's flattened
+    Choi block and A_k the frame rows: the r_k x r_k blocks of T in the
+    frame, Hermitian by construction."""
+    ts = []
+    for a, c in zip(_frame_rows(dil, basis), theta.flat.choi_blocks):
+        ap = _pinv(a)
+        ts.append(herm(ap.conj().T @ c @ ap))
+    return ts
+
+
 def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
                 source_dilation: StinespringDilation | None = None) -> CommutantElement:
-    """The Radon-Nikodym operator T = W* W with compress(D, T) = theta.
+    """The Radon-Nikodym operator T with compress(D, T) = theta.
 
-    T lives on the dilation of rho, commutes with the representation and
-    has spectrum in [0, 1] up to tol; all three facts are certified, as
-    is the reconstruction of theta.
+    T = U ((+)_k I_{d_k} (x) T_k) U* on the certified frame of rho's
+    dilation, T_k from _rn_blocks, commutes with the representation up to
+    B(eps) ||T|| (0 on dilate() outputs).  Certified: rho - theta is
+    completely n-positive (else DominationError), the T_k have spectrum in
+    [0, 1] and compress(D, T) reconstructs theta, measured on the returned
+    T; a theta that is not completely n-positive raises PositivityError.
     """
-    w_obj = intertwiner(rho, theta, tol, source_dilation=source_dilation)
-    dr = w_obj.source
-    t = w_obj.matrix.conj().T @ w_obj.matrix
-    norms, asyms, residuals, spectra = _gate_values(dr, t[None])
-    t_norm, asym, com_res = norms[0].item(), asyms[0].item(), residuals[0].item()
-    eigs = spectra[0]
-    spectrum = (float(eigs[0]), float(eigs[-1])) if eigs.size else (0.0, 0.0)
+    _dominated(rho, theta, tol)
+    dr = dilation_of(rho, tol, source_dilation)
+    basis = commutant(dr.rep, tol)
+    blocks = _rn_blocks(dr, basis, theta)
+    r0 = basis.multiplicities[-1]
+    # element() divides block k by sqrt(d_k); T is zero on the kernel block
+    t = basis.element(np.concatenate(
+        [np.sqrt(d) * b.ravel() for d, b in zip(basis.block_dims, blocks)] + [np.zeros(r0 * r0)]))
+    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks] + [np.zeros(min(r0, 1))])
+    spectrum = (float(eigs.min()), float(eigs.max())) if eigs.size else (0.0, 0.0)
+    t_norm = float(np.abs(eigs).max(initial=0.0))
+    com_res = commutator_bound(dr.rep, basis.frame_residual) * t_norm
     recon = cpn_distance(_maps(dr, _compressions(dr, t[None]))[0], theta)
-    # compress's gates, relative to 1 + ||T||, and the spectrum and
-    # reconstruction bounds, relative to the scale of rho
-    t_scale, scale = 1.0 + t_norm, rho.scale
-    if max(com_res, asym) > tol * t_scale \
-            or spectrum[0] < -tol * min(t_scale, scale) or spectrum[1] > 1.0 + tol * scale \
+    # the spectrum floor relative to min(1 + ||T||, scale of rho), the
+    # ceiling and the reconstruction relative to the scale of rho
+    scale = rho.scale
+    if spectrum[0] < -tol * min(1.0 + t_norm, scale) or spectrum[1] > 1.0 + tol * scale \
             or recon > tol * scale:
+        # passing, they make theta = rho_T with T >= 0 completely n-positive;
+        # failing, they are a theta outside the cone or a library defect
+        require_cpn(theta, tol)
         raise CertificationError(
             f"Radon-Nikodym certificate failed (commutant {com_res:.3e}, "
-            f"Hermitian {asym:.3e}, spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], "
-            f"reconstruction {recon:.3e})")
+            f"spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], reconstruction {recon:.3e})")
     return CommutantElement(dr, t, com_res, spectrum, recon)
 
 

@@ -125,6 +125,26 @@ def test_rn_command(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DominationError"
 
 
+
+def test_pure_and_rn_report_the_frame_certificates(tmp_path, capsys):
+    # the frame residual eps and B(eps) sit next to the existing keys and
+    # are exactly 0 on the frames dilate seeds
+    rng = np.random.default_rng(31)
+    rho = random_cpn_map(make_algebra((2,)), 2, 2, 3, rng)
+    rho_f = write_map(tmp_path / "rho.json", rho)
+    half_f = write_map(tmp_path / "half.json", 0.5 * rho)
+    keys = {
+        "pure": {"commutant_dimension", "space_dim"},
+        "rn": {"commutant_residual", "spectrum_min", "spectrum_max",
+               "reconstruction_residual"},
+    }
+    for argv in (("pure", rho_f), ("rn", rho_f, half_f)):
+        code, out, _ = run(capsys, *argv)
+        assert code == (0 if argv[0] == "rn" else 1)
+        certs = json.loads(out)["certificates"]
+        assert set(certs) == keys[argv[0]] | {"frame_residual", "commutator_bound"}
+        assert certs["frame_residual"] == 0.0 and certs["commutator_bound"] == 0.0
+
 def test_pure_and_extreme_commands(tmp_path, capsys):
     alg = make_algebra((2,))
     ident = CPnMap(((identity_map(alg),),))

@@ -235,6 +235,17 @@ def test_sizes_must_be_integers():
     assert got == (2, 2, 2, 2) and all(type(x) is int for x in got)
 
 
+
+def test_random_cpn_map_sizes_must_be_integers():
+    # random_cpn_map's sizes go through the same operator.index check
+    alg = make_algebra((2,))
+    for args in ((2.0, 1, 1), (2, 1.0, 1), (2, 1, 1.0), (1.5, 1, 1)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            random_cpn_map(alg, *args, np.random.default_rng(0))
+    rho = random_cpn_map(alg, np.int64(2), np.int64(1), np.int64(1), np.random.default_rng(0))
+    assert (rho.codomain_dim, rho.n) == (2, 1)
+    assert type(rho.n) is int
+
 def test_entry_accessor_and_dims():
     rng = np.random.default_rng(9)
     alg = make_algebra((2,))

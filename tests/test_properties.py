@@ -1,6 +1,7 @@
 """Deterministic property tests of the certified commutant and the frame
-dilate() seeds, of the stacked compression gates and of the stacked
-map-side verdicts.
+dilate() seeds, of the stacked compression gates, of the stacked
+map-side verdicts and of the frame-coordinate Radon-Nikodym operator and
+intertwiner.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -14,12 +15,15 @@ from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
                     ValidationError, commutant, compress,
-                    cpn_distance, dilate, dilate_from_gram, is_completely_n_positive, is_extreme,
-                    is_pure, make_algebra, map_from_images, star_index,
-                    order_equivalence_check, sample_unit_interval, unflatten)
+                    cpn_distance, dilate, dilate_from_gram, intertwiner,
+                    is_completely_n_positive, is_extreme, is_pure, make_algebra,
+                    map_from_images, rn_operator, star_index, order_equivalence_check,
+                    sample_unit_interval, spanning_matrix, unflatten)
+import cpnkit.dilation as cpnkit_dilation
+import cpnkit.radon as cpnkit_radon
 from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import canonical_frame, canonical_images
-from cpnkit.linalg import commutant_basis_of, herm, spectral_norm
+from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
                          images_of)
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _order_checks,
@@ -409,3 +413,73 @@ def test_grouped_criterion_4_matches_pairwise_reference(seed):
     for pairs in (40, 33, 47, 13):
         assert criterion_4_order(seed, pairs=pairs).details \
             == reference_criterion_4(seed, pairs)
+
+
+# Radon-Nikodym operator and intertwiner in frame coordinates against the
+# spanning-matrix route: W solves W X_rho = X_theta, T = W* W
+
+
+def sandwich_route(dr, theta):
+    """(T, W) from dilate(theta) and the minimal-norm least-squares W."""
+    w = solve_sandwich(spanning_matrix(dr), spanning_matrix(dilate(theta)))
+    return w.conj().T @ w, w
+
+
+def padded(dil, rng, pad=2):
+    """A non-minimal dilation: dil (+) 0_pad, conjugated by a random
+    unitary, so Phi(1) has a kernel (r_0 = pad)."""
+    u = random_unitary_matrix(dil.space_dim + pad, rng)
+    return StinespringDilation(
+        conjugated(dil.rep, u, pad),
+        tuple(u @ np.vstack([v, np.zeros((pad, v.shape[1]))]) for v in dil.isometries),
+        dil.source)
+
+
+def counted_calls(call):
+    """call() with dilate and np.linalg.lstsq counted: (result, dilates, lstsqs)."""
+    counts = {"dilate": 0, "lstsq": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cpnkit_dilation, cpnkit_radon):
+            mp.setattr(module, "dilate", counting("dilate", module.dilate))
+        mp.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        out = call()
+    return out, counts["dilate"], counts["lstsq"]
+
+
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("drawn", "zero", "same")),
+       st.sampled_from(("dilate", "moved", "gram", "padded")))
+@example(((2, 1), 2, 1, (0, 0), 0), "drawn", "dilate")  # the zero map, H = 0
+@example(((3, 1), 1, 2, (2, 0), 1), "drawn", "dilate")  # a zero-rank block
+@example(((3, 1), 1, 2, (2, 0), 1), "drawn", "gram")  # U != I, zero-rank block
+@example(((2, 2), 2, 1, (2, 3), 2), "zero", "dilate")  # theta = 0
+@example(((2, 2), 2, 1, (2, 3), 2), "same", "moved")  # theta = rho
+@example(((2, 1), 1, 2, (2, 1), 3), "drawn", "padded")  # r_0 = 2
+def test_frame_route_matches_the_sandwich_route(shape, theta_kind, source_kind):
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    dil = dilate(rho)
+    dr = {"dilate": lambda: dil, "moved": lambda: moved(dil, rng),
+          "gram": lambda: dilate_from_gram(rho), "padded": lambda: padded(dil, rng)}[source_kind]()
+    theta = {"drawn": lambda: compress(dr, sample_unit_interval(dr, rng)),
+             "zero": lambda: 0.0 * rho, "same": lambda: rho}[theta_kind]()
+    want_t, want_w = sandwich_route(dr, theta)
+    elem, dilates, lstsqs = counted_calls(lambda: rn_operator(rho, theta, source_dilation=dr))
+    assert (dilates, lstsqs) == (0, 0)
+    w, dilates, lstsqs = counted_calls(lambda: intertwiner(rho, theta, source_dilation=dr))
+    assert (dilates, lstsqs) == (1, 0)
+    for got, want in ((elem.matrix, want_t), (w.matrix, want_w)):
+        assert got.shape == want.shape
+        assert spectral_norm(got - want) <= 1e-10 * (1.0 + spectral_norm(want))
+    if theta_kind == "same" and source_kind != "padded":
+        assert spectral_norm(elem.matrix - np.eye(dr.space_dim)) <= 1e-10
+    if source_kind == "dilate":
+        assert elem.commutant_residual == w.intertwining_residual == 0.0

@@ -1,16 +1,15 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from cpnkit import (CertificationError, DominationError, StinespringDilation,
-                    ValidationError, as_cpn, compress, cpn_distance, depolarizing_map, dilate,
+from cpnkit import (CertificationError, DominationError, PositivityError,
+                    StinespringDilation, ValidationError, as_cpn, compress,
+                    cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
                     rn_operator, sample_unit_interval, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 import cpnkit.radon as cpnkit_radon
-from cpnkit.linalg import herm, spectral_norm, spectral_norms
+from cpnkit.linalg import herm, spectral_norm
 from cpnkit.radon import _gate_values
 from test_structure import conjugated, random_unitary_matrix
 
@@ -60,6 +59,17 @@ def test_domination_failure_raises():
         rn_operator(rho, 2.0 * rho)
     assert exc.value.min_eig is not None
     assert exc.value.min_eig < 0
+
+
+def test_theta_outside_the_cone_raises_positivity_error():
+    # rho - theta = 2 rho is completely positive, theta = -rho is not: the
+    # failed certificates are the input's fault, reported as such
+    rng = np.random.default_rng(2)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    for call in (rn_operator, intertwiner):
+        with pytest.raises(PositivityError, match="not completely n-positive") as exc:
+            call(rho, -1.0 * rho)
+        assert not isinstance(exc.value, DominationError) and exc.value.min_eig < 0
 
 
 def test_intertwiner_certificates():
@@ -189,16 +199,15 @@ def test_compress_matches_per_matrix_products():
 
 
 def test_fused_gates_match_separate_norms():
-    # compress, rn_operator and intertwiner take ||T|| (or ||W||), ||T - T*||
-    # and the commutator residual from one batched SVD: bitwise the values
-    # of separate spectral_norm calls, for each member of a stack too
+    # compress takes ||T||, ||T - T*|| and the commutator residual from one
+    # batched SVD: bitwise the values of separate spectral_norm calls, for
+    # each member of a stack too
     rng = np.random.default_rng(19)
     for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
         alg = make_algebra(dims)
         for rank in (1, 2, 3):
             dil = dilate(random_cpn_map(alg, 2, 2, rank, rng))
             h = dil.space_dim
-            imgs = dil.rep.images
             ts = rng.standard_normal((3, h, h)) + 1j * rng.standard_normal((3, h, h))
             norms, asyms, residuals, spectra = _gate_values(dil, ts)
             for i, t in enumerate(ts):
@@ -207,11 +216,6 @@ def test_fused_gates_match_separate_norms():
                             commutant_residual(dil, t))
                 assert fused == separate
                 assert np.array_equal(spectra[i], np.linalg.eigvalsh(herm(t)))
-            w = rng.standard_normal((h + 1, h)) + 1j * rng.standard_normal((h + 1, h))
-            other = rng.standard_normal((alg.dim, h + 1, h + 1))
-            norm, *inter = spectral_norms(np.concatenate([w[None], w @ imgs - other @ w]))
-            assert norm == spectral_norm(w)
-            assert max(inter) == spectral_norm(w @ imgs - other @ w)
     empty = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
     assert empty.space_dim == 0
     values = _gate_values(empty, np.zeros((2, 0, 0)))
@@ -247,35 +251,33 @@ def test_compress_gate_order_and_messages():
 
 
 def test_rn_operator_gates_t_once(monkeypatch):
-    # the gate values of T are computed once and the reconstruction is not
-    # gated again
+    # T is solved once per call, block by block, and certified once: no
+    # H x H gate values, one compression for the reconstruction
     rng = np.random.default_rng(22)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
     dil = dilate(rho)
     theta = compress(dil, sample_unit_interval(dil, rng))
-    calls = []
-    real = cpnkit_radon._gate_values
-    monkeypatch.setattr(cpnkit_radon, "_gate_values",
-                        lambda d, ts: calls.append(len(ts)) or real(d, ts))
+    calls = {"_rn_blocks": [], "_gate_values": [], "_compressions": []}
+    for name, log in calls.items():
+        real = getattr(cpnkit_radon, name)
+        monkeypatch.setattr(cpnkit_radon, name,
+                            lambda *args, real=real, log=log: log.append(args) or real(*args))
     elem = rn_operator(rho, theta, source_dilation=dil)
-    assert calls == [1]
+    assert len(calls["_rn_blocks"]) == 1 and calls["_gate_values"] == []
+    assert [len(args[1]) for args in calls["_compressions"]] == [1]
     assert elem.reconstruction_residual <= 1e-9 * theta.scale
 
 
 def test_rn_operator_failed_certificate_reports_values(monkeypatch):
-    # a W scaled past a contraction gives T with spectrum above 1 and a
-    # wrong reconstruction; both values reach the message
+    # inflated T_k give T with spectrum above 1 and a wrong
+    # reconstruction; both values reach the message
     rng = np.random.default_rng(23)
     rho = random_cpn_map(make_algebra((2,)), 2, 2, 2, rng)
     dil = dilate(rho)
     theta = compress(dil, sample_unit_interval(dil, rng))
-    real = cpnkit_radon.intertwiner
-
-    def inflated(*args, **kwargs):
-        w = real(*args, **kwargs)
-        return dataclasses.replace(w, matrix=1.5 * w.matrix)
-
-    monkeypatch.setattr(cpnkit_radon, "intertwiner", inflated)
+    real = cpnkit_radon._rn_blocks
+    monkeypatch.setattr(cpnkit_radon, "_rn_blocks",
+                        lambda *args: [1.5 * t for t in real(*args)])
     with pytest.raises(CertificationError,
                        match=r"Radon-Nikodym certificate failed .*spectrum .*reconstruction"):
         rn_operator(rho, theta, source_dilation=dil)
