@@ -6,7 +6,8 @@ negative (a map fails positivity, domination fails, a property does not
 hold), and 2 means the inputs never reached a verdict (usage errors,
 unreadable files or an unwritable output path, schema violations,
 non-finite numbers or tolerances, a failed certificate or linear-algebra
-routine, a floating-point overflow or invalid operation).
+routine, a floating-point overflow or invalid operation, an input too
+large to allocate).
 
 Each command returns its output text and exit code; ``main`` alone
 writes the text and turns every error, usage errors included, into one
@@ -302,7 +303,7 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 1
     except (SchemaError, ValidationError, CertificationError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+            np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         sys.stderr.write(json.dumps(_error_report(exc)) + "\n")
         return 2
 

@@ -26,10 +26,13 @@ and dilate() seeds it in closed form (U = I, eps = 0), so only other
 representations compute it.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
+CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
+(elements, Radon-Nikodym operators, intertwiners); .rows reads U* V.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,26 +226,48 @@ class CommutantBasis:
         b.flags.writeable = False
         return b
 
+    def lift(self, xs, target: CommutantBasis | None = None) -> np.ndarray:
+        """U_target ((+)_k I_{d_k} (x) X_k) U* from per-block (..., s_k, r_k)
+        arrays X_k, s_k from target (default self), zero past len(xs), as on
+        the kernel; frame column (k, p, s) sits at offset_k + p r_k + s.  A
+        stacked lead gives a stack, member i bitwise the lift of member i."""
+        target = self if target is None else target
+        u1, u2 = self.frame, target.frame
+        h2, lead = len(u2), xs[0].shape[:-2] if len(xs) else ()
+        scaled = np.zeros(lead + (h2, len(u1)), dtype=complex)
+        o1 = o2 = 0
+        for d, r, s, x in zip(self.block_dims, self.multiplicities, target.multiplicities, xs):
+            cols = u2[:, o2:o2 + d * s].reshape(h2, d, s) @ x.reshape(lead + (1, s, r))
+            scaled[..., o1:o1 + d * r] = cols.reshape(*lead, h2, d * r)
+            o1 += d * r
+            o2 += d * s
+        return scaled @ u1.conj().T
+
+    def rows(self, v: np.ndarray) -> list[np.ndarray]:
+        """A_k = [A_k,1 ... A_k,d_k], the rows of U* V at algebra block k as
+        r_k x d_k c matrices, V an H x c matrix: V* lift([.., X, ..]) V has
+        A_k* X A_k as its flattened Choi block k."""
+        w = self.frame.conj().T @ v
+        c, rows, off = w.shape[1], [], 0
+        for d, r in zip(self.rep.algebra.block_dims, self.multiplicities):
+            # frame row (p, s) is row s of A_k,p
+            rows.append(w[off:off + d * r].reshape(d, r, c).transpose(1, 0, 2).reshape(r, d * c))
+            off += d * r
+        return rows
+
     def element(self, coeffs) -> np.ndarray:
-        """sum_i coeffs[i] basis[i] = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*,
-        X_k block k's coefficients as an r_k x r_k matrix, in O(H^3).  A
-        (k, dimension) stack of coefficients gives the (k, H, H) stack of
-        elements, member i bitwise the element of row i alone."""
+        """sum_i coeffs[i] basis[i] = lift of the X_k / sqrt(d_k), X_k block
+        k's coefficients as an r_k x r_k matrix, in O(H^3).  A (k, dimension)
+        stack of coefficients gives the (k, H, H) stack of elements."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (self.dimension,):
             raise ValidationError(
                 f"expected {self.dimension} coefficients, got shape {coeffs.shape}")
-        u = self.frame
-        h, lead = len(u), coeffs.shape[:-1]
-        scaled = np.empty(lead + u.shape, dtype=complex)
-        col = off = 0
+        xs, col, lead = [], 0, coeffs.shape[:-1]
         for d, r in zip(self.block_dims, self.multiplicities):
-            x = coeffs[..., col:col + r * r].reshape(*lead, 1, r, r) / np.sqrt(d)
-            scaled[..., off:off + d * r] = \
-                (u[:, off:off + d * r].reshape(h, d, r) @ x).reshape(*lead, h, d * r)
-            off += d * r
+            xs.append(coeffs[..., col:col + r * r].reshape(*lead, r, r) / math.sqrt(d))
             col += r * r
-        return scaled @ u.conj().T
+        return self.lift(xs)
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
@@ -326,6 +351,11 @@ class StinespringDilation:
         v.flags.writeable = False
         return v
 
+    @functools.cached_property
+    def _minimal(self) -> dict[float, bool]:
+        """_minimal_commutant's verdicts by tol; dilate() seeds its own."""
+        return {}
+
 
 def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     """Minimal dilation via eigendecomposition of the flattened Choi blocks.
@@ -357,8 +387,9 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     frame = np.eye(h, dtype=complex)
     frame.flags.writeable = False
     rep.__dict__.update(frame=(frame, tuple(mults) + (0,), 0.0), norm=1.0 if h else 0.0)
-    isoms = tuple(v[:, i * m:(i + 1) * m] for i in range(n))
-    return StinespringDilation(rep, isoms, rho)
+    dil = StinespringDilation(rep, tuple(v[:, i * m:(i + 1) * m] for i in range(n)), rho)
+    dil.__dict__["_minimal"] = {tol: True}  # rows of V: orthogonal, sqrt(w_s) > 0 long
+    return dil
 
 
 def dilation_of(rho: CPnMap, tol: float,
@@ -372,6 +403,19 @@ def dilation_of(rho: CPnMap, tol: float,
             or cpn_distance(dilation.source, rho) <= tol * rho.scale):
         raise ValidationError("dilation is not a dilation of the given map matrix")
     return dilation
+
+
+def _minimal_commutant(dil: StinespringDilation, tol: float) -> CommutantBasis:
+    """commutant(dil.rep, tol) once dil is minimal -- r_0 = 0 and each frame-row
+    block A_k of rank r_k -- else ValidationError; once per dilation and tol."""
+    comm = commutant(dil.rep, tol)
+    memo, mults = dil._minimal, comm.multiplicities
+    if tol not in memo:
+        memo[tol] = mults[-1] == 0 and all(
+            numerical_rank(a, tol) == r for a, r in zip(comm.rows(dil.joint_isometry), mults))
+    if not memo[tol]:
+        raise ValidationError(f"dilation is not minimal (multiplicities {mults})")
+    return comm
 
 
 def spanning_matrix(dil: StinespringDilation) -> np.ndarray:

@@ -8,15 +8,14 @@ the commutant Phi(A)', the compression
 
 is again completely n-positive, and T -> rho_T is an affine order
 isomorphism from the operator interval [0, I] in the commutant onto the
-map interval [0, rho].  Its inverse is read off the certified canonical
-frame U of the dilation: with A_k the rows of U* V at block k, theta's
-flattened Choi block is A_k* T_k A_k, so T = U ((+)_k I_{d_k} (x) T_k) U*
-with T_k = (A_k^+)* C_k A_k^+, one r_k-sized solve per block; the
-contraction W with T = W* W solves Y_k A_k = B_k on the frame rows of
-both dilations the same way.  compress and
-order_equivalence_check are the one-element case of the stacked
-_gated_compressions and _order_checks that criterion 4 and
-ExtremalityReport.decomposition call directly.
+map interval [0, rho].  Its inverse is read off the certified commutant
+of the dilation: with A_k = CommutantBasis.rows(V), theta's flattened
+Choi block is A_k* T_k A_k, so T = lift([T_k]) = U ((+)_k I_{d_k} (x)
+T_k) U* with T_k = (A_k^+)* C_k A_k^+, one r_k-sized solve per block;
+W with T = W* W lifts the solutions of Y_k A_k = B_k on both dilations'
+rows into theta's frame.  compress and order_equivalence_check are the
+one-element case of the stacked _gated_compressions and _order_checks
+that criterion 4 and ExtremalityReport.decomposition call directly.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from .dilation import (CommutantBasis, StinespringDilation, commutant,
                        commutator_bound, dilate, dilation_of)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, spectral_norm, spectral_norms
-from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
+from .maps import (CPnMap, _choi_blocks, _cpn_verdicts, _trusted_map, cpn_distance,
                    is_completely_n_positive, require_cpn, unflatten)
 
 
@@ -59,14 +58,7 @@ def _compressions(dil: StinespringDilation, ts: np.ndarray) -> list[np.ndarray]:
     ungated, as one (k, d q, d q) stack per algebra block: one product for
     the stack, cut into Choi blocks once per algebra block."""
     v = dil.joint_isometry
-    k, q = len(ts), v.shape[1]
-    imgs = v.conj().T @ ts[:, None] @ dil.rep.images @ v
-    blocks, idx = [], 0
-    for d in dil.source.domain.block_dims:
-        grid = imgs[:, idx:idx + d * d].reshape(k, d, d, q, q)
-        blocks.append(grid.swapaxes(2, 3).reshape(k, d * q, d * q))
-        idx += d * d
-    return blocks
+    return _choi_blocks(dil.source.domain, v.conj().T @ ts[:, None] @ dil.rep.images @ v)
 
 
 def _maps(dil: StinespringDilation, blocks: list[np.ndarray]) -> list[CPnMap]:
@@ -149,25 +141,6 @@ def _dominated(rho: CPnMap, theta: CPnMap, tol: float) -> None:
             min_eig=diff.min_eig)
 
 
-def _frame_rows(dil: StinespringDilation, basis: CommutantBasis) -> list[np.ndarray]:
-    """A_k = [A_k,1 ... A_k,d_k], the rows of U* V at block k of the frame,
-    as r_k x d_k n m matrices, one per algebra block: V* (I_{d_k} (x) X) V
-    restricted to block k has flattened Choi block A_k* X A_k."""
-    v = basis.frame.conj().T @ dil.joint_isometry
-    nm, rows, off = v.shape[1], [], 0
-    for d, r in zip(dil.source.domain.block_dims, basis.multiplicities):
-        # frame row (p, s) is row s of A_k,p
-        rows.append(v[off:off + d * r].reshape(d, r, nm).transpose(1, 0, 2).reshape(r, d * nm))
-        off += d * r
-    return rows
-
-
-def _pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse with the cutoff of lstsq (max(shape) eps), so
-    Y = B _pinv(A) is solve_sandwich's minimal-norm solution of Y A = B."""
-    return np.linalg.pinv(a, rtol=None)
-
-
 def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
                 source_dilation: StinespringDilation | None = None) -> Intertwiner:
     """The canonical contraction between the dilations of rho and theta <= rho.
@@ -183,17 +156,11 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     dr = dilation_of(rho, tol, source_dilation)
     dt = dilate(theta, tol)
     br, bt = commutant(dr.rep, tol), commutant(dt.rep, tol)
-    ys = [b @ _pinv(a) for a, b in zip(_frame_rows(dr, br), _frame_rows(dt, bt))]
-    # U_theta (+)_k I_{d_k} (x) Y_k, zero on the kernel blocks, then U_rho*
-    u1, u2 = br.frame, bt.frame
-    scaled = np.zeros((len(u2), len(u1)), dtype=complex)
-    o1 = o2 = 0
-    for d, r, s, y in zip(rho.domain.block_dims, br.multiplicities, bt.multiplicities, ys):
-        scaled[:, o1:o1 + d * r] = \
-            (u2[:, o2:o2 + d * s].reshape(len(u2), d, s) @ y).reshape(len(u2), d * r)
-        o1 += d * r
-        o2 += d * s
-    w = scaled @ u1.conj().T
+    # rtol=None is lstsq's cutoff (max(shape) eps), so B A^+ is
+    # solve_sandwich's minimal-norm solution of Y A = B
+    ys = [b @ np.linalg.pinv(a, rtol=None)
+          for a, b in zip(br.rows(dr.joint_isometry), bt.rows(dt.joint_isometry))]
+    w = br.lift(ys, bt)
     scale = rho.scale
     norm = spectral_norm(w)
     iso_res = spectral_norm(w @ np.array(dr.isometries) - np.array(dt.isometries))
@@ -224,11 +191,8 @@ def _rn_blocks(dil: StinespringDilation, basis: CommutantBasis,
     """T_k = (A_k^+)* C_k A_k^+ per algebra block, C_k theta's flattened
     Choi block and A_k the frame rows: the r_k x r_k blocks of T in the
     frame, Hermitian by construction."""
-    ts = []
-    for a, c in zip(_frame_rows(dil, basis), theta.flat.choi_blocks):
-        ap = _pinv(a)
-        ts.append(herm(ap.conj().T @ c @ ap))
-    return ts
+    aps = [np.linalg.pinv(a, rtol=None) for a in basis.rows(dil.joint_isometry)]
+    return [herm(ap.conj().T @ c @ ap) for ap, c in zip(aps, theta.flat.choi_blocks)]
 
 
 def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
@@ -246,11 +210,9 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     dr = dilation_of(rho, tol, source_dilation)
     basis = commutant(dr.rep, tol)
     blocks = _rn_blocks(dr, basis, theta)
-    r0 = basis.multiplicities[-1]
-    # element() divides block k by sqrt(d_k); T is zero on the kernel block
-    t = basis.element(np.concatenate(
-        [np.sqrt(d) * b.ravel() for d, b in zip(basis.block_dims, blocks)] + [np.zeros(r0 * r0)]))
-    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks] + [np.zeros(min(r0, 1))])
+    t = basis.lift(blocks)  # zero on the kernel block
+    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks]
+                          + [np.zeros(min(basis.multiplicities[-1], 1))])
     spectrum = (float(eigs.min()), float(eigs.max())) if eigs.size else (0.0, 0.0)
     t_norm = float(np.abs(eigs).max(initial=0.0))
     com_res = commutator_bound(dr.rep, basis.frame_residual) * t_norm

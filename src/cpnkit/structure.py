@@ -17,7 +17,9 @@ O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
 intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
 alike.  Every verdict here reads dilation.commutant(), that frame with
 B(eps) as its one commute certificate, and none builds the H x H
-commutant basis.  Images that are not a *-representation raise
+commutant basis; extension_witness lifts the one intertwiner it uses.
+is_pure and is_extreme refuse a given dilation that is not minimal
+(ValidationError); images that are not a *-representation raise
 CertificationError.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .algebra import cstar_norm, distance, is_unitary
 from .dilation import (CommutantBasis, StinespringDilation, _frame_basis,
-                       commutant, dilate, dilation_of, rep_apply)
+                       _minimal_commutant, commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
 from .linalg import (herm, numerical_rank, orth, partial_isometry,
                      spectral_norm)
@@ -41,7 +43,7 @@ from .radon import _gated_compressions, _maps
 def is_pure(rho: CPnMap, tol: float = 1e-9,
             dilation: StinespringDilation | None = None) -> bool:
     """Purity via irreducibility: the dilation commutant has dimension 1."""
-    return commutant(dilation_of(rho, tol, dilation).rep, tol).dimension == 1
+    return _minimal_commutant(dilation_of(rho, tol, dilation), tol).dimension == 1
 
 
 def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
@@ -66,45 +68,43 @@ def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
     Both inputs must be completely positive (n = 1) maps with a common
     domain and codomain.
     """
-    _check_pair(rho11, rho22)
-    c1 = commutant(dilate(rho11, tol).rep, tol)
-    c2 = commutant(dilate(rho22, tol).rep, tol)
+    c1, c2 = _pair_commutants(rho11, rho22, tol)[2:]
     return sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities)) == 0
 
 
-def _check_pair(rho11: CPnMap, rho22: CPnMap) -> None:
+def _pair_commutants(rho11: CPnMap, rho22: CPnMap, tol: float):
+    """Dilations, then certified commutants, of two maps (n = 1) on common spaces."""
     if rho11.n != 1 or rho22.n != 1:
         raise ValidationError("disjointness is defined for single maps (n = 1)")
     if rho11.domain != rho22.domain or rho11.codomain_dim != rho22.codomain_dim:
         raise ValidationError("maps must share domain and codomain")
+    d1, d2 = dilate(rho11, tol), dilate(rho22, tol)
+    return d1, d2, commutant(d1.rep, tol), commutant(d2.rep, tol)
 
 
 def extension_witness(rho11: CPnMap, rho22: CPnMap,
                       tol: float = 1e-9) -> CPnMap | None:
     """A completely 2-positive completion with nonzero off-diagonal, if any.
 
-    Returns None when the maps are disjoint.  Otherwise a nonzero
-    intertwiner X between the dilation representations is polar-
-    decomposed into a partial isometry W, and
+    Returns None when the maps are disjoint.  Otherwise X, the lift of
+    E_00 in the first block with r_k s_k > 0 (sqrt(d_k) times
+    intertwiner_space's first element, built alone), has polar part W, and
 
         rho_12(a) = V_1* Phi_1(a) W* V_2,    rho_21(a) = rho_12(a*)*
 
     completes [rho_11, rho_12; rho_21, rho_22] to a certified completely
     2-positive map matrix with rho_12 != 0.
     """
-    _check_pair(rho11, rho22)
-    d1 = dilate(rho11, tol)
-    d2 = dilate(rho22, tol)
-    basis = intertwiner_space(d1, d2, tol)
-    if not basis:
+    d1, d2, c1, c2 = _pair_commutants(rho11, rho22, tol)
+    pairs = list(zip(c1.multiplicities, c2.multiplicities))
+    first = next((k for k, (r, s) in enumerate(pairs) if r * s), None)
+    if first is None:
         return None
-    w = partial_isometry(basis[0], tol)
-    v1 = d1.isometries[0]
-    v2 = d2.isometries[0]
-    m = rho11.codomain_dim
-    alg = rho11.domain
-    images12 = v1.conj().T @ d1.rep.images @ w.conj().T @ v2
-    map12 = map_from_images(alg, m, images12)
+    xs = [np.zeros((s, r)) for r, s in pairs[:first + 1]]
+    xs[first][0, 0] = 1.0
+    w = partial_isometry(c1.lift(xs, c2), tol)
+    images12 = d1.isometries[0].conj().T @ d1.rep.images @ w.conj().T @ d2.isometries[0]
+    map12 = map_from_images(rho11.domain, rho11.codomain_dim, images12)
     witness = CPnMap(((rho11.entries[0][0], map12),
                       (_hermitian_partner(map12), rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
@@ -211,7 +211,7 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     """
     dilation = dilation_of(rho, tol, dilation)
     _membership_check(rho, tol)
-    comm = commutant(dilation.rep, tol)
+    comm = _minimal_commutant(dilation, tol)
     g = orth(dilation.joint_isometry, tol).conj().T @ comm.frame
     mults = comm.multiplicities
     mat = _frame_basis(comm.block_dims, g, mults, g, mults).reshape(comm.dimension, -1).T

@@ -26,3 +26,25 @@ def test_no_unused_module_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_no_orphaned_private_helpers():
+    # every module-level _-prefixed function or class must be read somewhere
+    # in the package, so a helper a refactor leaves behind fails here
+    import ast
+    from pathlib import Path
+
+    defined, used = [], set()
+    for path in sorted(Path(cpnkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined and [f"{f}: {name}" for f, name in defined if name not in used] == []

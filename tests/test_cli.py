@@ -385,6 +385,23 @@ def test_linalg_failure_exit_2(tmp_path, capsys):
             assert_json_error(*run(capsys, command, str(f)))
 
 
+def test_memory_error_exit_2(capsys, monkeypatch):
+    # an input too large to allocate is unusable input, not a negative
+    # verdict; the stand-in raises before anything is allocated
+    from cpnkit import cli
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "random_cpn_map", unallocatable)
+    code, out, err = run(capsys, "random", "--d", "1000000", "--m", "1", "--n", "1",
+                         "--rank", "1")
+    assert_json_error(code, out, err)
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {"type": "MemoryError",
+                                        "message": "Unable to allocate 14.6 TiB for an array"}
+
+
 def test_nonfinite_report_exit_2(tmp_path, capsys, monkeypatch):
     # a report that would need NaN is refused rather than printed
     from cpnkit import cli

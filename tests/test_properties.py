@@ -1,7 +1,7 @@
 """Deterministic property tests of the certified commutant and the frame
 dilate() seeds, of the stacked compression gates, of the stacked
-map-side verdicts and of the frame-coordinate Radon-Nikodym operator and
-intertwiner.
+map-side verdicts, of the frame-coordinate Radon-Nikodym operator and
+intertwiner, and of CommutantBasis.lift, the one assembly of them all.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -14,16 +14,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
-                    ValidationError, commutant, compress,
-                    cpn_distance, dilate, dilate_from_gram, intertwiner,
+                    ValidationError, commutant, compress, cpn_distance, dilate,
+                    dilate_from_gram, extension_witness, intertwiner, intertwiner_space,
                     is_completely_n_positive, is_extreme, is_pure, make_algebra,
                     map_from_images, rn_operator, star_index, order_equivalence_check,
                     sample_unit_interval, spanning_matrix, unflatten)
 import cpnkit.dilation as cpnkit_dilation
 import cpnkit.radon as cpnkit_radon
+import cpnkit.structure as cpnkit_structure
 from cpnkit.acceptance import _instance, criterion_4_order
-from cpnkit.dilation import canonical_frame, canonical_images
-from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
+from cpnkit.dilation import CommutantBasis, _frame_basis, canonical_frame, canonical_images
+from cpnkit.linalg import (commutant_basis_of, herm, partial_isometry, solve_sandwich,
+                           spectral_norm)
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
                          images_of)
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _order_checks,
@@ -435,6 +437,12 @@ def padded(dil, rng, pad=2):
         dil.source)
 
 
+def source_of(kind, dil, rho, rng):
+    """A dilation of rho: dil itself, moved, from the Gram route or padded."""
+    return {"dilate": lambda: dil, "moved": lambda: moved(dil, rng),
+            "gram": lambda: dilate_from_gram(rho), "padded": lambda: padded(dil, rng)}[kind]()
+
+
 def counted_calls(call):
     """call() with dilate and np.linalg.lstsq counted: (result, dilates, lstsqs)."""
     counts = {"dilate": 0, "lstsq": 0}
@@ -467,8 +475,7 @@ def test_frame_route_matches_the_sandwich_route(shape, theta_kind, source_kind):
     rng = np.random.default_rng(seed)
     rho = map_with_ranks(dims, n, m, ranks, rng)
     dil = dilate(rho)
-    dr = {"dilate": lambda: dil, "moved": lambda: moved(dil, rng),
-          "gram": lambda: dilate_from_gram(rho), "padded": lambda: padded(dil, rng)}[source_kind]()
+    dr = source_of(source_kind, dil, rho, rng)
     theta = {"drawn": lambda: compress(dr, sample_unit_interval(dr, rng)),
              "zero": lambda: 0.0 * rho, "same": lambda: rho}[theta_kind]()
     want_t, want_w = sandwich_route(dr, theta)
@@ -483,3 +490,113 @@ def test_frame_route_matches_the_sandwich_route(shape, theta_kind, source_kind):
         assert spectral_norm(elem.matrix - np.eye(dr.space_dim)) <= 1e-10
     if source_kind == "dilate":
         assert elem.commutant_residual == w.intertwining_residual == 0.0
+
+
+# One assembly path: CommutantBasis.lift is the frame-basis combination, and
+# every element, Radon-Nikodym operator, intertwiner and witness is a lift
+
+
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("dilate", "moved", "gram", "padded")), st.booleans())
+@example(((2, 1), 2, 1, (0, 0), 0), "dilate", False)  # the zero map, H = 0
+@example(((2, 1), 2, 1, (0, 0), 0), "dilate", True)  # H = 0 into a target
+@example(((3, 1), 1, 2, (2, 0), 1), "gram", True)  # U != I, a zero-rank block
+@example(((2, 1), 1, 2, (2, 1), 3), "padded", True)  # r_0 = 2
+def test_lift_is_the_frame_basis_combination(shape, source_kind, other_target):
+    # lift(xs, target) = sum over (k, a, b) of sqrt(d_k) X_k[a, b] times the
+    # outer-product basis element; a stack of 3 matches its members bitwise
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    source = commutant(source_of(source_kind, dilate(rho), rho, rng).rep)
+    target = source
+    if other_target:
+        other = map_with_ranks(dims, n, m, tuple(rng.integers(0, 3, len(dims))), rng)
+        target = commutant(moved(dilate(other), rng).rep)
+    shape_out = (target.rep.space_dim, source.rep.space_dim)
+    pairs = list(zip(source.multiplicities, target.multiplicities))
+    count = int(rng.integers(1, len(pairs) + 1))  # blocks past count are zero
+    xs = [rng.standard_normal((3, s, r)) + 1j * rng.standard_normal((3, s, r))
+          for r, s in pairs[:count]]
+    coeffs = np.concatenate([np.sqrt(d) * x.reshape(3, -1) for d, x in zip(source.block_dims, xs)]
+                            + [np.zeros((3, sum(r * s for r, s in pairs[count:])))], axis=1)
+    basis = _frame_basis(source.block_dims, source.frame, source.multiplicities,
+                         target.frame, target.multiplicities)
+    stacked = source.lift(xs, target)
+    assert stacked.shape == (3,) + shape_out
+    for i in range(3):
+        single = source.lift([x[i] for x in xs], target)
+        assert same_bits(stacked[i], single)
+        want = np.tensordot(coeffs[i], basis, 1)
+        assert spectral_norm(single - want) <= 1e-12 * (1.0 + spectral_norm(want))
+    empty = source.lift([], target)
+    assert empty.shape == shape_out and not empty.any()
+    if not other_target:
+        assert same_bits(source.lift(xs), stacked)
+
+
+@st.composite
+def map_pairs(draw, domains=DOMAINS):
+    """(block dims, m, Choi ranks of two maps (n = 1), seed)."""
+    dims = draw(st.sampled_from(domains))
+    m = draw(st.integers(1, 2))
+    ranks = [tuple(draw(st.integers(0, min(d * m, 3))) for d in dims) for _ in range(2)]
+    return dims, m, ranks[0], ranks[1], draw(st.integers(0, 2**32 - 1))
+
+
+@DETERMINISTIC
+@given(map_pairs())
+@example(((2, 1), 1, (0, 1), (1, 1), 0))  # the first intertwining block is k = 1
+@example(((2, 2), 2, (2, 0), (0, 3), 1))  # disjoint
+@example(((1, 1, 2), 2, (0, 0, 0), (1, 2, 3), 2))  # the zero map, H = 0
+def test_extension_witness_lifts_the_first_intertwiner(pair):
+    # the witness is built from the first closed-form intertwiner alone:
+    # no outer-product basis, the same W as intertwiner_space's element 0
+    dims, m, ranks1, ranks2, seed = pair
+    rng = np.random.default_rng(seed)
+    rho11, rho22 = (map_with_ranks(dims, 1, m, r, rng) for r in (ranks1, ranks2))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    real = cpnkit_dilation._frame_basis
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cpnkit_dilation, cpnkit_structure):
+            mp.setattr(module, "_frame_basis", counting)
+        witness = extension_witness(rho11, rho22)
+    assert built == []
+    d1, d2 = dilate(rho11), dilate(rho22)
+    space = intertwiner_space(d1, d2)
+    if not space:
+        assert witness is None
+        return
+    w = partial_isometry(space[0], 1e-9)
+    want = d1.isometries[0].conj().T @ d1.rep.images @ w.conj().T @ d2.isometries[0]
+    got = images_of(witness.entry(0, 1))
+    assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
+
+
+def test_every_frame_assembly_is_a_lift(monkeypatch):
+    lifts = []
+    real = CommutantBasis.lift
+
+    def counting(self, xs, target=None):
+        lifts.append(len(xs))
+        return real(self, xs, target)
+
+    monkeypatch.setattr(CommutantBasis, "lift", counting)
+    rng = np.random.default_rng(17)
+    rho = map_with_ranks((2, 1), 1, 2, (2, 1), rng)
+    dil = dilate(rho)
+    comm = commutant(dil.rep)
+    theta = compress(dil, sample_unit_interval(dil, rng))
+    calls = [lambda: comm.element(np.ones(comm.dimension)),
+             lambda: rn_operator(rho, theta, source_dilation=dil),
+             lambda: intertwiner(rho, theta, source_dilation=dil),
+             lambda: extension_witness(rho, rho)]
+    for call in calls:
+        lifts.clear()
+        call()
+        assert len(lifts) == 1

@@ -15,7 +15,7 @@ from cpnkit import (CertificationError, CPnMap, LinearMap,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
                     rn_operator, sample_unit_interval, star_index, trace_map,
-                    unflatten, zero_map)
+                    unflatten, verify_dilation, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 from cpnkit.dilation import canonical_frame, commutator_bound, representation_bound
 from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
@@ -856,6 +856,38 @@ def test_frame_with_wrong_vector_count_raises_on_every_call(monkeypatch):
         assert "eigh" in calls and "frame" not in vars(bad)
 
 
+def doubled(dil):
+    """Phi (x) I_2 with V_i (x) e_1: a dilation of the same map, not minimal."""
+    images = np.kron(dil.rep.images, np.eye(2))
+    return StinespringDilation(Representation(dil.rep.algebra, 2 * dil.space_dim, images),
+                               tuple(np.kron(v, np.eye(2)[:, :1]) for v in dil.isometries),
+                               dil.source)
+
+
+def test_minimality_is_decided_once_per_dilation_and_tol(monkeypatch):
+    # dilate() seeds the verdict at its tol; another dilation reads its
+    # frame rows once per tol, and a non-minimal one keeps failing
+    rng = np.random.default_rng(73)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 1, 2, rng)
+    dil = dilate(rho)
+    u = random_unitary_matrix(dil.space_dim, rng)
+    other = StinespringDilation(conjugated(dil.rep, u), tuple(u @ v for v in dil.isometries), rho)
+    reads = []
+    real = cpnkit_dilation.CommutantBasis.rows
+    monkeypatch.setattr(cpnkit_dilation.CommutantBasis, "rows",
+                        lambda self, v: reads.append(self.rep) or real(self, v))
+    verdicts = [is_pure(rho, dilation=dil), is_pure(rho, dilation=other),
+                is_pure(rho, dilation=other), is_pure(rho, 1e-7, dilation=other)]
+    assert verdicts == [False] * 4 and reads == [other.rep, other.rep]
+    assert dil._minimal == {1e-9: True} and other._minimal == {1e-9: True, 1e-7: True}
+    bad = doubled(dil)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not minimal"):
+            is_pure(rho, dilation=bad)
+    assert bad._minimal == {1e-9: False}
+    assert len(reads) == 3
+
+
 def test_foreign_dilation_is_rejected():
     ident = as_cpn(identity_map(m2()))
     dep = as_cpn(depolarizing_map(2))
@@ -877,3 +909,16 @@ def test_foreign_dilation_is_rejected():
     # an equal but distinct map matrix owns the dilation
     assert not is_pure(as_cpn(depolarizing_map(2)), dilation=foreign)
     assert is_extreme(as_cpn(depolarizing_map(2)), dilation=foreign).commutant_dim == 16
+    # Phi (+) Phi with V (+) 0 factorizes the identity map but is not minimal:
+    # answered for as given, it would call the pure, extreme map neither
+    two = doubled(dilate(ident))
+    assert verify_dilation(ident, two).factor_residual <= 1e-12
+    assert not verify_dilation(ident, two).minimal
+    for call in (lambda: is_pure(ident, dilation=two),
+                 lambda: is_extreme(ident, dilation=two),
+                 lambda: nonextreme_decomposition(ident, dilation=two)):
+        with pytest.raises(ValidationError, match="not minimal"):
+            call()
+    assert is_pure(ident) and is_extreme(ident).extreme
+    # rn_operator needs no minimal source and still accepts it
+    assert rn_operator(ident, 0.5 * ident, source_dilation=two).spectrum[1] <= 0.5 + 1e-12
