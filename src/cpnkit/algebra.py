@@ -30,7 +30,7 @@ class CStarAlgebra:
             raise ValidationError(f"block dimensions must be positive, got {dims}")
         object.__setattr__(self, "block_dims", dims)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         """Linear dimension: sum of squared block sizes."""
         return sum(d * d for d in self.block_dims)

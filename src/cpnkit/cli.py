@@ -5,9 +5,9 @@ mathematical verdict (if any) is affirmative, 1 means the verdict is
 negative (a map fails positivity, domination fails, a property does not
 hold), and 2 means the inputs never reached a verdict (usage errors,
 unreadable files or an unwritable output path, schema violations,
-non-finite numbers or tolerances, a failed certificate or linear-algebra
-routine, a floating-point overflow or invalid operation, an input too
-large to allocate).
+non-finite numbers, tolerances outside (0, 1), a failed certificate or
+linear-algebra routine, a floating-point overflow or invalid operation,
+an input too large to allocate).
 
 Each command returns its output text and exit code; ``main`` alone
 writes the text and turns every error, usage errors included, into one
@@ -32,14 +32,15 @@ from .maps import images_of, is_completely_n_positive, random_cpn_map
 from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
-from .structure import extension_witness, is_extreme
+from .structure import extension_witness, is_extreme, is_pure
 from .acceptance import run_all
 
 
 def _tol(arg: str | None) -> float:
     """--tol, else CPN_TOL, else 1e-9.  A tolerance must be a finite
-    positive number; inf and nan would make every check pass or fail
-    vacuously."""
+    positive number below 1: inf and nan would make every check pass or
+    fail vacuously, and from 1 up -tol (1 + ||C||) < lambda_min, so every
+    Hermitian-symmetric map would read completely n-positive."""
     name, raw = (("--tol", arg) if arg is not None
                  else ("CPN_TOL", os.environ.get("CPN_TOL", "1e-9")))
     try:
@@ -48,6 +49,8 @@ def _tol(arg: str | None) -> float:
         raise SchemaError(f"{name} is not a number: {raw!r}") from exc
     if not (math.isfinite(val) and val > 0.0):
         raise SchemaError(f"{name} must be a finite positive number, got {val!r}")
+    if val >= 1.0:
+        raise SchemaError(f"{name} must be below 1, got {val!r}")
     return val
 
 
@@ -143,7 +146,7 @@ def _cmd_pure(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
     basis = commutant(dil.rep, args.tol)
-    return _report(args, basis.dimension == 1, {
+    return _report(args, is_pure(rho, args.tol, dilation=dil), {
         "commutant_dimension": basis.dimension,
         "space_dim": dil.space_dim,
         **_frame_certificates(basis),

@@ -27,7 +27,8 @@ representations compute it.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
 CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
-(elements, Radon-Nikodym operators, intertwiners); .rows reads U* V.
+(elements and bases, Radon-Nikodym operators, intertwiners), and .rows
+alone reads U* V: no other module reads the frame.
 """
 from __future__ import annotations
 
@@ -162,26 +163,6 @@ def canonical_frame(rep: Representation) -> tuple[np.ndarray, tuple[int, ...], f
     return u, tuple(mults), spectral_norm(residuals)
 
 
-def _frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
-    """Orthonormal basis (1/sqrt d_k) sum_p u2_{k,p,a} u1_{k,p,b}* of
-    U_2 ((+)_k I_{d_k} (x) M_{s_k x r_k}) U_1*, from the frame columns, as
-    a (sum_k s_k r_k, H_2, H_1) stack in (k, a, b) order."""
-    basis = np.empty((sum(r * s for r, s in zip(mults1, mults2)), len(u2), len(u1)),
-                     dtype=complex)
-    o1 = o2 = col = 0
-    for d, r, s in zip(block_dims, mults1, mults2):
-        # (s, H_2, d) @ (r, d, H_1) -> (s, r, H_2, H_1), summing over p
-        a2 = u2[:, o2:o2 + d * s].reshape(len(u2), d, s).transpose(2, 0, 1)
-        a1 = u1[:, o1:o1 + d * r].reshape(len(u1), d, r).conj().transpose(2, 1, 0)
-        block = basis[col:col + s * r]
-        np.matmul(a2[:, None], a1[None], out=block.reshape(s, r, len(u2), len(u1)))
-        block /= np.sqrt(d)
-        o1 += d * r
-        o2 += d * s
-        col += s * r
-    return basis
-
-
 def commutator_bound(rep: Representation, eps: float) -> float:
     """B(eps) = 2 eps (1 + eps) (1 + max_e ||Phi(e)||), eps the frame residual.
 
@@ -209,11 +190,11 @@ class CommutantBasis:
     multiplicities: tuple[int, ...]
     frame_residual: float
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         return sum(r * r for r in self.multiplicities)
 
-    @property
+    @functools.cached_property
     def block_dims(self) -> tuple[int, ...]:
         return self.rep.algebra.block_dims + (1,)
 
@@ -221,8 +202,7 @@ class CommutantBasis:
     def basis(self) -> np.ndarray:
         """Frobenius-orthonormal basis (+)_k I_{d_k} (x) E_ab / sqrt(d_k) in the
         frame, a read-only (dimension, H, H) stack, built on first use."""
-        b = _frame_basis(self.block_dims, self.frame, self.multiplicities,
-                         self.frame, self.multiplicities)
+        b = self.element(np.eye(self.dimension))
         b.flags.writeable = False
         return b
 
@@ -255,19 +235,22 @@ class CommutantBasis:
             off += d * r
         return rows
 
-    def element(self, coeffs) -> np.ndarray:
-        """sum_i coeffs[i] basis[i] = lift of the X_k / sqrt(d_k), X_k block
-        k's coefficients as an r_k x r_k matrix, in O(H^3).  A (k, dimension)
-        stack of coefficients gives the (k, H, H) stack of elements."""
+    def element(self, coeffs, target: CommutantBasis | None = None) -> np.ndarray:
+        """lift of the X_k / sqrt(d_k) into target (default self), X_k block k's
+        coefficients in (k, a, b) order as an s_k x r_k matrix, in O(H^3): the
+        combination of basis, or of intertwiner_space's basis for a target.  A
+        (j, sum r_k s_k) stack of coefficients gives the (j, H_target, H) stack."""
+        target = self if target is None else target
+        pairs = list(zip(self.multiplicities, target.multiplicities))
+        count = sum(r * s for r, s in pairs)
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (self.dimension,):
-            raise ValidationError(
-                f"expected {self.dimension} coefficients, got shape {coeffs.shape}")
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (count,):
+            raise ValidationError(f"expected {count} coefficients, got shape {coeffs.shape}")
         xs, col, lead = [], 0, coeffs.shape[:-1]
-        for d, r in zip(self.block_dims, self.multiplicities):
-            xs.append(coeffs[..., col:col + r * r].reshape(*lead, r, r) / math.sqrt(d))
-            col += r * r
-        return self.lift(xs)
+        for d, (r, s) in zip(self.block_dims, pairs):
+            xs.append(coeffs[..., col:col + s * r].reshape(*lead, s, r) / math.sqrt(d))
+            col += s * r
+        return self.lift(xs, target)
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:

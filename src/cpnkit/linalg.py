@@ -51,12 +51,6 @@ def numerical_rank(a: np.ndarray, tol: float) -> int:
     return int(significant(np.linalg.svd(a, compute_uv=False), tol).sum())
 
 
-def orth(a: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns."""
-    u, s, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
-    return u[:, :significant(s, tol).sum()]
-
-
 def nullspace(a: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the right nullspace, as columns.
 

@@ -17,23 +17,24 @@ O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
 intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
 alike.  Every verdict here reads dilation.commutant(), that frame with
 B(eps) as its one commute certificate, and none builds the H x H
-commutant basis; extension_witness lifts the one intertwiner it uses.
+commutant basis: is_extreme reads the frame rows A_k of U* V, and
+extension_witness lifts the one intertwiner it uses.
 is_pure and is_extreme refuse a given dilation that is not minimal
 (ValidationError); images that are not a *-representation raise
 CertificationError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import cstar_norm, distance, is_unitary
-from .dilation import (CommutantBasis, StinespringDilation, _frame_basis,
-                       _minimal_commutant, commutant, dilate, dilation_of, rep_apply)
+from .dilation import (CommutantBasis, StinespringDilation, _minimal_commutant,
+                       commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import (herm, numerical_rank, orth, partial_isometry,
-                     spectral_norm)
+from .linalg import herm, numerical_rank, partial_isometry, spectral_norm
 from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts,
                    _hermitian_partner, apply_map, as_cpn, is_completely_n_positive,
                    map_from_images, require_cpn, subblocks, unflatten)
@@ -51,14 +52,14 @@ def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
 
     The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
-    the two certified commutants.
+    the two certified commutants: c1.element of each unit coefficient vector.
     """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
     c1 = commutant(d1.rep, tol)
     c2 = commutant(d2.rep, tol)
-    return list(_frame_basis(c1.block_dims, c1.frame, c1.multiplicities,
-                             c2.frame, c2.multiplicities))
+    count = sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities))
+    return list(c1.element(np.eye(count), c2))
 
 
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
@@ -202,20 +203,25 @@ def _compressed_commutant(rho: CPnMap, tol: float,
     """The data is_extreme decides on and its report decomposes with.
 
     Checks rho as dilation_of and _membership_check do, then returns
-    its dilation, the certified commutant and the matrix of T -> Q* T Q on
-    the closed-form commutant basis, Q = orth(V): the frame basis with
-    G = Q* U in place of U, column (k, a, b) vec((1/sqrt d_k) sum_p
-    G_{k,p,a} G_{k,p,b}*).  X -> Q X Q* is a Frobenius isometry, so these
-    q^2 <= (n m)^2 rows have the singular values of the H^2-row stack of
-    P T_s P, P = Q Q*.
+    its dilation, the certified commutant and the (n m)^2 x sum r_k^2
+    matrix of T -> V* T V on the commutant basis, read off the frame rows
+    A_k = comm.rows(V): column (k, a, b) is vec(V* lift(E_ab / sqrt d_k) V)
+    = (1/sqrt d_k) sum_p conj(A_k,p[a, :]) (x) A_k,p[b, :].  V = Q R, R of
+    full row rank, so the kernel is that of T -> P T P, P = Q Q*; V* V =
+    rho(1) = I to tol * rho.scale here, so X -> V X V* is a Frobenius
+    isometry and the singular values are those of the H^2-row P T P stack.
     """
     dilation = dilation_of(rho, tol, dilation)
     _membership_check(rho, tol)
     comm = _minimal_commutant(dilation, tol)
-    g = orth(dilation.joint_isometry, tol).conj().T @ comm.frame
-    mults = comm.multiplicities
-    mat = _frame_basis(comm.block_dims, g, mults, g, mults).reshape(comm.dimension, -1).T
-    return dilation, comm, mat
+    c, cols = dilation.joint_isometry.shape[1], []
+    for d, rows in zip(comm.block_dims, comm.rows(dilation.joint_isometry)):
+        r = len(rows)
+        rows = rows.reshape(r, d, c).transpose(1, 0, 2).reshape(d, r * c)  # row p is A_k,p
+        # entry [(a, x), (b, y)] of rows* rows is sum_p conj(A_k,p[a, x]) A_k,p[b, y]
+        pairs = (rows.conj().T @ rows).reshape(r, c, r, c).transpose(1, 3, 0, 2)
+        cols.append(pairs.reshape(c * c, r * r) / math.sqrt(d))
+    return dilation, comm, np.hstack(cols)
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,

@@ -48,3 +48,18 @@ def test_no_orphaned_private_helpers():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert defined and [f"{f}: {name}" for f, name in defined if name not in used] == []
+
+
+def test_only_dilation_reads_the_frame():
+    # CommutantBasis.lift and .rows own the frame layout: no other module
+    # reads an attribute named frame (frame_residual is another name)
+    import ast
+    from pathlib import Path
+
+    readers = []
+    for path in sorted(Path(cpnkit.__file__).parent.glob("*.py")):
+        if path.name != "dilation.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "frame"]
+    assert readers == []

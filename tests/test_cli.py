@@ -345,12 +345,21 @@ def assert_json_error(code, out, err):
 
 
 def test_nonfinite_tolerances_exit_2(tmp_path, capsys, monkeypatch):
-    good, _ = make_files(tmp_path)
+    good, bad = make_files(tmp_path)
     assert_json_error(*run(capsys, "check", good, "--tol", "1e400"))
     assert_json_error(*run(capsys, "check", good, "--tol", "nan"))
     code, out, err = run(capsys, "dilate", good, "--rank-tol", "1e-9")
     assert_json_error(code, out, err)
     assert "unrecognized arguments: --rank-tol" in json.loads(err)["error"]["message"]
+    # from tol = 1 up, -tol (1 + ||C||) < lambda_min would pass every
+    # Hermitian-symmetric map and dilate to nothing: no verdict is reached
+    for tol in ("1", "1e300"):
+        for argv in (("check", bad), ("dilate", good), ("pure", good)):
+            code, out, err = run(capsys, *argv, "--tol", tol)
+            assert_json_error(code, out, err)
+            assert json.loads(err)["error"]["message"] == f"--tol must be below 1, got {float(tol)!r}"
+    monkeypatch.setenv("CPN_TOL", "1.0")
+    assert_json_error(*run(capsys, "check", bad))
     monkeypatch.setenv("CPN_TOL", "inf")
     assert_json_error(*run(capsys, "check", good))
 

@@ -1,7 +1,9 @@
 """Deterministic property tests of the certified commutant and the frame
 dilate() seeds, of the stacked compression gates, of the stacked
 map-side verdicts, of the frame-coordinate Radon-Nikodym operator and
-intertwiner, and of CommutantBasis.lift, the one assembly of them all.
+intertwiner, of CommutantBasis.lift, the one assembly of them all, and
+of is_extreme's frame-row matrix and intertwiner_space against the
+outer-product oracle in oracles.py.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -23,7 +25,7 @@ import cpnkit.dilation as cpnkit_dilation
 import cpnkit.radon as cpnkit_radon
 import cpnkit.structure as cpnkit_structure
 from cpnkit.acceptance import _instance, criterion_4_order
-from cpnkit.dilation import CommutantBasis, _frame_basis, canonical_frame, canonical_images
+from cpnkit.dilation import CommutantBasis, canonical_frame, canonical_images
 from cpnkit.linalg import (commutant_basis_of, herm, partial_isometry, solve_sandwich,
                            spectral_norm)
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
@@ -31,6 +33,7 @@ from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _tru
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _order_checks,
                           _unit_interval)
 
+from oracles import pair_basis
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -119,6 +122,30 @@ def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
     assume(rho is not None)
     dil = dilate(rho)
     assert report_tuple(is_extreme(rho, dilation=dil)) == ptp_route(dil)[0]
+
+
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("dilate", "moved", "gram")))
+@example(((2, 1), 1, 2, (2, 1), 3), "gram")  # two algebra blocks, U != I
+def test_frame_row_matrix_and_intertwiners_match_the_frame_basis(shape, source_kind):
+    # is_extreme's matrix is vec(V* b V) over the oracle commutant basis b,
+    # and intertwiner_space is the oracle intertwiner basis, on any frame
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = unital_map(dims, n, m, ranks, rng)
+    assume(rho is not None)
+    dil = source_of(source_kind, dilate(rho), rho, rng)
+    _, comm, mat = cpnkit_structure._compressed_commutant(rho, 1e-9, dil)
+    basis, v = pair_basis(comm, comm), dil.joint_isometry
+    want = (v.conj().T @ basis @ v).reshape(len(basis), -1).T
+    assert mat.shape == want.shape
+    assert spectral_norm(mat - want) <= 1e-12 * (1.0 + spectral_norm(want))
+    other = map_with_ranks(dims, n, m, tuple(rng.integers(0, 3, len(dims))), rng)
+    for target in (dil, moved(dilate(other), rng)):
+        got = intertwiner_space(dil, target)
+        want = pair_basis(commutant(dil.rep), commutant(target.rep))
+        assert len(got) == len(want)
+        assert all(spectral_norm(g - w) <= 1e-12 for g, w in zip(got, want))
 
 
 def kron_canonical_images(alg, mults):
@@ -520,8 +547,7 @@ def test_lift_is_the_frame_basis_combination(shape, source_kind, other_target):
           for r, s in pairs[:count]]
     coeffs = np.concatenate([np.sqrt(d) * x.reshape(3, -1) for d, x in zip(source.block_dims, xs)]
                             + [np.zeros((3, sum(r * s for r, s in pairs[count:])))], axis=1)
-    basis = _frame_basis(source.block_dims, source.frame, source.multiplicities,
-                         target.frame, target.multiplicities)
+    basis = pair_basis(source, target)
     stacked = source.lift(xs, target)
     assert stacked.shape == (3,) + shape_out
     for i in range(3):
@@ -551,22 +577,28 @@ def map_pairs(draw, domains=DOMAINS):
 @example(((1, 1, 2), 2, (0, 0, 0), (1, 2, 3), 2))  # the zero map, H = 0
 def test_extension_witness_lifts_the_first_intertwiner(pair):
     # the witness is built from the first closed-form intertwiner alone:
-    # no outer-product basis, the same W as intertwiner_space's element 0
+    # one unstacked lift and no intertwiner stack, the same W as
+    # intertwiner_space's element 0
     dims, m, ranks1, ranks2, seed = pair
     rng = np.random.default_rng(seed)
     rho11, rho22 = (map_with_ranks(dims, 1, m, r, rng) for r in (ranks1, ranks2))
-    built = []
+    lifted = []
+    real = CommutantBasis.lift
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    def recording(self, xs, target=None):
+        lifted.append([x.ndim for x in xs])
+        return real(self, xs, target)
 
-    real = cpnkit_dilation._frame_basis
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extension_witness built an intertwiner stack")
+
     with pytest.MonkeyPatch.context() as mp:
-        for module in (cpnkit_dilation, cpnkit_structure):
-            mp.setattr(module, "_frame_basis", counting)
+        mp.setattr(CommutantBasis, "lift", recording)
+        mp.setattr(CommutantBasis, "element", forbidden)
+        mp.setattr(cpnkit_structure, "intertwiner_space", forbidden)
         witness = extension_witness(rho11, rho22)
-    assert built == []
+    assert len(lifted) == (witness is not None)
+    assert all(ndim == 2 for ndims in lifted for ndim in ndims)
     d1, d2 = dilate(rho11), dilate(rho22)
     space = intertwiner_space(d1, d2)
     if not space:

@@ -19,9 +19,11 @@ from cpnkit import (CertificationError, CPnMap, LinearMap,
 import cpnkit.dilation as cpnkit_dilation
 from cpnkit.dilation import canonical_frame, commutator_bound, representation_bound
 from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
-                           nullspace, numerical_rank, orth, spectral_norm)
+                           nullspace, numerical_rank, spectral_norm)
 import cpnkit.structure as cpnkit_structure
 from cpnkit.structure import _compressed_commutant
+
+from oracles import orth, pair_basis
 
 
 def vector_state(alg, xi):
@@ -543,9 +545,10 @@ def unital_maps(count, rng):
 
 
 def ptp_route(dil, tol=1e-9):
-    """The H^2-row route: rank of the stack of vec(P T_s P) over the certified
-    commutant basis, with its singular values."""
-    basis = commutant(dil.rep, tol).basis
+    """The H^2-row route: rank of the stack of vec(P T_s P) over the oracle
+    basis of the certified commutant, with its singular values."""
+    comm = commutant(dil.rep, tol)
+    basis = pair_basis(comm, comm)
     q = orth(dil.joint_isometry, tol)
     p = q @ q.conj().T
     stack = np.stack([(p @ b @ p).ravel() for b in basis], axis=1)
@@ -732,7 +735,7 @@ def test_element_is_the_basis_combination():
         zero_blocks += 0 in comm.multiplicities[:-1] and rep.space_dim > 0
         padded += comm.multiplicities[-1] > 0
         coeffs = rng.standard_normal(comm.dimension) + 1j * rng.standard_normal(comm.dimension)
-        want = np.tensordot(coeffs, comm.basis, axes=1)
+        want = np.tensordot(coeffs, pair_basis(comm, comm), axes=1)
         got = comm.element(coeffs)
         assert got.shape == want.shape == (rep.space_dim,) * 2
         assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
