@@ -24,8 +24,7 @@ from .radon import (CommutantElement, Intertwiner, OrderCheck, compress,
                     sample_unit_interval)
 from .structure import (ConvexDecomposition, ExtremalityReport, are_disjoint,
                         build_extreme_family, extension_witness,
-                        intertwiner_space, is_extreme, is_pure,
-                        nonextreme_decomposition)
+                        is_extreme, is_pure, nonextreme_decomposition)
 from .towers import (ContinuousCPnMap, Tower, apply_connecting, check_thread,
                      evaluate_continuous_map, make_tower, projection_tower,
                      seminorm)
@@ -46,7 +45,7 @@ __all__ = [
     "dilate_from_gram", "distance", "element_from_coords",
     "equivalence_residual", "evaluate_continuous_map", "extension_witness",
     "flatten", "gram_matrix", "identity_map", "images_of", "intertwiner",
-    "intertwiner_space", "is_completely_n_positive", "are_disjoint",
+    "is_completely_n_positive", "are_disjoint",
     "is_extreme", "is_pure", "is_unitary", "make_algebra", "make_tower",
     "map_from_images", "matrix_units", "nonextreme_decomposition",
     "order_equivalence_check", "projection_tower", "random_cpn_map",

@@ -128,9 +128,9 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
 
     Each instance's pairs are drawn in order (t1, then beta or t2, then
     alpha) and checked in groups, whose size bounds the stacks' memory.
-    A group's draws are formed in one stacked call, and [T1; T2; T1 + T2;
-    alpha T1] is gated and compressed once; the order checks and one
-    stacked affinity distance read those maps.
+    A group's draws are formed as frame blocks in one stacked call, and
+    [T1; T2; T1 + T2; alpha T1] is gated and compressed once, block by
+    block; the order checks and one stacked affinity distance read those.
     """
     rng = np.random.default_rng([seed, 4])
     t0 = time.perf_counter()
@@ -160,15 +160,19 @@ def criterion_4_order(seed: int = 0, pairs: int = 1000,
                     betas.append(None)
                     coeffs.append(_coefficients(basis, rng))
                 alphas.append(float(rng.uniform(0.1, 2.0)))
-            draws = iter(_unit_interval(basis, np.array(coeffs), tol))
+            # each draw is a tuple of frame blocks, one per block of the frame
+            draws = iter(zip(*_unit_interval(basis, np.array(coeffs), tol)))
             t1s, t2s = [], []
             for beta in betas:
                 t1s.append(next(draws))
-                t2s.append(next(draws) if beta is None else t1s[-1] + beta * (eye - t1s[-1]))
+                t2s.append(next(draws) if beta is None else
+                           tuple(x + beta * (np.eye(len(x)) - x) for x in t1s[-1]))
             k = len(t1s)
-            t1s, t2s, alphas = np.array(t1s), np.array(t2s), np.array(alphas)
+            t1s, t2s = ([np.array(xs) for xs in zip(*ts)] for ts in (t1s, t2s))
+            alphas = np.array(alphas)
             blocks = _gated_compressions(
-                dil, np.concatenate([t1s, t2s, t1s + t2s, alphas[:, None, None] * t1s]), tol)
+                dil, basis, [np.concatenate([a, b, a + b, alphas[:, None, None] * a])
+                             for a, b in zip(t1s, t2s)], tol)
             agree = agree and all(chk.agree for chk in _order_checks(dil, t1s, t2s, blocks, tol))
             affine = _cpn_distances(
                 [np.concatenate([b[2 * k:3 * k] - (b[:k] + b[k:2 * k]),

@@ -27,8 +27,9 @@ representations compute it.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
 CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
-(elements and bases, Radon-Nikodym operators, intertwiners), and .rows
-alone reads U* V: no other module reads the frame.
+(elements and bases, Radon-Nikodym operators, intertwiners), .blocks,
+its inverse, alone reads U* T U, and .rows alone reads U* V: no other
+module reads the frame.
 """
 from __future__ import annotations
 
@@ -235,11 +236,25 @@ class CommutantBasis:
             off += d * r
         return rows
 
-    def element(self, coeffs, target: CommutantBasis | None = None) -> np.ndarray:
-        """lift of the X_k / sqrt(d_k) into target (default self), X_k block k's
-        coefficients in (k, a, b) order as an s_k x r_k matrix, in O(H^3): the
-        combination of basis, or of intertwiner_space's basis for a target.  A
-        (j, sum r_k s_k) stack of coefficients gives the (j, H_target, H) stack."""
+    def blocks(self, t) -> list[np.ndarray]:
+        """The frame blocks X_k of H x H operators T (any leading axes), the
+        kernel block included: X_k averages the d_k diagonal (k, p)
+        sub-blocks of U* T U, so lift(blocks(T)) is the conditional
+        expectation E(T) onto the commutant and blocks inverts lift on it."""
+        w = self.frame.conj().T @ t @ self.frame
+        xs, off = [], 0
+        for d, r in zip(self.block_dims, self.multiplicities):
+            # as x_0 + mean(x_p - x_0), so equal sub-blocks give x_0 bitwise
+            subs = w[..., off:off + d * r, off:off + d * r].reshape(
+                w.shape[:-2] + (d, r, d, r)).diagonal(0, -4, -2)
+            xs.append(subs[..., 0] + (subs - subs[..., :1]).sum(-1) / d)
+            off += d * r
+        return xs
+
+    def split(self, coeffs, target: CommutantBasis | None = None) -> list[np.ndarray]:
+        """The X_k / sqrt(d_k), X_k block k's coefficients in (k, a, b) order as
+        an s_k x r_k matrix, s_k from target (default self); a (j, sum r_k s_k)
+        stack of coefficients gives (j, s_k, r_k) stacks."""
         target = self if target is None else target
         pairs = list(zip(self.multiplicities, target.multiplicities))
         count = sum(r * s for r, s in pairs)
@@ -250,7 +265,12 @@ class CommutantBasis:
         for d, (r, s) in zip(self.block_dims, pairs):
             xs.append(coeffs[..., col:col + s * r].reshape(*lead, s, r) / math.sqrt(d))
             col += s * r
-        return self.lift(xs, target)
+        return xs
+
+    def element(self, coeffs, target: CommutantBasis | None = None) -> np.ndarray:
+        """lift of split(coeffs, target) into target (default self), in O(H^3):
+        the combination of basis, or of the intertwiner basis for a target."""
+        return self.lift(self.split(coeffs, target), target)
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
@@ -346,16 +366,21 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     Eigenpairs with eigenvalue above tol * (1 + block norm) are kept; the
     zero map yields a zero-dimensional, vacuously minimal dilation.  Raises
     PositivityError when rho is not completely n-positive to tol; the
-    verdict comes from the same eigendecomposition that yields the Kraus
-    factors.  The images are canonical_images itself, so the frame (U = I,
-    r_0 = 0, eps = 0) and norm (1; 0 when H = 0) are seeded, not computed.
+    verdict, kept on rho as is_completely_n_positive keeps its own, comes
+    from the eigendecomposition that yields the Kraus factors unless rho
+    has one for tol already.  The images are canonical_images itself, so
+    the frame (U = I, r_0 = 0, eps = 0) and norm (1; 0 when H = 0) are
+    seeded, not computed.
     """
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
     flat = flatten(rho)
     eigs = [np.linalg.eigh(herm(c)) for c in flat.choi_blocks]
-    _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
-                  spectra=[w[None] for w, _ in eigs])[0].require()
+    memo = rho._verdicts
+    if tol not in memo:
+        memo[tol] = _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
+                                  spectra=[w[None] for w, _ in eigs])[0]
+    memo[tol].require()
     rows: list[np.ndarray] = []
     mults: list[int] = []
     for d, (w, vecs) in zip(alg.block_dims, eigs):

@@ -9,8 +9,8 @@ Certificates are measured on stacks: spectral_norm accepts any array of
 shape (..., r, c) and returns the largest spectral norm over the leading
 axes, so a residual over all matrix units, such as
 max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X;
-spectral_norms returns the norm of each member, so the gates of one
-check (||T||, ||T - T*||, the commutator) share one SVD call.
+spectral_norms returns the norm of each member, so the gates of a stack
+of frame blocks X (||X||, ||X - X*||) share one SVD call.
 """
 from __future__ import annotations
 
@@ -112,17 +112,3 @@ def commutant_basis_of(mats: list[np.ndarray], dim: int, tol: float) -> list[np.
     rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in mats]
     basis = nullspace(np.vstack(rows), tol)
     return [basis[:, j].reshape(dim, dim) for j in range(basis.shape[1])]
-
-
-def intertwiner_basis_of(mats1: list[np.ndarray], mats2: list[np.ndarray],
-                         dim1: int, dim2: int, tol: float) -> list[np.ndarray]:
-    """Orthonormal basis of {X : X @ M1 = M2 @ X for paired M1, M2}.
-
-    X has shape (dim2, dim1).  Test oracle, kept next to commutant_basis_of.
-    """
-    if dim1 == 0 or dim2 == 0:
-        return []
-    rows = [np.kron(np.eye(dim2, dtype=complex), m1.T) - np.kron(m2, np.eye(dim1, dtype=complex))
-            for m1, m2 in zip(mats1, mats2)]
-    basis = nullspace(np.vstack(rows), tol)
-    return [basis[:, j].reshape(dim2, dim1) for j in range(basis.shape[1])]

@@ -138,22 +138,15 @@ def stack_images(images, count: int, dim: int) -> np.ndarray:
     return np.array(images, dtype=complex).reshape(count, dim, dim)
 
 
-def _choi_blocks(domain: CStarAlgebra, images: np.ndarray) -> list[np.ndarray]:
-    """The flattened Choi blocks of a (..., dim A, m, m) stack of matrix-unit
-    images (canonical order), one (..., d m, d m) array per algebra block."""
-    lead, m = images.shape[:-3], images.shape[-1]
-    blocks, idx = [], 0
-    for d in domain.block_dims:
-        grid = images[..., idx:idx + d * d, :, :].reshape(lead + (d, d, m, m))
-        blocks.append(grid.swapaxes(-3, -2).reshape(lead + (d * m, d * m)))
-        idx += d * d
-    return blocks
-
-
 def map_from_images(domain: CStarAlgebra, codomain_dim: int, images) -> LinearMap:
     """Build a LinearMap from its values on the matrix units (canonical order)."""
-    stack = stack_images(images, domain.dim, codomain_dim)
-    return _trusted_map(domain, codomain_dim, _choi_blocks(domain, stack))
+    m = codomain_dim
+    stack, blocks, idx = stack_images(images, domain.dim, m), [], 0
+    for d in domain.block_dims:
+        grid = stack[idx:idx + d * d].reshape(d, d, m, m)
+        blocks.append(grid.swapaxes(1, 2).reshape(d * m, d * m))
+        idx += d * d
+    return _trusted_map(domain, m, blocks)
 
 
 def images_of(phi: LinearMap) -> np.ndarray:

@@ -8,14 +8,16 @@ the commutant Phi(A)', the compression
 
 is again completely n-positive, and T -> rho_T is an affine order
 isomorphism from the operator interval [0, I] in the commutant onto the
-map interval [0, rho].  Its inverse is read off the certified commutant
-of the dilation: with A_k = CommutantBasis.rows(V), theta's flattened
-Choi block is A_k* T_k A_k, so T = lift([T_k]) = U ((+)_k I_{d_k} (x)
-T_k) U* with T_k = (A_k^+)* C_k A_k^+, one r_k-sized solve per block;
-W with T = W* W lifts the solutions of Y_k A_k = B_k on both dilations'
-rows into theta's frame.  compress and order_equivalence_check are the
-one-element case of the stacked _gated_compressions and _order_checks
-that criterion 4 and ExtremalityReport.decomposition call directly.
+map interval [0, rho].  A commutant element is its frame blocks X_k,
+T = CommutantBasis.lift([X_k]), and with A_k = CommutantBasis.rows(V)
+rho_T has flattened Choi block A_k* X_k A_k: every gate, order check and
+unit-interval draw decides on the blocks, the kernel block of Phi(1)
+included, and an H x H operator enters through CommutantBasis.blocks.
+The inverse reads T_k = (A_k^+)* C_k A_k^+ off the same rows; W with
+T = W* W lifts the solutions of Y_k A_k = B_k on both dilations' rows.
+compress and order_equivalence_check are the one-element case of
+_operator_compressions; criterion 4 and ExtremalityReport.decomposition
+call _gated_compressions and _order_checks on blocks.
 """
 from __future__ import annotations
 
@@ -27,38 +29,29 @@ from .dilation import (CommutantBasis, StinespringDilation, commutant,
                        commutator_bound, dilate, dilation_of)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, spectral_norm, spectral_norms
-from .maps import (CPnMap, _choi_blocks, _cpn_verdicts, _trusted_map, cpn_distance,
+from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
                    is_completely_n_positive, require_cpn, unflatten)
 
 
-def _gate_values(dil: StinespringDilation, ts: np.ndarray):
-    """Per-element gate values of a (k, H, H) stack: ||T_i||, ||T_i - T_i*||,
-    max_e ||[T_i, Phi(e)]|| and the ascending spectrum of herm(T_i), as
-    arrays with leading axis k, from one SVD call and one eigvalsh call;
-    bitwise the values of separate per-element calls."""
-    k, h = len(ts), dil.space_dim
-    imgs = dil.rep.images
-    e = len(imgs)
-    # [T; T - T*; [T, Phi(e)]] built in one buffer, the commutators one
-    # matrix unit at a time, so the stack is the only large array
-    stack = np.empty((k * (2 + e), h, h), dtype=complex)
-    stack[:k] = ts
-    np.subtract(ts, ts.conj().swapaxes(-1, -2), out=stack[k:2 * k])
-    comm = stack[2 * k:].reshape(k, e, h, h)
-    np.matmul(ts[:, None], imgs, out=comm)
-    for j, img in enumerate(imgs):
-        comm[:, j] -= img @ ts
-    norms = spectral_norms(stack)
-    residuals = norms[2 * k:].reshape(k, e).max(axis=1)
-    return norms[:k], norms[k:2 * k], residuals, np.linalg.eigvalsh(herm(ts))
+def _block_gates(xs: list[np.ndarray]):
+    """Per element of per-block (k, r_k, r_k) stacks X: ||X||, ||X - X*||
+    and the least eigenvalue of herm(X) over the blocks (inf when every
+    block is empty), from one SVD call and one eigvalsh call per nonempty
+    block; bitwise the values of separate per-element calls."""
+    k = len(xs[0])
+    norms, asyms, lows = np.zeros(k), np.zeros(k), np.full(k, np.inf)
+    for x in xs:
+        if x.shape[-1]:
+            both = spectral_norms(np.concatenate([x, x - x.conj().swapaxes(-1, -2)]))
+            norms, asyms = np.maximum(norms, both[:k]), np.maximum(asyms, both[k:])
+            lows = np.minimum(lows, np.linalg.eigvalsh(herm(x))[:, 0])
+    return norms, asyms, lows
 
 
-def _compressions(dil: StinespringDilation, ts: np.ndarray) -> list[np.ndarray]:
-    """The Choi blocks of the maps V* T_i Phi(.) V of a (k, H, H) stack,
-    ungated, as one (k, d q, d q) stack per algebra block: one product for
-    the stack, cut into Choi blocks once per algebra block."""
-    v = dil.joint_isometry
-    return _choi_blocks(dil.source.domain, v.conj().T @ ts[:, None] @ dil.rep.images @ v)
+def _compressions(rows: list[np.ndarray], xs: list[np.ndarray]) -> list[np.ndarray]:
+    """The flattened Choi blocks A_k* X_k A_k, ungated, of per-block stacks
+    X_k and rows = CommutantBasis.rows(V); Phi vanishes on the kernel block."""
+    return [a.conj().T @ x @ a for a, x in zip(rows, xs)]
 
 
 def _maps(dil: StinespringDilation, blocks: list[np.ndarray]) -> list[CPnMap]:
@@ -69,51 +62,57 @@ def _maps(dil: StinespringDilation, blocks: list[np.ndarray]) -> list[CPnMap]:
             for i in range(len(blocks[0]))]
 
 
-def _operator(dil: StinespringDilation, t) -> np.ndarray:
-    """t as a complex H x H array, else ValidationError."""
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (dil.space_dim, dil.space_dim):
-        raise ValidationError(
-            f"operator must have shape {(dil.space_dim, dil.space_dim)}, got {t.shape}")
-    return t
-
-
-def _gated_compressions(dil: StinespringDilation, ts, tol: float) -> list[np.ndarray]:
-    """compress's gates on a (k, H, H) stack of operators, then
-    _compressions of the stack.
-
-    Every element passes the gates, checked in stack order and, per
-    element, in compress's order, so the first bad element raises the
-    message compress raises for it alone.  The gates of the whole stack
-    cost one SVD call and one eigvalsh call.
+def _gated_compressions(dil: StinespringDilation, comm: CommutantBasis, xs,
+                        tol: float, outside=None) -> list[np.ndarray]:
+    """compress's gates on per-block stacks of frame blocks X of comm, then
+    _compressions of them.  The commute residual is B(eps) ||X||, plus
+    ||T - E(T)|| when outside gives (||T - E(T)||, ||T||) for H x H
+    operators T, whose 1 + ||T|| then replaces 1 + ||X|| as the scale.
+    Elements are checked in stack order, each as compress checks it alone.
     """
-    ts = np.asarray(ts, dtype=complex)
-    h = dil.space_dim
-    if ts.ndim != 3 or ts.shape[1:] != (h, h):
-        raise ValidationError(f"operators must have shape (k, {h}, {h}), got {ts.shape}")
-    norms, asyms, residuals, spectra = _gate_values(dil, ts)
-    for norm, asym, res, eigs in zip(norms.tolist(), asyms.tolist(),
-                                     residuals.tolist(), spectra):
+    norms, asyms, lows = _block_gates(xs)
+    residuals = commutator_bound(comm.rep, comm.frame_residual) * norms
+    if outside is not None:
+        residuals, norms = residuals + outside[0], outside[1]
+    for norm, asym, res, low in zip(norms.tolist(), asyms.tolist(),
+                                    residuals.tolist(), lows.tolist()):
         scale = 1.0 + norm
         if res > tol * scale:
             raise ValidationError(
                 f"operator is not in the commutant (residual {res:.3e})")
         if asym > tol * scale:
             raise ValidationError("operator is not Hermitian")
-        if eigs.size and eigs[0] < -tol * scale:
+        if low < -tol * scale:
             raise ValidationError(
-                f"operator is not positive semidefinite (min eigenvalue {float(eigs[0]):.3e})")
-    return _compressions(dil, ts)
+                f"operator is not positive semidefinite (min eigenvalue {low:.3e})")
+    return _compressions(comm.rows(dil.joint_isometry), xs)
+
+
+def _operator_compressions(dil: StinespringDilation, ts, tol: float):
+    """The frame blocks of H x H operators T, each checked for shape, and
+    their _gated_compressions, with ||T - E(T)|| and ||T|| from one SVD call."""
+    h = dil.space_dim
+    for t in ts:
+        if np.shape(t) != (h, h):
+            raise ValidationError(f"operator must have shape {(h, h)}, got {np.shape(t)}")
+    ts = np.array(ts, dtype=complex)
+    comm = commutant(dil.rep, tol)
+    xs = comm.blocks(ts)
+    values = spectral_norms(np.concatenate([ts - comm.lift(xs), ts]))
+    return xs, _gated_compressions(dil, comm, xs, tol, (values[:len(ts)], values[len(ts):]))
 
 
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
-    """The compression rho_T for a positive commutant element T.
+    """The compression rho_{E(T)} for a positive commutant element T, E(T)
+    the conditional expectation onto the commutant, read as frame blocks X.
 
-    T must commute with every Phi(e) and be positive semidefinite, both
-    to relative tolerance 1 + ||T||; violations raise ValidationError.
-    _gated_compressions on a stack of one.
+    Gates, each relative to 1 + ||T||: ||T - E(T)|| + B(eps) ||X|| (B = 0 on
+    dilate() outputs), which bounds ||[T, Phi(e)]|| <= 2 ||T - E(T)|| +
+    B(eps) ||X|| over the matrix units; then X Hermitian and positive
+    semidefinite on every block, the kernel of Phi(1) included.
+    Violations raise ValidationError.
     """
-    return _maps(dil, _gated_compressions(dil, _operator(dil, t)[None], tol))[0]
+    return _maps(dil, _operator_compressions(dil, [t], tol)[1])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +185,11 @@ class CommutantElement:
     reconstruction_residual: float
 
 
-def _rn_blocks(dil: StinespringDilation, basis: CommutantBasis,
-               theta: CPnMap) -> list[np.ndarray]:
+def _rn_blocks(rows: list[np.ndarray], theta: CPnMap) -> list[np.ndarray]:
     """T_k = (A_k^+)* C_k A_k^+ per algebra block, C_k theta's flattened
     Choi block and A_k the frame rows: the r_k x r_k blocks of T in the
     frame, Hermitian by construction."""
-    aps = [np.linalg.pinv(a, rtol=None) for a in basis.rows(dil.joint_isometry)]
+    aps = [np.linalg.pinv(a, rtol=None) for a in rows]
     return [herm(ap.conj().T @ c @ ap) for ap, c in zip(aps, theta.flat.choi_blocks)]
 
 
@@ -203,20 +201,22 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     dilation, T_k from _rn_blocks, commutes with the representation up to
     B(eps) ||T|| (0 on dilate() outputs).  Certified: rho - theta is
     completely n-positive (else DominationError), the T_k have spectrum in
-    [0, 1] and compress(D, T) reconstructs theta, measured on the returned
-    T; a theta that is not completely n-positive raises PositivityError.
+    [0, 1] and compress(D, T) reconstructs theta, measured on the T_k
+    (Choi blocks A_k* T_k A_k); a theta that is not completely n-positive
+    raises PositivityError.
     """
     _dominated(rho, theta, tol)
     dr = dilation_of(rho, tol, source_dilation)
     basis = commutant(dr.rep, tol)
-    blocks = _rn_blocks(dr, basis, theta)
+    rows = basis.rows(dr.joint_isometry)
+    blocks = _rn_blocks(rows, theta)
     t = basis.lift(blocks)  # zero on the kernel block
     eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks]
                           + [np.zeros(min(basis.multiplicities[-1], 1))])
     spectrum = (float(eigs.min()), float(eigs.max())) if eigs.size else (0.0, 0.0)
     t_norm = float(np.abs(eigs).max(initial=0.0))
     com_res = commutator_bound(dr.rep, basis.frame_residual) * t_norm
-    recon = cpn_distance(_maps(dr, _compressions(dr, t[None]))[0], theta)
+    recon = cpn_distance(_maps(dr, _compressions(rows, [b[None] for b in blocks]))[0], theta)
     # the spectrum floor relative to min(1 + ||T||, scale of rho), the
     # ceiling and the reconstruction relative to the scale of rho
     scale = rho.scale
@@ -243,18 +243,15 @@ class OrderCheck:
         return self.operator_leq == self.map_leq
 
 
-def _order_checks(dil: StinespringDilation, t1s: np.ndarray, t2s: np.ndarray,
+def _order_checks(dil: StinespringDilation, x1s: list[np.ndarray], x2s: list[np.ndarray],
                   blocks: list[np.ndarray], tol: float) -> list[OrderCheck]:
-    """OrderChecks of paired (k, H, H) stacks, given per-block stacks of
-    compressions that begin [rho_T1s; rho_T2s]: one eigvalsh and one SVD
-    call on T2 - T1, one stacked verdict on rho_T2 - rho_T1."""
-    k = len(t1s)
-    diffs = t2s - t1s
-    if dil.space_dim:
-        lows = np.linalg.eigvalsh(herm(diffs))[:, 0]
-        op_leq = (lows >= -tol * (1.0 + spectral_norms(diffs))).tolist()
-    else:
-        op_leq = [True] * k
+    """OrderChecks of paired per-block stacks of frame blocks, given
+    per-block stacks of compressions that begin [rho_T1s; rho_T2s]: the
+    operator side from _block_gates of X2 - X1, the kernel block
+    included, the map side from one stacked verdict on rho_T2 - rho_T1."""
+    k = len(x1s[0])
+    norms, _, lows = _block_gates([b - a for a, b in zip(x1s, x2s)])
+    op_leq = (lows >= -tol * (1.0 + norms)).tolist()
     maps = _cpn_verdicts([b[k:2 * k] - b[:k] for b in blocks],
                          dil.source.codomain_dim, tol)
     return [OrderCheck(op, chk.verdict) for op, chk in zip(op_leq, maps)]
@@ -264,13 +261,13 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
                             t2: np.ndarray, tol: float = 1e-9) -> OrderCheck:
     """Compare T1 <= T2 with compress(D, T1) <= compress(D, T2).
 
-    Both operators must be positive commutant elements; T1 is gated
-    before T2.  Disagreement of the two verdicts indicates a library
-    defect; callers should treat it as such.
+    Both operators must be positive commutant elements, gated as compress
+    gates them, T1 before T2; the operator side is decided on their frame
+    blocks.  Disagreement of the two verdicts indicates a library defect;
+    callers should treat it as such.
     """
-    t1s, t2s = _operator(dil, t1)[None], _operator(dil, t2)[None]
-    blocks = _gated_compressions(dil, np.concatenate([t1s, t2s]), tol)
-    return _order_checks(dil, t1s, t2s, blocks, tol)[0]
+    xs, blocks = _operator_compressions(dil, [t1, t2], tol)
+    return _order_checks(dil, [x[:1] for x in xs], [x[1:] for x in xs], blocks, tol)[0]
 
 
 def _coefficients(basis: CommutantBasis, rng: np.random.Generator) -> np.ndarray:
@@ -279,19 +276,21 @@ def _coefficients(basis: CommutantBasis, rng: np.random.Generator) -> np.ndarray
     return rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
 
 
-def _unit_interval(basis: CommutantBasis, coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """The elements of [0, I] that sample_unit_interval forms from a
-    (k, dimension) stack of draws, as a (k, H, H) stack: one element call
-    and one eigvalsh call, member i bitwise the element of draw i alone."""
-    h = herm(basis.element(coeffs))
-    w = np.linalg.eigvalsh(h)
-    lo, hi = w[:, 0], w[:, -1]
+def _unit_interval(basis: CommutantBasis, coeffs: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The frame blocks of the elements of [0, I] that sample_unit_interval
+    forms from a (k, dimension) stack of draws, as per-block (k, r_k, r_k)
+    stacks: one eigvalsh call per nonempty block, member i bitwise the
+    blocks of draw i alone."""
+    xs = [herm(x) for x in basis.split(coeffs)]
+    spectra = [np.linalg.eigvalsh(x) for x in xs if x.shape[-1]]
+    if not spectra:  # the zero commutant (H = 0): [0, I] is {0}
+        return xs
+    lo = np.min([w[:, :1] for w in spectra], axis=0)[..., None]
+    hi = np.max([w[:, -1:] for w in spectra], axis=0)[..., None]
     # essentially scalar elements get a deterministic interior point
     scalar = hi - lo <= tol * (1.0 + np.maximum(abs(lo), abs(hi)))
-    eye = np.eye(h.shape[-1])
-    out = (h - lo[:, None, None] * eye) / np.where(scalar, 1.0, hi - lo)[:, None, None]
-    out[scalar] = 0.5 * eye
-    return out
+    return [np.where(scalar, 0.5 * np.eye(x.shape[-1]),
+                     (x - lo * np.eye(x.shape[-1])) / np.where(scalar, 1.0, hi - lo)) for x in xs]
 
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
@@ -299,13 +298,11 @@ def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
     """Random element of [0, I] in the commutant of a dilation.
 
     Draws complex coefficients in the (k, a, b) order of the commutant
-    basis, takes the Hermitian part of their CommutantBasis.element (the
-    basis itself is not built) and rescales its spectrum affinely onto
-    [0, 1].  Deterministic under the given generator state.  The frame is
-    cached on the representation (seeded by dilate), so repeated draws
-    from one dilation compute it at most once.
+    basis, takes the Hermitian parts of their blocks (CommutantBasis.split;
+    the basis itself is not built), rescales their joint spectrum
+    affinely onto [0, 1] and lifts them.  Deterministic under the given
+    generator state.  The frame is cached on the representation (seeded
+    by dilate), so repeated draws from one dilation compute it at most once.
     """
     basis = commutant(dil.rep, tol)
-    if basis.dimension == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return _unit_interval(basis, _coefficients(basis, rng)[None], tol)[0]
+    return basis.lift(_unit_interval(basis, _coefficients(basis, rng)[None], tol))[0]

@@ -47,21 +47,6 @@ def is_pure(rho: CPnMap, tol: float = 1e-9,
     return _minimal_commutant(dilation_of(rho, tol, dilation), tol).dimension == 1
 
 
-def intertwiner_space(d1: StinespringDilation, d2: StinespringDilation,
-                      tol: float = 1e-9) -> list[np.ndarray]:
-    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
-
-    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
-    the two certified commutants: c1.element of each unit coefficient vector.
-    """
-    if d1.source.domain != d2.source.domain:
-        raise ValidationError("dilations have different domains")
-    c1 = commutant(d1.rep, tol)
-    c2 = commutant(d2.rep, tol)
-    count = sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities))
-    return list(c1.element(np.eye(count), c2))
-
-
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
     """Whether the dilation representations admit no nonzero intertwiner:
     sum_k r_k s_k = 0 over the multiplicities of the two certified frames.
@@ -88,8 +73,9 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     """A completely 2-positive completion with nonzero off-diagonal, if any.
 
     Returns None when the maps are disjoint.  Otherwise X, the lift of
-    E_00 in the first block with r_k s_k > 0 (sqrt(d_k) times
-    intertwiner_space's first element, built alone), has polar part W, and
+    E_00 in the first block with r_k s_k > 0 (sqrt(d_k) times the first
+    element of the closed-form intertwiner basis, built alone), has polar
+    part W, and
 
         rho_12(a) = V_1* Phi_1(a) W* V_2,    rho_21(a) = rho_12(a*)*
 
@@ -163,7 +149,9 @@ class ExtremalityReport:
         both differing from rho.  A kernel vector of the frame-coordinate
         matrix is (X_k)_k with T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*;
         it is a column of the kernel projector, so T depends on the kernel,
-        not on the basis LAPACK lists for it.  ValidationError when extreme.
+        not on the basis LAPACK lists for it.  T, T_1 and T_2 are built and
+        compressed as their frame blocks; kernel_element is the lift of T.
+        ValidationError when extreme.
         """
         if self.extreme:
             raise ValidationError("map matrix is extreme; no decomposition exists")
@@ -174,13 +162,13 @@ class ExtremalityReport:
         ker = np.linalg.svd(self.matrix)[2][self.compression_rank:]
         proj = ker.conj().T @ ker
         diag = proj.diagonal().real
-        raw = self.comm.element(proj[:, int(np.argmax(diag >= diag.max() - tol))])
-        cand1 = herm(raw)
-        cand2 = herm(1j * raw)
-        t = cand1 if spectral_norm(cand1) >= spectral_norm(cand2) else cand2
-        t = t / spectral_norm(t)
-        eye = np.eye(self.dilation.space_dim, dtype=complex)
-        blocks = _gated_compressions(self.dilation, [eye + 0.5 * t, eye - 0.5 * t], tol)
+        raw = self.comm.split(proj[:, int(np.argmax(diag >= diag.max() - tol))])
+        cand1 = [herm(x) for x in raw]
+        cand2 = [herm(1j * x) for x in raw]
+        norm1, norm2 = (max(map(spectral_norm, c)) for c in (cand1, cand2))
+        t = [x / max(norm1, norm2) for x in (cand1 if norm1 >= norm2 else cand2)]
+        halves = [np.stack([np.eye(len(x)) + 0.5 * x, np.eye(len(x)) - 0.5 * x]) for x in t]
+        blocks = _gated_compressions(self.dilation, self.comm, halves, tol)
         part1, part2 = _maps(self.dilation, blocks)
         bound = tol * rho.scale
         avg, dist1, dist2 = _cpn_distances(
@@ -195,7 +183,7 @@ class ExtremalityReport:
                                  _cpn_verdicts(blocks, rho.codomain_dim, tol)):
             _membership_check(part, tol)
             verdict.require()
-        return ConvexDecomposition(0.5, part1, part2, t)
+        return ConvexDecomposition(0.5, part1, part2, self.comm.lift(t))
 
 
 def _compressed_commutant(rho: CPnMap, tol: float,

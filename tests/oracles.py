@@ -4,10 +4,14 @@ frame_basis builds every element of the closed-form commutant or
 intertwiner basis at once from the frame columns; orth is an orthonormal
 basis of a column space by SVD.  Together they give the H^2-row P T P
 route that is_extreme's frame-row matrix is checked against.
+intertwiner_space is the closed-form intertwiner basis through
+CommutantBasis.element, and intertwiner_basis_of the same space from a
+nullspace solve.
 """
 import numpy as np
 
-from cpnkit.linalg import significant
+from cpnkit import ValidationError, commutant
+from cpnkit.linalg import nullspace, significant
 
 
 def frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
@@ -40,3 +44,28 @@ def pair_basis(c1, c2):
     """frame_basis from the frame of commutant c1 into that of c2: the
     commutant basis when c2 is c1, the intertwiner basis otherwise."""
     return frame_basis(c1.block_dims, c1.frame, c1.multiplicities, c2.frame, c2.multiplicities)
+
+
+def intertwiner_space(d1, d2, tol=1e-9):
+    """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
+
+    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
+    the two certified commutants: c1.element of each unit coefficient vector.
+    """
+    if d1.source.domain != d2.source.domain:
+        raise ValidationError("dilations have different domains")
+    c1 = commutant(d1.rep, tol)
+    c2 = commutant(d2.rep, tol)
+    count = sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities))
+    return list(c1.element(np.eye(count), c2))
+
+
+def intertwiner_basis_of(mats1, mats2, dim1, dim2, tol):
+    """Orthonormal basis of {X : X @ M1 = M2 @ X for paired M1, M2}, from
+    the nullspace of the stacked Kronecker system; X has shape (dim2, dim1)."""
+    if dim1 == 0 or dim2 == 0:
+        return []
+    rows = [np.kron(np.eye(dim2, dtype=complex), m1.T) - np.kron(m2, np.eye(dim1, dtype=complex))
+            for m1, m2 in zip(mats1, mats2)]
+    basis = nullspace(np.vstack(rows), tol)
+    return [basis[:, j].reshape(dim2, dim1) for j in range(basis.shape[1])]

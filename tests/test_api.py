@@ -63,3 +63,14 @@ def test_only_dilation_reads_the_frame():
             readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and node.attr == "frame"]
     assert readers == []
+
+
+def test_radon_reads_no_images():
+    # compressions, gates and order checks decide on frame blocks: radon
+    # never forms an H x H product with the matrix-unit images
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(cpnkit.__file__).parent / "radon.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "images"] == []

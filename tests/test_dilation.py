@@ -275,3 +275,37 @@ def test_representation_images_are_a_validated_stack():
         Representation(alg, h, tuple(imgs[:-1]))
     with pytest.raises(ValidationError):
         Representation(alg, h + 1, imgs)
+
+
+def test_dilate_seeds_the_positivity_verdict(monkeypatch):
+    # dilate keeps the verdict it decides from its eigh spectra, so a
+    # dilation passed on to is_pure, rn_operator or intertwiner is not
+    # followed by a second decision on rho; a verdict decided first is kept
+    import cpnkit.maps as cpnkit_maps
+    from cpnkit import intertwiner, is_completely_n_positive, is_pure, rn_operator
+
+    rng = np.random.default_rng(41)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    theta = 0.5 * rho
+    decided = []
+    real = cpnkit_maps._cpn_verdicts
+
+    def counting(*args, **kwargs):
+        decided.append(1)
+        return real(*args, **kwargs)
+
+    for module in (cpnkit_maps, cpnkit_dilation):
+        monkeypatch.setattr(module, "_cpn_verdicts", counting)
+    dil = dilate(rho)
+    assert len(decided) == 1 and is_completely_n_positive(rho) is rho._verdicts[1e-9]
+    is_pure(rho, dilation=dil)
+    assert len(decided) == 1
+    # each decides the new map rho - theta, and intertwiner dilates theta
+    rn_operator(rho, theta, source_dilation=dil)
+    assert len(decided) == 2
+    intertwiner(rho, theta, source_dilation=dil)
+    assert len(decided) == 4
+    other = 2.0 * rho
+    first = is_completely_n_positive(other)
+    dilate(other)
+    assert is_completely_n_positive(other) is first and len(decided) == 5

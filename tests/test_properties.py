@@ -2,8 +2,8 @@
 dilate() seeds, of the stacked compression gates, of the stacked
 map-side verdicts, of the frame-coordinate Radon-Nikodym operator and
 intertwiner, of CommutantBasis.lift, the one assembly of them all, and
-of is_extreme's frame-row matrix and intertwiner_space against the
-outer-product oracle in oracles.py.
+of is_extreme's frame-row matrix and CommutantBasis.element into a target
+against the outer-product oracle in oracles.py.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
                     ValidationError, commutant, compress, cpn_distance, dilate,
-                    dilate_from_gram, extension_witness, intertwiner, intertwiner_space,
+                    dilate_from_gram, extension_witness, intertwiner,
                     is_completely_n_positive, is_extreme, is_pure, make_algebra,
                     map_from_images, rn_operator, star_index, order_equivalence_check,
                     sample_unit_interval, spanning_matrix, unflatten)
@@ -30,10 +30,11 @@ from cpnkit.linalg import (commutant_basis_of, herm, partial_isometry, solve_san
                            spectral_norm)
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
                          images_of)
-from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _order_checks,
-                          _unit_interval)
+from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
+                          _order_checks, _unit_interval)
 
-from oracles import pair_basis
+import oracles
+from oracles import intertwiner_space, pair_basis
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -202,16 +203,24 @@ def product_compress(dil, t):
 
 
 def stacked_compress(dil, ts):
-    """The maps rho_T of a (k, H, H) stack through the gated path that
-    criterion 4 and ExtremalityReport.decomposition run."""
-    return _maps(dil, _gated_compressions(dil, ts, 1e-9))
+    """The maps rho_T of a (k, H, H) stack through the stacked path that
+    compress runs on a stack of one."""
+    return _maps(dil, _operator_compressions(dil, ts, 1e-9)[1])
 
 
 def stacked_order_checks(dil, t1s, t2s):
-    """OrderChecks of paired stacks through the path criterion 4 runs:
-    one gated compression of [T1s; T2s], then _order_checks."""
-    return _order_checks(dil, t1s, t2s,
-                         _gated_compressions(dil, np.concatenate([t1s, t2s]), 1e-9), 1e-9)
+    """OrderChecks of paired stacks through the path order_equivalence_check
+    runs: one gated compression of [T1s; T2s], then _order_checks on the
+    frame blocks."""
+    xs, blocks = _operator_compressions(dil, np.concatenate([t1s, t2s]), 1e-9)
+    k = len(t1s)
+    return _order_checks(dil, [x[:k] for x in xs], [x[k:] for x in xs], blocks, 1e-9)
+
+
+def assert_product_route(dil, t, got):
+    """got is rho_T to 1e-12 (1 + ||T||) times the scale of the source."""
+    bound = 1e-12 * (1.0 + spectral_norm(t)) * dil.source.scale
+    assert cpn_distance(got, product_compress(dil, t)) <= bound
 
 
 def raised(call):
@@ -230,11 +239,69 @@ def test_stacked_compress_matches_single_calls(shape, k):
     stacked = stacked_compress(dil, ts)
     assert len(stacked) == k
     for t, got in zip(ts, stacked):
-        for want in (compress(dil, t), product_compress(dil, t)):
-            assert got.n == want.n and got.codomain_dim == want.codomain_dim
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(got.flat.choi_blocks, want.flat.choi_blocks))
+        want = compress(dil, t)
+        assert got.n == want.n and got.codomain_dim == want.codomain_dim
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(got.flat.choi_blocks, want.flat.choi_blocks))
+        assert_product_route(dil, t, got)
     assert stacked_compress(dil, ts[:0]) == []
+
+
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("dilate", "moved", "gram", "padded")))
+@example(((2, 1), 2, 1, (0, 0), 0), "dilate")  # the zero map, H = 0
+@example(((3, 1), 1, 2, (2, 0), 1), "gram")  # U != I, a zero-rank block
+@example(((2, 1), 1, 2, (2, 1), 3), "padded")  # r_0 = 2
+def test_block_compressions_match_the_product_route(shape, source_kind):
+    # A_k* X_k A_k against V* T Phi(.) V on every kind of frame, through
+    # compress and through the block path criterion 4 and decomposition run
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    dil = source_of(source_kind, dilate(rho), rho, rng)
+    comm = commutant(dil.rep)
+    ts = unit_interval_stack(dil, rng, 3)
+    by_blocks = _maps(dil, _gated_compressions(dil, comm, comm.blocks(ts), 1e-9))
+    for t, got, block in zip(ts, stacked_compress(dil, ts), by_blocks):
+        assert_product_route(dil, t, got)
+        assert_product_route(dil, t, block)
+
+
+@DETERMINISTIC
+@given(shapes(((2,), (3,), (2, 1), (2, 2), (3, 1))),
+       st.sampled_from(("dilate", "moved", "gram", "padded")))
+def test_commutant_gate_reads_the_distance_to_the_commutant(shape, source_kind):
+    # T = lift(X) + delta G, G a unit Hermitian operator orthogonal to the
+    # commutant: accepted at delta = 1e-3 tol, rejected at 1e3 tol
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    dil = source_of(source_kind, dilate(rho), rho, rng)
+    comm = commutant(dil.rep)
+    h = dil.space_dim
+    g = herm(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+    g = g - comm.lift(comm.blocks(g))
+    assume(spectral_norm(g) > 1e-6)  # not every operator commutes
+    g = herm(g) / spectral_norm(g)
+    t, tol = sample_unit_interval(dil, rng), 1e-9
+    assert_product_route(dil, t, compress(dil, t + 1e-3 * tol * g, tol))
+    with pytest.raises(ValidationError, match="not in the commutant"):
+        compress(dil, t + 1e3 * tol * g, tol)
+
+
+def test_negative_on_the_kernel_of_phi_one_is_not_positive():
+    # the maps never see the kernel block of Phi(1), the gate does
+    rng = np.random.default_rng(31)
+    rho = map_with_ranks((2, 1), 1, 2, (2, 1), rng)
+    dil = padded(dilate(rho), rng)
+    comm = commutant(dil.rep)
+    assert comm.multiplicities[-1] == 2
+    t = comm.lift([np.eye(r) for r in comm.multiplicities[:-1]] + [-np.eye(2)])
+    assert cpn_distance(product_compress(dil, t), rho) <= 1e-12 * rho.scale
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        compress(dil, t)
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        order_equivalence_check(dil, np.eye(dil.space_dim), t)
 
 
 @DETERMINISTIC
@@ -366,7 +433,7 @@ def test_stacked_unit_interval_draws_match_sequential_calls(shape, k):
     sequential, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
     want = [sample_unit_interval(dil, sequential) for _ in range(k)]
     coeffs = np.array([_coefficients(basis, stacked) for _ in range(k)])
-    got = _unit_interval(basis, coeffs, 1e-9)
+    got = basis.lift(_unit_interval(basis, coeffs, 1e-9))
     assert got.shape == (k, dil.space_dim, dil.space_dim)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert sequential.standard_normal() == stacked.standard_normal()
@@ -383,8 +450,8 @@ def test_stacked_unit_interval_draws_take_the_scalar_branch():
         assert basis.dimension == 1
         sequential, stacked = np.random.default_rng(7), np.random.default_rng(7)
         want = [sample_unit_interval(dil, sequential) for _ in range(3)]
-        got = _unit_interval(basis, np.array([_coefficients(basis, stacked) for _ in range(3)]),
-                             1e-9)
+        got = basis.lift(_unit_interval(
+            basis, np.array([_coefficients(basis, stacked) for _ in range(3)]), 1e-9))
         assert all(np.array_equal(a, b) and np.array_equal(a, half) for a, b in zip(got, want))
         assert sequential.standard_normal() == stacked.standard_normal()
     # a stack mixing a drawn element with the identity, whose coordinates
@@ -395,10 +462,10 @@ def test_stacked_unit_interval_draws_take_the_scalar_branch():
                             for d, r in zip(basis.block_dims, basis.multiplicities)])
     coeffs = np.array([_coefficients(basis, np.random.default_rng(3)), ident])
     got = _unit_interval(basis, coeffs, 1e-9)
-    assert np.array_equal(got[1], 0.5 * np.eye(dil.space_dim))
-    assert not np.array_equal(got[0], got[1])
-    assert all(np.array_equal(g, _unit_interval(basis, c[None], 1e-9)[0])
-               for g, c in zip(got, coeffs))
+    assert all(np.array_equal(x[1], 0.5 * np.eye(len(x[1]))) for x in got)
+    assert not all(np.array_equal(x[0], x[1]) for x in got)
+    assert all(np.array_equal(x[i], y[0]) for i, c in enumerate(coeffs)
+               for x, y in zip(got, _unit_interval(basis, c[None], 1e-9)))
 
 
 def reference_criterion_4(seed, pairs, tol=1e-9):
@@ -561,6 +628,33 @@ def test_lift_is_the_frame_basis_combination(shape, source_kind, other_target):
         assert same_bits(source.lift(xs), stacked)
 
 
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("dilate", "moved", "gram", "padded")))
+@example(((2, 1), 2, 1, (0, 0), 0), "dilate")  # the zero map, H = 0
+@example(((2, 1), 1, 2, (2, 1), 3), "padded")  # r_0 = 2
+def test_blocks_are_the_conditional_expectation(shape, source_kind):
+    # blocks inverts lift, and T - lift(blocks(T)) is Frobenius-orthogonal
+    # to the oracle commutant basis; a stack of 3 matches its members bitwise
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = map_with_ranks(dims, n, m, ranks, rng)
+    comm = commutant(source_of(source_kind, dilate(rho), rho, rng).rep)
+    h = comm.rep.space_dim
+    xs = [rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
+          for r in comm.multiplicities]
+    back = comm.blocks(comm.lift(xs))
+    assert all(spectral_norm(b - x) <= 1e-12 * (1.0 + spectral_norm(x)) for b, x in zip(back, xs))
+    if source_kind == "dilate":
+        assert all(np.array_equal(b, x) for b, x in zip(back, xs))
+    ts = rng.standard_normal((3, h, h)) + 1j * rng.standard_normal((3, h, h))
+    stacked = comm.blocks(ts)
+    for i, t in enumerate(ts):
+        assert all(same_bits(a[i], b) for a, b in zip(stacked, comm.blocks(t)))
+        rest = t - comm.lift([x[i] for x in stacked])
+        inner = np.einsum("kab,ab->k", pair_basis(comm, comm).conj(), rest)
+        assert np.abs(inner).max(initial=0.0) <= 1e-12 * (1.0 + spectral_norm(t))
+
+
 @st.composite
 def map_pairs(draw, domains=DOMAINS):
     """(block dims, m, Choi ranks of two maps (n = 1), seed)."""
@@ -595,7 +689,7 @@ def test_extension_witness_lifts_the_first_intertwiner(pair):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CommutantBasis, "lift", recording)
         mp.setattr(CommutantBasis, "element", forbidden)
-        mp.setattr(cpnkit_structure, "intertwiner_space", forbidden)
+        mp.setattr(oracles, "intertwiner_space", forbidden)
         witness = extension_witness(rho11, rho22)
     assert len(lifted) == (witness is not None)
     assert all(ndim == 2 for ndims in lifted for ndim in ndims)

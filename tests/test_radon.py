@@ -3,14 +3,14 @@ import pytest
 
 from cpnkit import (CertificationError, DominationError, PositivityError,
                     StinespringDilation, ValidationError, as_cpn, compress,
-                    cpn_distance, depolarizing_map, dilate,
+                    commutant, cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
                     rn_operator, sample_unit_interval, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 import cpnkit.radon as cpnkit_radon
 from cpnkit.linalg import herm, spectral_norm
-from cpnkit.radon import _gate_values
+from cpnkit.radon import _block_gates
 from test_structure import conjugated, random_unitary_matrix
 
 
@@ -199,28 +199,29 @@ def test_compress_matches_per_matrix_products():
 
 
 def test_fused_gates_match_separate_norms():
-    # compress takes ||T||, ||T - T*|| and the commutator residual from one
-    # batched SVD: bitwise the values of separate spectral_norm calls, for
-    # each member of a stack too
+    # compress takes ||X||, ||X - X*|| over the frame blocks from one
+    # batched SVD per block and the least eigenvalue from one eigvalsh call
+    # per block: bitwise the values of separate calls, for each member of a
+    # stack too; empty blocks (here the kernel block) take no part
     rng = np.random.default_rng(19)
     for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
         alg = make_algebra(dims)
         for rank in (1, 2, 3):
-            dil = dilate(random_cpn_map(alg, 2, 2, rank, rng))
-            h = dil.space_dim
-            ts = rng.standard_normal((3, h, h)) + 1j * rng.standard_normal((3, h, h))
-            norms, asyms, residuals, spectra = _gate_values(dil, ts)
-            for i, t in enumerate(ts):
-                fused = (norms[i].item(), asyms[i].item(), residuals[i].item())
-                separate = (spectral_norm(t), spectral_norm(t - t.conj().T),
-                            commutant_residual(dil, t))
-                assert fused == separate
-                assert np.array_equal(spectra[i], np.linalg.eigvalsh(herm(t)))
-    empty = dilate(as_cpn(zero_map(make_algebra((2, 1)), 2)))
-    assert empty.space_dim == 0
-    values = _gate_values(empty, np.zeros((2, 0, 0)))
-    assert [v.shape for v in values] == [(2,), (2,), (2,), (2, 0)]
-    assert not any(v.any() for v in values)
+            comm = commutant(dilate(random_cpn_map(alg, 2, 2, rank, rng)).rep)
+            xs = [rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
+                  for r in comm.multiplicities]
+            stacked = _block_gates(xs)
+            for i in range(3):
+                fused = tuple(v[i].item() for v in stacked)
+                single = tuple(v[0].item() for v in _block_gates([x[i:i + 1] for x in xs]))
+                separate = (max(spectral_norm(x[i]) for x in xs),
+                            max(spectral_norm(x[i] - x[i].conj().T) for x in xs),
+                            min(np.linalg.eigvalsh(herm(x[i]))[0] for x in xs if len(x[i])))
+                assert fused == single == separate
+    empty = commutant(dilate(as_cpn(zero_map(make_algebra((2, 1)), 2))).rep)
+    assert empty.rep.space_dim == 0
+    values = _block_gates([np.zeros((2, 0, 0))] * len(empty.multiplicities))
+    assert [v.tolist() for v in values] == [[0.0, 0.0], [0.0, 0.0], [np.inf, np.inf]]
 
 
 def test_herm_is_stack_aware():
@@ -251,20 +252,21 @@ def test_compress_gate_order_and_messages():
 
 
 def test_rn_operator_gates_t_once(monkeypatch):
-    # T is solved once per call, block by block, and certified once: no
-    # H x H gate values, one compression for the reconstruction
+    # T is solved once per call, block by block, and certified once, with
+    # one compression of its blocks for the reconstruction
     rng = np.random.default_rng(22)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
     dil = dilate(rho)
     theta = compress(dil, sample_unit_interval(dil, rng))
-    calls = {"_rn_blocks": [], "_gate_values": [], "_compressions": []}
+    calls = {"_rn_blocks": [], "_compressions": []}
     for name, log in calls.items():
         real = getattr(cpnkit_radon, name)
         monkeypatch.setattr(cpnkit_radon, name,
                             lambda *args, real=real, log=log: log.append(args) or real(*args))
     elem = rn_operator(rho, theta, source_dilation=dil)
-    assert len(calls["_rn_blocks"]) == 1 and calls["_gate_values"] == []
-    assert [len(args[1]) for args in calls["_compressions"]] == [1]
+    assert len(calls["_rn_blocks"]) == 1
+    # one compression, of per-block stacks of one
+    assert [{len(x) for x in args[1]} for args in calls["_compressions"]] == [{1}]
     assert elem.reconstruction_residual <= 1e-9 * theta.scale
 
 

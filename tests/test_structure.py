@@ -10,7 +10,7 @@ from cpnkit import (CertificationError, CPnMap, LinearMap,
                     build_extreme_family, commutant, compression_map,
                     cpn_distance, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
-                    identity_map, images_of, intertwiner_space, are_disjoint,
+                    identity_map, images_of, are_disjoint,
                     is_completely_n_positive, is_extreme, is_pure,
                     make_algebra, map_from_images, matrix_units,
                     nonextreme_decomposition, random_cpn_map, random_element,
@@ -18,12 +18,12 @@ from cpnkit import (CertificationError, CPnMap, LinearMap,
                     unflatten, verify_dilation, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 from cpnkit.dilation import canonical_frame, commutator_bound, representation_bound
-from cpnkit.linalg import (commutant_basis_of, herm, intertwiner_basis_of,
-                           nullspace, numerical_rank, spectral_norm)
+from cpnkit.linalg import (commutant_basis_of, herm, nullspace, numerical_rank,
+                           spectral_norm)
 import cpnkit.structure as cpnkit_structure
 from cpnkit.structure import _compressed_commutant
 
-from oracles import orth, pair_basis
+from oracles import intertwiner_basis_of, intertwiner_space, orth, pair_basis
 
 
 def vector_state(alg, xi):
