@@ -11,7 +11,9 @@ an input too large to allocate).
 
 Each command returns its output text and exit code; ``main`` alone
 writes the text and turns every error, usage errors included, into one
-JSON object on stderr.
+JSON object on stderr (with a PositivityError's min_eig and a
+CertificationError's value and bound).  ``dilate`` writes its dilation
+in frame coordinates, without the dim A x H x H images.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .algebra import make_algebra
 from .linalg import spectral_norm
 from .radon import rn_operator
 from .structure import extension_witness, is_extreme, is_pure
-from .acceptance import run_all
 
 
 def _tol(arg: str | None) -> float:
@@ -112,10 +113,12 @@ def _cmd_dilate(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
     rep = verify_dilation(rho, dil, args.tol)
-    if not rep.ok(args.tol):
+    if not rep.ok(args.tol):  # a failed factor residual has a value and a bound, minimality none
+        residual, bound = float(rep.factor_residual), args.tol * rep.scale
+        fields = {} if residual <= bound else {"value": residual, "bound": bound}
         raise CertificationError(
-            f"dilation fails its certificate: factor residual {float(rep.factor_residual):.3g} "
-            f"against {args.tol * rep.scale:.3g}, span {rep.span_dim} of {rep.space_dim}")
+            f"dilation fails its certificate: factor residual {residual:.3g} "
+            f"against {bound:.3g}, span {rep.span_dim} of {rep.space_dim}", **fields)
     return _report(args, True, {
         "factor_residual": float(rep.factor_residual),
         "minimal": bool(rep.minimal),
@@ -194,6 +197,7 @@ def _cmd_random(args) -> tuple[str, int]:
 
 
 def _cmd_suite(args) -> tuple[str, int]:
+    from .acceptance import run_all  # only suite needs the criteria
     results = run_all(args.seed, args.tol, args.count)
     ok = all(res.passed for res in results)
     summary = "suite: %s (%d/%d criteria)\n" % (
@@ -281,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_report(exc: Exception) -> dict:
     payload = {"type": type(exc).__name__, "message": str(exc)}
-    min_eig = getattr(exc, "min_eig", None)
-    if min_eig is not None and math.isfinite(min_eig):
-        payload["min_eig"] = float(min_eig)
+    for key in ("min_eig", "value", "bound"):  # PositivityError, CertificationError
+        val = getattr(exc, key, None)
+        if val is not None and math.isfinite(val):
+            payload[key] = float(val)
     return {"error": payload, "version": __version__}
 
 

@@ -28,8 +28,8 @@ from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
 CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
 (elements and bases, Radon-Nikodym operators, intertwiners), .blocks,
-its inverse, alone reads U* T U, and .rows alone reads U* V: no other
-module reads the frame.
+its inverse, alone reads U* T U, and .rows and frame_isometries (the
+wire format's V_i) alone read U* V: no other module reads the frame.
 """
 from __future__ import annotations
 
@@ -280,10 +280,11 @@ def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
     eps < R, and a NaN eps fails it.  Adjoint closure is exact in frame
     coordinates (b_ab* = b_ba).  Failures raise CertificationError."""
     u, mults, eps = rep.frame
-    bound = commutator_bound(rep, eps)
-    if not bound <= representation_bound(rep, tol):
+    value, bound = commutator_bound(rep, eps), representation_bound(rep, tol)
+    if not value <= bound:
         raise CertificationError(
-            f"images are not a *-representation (frame residual {eps:.3e}, bound {bound:.3e})")
+            f"images are not a *-representation (frame residual {eps:.3e}, bound {value:.3e})",
+            value=value, bound=bound)
     return CommutantBasis(rep, u, mults, eps)
 
 
@@ -398,6 +399,11 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     dil = StinespringDilation(rep, tuple(v[:, i * m:(i + 1) * m] for i in range(n)), rho)
     dil.__dict__["_minimal"] = {tol: True}  # rows of V: orthogonal, sqrt(w_s) > 0 long
     return dil
+
+
+def frame_isometries(dil: StinespringDilation) -> tuple[np.ndarray, ...]:
+    """The U* V_i of the frame U of dil.rep; the V_i on dilate() outputs (U = I)."""
+    return tuple(dil.rep.frame[0].conj().T @ v for v in dil.isometries)
 
 
 def dilation_of(rho: CPnMap, tol: float,

@@ -31,8 +31,13 @@ class DominationError(PositivityError):
 class CertificationError(RuntimeError):
     """A computed object failed its own correctness certificate.
 
-    This signals a library defect, never bad user input.
+    This signals a library defect, never bad user input; value and bound
+    are the failed certificate and the bound it exceeded, when known.
     """
+
+    def __init__(self, message: str, value: float | None = None, bound: float | None = None):
+        super().__init__(message)
+        self.value, self.bound = value, bound
 
 
 def as_index(value, name: str) -> int:

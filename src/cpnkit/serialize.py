@@ -1,7 +1,8 @@
 """JSON wire format.
 
 Complex numbers are [re, im] pairs of finite numbers, matrices are
-row-major lists of rows.  Schema violations raise SchemaError.
+row-major lists of rows.  Schema violations raise SchemaError.  A
+dilation is written in frame coordinates, without its images.
 """
 from __future__ import annotations
 
@@ -10,14 +11,9 @@ import cmath
 import numpy as np
 
 from .algebra import CStarAlgebra, make_algebra
-from .dilation import StinespringDilation
+from .dilation import StinespringDilation, frame_isometries
 from .errors import SchemaError
 from .maps import CPnMap, LinearMap
-
-
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
 
 
 def pair_to_complex(obj) -> complex:
@@ -37,7 +33,7 @@ def matrix_to_json(mat: np.ndarray) -> list:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
         raise SchemaError(f"expected a matrix, got ndim {mat.ndim}")
-    return [[complex_to_pair(z) for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def json_to_matrix(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -128,9 +124,10 @@ def cpn_map_from_json(obj) -> CPnMap:
 
 
 def dilation_to_json(dil: StinespringDilation) -> dict:
+    """space_dim, multiplicities r and the U* V_i of frame_isometries; Phi is
+    implied: canonical_images(algebra, r), then zero up to space_dim."""
     return {
         "space_dim": dil.space_dim,
         "multiplicities": list(dil.rep.multiplicities),
-        "images": [matrix_to_json(img) for img in dil.rep.images],
-        "isometries": [matrix_to_json(v) for v in dil.isometries],
+        "isometries": [matrix_to_json(v) for v in frame_isometries(dil)],
     }

@@ -15,13 +15,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cpnkit
-from cpnkit import (CPnMap, compression_map, cpn_distance, depolarizing_map,
-                    identity_map, images_of, make_algebra, random_cpn_map)
+from cpnkit import (CPnMap, LinearMap, compression_map, cpn_distance, depolarizing_map,
+                    dilate, dilate_from_gram, flatten, identity_map, images_of,
+                    make_algebra, random_cpn_map, unflatten)
 from cpnkit import serialize as ser
 from cpnkit.acceptance import run_all
 from cpnkit.cli import build_parser, main
-from cpnkit.dilation import DilationReport
+from cpnkit.dilation import DilationReport, canonical_images
 from cpnkit.errors import ValidationError
+from cpnkit.linalg import spectral_norm
+from cpnkit.maps import subblocks
 
 from test_properties import DETERMINISTIC
 
@@ -98,12 +101,66 @@ def test_dilate_failed_certificate_exit_2(tmp_path, capsys, monkeypatch):
     # a dilation whose factorization or minimality fails is no verdict
     from cpnkit import cli
     good, _ = make_files(tmp_path)
-    for failing in (DilationReport(1.45, 2, 2, True, 7.48),
-                    DilationReport(0.0, 1, 2, False, 1.0)):
+    # the factor residual carries its value and bound; minimality has neither
+    for failing, fields in ((DilationReport(1.45, 2, 2, True, 7.48),
+                             {"value": 1.45, "bound": 1e-9 * 7.48}),
+                            (DilationReport(0.0, 1, 2, False, 1.0), {})):
         monkeypatch.setattr(cli, "verify_dilation", lambda rho, dil, tol: failing)
         code, out, err = run(capsys, "dilate", good)
         assert_json_error(code, out, err)
-        assert json.loads(err)["error"]["type"] == "CertificationError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "CertificationError"
+        assert {k: error[k] for k in ("value", "bound") if k in error} == fields
+
+
+def wire_factor_residual(wire, rho):
+    """max ||V_i* Phi(e) V_j - rho_ij(e)|| from a wire dilation and rho's
+    domain alone: Phi is canonical_images on the first sum d_k r_k
+    dimensions and zero on the rest."""
+    h, m = wire["space_dim"], rho.codomain_dim
+    core = canonical_images(rho.domain, wire["multiplicities"])
+    phi = np.zeros((rho.domain.dim, h, h), dtype=complex)
+    phi[:, :core.shape[1], :core.shape[1]] = core
+    v = np.hstack([ser.json_to_matrix(x, (h, m)) for x in wire["isometries"]])
+    return spectral_norm(subblocks(v.conj().T @ phi @ v - images_of(flatten(rho)), m))
+
+
+def test_dilation_wire_contract(tmp_path, capsys):
+    # the dilate report alone rebuilds rho, and holds n H m pairs, no images
+    rng = np.random.default_rng(23)
+    zeroed = random_cpn_map(make_algebra((3, 1)), 2, 2, 3, rng).flat
+    zeroed = unflatten(LinearMap(zeroed.domain, 4, (zeroed.choi_blocks[0], np.zeros((4, 4)))), 2)
+    cases = [random_cpn_map(make_algebra((2,)), 2, 2, 3, rng),
+             random_cpn_map(make_algebra((2, 1)), 1, 2, 2, rng), zeroed,
+             random_cpn_map(make_algebra((2, 1)), 2, 2, 0, rng)]
+    for k, rho in enumerate(cases):
+        code, out, _ = run(capsys, "dilate", write_map(tmp_path / f"{k}.json", rho))
+        assert code == 0
+        wire = json.loads(out)["dilation"]
+        assert sorted(wire) == ["isometries", "multiplicities", "space_dim"]
+        h = wire["space_dim"]
+        assert sum(len(row) for x in wire["isometries"] for row in x) == rho.n * h * rho.codomain_dim
+        assert wire_factor_residual(wire, rho) <= 1e-9 * rho.scale
+    assert json.loads(out)["space_dim"] == 0
+    assert dilate(zeroed).rep.multiplicities[1] == 0
+    # a Gram dilation's frame is no identity: its wire V_i are U* V_i
+    rho = cases[1]
+    gram = dilate_from_gram(rho)
+    wire = json.loads(json.dumps(ser.dilation_to_json(gram)))
+    assert not np.allclose(ser.json_to_matrix(wire["isometries"][0], gram.isometries[0].shape),
+                           gram.isometries[0])
+    assert wire_factor_residual(wire, rho) <= 1e-9 * rho.scale
+
+
+def test_commands_other_than_suite_skip_the_acceptance_module(tmp_path):
+    good, _ = make_files(tmp_path)
+    outs = [str(tmp_path / f"{c}.json") for c in ("check", "dilate")]
+    script = ("import sys; from cpnkit.cli import main; "
+              f"print([main([c, {good!r}, '-o', o]) for c, o in zip(('check', 'dilate'), {outs!r})], "
+              "'cpnkit.acceptance' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cpnkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.stdout == "[0, 0] False\n", proc.stderr
 
 
 def test_rn_command(tmp_path, capsys):

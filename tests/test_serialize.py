@@ -8,11 +8,31 @@ from cpnkit import serialize as ser
 
 
 def test_complex_pairs():
-    assert ser.complex_to_pair(1 + 2j) == [1.0, 2.0]
     assert ser.pair_to_complex([1.0, -2.0]) == 1 - 2j
     for bad in ([1.0], [1.0, 2.0, 3.0], ["a", 0.0], [True, 0.0], 5):
         with pytest.raises(SchemaError):
             ser.pair_to_complex(bad)
+
+
+def pair_loop(mat):
+    """The per-entry conversion matrix_to_json replaced, kept as its reference."""
+    return [[[float(complex(z).real), float(complex(z).imag)] for z in row]
+            for row in np.asarray(mat, dtype=complex)]
+
+
+def test_matrix_to_json_matches_the_pair_loop():
+    assert ser.matrix_to_json([[1 + 2j]]) == [[[1.0, 2.0]]]
+    edge = np.array([[-0.0, complex(0.0, -0.0), 5e-324, -5e-324],
+                     [1e308, -1e308, complex(1e308, -1e308), complex(-0.0, 5e-324)]])
+    rng = np.random.default_rng(1)
+    drawn = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    for mat in (edge, edge.real, drawn, np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))):
+        out = ser.matrix_to_json(mat)
+        assert json.dumps(out) == json.dumps(pair_loop(mat))
+        assert all(type(x) is float for row in out for pair in row for x in pair)
+    for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(SchemaError):
+            ser.matrix_to_json(bad)
 
 
 def test_matrix_round_trip():
@@ -88,14 +108,15 @@ def test_linear_map_round_trip():
 
 
 def test_dilation_serialization():
+    # frame coordinates: the multiplicities and the V_i, no images
     rng = np.random.default_rng(5)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 2, rng)
     dil = dilate(rho)
     obj = ser.dilation_to_json(dil)
+    assert sorted(obj) == ["isometries", "multiplicities", "space_dim"]
     assert obj["space_dim"] == dil.space_dim
     assert obj["multiplicities"] == list(dil.rep.multiplicities)
-    assert len(obj["images"]) == rho.domain.dim
     assert len(obj["isometries"]) == rho.n
-    img0 = ser.json_to_matrix(obj["images"][0],
-                              (dil.space_dim, dil.space_dim))
-    assert np.allclose(img0, dil.rep.images[0])
+    for pairs, v in zip(obj["isometries"], dil.isometries):
+        # dilate's frame is U = I exactly, so U* V_i is V_i as numbers
+        assert np.array_equal(ser.json_to_matrix(pairs, v.shape), v)
