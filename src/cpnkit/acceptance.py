@@ -16,7 +16,7 @@ from .dilation import (dilate, dilate_from_gram, diagonal_direct_sum_check,
                        equivalence_residual, gram_matrix, unitary_equivalence,
                        verify_dilation)
 from .errors import ValidationError
-from .linalg import herm, significant, spectral_norm, spectral_norms
+from .linalg import herm, numerical_rank, significant, spectral_norm, spectral_norms
 from .maps import (CPnMap, _cpn_distances, _hermitian_partner, apply_map, as_cpn,
                    compression_map, cpn_distance, depolarizing_map, flatten,
                    identity_map, images_of, is_completely_n_positive,
@@ -236,11 +236,10 @@ def criterion_6_purity(seed: int = 0, count: int = 30,
         alg = make_algebra(shapes[i % len(shapes)])
         d, m, n = _COMBOS[i % len(_COMBOS)]
         rho = random_cpn_map(alg, m, n, int(rng.integers(1, 4)), rng)
-        dil = dilate(rho, tol)
-        mults = dil.rep.multiplicities
-        expected = sum(r * r for r in mults)
+        # the dimension read off the map alone: sum_k rank(C_k)^2
+        expected = sum(numerical_rank(c, tol) ** 2 for c in rho.flat.choi_blocks)
         formula_ok = formula_ok and \
-            commutant(dil.rep, tol).dimension == expected
+            commutant(dilate(rho, tol).rep, tol).dimension == expected
     checks["commutant_dim_formula"] = formula_ok
     elapsed = time.perf_counter() - t0
     passed = all(checks.values())

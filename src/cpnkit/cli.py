@@ -257,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_extreme)
 
-    p = sub.add_parser("disjoint", help="decide disjointness of two unital "
-                                        "completely positive maps")
+    p = sub.add_parser("disjoint", help="decide disjointness of two completely "
+                                        "positive maps (n = 1) with a common "
+                                        "domain and codomain")
     p.add_argument("first")
     p.add_argument("second")
     add_common(p)

@@ -27,7 +27,8 @@ representations compute it.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
 CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
-(elements and bases, Radon-Nikodym operators, intertwiners), .blocks,
+(elements and bases, Radon-Nikodym operators, and radon.intertwiner,
+the one operator between two dilations), .blocks,
 its inverse, alone reads U* T U, and .rows and frame_isometries (the
 wire format's V_i) alone read U* V: no other module reads the frame.
 """
@@ -251,26 +252,23 @@ class CommutantBasis:
             off += d * r
         return xs
 
-    def split(self, coeffs, target: CommutantBasis | None = None) -> list[np.ndarray]:
+    def split(self, coeffs) -> list[np.ndarray]:
         """The X_k / sqrt(d_k), X_k block k's coefficients in (k, a, b) order as
-        an s_k x r_k matrix, s_k from target (default self); a (j, sum r_k s_k)
-        stack of coefficients gives (j, s_k, r_k) stacks."""
-        target = self if target is None else target
-        pairs = list(zip(self.multiplicities, target.multiplicities))
-        count = sum(r * s for r, s in pairs)
+        an r_k x r_k matrix; a (j, dimension) stack of coefficients gives
+        (j, r_k, r_k) stacks."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (count,):
-            raise ValidationError(f"expected {count} coefficients, got shape {coeffs.shape}")
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1:] != (self.dimension,):
+            raise ValidationError(
+                f"expected {self.dimension} coefficients, got shape {coeffs.shape}")
         xs, col, lead = [], 0, coeffs.shape[:-1]
-        for d, (r, s) in zip(self.block_dims, pairs):
-            xs.append(coeffs[..., col:col + s * r].reshape(*lead, s, r) / math.sqrt(d))
-            col += s * r
+        for d, r in zip(self.block_dims, self.multiplicities):
+            xs.append(coeffs[..., col:col + r * r].reshape(*lead, r, r) / math.sqrt(d))
+            col += r * r
         return xs
 
-    def element(self, coeffs, target: CommutantBasis | None = None) -> np.ndarray:
-        """lift of split(coeffs, target) into target (default self), in O(H^3):
-        the combination of basis, or of the intertwiner basis for a target."""
-        return self.lift(self.split(coeffs, target), target)
+    def element(self, coeffs) -> np.ndarray:
+        """lift(split(coeffs)), in O(H^3): the combination of basis."""
+        return self.lift(self.split(coeffs))
 
 
 def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:

@@ -76,17 +76,6 @@ def nearest_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
-    """Partial isometry with the same row/column supports as a.
-
-    SVD directions with singular value above tol * (1 + s_max) are kept
-    with unit weight; the rest are dropped.
-    """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = significant(s, tol)
-    return u[:, keep] @ vh[keep]
-
-
 def solve_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimal-norm least-squares solution X of X @ a = b.
 

@@ -17,8 +17,8 @@ O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
 intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
 alike.  Every verdict here reads dilation.commutant(), that frame with
 B(eps) as its one commute certificate, and none builds the H x H
-commutant basis: is_extreme reads the frame rows A_k of U* V, and
-extension_witness lifts the one intertwiner it uses.
+commutant basis: is_extreme and extension_witness read the frame rows
+A_k of U* V.
 is_pure and is_extreme refuse a given dilation that is not minimal
 (ValidationError); images that are not a *-representation raise
 CertificationError.
@@ -34,10 +34,11 @@ from .algebra import cstar_norm, distance, is_unitary
 from .dilation import (CommutantBasis, StinespringDilation, _minimal_commutant,
                        commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import herm, numerical_rank, partial_isometry, spectral_norm
+from .linalg import herm, numerical_rank, spectral_norm, spectral_norms
 from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts,
-                   _hermitian_partner, apply_map, as_cpn, is_completely_n_positive,
-                   map_from_images, require_cpn, subblocks, unflatten)
+                   _hermitian_partner, _trusted_map, apply_map, as_cpn, images_of,
+                   is_completely_n_positive, map_from_images, require_cpn, subblocks,
+                   unflatten)
 from .radon import _gated_compressions, _maps
 
 
@@ -72,30 +73,33 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
                       tol: float = 1e-9) -> CPnMap | None:
     """A completely 2-positive completion with nonzero off-diagonal, if any.
 
-    Returns None when the maps are disjoint.  Otherwise X, the lift of
-    E_00 in the first block with r_k s_k > 0 (sqrt(d_k) times the first
-    element of the closed-form intertwiner basis, built alone), has polar
-    part W, and
+    Returns None when the maps are disjoint.  Otherwise W = U_2 ((+)_k
+    I_{d_k} (x) X_k) U_1*, X_k = E_00 in the first algebra block with
+    r_k s_k > 0 and zero elsewhere, is a partial isometry intertwining
+    the dilations, and
 
         rho_12(a) = V_1* Phi_1(a) W* V_2,    rho_21(a) = rho_12(a*)*
 
     completes [rho_11, rho_12; rho_21, rho_22] to a certified completely
-    2-positive map matrix with rho_12 != 0.
+    2-positive map matrix with rho_12 != 0: it is the compression of
+    rho_11 (+) rho_22 by [[I, W*], [W, I]] >= 0.  On the frame rows
+    A_k = comm.rows(V), rho_12's flattened Choi block k is A^1_k* X_k* A^2_k:
+    conj(A^1_k[0]) (x) A^2_k[0] at k = first, zero elsewhere.
     """
     d1, d2, c1, c2 = _pair_commutants(rho11, rho22, tol)
-    pairs = list(zip(c1.multiplicities, c2.multiplicities))
-    first = next((k for k, (r, s) in enumerate(pairs) if r * s), None)
+    rows = list(zip(c1.rows(d1.joint_isometry), c2.rows(d2.joint_isometry)))
+    first = next((k for k, (a1, a2) in enumerate(rows) if len(a1) and len(a2)), None)
     if first is None:
         return None
-    xs = [np.zeros((s, r)) for r, s in pairs[:first + 1]]
-    xs[first][0, 0] = 1.0
-    w = partial_isometry(c1.lift(xs, c2), tol)
-    images12 = d1.isometries[0].conj().T @ d1.rep.images @ w.conj().T @ d2.isometries[0]
-    map12 = map_from_images(rho11.domain, rho11.codomain_dim, images12)
+    m = rho11.codomain_dim
+    blocks = [np.zeros((d * m, d * m), dtype=complex) for d in rho11.domain.block_dims]
+    a1, a2 = rows[first]
+    blocks[first] = np.outer(a1[0].conj(), a2[0])
+    map12 = _trusted_map(rho11.domain, m, blocks)
     witness = CPnMap(((rho11.entries[0][0], map12),
                       (_hermitian_partner(map12), rho22.entries[0][0])))
     chk = is_completely_n_positive(witness, tol)
-    off_norm = spectral_norm(images12)
+    off_norm = spectral_norm(images_of(map12))
     if not chk.verdict or off_norm <= tol * witness.scale:
         raise CertificationError(
             f"extension witness certificate failed (cpn {chk.verdict}, "
@@ -108,8 +112,9 @@ def _membership_check(rho: CPnMap, tol: float) -> None:
     # block (i, j) of flatten(rho)(1) - I is rho_ij(1) - delta_ij I
     dev = subblocks(apply_map(rho.flat, rho.domain.unit()) - np.eye(rho.flat.codomain_dim),
                     rho.codomain_dim)
+    norms = spectral_norms(dev)
     bad = [(i, j) for i in range(rho.n) for j in range(i, rho.n)
-           if spectral_norm(dev[i, j]) > tol * rho.scale]
+           if norms[i, j] > tol * rho.scale]
     if bad:
         raise ValidationError(
             f"map matrix is not unital with zero off-diagonal at the unit; "
@@ -239,7 +244,9 @@ def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMa
     The base must be unital, completely positive and pure; each u_i of
     unitaries must be unitary, with u_1 the unit.  The output is certified
     completely n-positive and pure, with pure unital diagonal entries and
-    rho_ij(u_i u_j*) = I.
+    rho_ij(u_i u_j*) = I.  Purity of the diagonal needs no dilation of its
+    own: (Phi, Phi(u_i) V) is a minimal dilation of rho_ii, since
+    Phi(A) Phi(u_i) V C^m = Phi(A) V C^m = H, and Phi is irreducible.
     """
     alg = base.domain
     m = base.codomain_dim
@@ -256,8 +263,9 @@ def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMa
     unital_dev = spectral_norm(apply_map(base, unit) - np.eye(m))
     if unital_dev > tol * (1.0 + max(spectral_norm(b) for b in base.choi_blocks)):
         raise ValidationError(f"base map is not unital (residual {unital_dev:.3e})")
-    base_dil = dilate(as_cpn(base), tol)
-    if not is_pure(as_cpn(base), tol, dilation=base_dil):
+    base_cpn = as_cpn(base)
+    base_dil = dilate(base_cpn, tol)
+    if not is_pure(base_cpn, tol, dilation=base_dil):
         raise ValidationError("base map is not pure")
     v = base_dil.isometries[0]
     # W = [Phi(u_1) V ... Phi(u_n) V]; block (i, j) of W* Phi(a) W is rho_ij(a)
@@ -268,11 +276,8 @@ def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMa
     scale = rho.scale
     eye = np.eye(m)
     for i in range(n):
-        diag = as_cpn(rho.entries[i][i])
         if spectral_norm(apply_map(rho.entries[i][i], unit) - eye) > tol * scale:
             raise CertificationError(f"diagonal entry {i} is not unital")
-        if not is_pure(diag, tol):
-            raise CertificationError(f"diagonal entry {i} is not pure")
         for j in range(n):
             uij = unitaries[i] @ unitaries[j].adjoint()
             wit = apply_map(rho.entries[i][j], uij)

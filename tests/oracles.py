@@ -4,9 +4,11 @@ frame_basis builds every element of the closed-form commutant or
 intertwiner basis at once from the frame columns; orth is an orthonormal
 basis of a column space by SVD.  Together they give the H^2-row P T P
 route that is_extreme's frame-row matrix is checked against.
-intertwiner_space is the closed-form intertwiner basis through
-CommutantBasis.element, and intertwiner_basis_of the same space from a
-nullspace solve.
+intertwiner_space is the closed-form intertwiner basis from the frame
+columns, and intertwiner_basis_of the same space from a nullspace solve.
+polar_witness_images is the off-diagonal of the disjointness witness by
+the H_2 x H_1 route: the polar part W of intertwiner_space's element 0,
+sandwiched as V_1* Phi_1(e) W* V_2 against the matrix-unit images.
 """
 import numpy as np
 
@@ -50,14 +52,29 @@ def intertwiner_space(d1, d2, tol=1e-9):
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
 
     The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
-    the two certified commutants: c1.element of each unit coefficient vector.
+    the two certified commutants, as pair_basis builds it.
     """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
-    c1 = commutant(d1.rep, tol)
-    c2 = commutant(d2.rep, tol)
-    count = sum(r * s for r, s in zip(c1.multiplicities, c2.multiplicities))
-    return list(c1.element(np.eye(count), c2))
+    return list(pair_basis(commutant(d1.rep, tol), commutant(d2.rep, tol)))
+
+
+def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
+    """Partial isometry with the same row/column supports as a: the SVD
+    directions with singular value above tol * (1 + s_max), unit weight."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = significant(s, tol)
+    return u[:, keep] @ vh[keep]
+
+
+def polar_witness_images(d1, d2, tol=1e-9):
+    """V_1* Phi_1(e) W* V_2 over the matrix units e, W the polar part of the
+    first intertwiner basis element; None when the dilations are disjoint."""
+    space = intertwiner_space(d1, d2, tol)
+    if not space:
+        return None
+    w = partial_isometry(space[0], tol)
+    return d1.isometries[0].conj().T @ d1.rep.images @ w.conj().T @ d2.isometries[0]
 
 
 def intertwiner_basis_of(mats1, mats2, dim1, dim2, tol):

@@ -74,3 +74,27 @@ def test_radon_reads_no_images():
     tree = ast.parse((Path(cpnkit.__file__).parent / "radon.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "images"] == []
+
+
+def test_intertwiner_is_the_one_lift_into_a_target():
+    # the disjointness witness reads frame rows: radon.intertwiner is the one
+    # function that assembles an operator between two dilations, and
+    # extension_witness reads no images and lifts nothing
+    import ast
+    from pathlib import Path
+
+    targeted, witness = [], None
+    for path in sorted(Path(cpnkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "extension_witness":
+                witness = fn
+            targeted += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "lift" and len(node.args) + len(node.keywords) > 1]
+    assert targeted == ["radon.py:intertwiner"]
+    names = {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+             for node in ast.walk(witness)}
+    assert not names & {"images", "lift", "element", "partial_isometry"}

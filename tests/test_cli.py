@@ -264,6 +264,17 @@ def test_disjoint_command(tmp_path, capsys):
     wit = ser.cpn_map_from_json(report["witness"])
     assert wit.n == 2
 
+    # nothing asks for unital maps: 2 id is not unital, and it meets the
+    # depolarizing map in the one block of M_2
+    two_id = write_map(tmp_path / "two_id.json", CPnMap(((2.0 * identity_map(alg),),)))
+    dep_f = write_map(tmp_path / "dep.json", CPnMap(((depolarizing_map(2),),)))
+    code, out, _ = run(capsys, "disjoint", two_id, dep_f)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] is False
+    assert report["certificates"]["witness_offdiagonal_norm"] > 1e-6
+    assert ser.cpn_map_from_json(report["witness"]).n == 2
+
 
 def test_random_determinism(tmp_path, capsys):
     a1 = tmp_path / "a1.json"

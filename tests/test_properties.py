@@ -2,8 +2,8 @@
 dilate() seeds, of the stacked compression gates, of the stacked
 map-side verdicts, of the frame-coordinate Radon-Nikodym operator and
 intertwiner, of CommutantBasis.lift, the one assembly of them all, and
-of is_extreme's frame-row matrix and CommutantBasis.element into a target
-against the outer-product oracle in oracles.py.
+of is_extreme's frame-row matrix and the disjointness witness against
+the oracles in oracles.py.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
-                    ValidationError, commutant, compress, cpn_distance, dilate,
+                    ValidationError, are_disjoint, commutant, compress, cpn_distance, dilate,
                     dilate_from_gram, extension_witness, intertwiner,
                     is_completely_n_positive, is_extreme, is_pure, make_algebra,
                     map_from_images, rn_operator, star_index, order_equivalence_check,
@@ -26,15 +26,13 @@ import cpnkit.radon as cpnkit_radon
 import cpnkit.structure as cpnkit_structure
 from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import CommutantBasis, canonical_frame, canonical_images
-from cpnkit.linalg import (commutant_basis_of, herm, partial_isometry, solve_sandwich,
-                           spectral_norm)
+from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
                          images_of)
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
                           _order_checks, _unit_interval)
 
-import oracles
-from oracles import intertwiner_space, pair_basis
+from oracles import pair_basis, polar_witness_images
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -130,7 +128,8 @@ def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
 @example(((2, 1), 1, 2, (2, 1), 3), "gram")  # two algebra blocks, U != I
 def test_frame_row_matrix_and_intertwiners_match_the_frame_basis(shape, source_kind):
     # is_extreme's matrix is vec(V* b V) over the oracle commutant basis b,
-    # and intertwiner_space is the oracle intertwiner basis, on any frame
+    # and the oracle intertwiner basis is orthonormal and intertwines, on
+    # any frame
     dims, n, m, ranks, seed = shape
     rng = np.random.default_rng(seed)
     rho = unital_map(dims, n, m, ranks, rng)
@@ -143,10 +142,11 @@ def test_frame_row_matrix_and_intertwiners_match_the_frame_basis(shape, source_k
     assert spectral_norm(mat - want) <= 1e-12 * (1.0 + spectral_norm(want))
     other = map_with_ranks(dims, n, m, tuple(rng.integers(0, 3, len(dims))), rng)
     for target in (dil, moved(dilate(other), rng)):
-        got = intertwiner_space(dil, target)
-        want = pair_basis(commutant(dil.rep), commutant(target.rep))
-        assert len(got) == len(want)
-        assert all(spectral_norm(g - w) <= 1e-12 for g, w in zip(got, want))
+        got = pair_basis(commutant(dil.rep), commutant(target.rep))
+        flat = got.reshape(len(got), target.space_dim * dil.space_dim)
+        assert spectral_norm(flat.conj() @ flat.T - np.eye(len(got))) <= 1e-12
+        res = got[:, None] @ dil.rep.images - target.rep.images @ got[:, None]
+        assert spectral_norm(res) <= 1e-12
 
 
 def kron_canonical_images(alg, mults):
@@ -587,7 +587,7 @@ def test_frame_route_matches_the_sandwich_route(shape, theta_kind, source_kind):
 
 
 # One assembly path: CommutantBasis.lift is the frame-basis combination, and
-# every element, Radon-Nikodym operator, intertwiner and witness is a lift
+# every element, Radon-Nikodym operator and intertwiner is a lift
 
 
 @DETERMINISTIC
@@ -670,38 +670,27 @@ def map_pairs(draw, domains=DOMAINS):
 @example(((2, 2), 2, (2, 0), (0, 3), 1))  # disjoint
 @example(((1, 1, 2), 2, (0, 0, 0), (1, 2, 3), 2))  # the zero map, H = 0
 def test_extension_witness_lifts_the_first_intertwiner(pair):
-    # the witness is built from the first closed-form intertwiner alone:
-    # one unstacked lift and no intertwiner stack, the same W as
-    # intertwiner_space's element 0
+    # the witness reads the frame rows of the first intertwining block and
+    # builds no operator between the dilations: no lift, no basis element;
+    # its off-diagonal is the images-and-polar oracle's
     dims, m, ranks1, ranks2, seed = pair
     rng = np.random.default_rng(seed)
     rho11, rho22 = (map_with_ranks(dims, 1, m, r, rng) for r in (ranks1, ranks2))
-    lifted = []
-    real = CommutantBasis.lift
-
-    def recording(self, xs, target=None):
-        lifted.append([x.ndim for x in xs])
-        return real(self, xs, target)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("extension_witness built an intertwiner stack")
+        raise AssertionError("extension_witness built an operator on the dilation spaces")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CommutantBasis, "lift", recording)
+        mp.setattr(CommutantBasis, "lift", forbidden)
         mp.setattr(CommutantBasis, "element", forbidden)
-        mp.setattr(oracles, "intertwiner_space", forbidden)
         witness = extension_witness(rho11, rho22)
-    assert len(lifted) == (witness is not None)
-    assert all(ndim == 2 for ndims in lifted for ndim in ndims)
-    d1, d2 = dilate(rho11), dilate(rho22)
-    space = intertwiner_space(d1, d2)
-    if not space:
-        assert witness is None
+    want = polar_witness_images(dilate(rho11), dilate(rho22))
+    assert (witness is None) == (want is None) == are_disjoint(rho11, rho22)
+    if witness is None:
         return
-    w = partial_isometry(space[0], 1e-9)
-    want = d1.isometries[0].conj().T @ d1.rep.images @ w.conj().T @ d2.isometries[0]
+    assert is_completely_n_positive(witness).verdict
     got = images_of(witness.entry(0, 1))
-    assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
+    assert spectral_norm(got - want) <= 1e-12 * witness.scale
 
 
 def test_every_frame_assembly_is_a_lift(monkeypatch):
@@ -720,8 +709,7 @@ def test_every_frame_assembly_is_a_lift(monkeypatch):
     theta = compress(dil, sample_unit_interval(dil, rng))
     calls = [lambda: comm.element(np.ones(comm.dimension)),
              lambda: rn_operator(rho, theta, source_dilation=dil),
-             lambda: intertwiner(rho, theta, source_dilation=dil),
-             lambda: extension_witness(rho, rho)]
+             lambda: intertwiner(rho, theta, source_dilation=dil)]
     for call in calls:
         lifts.clear()
         call()

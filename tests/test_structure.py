@@ -175,6 +175,30 @@ def test_extreme_family_vector_state():
     assert np.allclose(apply_map(fam.entry(0, 1), u2.adjoint()), [[1.0]])
 
 
+def test_extreme_family_dilates_the_base_and_the_family_only(monkeypatch):
+    # the diagonal entries are pure because the base is: no dilation of
+    # their own, and the base's dilation is checked against the base itself
+    alg = m2()
+    u2 = alg.element([np.diag([1.0, -1.0])])
+    u3 = alg.element([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    dilated = []
+    real = cpnkit_dilation.dilate
+
+    def counting(rho, tol=1e-9):
+        dilated.append(rho.n)
+        return real(rho, tol)
+
+    def forbidden(*args):
+        raise AssertionError("the base dilation was checked against a copy of the base")
+
+    monkeypatch.setattr(cpnkit_dilation, "dilate", counting)
+    monkeypatch.setattr(cpnkit_structure, "dilate", counting)
+    monkeypatch.setattr(cpnkit_dilation, "cpn_distance", forbidden)
+    fam = build_extreme_family(identity_map(alg), (alg.unit(), u2, u3))
+    assert dilated == [1, 3]
+    assert all(is_pure(as_cpn(fam.entry(i, i))) for i in range(3))
+
+
 def test_extreme_family_validation():
     alg = m2()
     u2 = alg.element([np.diag([1.0, -1.0])])
