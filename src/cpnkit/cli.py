@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_pure)
 
-    p = sub.add_parser("extreme", help="decide extremality among unital map "
-                                       "matrices; decompose when not extreme")
+    p = sub.add_parser("extreme", help="decide extremality among map matrices with the "
+                                       "same value at the unit (the unital ones when it "
+                                       "is I); decompose when not extreme")
     p.add_argument("map")
     add_common(p)
     p.set_defaults(func=_cmd_extreme)

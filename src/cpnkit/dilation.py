@@ -45,7 +45,7 @@ from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
 from .errors import CertificationError, ValidationError, as_index
 from .linalg import (herm, nearest_unitary, numerical_rank, significant,
                      solve_sandwich, spectral_norm)
-from .maps import (CPnMap, _cpn_verdicts, as_cpn, cpn_distance, flatten,
+from .maps import (CPnMap, _verdict, as_cpn, cpn_distance, flatten,
                    images_of, require_cpn, stack_images, subblocks)
 
 
@@ -373,13 +373,8 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     """
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
-    flat = flatten(rho)
-    eigs = [np.linalg.eigh(herm(c)) for c in flat.choi_blocks]
-    memo = rho._verdicts
-    if tol not in memo:
-        memo[tol] = _cpn_verdicts([c[None] for c in flat.choi_blocks], m, tol,
-                                  spectra=[w[None] for w, _ in eigs])[0]
-    memo[tol].require()
+    eigs = [np.linalg.eigh(herm(c)) for c in rho.flat.choi_blocks]
+    _verdict(rho, tol, [w[None] for w, _ in eigs]).require()
     rows: list[np.ndarray] = []
     mults: list[int] = []
     for d, (w, vecs) in zip(alg.block_dims, eigs):

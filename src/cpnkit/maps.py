@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, CStarAlgebra
 from .errors import PositivityError, ValidationError, as_index
-from .linalg import herm, spectral_norm, spectral_norms
+from .linalg import herm, spectral_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +244,15 @@ class CPnMap:
                            for j in range(n)) for i in range(n))
 
     @functools.cached_property
+    def _block_norms(self) -> list[float]:
+        """The flattened Choi block norms, which scale and the verdicts read."""
+        return [spectral_norms(c[None]).item() for c in self.flat.choi_blocks]
+
+    @functools.cached_property
     def scale(self) -> float:
         """1 + the largest flattened Choi block norm, computed once per map:
         the storage is immutable, and derived maps are new objects."""
-        return 1.0 + max(spectral_norm(b) for b in self.flat.choi_blocks)
+        return 1.0 + max(self._block_norms)
 
     @functools.cached_property
     def _verdicts(self) -> dict[float, CpnVerdict]:
@@ -355,18 +360,19 @@ class CpnVerdict:
         return self
 
 
-def _cpn_verdicts(stacks, m: int, tol: float, spectra=None) -> list[CpnVerdict]:
+def _cpn_verdicts(stacks, m: int, tol: float, spectra=None, norms=None) -> list[CpnVerdict]:
     """is_completely_n_positive's verdicts on k maps of one shape, from their
     flattened Choi blocks as one (k, q, q) stack per algebra block and, when
-    given, the ascending spectra of their Hermitian parts as (k, q) stacks.
+    given, their Hermitian parts' ascending spectra as (k, q) stacks and
+    their norms as k-lists.
 
-    Per block: one SVD call for the norms, one over the m x m sub-blocks
-    of C - C* and, without spectra, one eigvalsh call.  Member i is
+    Per block: one SVD call over the m x m sub-blocks of C - C* and, without
+    norms or spectra, an SVD call for them or an eigvalsh call.  Member i is
     bitwise the verdict on map i alone.
     """
     if spectra is None:
         spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
-    norms = [spectral_norms(c).tolist() for c in stacks]
+    norms = [spectral_norms(c).tolist() for c in stacks] if norms is None else norms
     asyms = [spectral_norms(subblocks(c - c.conj().swapaxes(-1, -2), m))
              .max(axis=(-2, -1), initial=0.0).tolist() for c in stacks]
     # a block with an empty spectrum takes no part in positivity or min_eig
@@ -395,10 +401,15 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
     Decided once per map and tol; later calls return the same verdict.
     """
+    return _verdict(rho, tol)
+
+
+def _verdict(rho: CPnMap, tol: float, spectra=None) -> CpnVerdict:
+    """rho's verdict at tol, kept on rho, from its block norms and the spectra if given."""
     memo = rho._verdicts
     if tol not in memo:
-        memo[tol] = _cpn_verdicts([c[None] for c in rho.flat.choi_blocks],
-                                  rho.codomain_dim, tol)[0]
+        memo[tol] = _cpn_verdicts([c[None] for c in rho.flat.choi_blocks], rho.codomain_dim,
+                                  tol, spectra, [[x] for x in rho._block_norms])[0]
     return memo[tol]
 
 

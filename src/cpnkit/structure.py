@@ -7,9 +7,10 @@ representation is irreducible, i.e. the commutant is the scalars.  Two
 completely positive maps are disjoint exactly when no nonzero operator
 intertwines their dilation representations, equivalently when the only
 joint completion [rho_11, rho_12; rho_21, rho_22] that is completely
-2-positive has rho_12 = 0.  Extremality inside the unital-with-zero-
-off-diagonal class is decided by injectivity of T -> P T P on the
-commutant, P projecting onto span{V_i xi}.
+2-positive has rho_12 = 0.  Extremality in C(rho(1)), the completely
+n-positive map matrices with the same value at the unit as rho, is
+decided by injectivity of T -> V* T V on the commutant; the paper's
+unital class is rho(1) = I.
 
 Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} (+) 0 up
 to a unitary U, which dilation.canonical_frame finds and certifies in
@@ -37,7 +38,7 @@ from .errors import CertificationError, ValidationError
 from .linalg import herm, numerical_rank, spectral_norm, spectral_norms
 from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts,
                    _hermitian_partner, _trusted_map, apply_map, as_cpn, images_of,
-                   is_completely_n_positive, map_from_images, require_cpn, subblocks,
+                   is_completely_n_positive, map_from_images, require_cpn,
                    unflatten)
 from .radon import _gated_compressions, _maps
 
@@ -107,20 +108,6 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     return witness
 
 
-def _membership_check(rho: CPnMap, tol: float) -> None:
-    """rho_ii(1) = I and rho_ij(1) = 0 for i < j, else ValidationError."""
-    # block (i, j) of flatten(rho)(1) - I is rho_ij(1) - delta_ij I
-    dev = subblocks(apply_map(rho.flat, rho.domain.unit()) - np.eye(rho.flat.codomain_dim),
-                    rho.codomain_dim)
-    norms = spectral_norms(dev)
-    bad = [(i, j) for i in range(rho.n) for j in range(i, rho.n)
-           if norms[i, j] > tol * rho.scale]
-    if bad:
-        raise ValidationError(
-            f"map matrix is not unital with zero off-diagonal at the unit; "
-            f"failing entries {bad}")
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexDecomposition:
     """Nontrivial convex split beta * rho_1 + (1 - beta) * rho_2 = rho."""
@@ -148,15 +135,15 @@ class ExtremalityReport:
     def decomposition(self) -> ConvexDecomposition:
         """A certified convex decomposition of the non-extreme input.
 
-        From a Hermitian commutant element T with P T P = 0 and ||T|| = 1,
-        the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices in
-        the same unital class with (1/2) rho_{T_1} + (1/2) rho_{T_2} = rho,
-        both differing from rho.  A kernel vector of the frame-coordinate
-        matrix is (X_k)_k with T = U ((+)_k I_{d_k} (x) X_k / sqrt(d_k)) U*;
-        it is a column of the kernel projector, so T depends on the kernel,
-        not on the basis LAPACK lists for it.  T, T_1 and T_2 are built and
-        compressed as their frame blocks; kernel_element is the lift of T.
-        ValidationError when extreme.
+        From a Hermitian commutant element T with V* T V = 0 and ||T|| = 1,
+        the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices
+        sigma_i in C(rho(1)), as V* T_i V = V* V, with (1/2) sigma_1 +
+        (1/2) sigma_2 = rho, both differing from rho.  A kernel vector of
+        the frame-coordinate matrix is (X_k)_k with T = U ((+)_k I_{d_k} (x)
+        X_k / sqrt(d_k)) U*; it is a column of the kernel projector, so T
+        depends on the kernel, not on the basis LAPACK lists for it.  T, T_1
+        and T_2 are built and compressed as their frame blocks;
+        kernel_element is the lift of T.  ValidationError when extreme.
         """
         if self.extreme:
             raise ValidationError("map matrix is extreme; no decomposition exists")
@@ -184,9 +171,13 @@ class ExtremalityReport:
             raise CertificationError("decomposition does not average to the input")
         if dist1 <= bound or dist2 <= bound:
             raise CertificationError("decomposition is trivial")
-        for part, verdict in zip((part1, part2),
-                                 _cpn_verdicts(blocks, rho.codomain_dim, tol)):
-            _membership_check(part, tol)
+        one = rho.domain.unit()
+        units = spectral_norms(np.stack([apply_map(p.flat, one) for p in (part1, part2)])
+                               - apply_map(rho.flat, one))
+        for dev, verdict in zip(units.tolist(), _cpn_verdicts(blocks, rho.codomain_dim, tol)):
+            if dev > bound:
+                raise CertificationError(f"decomposition leaves C(rho(1)): ||sigma(1) - "
+                                         f"rho(1)|| {dev:.3e}", value=dev, bound=bound)
             verdict.require()
         return ConvexDecomposition(0.5, part1, part2, self.comm.lift(t))
 
@@ -195,17 +186,15 @@ def _compressed_commutant(rho: CPnMap, tol: float,
                           dilation: StinespringDilation | None):
     """The data is_extreme decides on and its report decomposes with.
 
-    Checks rho as dilation_of and _membership_check do, then returns
-    its dilation, the certified commutant and the (n m)^2 x sum r_k^2
-    matrix of T -> V* T V on the commutant basis, read off the frame rows
-    A_k = comm.rows(V): column (k, a, b) is vec(V* lift(E_ab / sqrt d_k) V)
+    Checks rho as dilation_of does, then returns its dilation, the
+    certified commutant and the (n m)^2 x sum r_k^2 matrix of T -> V* T V
+    on the commutant basis, read off the frame rows A_k = comm.rows(V):
+    column (k, a, b) is vec(V* lift(E_ab / sqrt d_k) V)
     = (1/sqrt d_k) sum_p conj(A_k,p[a, :]) (x) A_k,p[b, :].  V = Q R, R of
-    full row rank, so the kernel is that of T -> P T P, P = Q Q*; V* V =
-    rho(1) = I to tol * rho.scale here, so X -> V X V* is a Frobenius
-    isometry and the singular values are those of the H^2-row P T P stack.
+    full row rank, so the kernel is that of T -> P T P, P = Q Q*.  No
+    V* V = I is assumed: is_extreme reads the rank of this matrix itself.
     """
     dilation = dilation_of(rho, tol, dilation)
-    _membership_check(rho, tol)
     comm = _minimal_commutant(dilation, tol)
     c, cols = dilation.joint_isometry.shape[1], []
     for d, rows in zip(comm.block_dims, comm.rows(dilation.joint_isometry)):
@@ -219,11 +208,11 @@ def _compressed_commutant(rho: CPnMap, tol: float,
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
                dilation: StinespringDilation | None = None) -> ExtremalityReport:
-    """Extremality among map matrices with rho_ii(1) = I, rho_ij(1) = 0 (i < j).
+    """Extremality in C(rho(1)), the completely n-positive map matrices with
+    the value flatten(rho)(1) at the unit; the unital class is rho(1) = I.
 
-    Criterion: T -> P T P is injective on the commutant, where P projects
-    onto H_0 = span{V_i xi}; decided in frame coordinates.  Membership
-    failures raise ValidationError naming the offending entries.
+    Criterion (Arveson 1969, 1.4, for any rho(1)): T -> V* T V is injective
+    on the commutant; decided in frame coordinates, as that map's rank.
     """
     dil, comm, mat = _compressed_commutant(rho, tol, dilation)
     rank = numerical_rank(mat, tol)

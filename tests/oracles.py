@@ -9,11 +9,13 @@ columns, and intertwiner_basis_of the same space from a nullspace solve.
 polar_witness_images is the off-diagonal of the disjointness witness by
 the H_2 x H_1 route: the polar part W of intertwiner_space's element 0,
 sandwiched as V_1* Phi_1(e) W* V_2 against the matrix-unit images.
+choi_extreme decides extremality in C(rho(1)) from the Choi blocks alone,
+without a dilation and without rho(1).
 """
 import numpy as np
 
 from cpnkit import ValidationError, commutant
-from cpnkit.linalg import nullspace, significant
+from cpnkit.linalg import nullspace, numerical_rank, significant
 
 
 def frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
@@ -86,3 +88,25 @@ def intertwiner_basis_of(mats1, mats2, dim1, dim2, tol):
             for m1, m2 in zip(mats1, mats2)]
     basis = nullspace(np.vstack(rows), tol)
     return [basis[:, j].reshape(dim2, dim1) for j in range(basis.shape[1])]
+
+
+def choi_extreme(rho, tol=1e-9):
+    """(extreme, rank, sum r_k^2) of rho in C(rho(1)), from Choi coordinates.
+
+    With F_k the eigenvectors of flattened Choi block k kept at dilate's
+    cutoff, scaled by sqrt(w), and F_{k,p} its p-th block of nm rows, rho
+    is extreme exactly when X -> sum_k sum_p F_{k,p} X_k F_{k,p}* is
+    injective on (+)_k M_{r_k} (Choi 1975, Thm 5, for several blocks).
+    The criterion holds for every value at the unit, so no rho(1) enters.
+    """
+    nm = rho.flat.codomain_dim
+    cols = []
+    for d, c in zip(rho.domain.block_dims, rho.flat.choi_blocks):
+        w, v = np.linalg.eigh(c)
+        keep = significant(w, tol)
+        f = (v[:, keep] * np.sqrt(w[keep])).reshape(d, nm, -1)
+        # column (a, b) is vec(sum_p F_p E_ab F_p*) = sum_p F_p[:, a] (x) conj(F_p[:, b])
+        cols.append(np.einsum("pia,pjb->ijab", f, f.conj()).reshape(nm * nm, -1))
+    mat = np.hstack(cols)
+    rank = numerical_rank(mat, tol)
+    return rank == mat.shape[1], rank, mat.shape[1]

@@ -15,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cpnkit
-from cpnkit import (CPnMap, LinearMap, compression_map, cpn_distance, depolarizing_map,
-                    dilate, dilate_from_gram, flatten, identity_map, images_of,
-                    make_algebra, random_cpn_map, unflatten)
+from cpnkit import (CPnMap, LinearMap, apply_map, compression_map, cpn_distance,
+                    depolarizing_map, dilate, dilate_from_gram, flatten, identity_map,
+                    images_of, make_algebra, random_cpn_map, unflatten)
 from cpnkit import serialize as ser
 from cpnkit.acceptance import run_all
 from cpnkit.cli import build_parser, main
@@ -223,6 +223,16 @@ def test_pure_and_extreme_commands(tmp_path, capsys):
     beta = report["decomposition"]["beta"]
     avg = beta * part1 + (1.0 - beta) * part2
     assert cpn_distance(avg, dep) <= 1e-8
+
+    # outside the unital class the verdict is taken in C(rho(1)): 2 id is
+    # extreme there, and 2 dep splits into parts with rho(1) = 2 I
+    two_id = write_map(tmp_path / "two_id.json", CPnMap(((2.0 * identity_map(alg),),)))
+    assert run(capsys, "extreme", two_id)[0] == 0
+    code, out, _ = run(capsys, "extreme", write_map(tmp_path / "two_dep.json", 2.0 * dep))
+    assert code == 1
+    for key in ("part1", "part2"):
+        part = ser.cpn_map_from_json(json.loads(out)["decomposition"][key])
+        assert spectral_norm(apply_map(part.flat, alg.unit()) - 2.0 * np.eye(2)) <= 1e-8
 
 
 def test_extreme_builds_the_compressed_commutant_once(tmp_path, capsys, monkeypatch):

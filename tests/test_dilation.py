@@ -294,8 +294,8 @@ def test_dilate_seeds_the_positivity_verdict(monkeypatch):
         decided.append(1)
         return real(*args, **kwargs)
 
-    for module in (cpnkit_maps, cpnkit_dilation):
-        monkeypatch.setattr(module, "_cpn_verdicts", counting)
+    # dilate decides through maps._verdict, as is_completely_n_positive does
+    monkeypatch.setattr(cpnkit_maps, "_cpn_verdicts", counting)
     dil = dilate(rho)
     assert len(decided) == 1 and is_completely_n_positive(rho) is rho._verdicts[1e-9]
     is_pure(rho, dilation=dil)

@@ -413,6 +413,29 @@ def test_cpn_scale_is_computed_once_per_map():
     assert (2.0 * rho).scale != rho.scale
 
 
+def test_scale_reads_the_block_norms_of_the_verdict(monkeypatch):
+    # the verdict of is_completely_n_positive, and the one dilate seeds,
+    # takes every flattened Choi block norm; scale reads those norms
+    alg = make_algebra((2, 1))
+    rng = np.random.default_rng(23)
+    real, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for decide in (is_completely_n_positive, dilate):
+        rho = random_cpn_map(alg, 2, 2, 3, rng)
+        decide(rho)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        scale = rho.scale
+        monkeypatch.undo()
+        assert calls == []
+        fresh = unflatten(LinearMap(alg, 4, tuple(b.copy() for b in rho.flat.choi_blocks)), 2)
+        expect = 1.0 + max(np.linalg.norm(b, 2) for b in fresh.flat.choi_blocks)
+        assert scale.hex() == fresh.scale.hex() == expect.hex()
+
+
 def test_cpn_verdict_is_kept_per_map_and_tolerance(monkeypatch):
     rng = np.random.default_rng(22)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)

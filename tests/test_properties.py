@@ -28,11 +28,11 @@ from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import CommutantBasis, canonical_frame, canonical_images
 from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
-                         images_of)
+                         apply_map, images_of)
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
                           _order_checks, _unit_interval)
 
-from oracles import pair_basis, polar_witness_images
+from oracles import choi_extreme, pair_basis, polar_witness_images
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -121,6 +121,25 @@ def test_frame_extremality_matches_ptp_route_on_drawn_maps(shape):
     assume(rho is not None)
     dil = dilate(rho)
     assert report_tuple(is_extreme(rho, dilation=dil)) == ptp_route(dil)[0]
+
+
+@DETERMINISTIC
+@given(shapes())
+@example(((2, 1), 2, 1, (0, 0), 0))  # the zero map: C(0) = {0}, so it is extreme
+@example(((3, 1), 1, 2, (2, 0), 1))  # a zero-rank block
+def test_extremality_in_the_class_of_rho_one_matches_the_choi_oracle(shape):
+    # the drawn maps are not unital: the verdict is relative to rho(1), and
+    # every decomposition stays in C(rho(1))
+    dims, n, m, ranks, seed = shape
+    rho = map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))
+    rep = is_extreme(rho)
+    assert (rep.extreme, rep.compression_rank, rep.commutant_dim) == choi_extreme(rho)
+    if not rep.extreme:
+        dec = rep.decomposition()
+        one = rho.domain.unit()
+        for part in (dec.part1, dec.part2):
+            dev = apply_map(part.flat, one) - apply_map(rho.flat, one)
+            assert spectral_norm(dev) <= 1e-9 * rho.scale
 
 
 @DETERMINISTIC

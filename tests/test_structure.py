@@ -23,7 +23,8 @@ from cpnkit.linalg import (commutant_basis_of, herm, nullspace, numerical_rank,
 import cpnkit.structure as cpnkit_structure
 from cpnkit.structure import _compressed_commutant
 
-from oracles import intertwiner_basis_of, intertwiner_space, orth, pair_basis
+from oracles import (choi_extreme, intertwiner_basis_of, intertwiner_space, orth,
+                     pair_basis)
 
 
 def vector_state(alg, xi):
@@ -255,27 +256,28 @@ def test_nonextreme_decomposition_rejects_extreme_input():
         nonextreme_decomposition(as_cpn(identity_map(m2())))
 
 
-def test_extremality_requires_membership():
-    # maps outside the unital class are rejected up front
-    half = 0.5 * identity_map(m2())
-    with pytest.raises(ValidationError):
-        is_extreme(as_cpn(half))
+def test_extremality_is_relative_to_the_value_at_the_unit():
+    # maps outside the unital class are decided in C(rho(1)): a multiple of
+    # the identity map and a map matrix with rho_12(1) = I/2 are extreme
+    # there, as the Choi oracle says
     ident = identity_map(m2())
-    rho = CPnMap(((ident, 0.5 * ident), (0.5 * ident, ident)))
-    with pytest.raises(ValidationError):
-        is_extreme(rho)
+    for rho, sizes in ((as_cpn(0.5 * ident), (1, 1)),
+                       (CPnMap(((ident, 0.5 * ident), (0.5 * ident, ident))), (4, 4))):
+        rep = is_extreme(rho)
+        assert rep.extreme and (rep.commutant_dim, rep.compression_rank) == sizes
+        assert (True,) + sizes == choi_extreme(rho)
 
 
-def test_extreme_family_membership():
+def test_extreme_family_is_extreme_in_its_class():
     alg = m2()
     u2 = alg.element([np.diag([1.0, -1.0])])
     # with the identity base the off-diagonal at the unit equals u2, so
-    # the family lies outside the zero-off-diagonal convex set
+    # the family lies outside the zero-off-diagonal convex set; it is pure,
+    # so it is extreme in its own C(rho(1))
     fam = build_extreme_family(identity_map(alg), (alg.unit(), u2))
-    with pytest.raises(ValidationError):
-        is_extreme(fam)
+    assert is_pure(fam) and is_extreme(fam).extreme
     # a vector state with <xi, u2 xi> = 0 keeps the family inside the
-    # set, where purity forces extremality
+    # unital set, where purity forces extremality
     xi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     base = vector_state(alg, xi)
     assert abs(apply_map(base, u2)[0, 0]) < 1e-12
@@ -928,13 +930,13 @@ def test_foreign_dilation_is_rejected():
                  lambda: rn_operator(ident, 0.5 * ident, source_dilation=foreign)):
         with pytest.raises(ValidationError, match=foreign_map):
             call()
-    # positivity, then the source, then membership in the unital class
+    # positivity, then the source; a map outside the unital class is
+    # decided in its own C(rho(1))
     with pytest.raises(PositivityError):
         is_pure(-1.0 * ident, dilation=foreign)
     with pytest.raises(ValidationError, match=foreign_map):
         is_extreme(2.0 * ident, dilation=foreign)
-    with pytest.raises(ValidationError, match="not unital"):
-        is_extreme(2.0 * ident, dilation=dilate(2.0 * ident))
+    assert is_extreme(2.0 * ident, dilation=dilate(2.0 * ident)).extreme
     # an equal but distinct map matrix owns the dilation
     assert not is_pure(as_cpn(depolarizing_map(2)), dilation=foreign)
     assert is_extreme(as_cpn(depolarizing_map(2)), dilation=foreign).commutant_dim == 16
