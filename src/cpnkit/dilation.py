@@ -7,9 +7,8 @@ a finite-dimensional space H and operators V_1, ..., V_n : C^m -> H with
     rho_ij(a) = V_i* Phi(a) V_j        for all a, i, j,
 
 minimal when the vectors Phi(a) V_i xi span H.  A Representation keeps
-its matrix-unit images as one read-only (dim A, H, H) stack, so every
-certificate -- factorization, intertwining, commutation -- is a product
-against the whole stack measured by one stack-aware spectral_norm.
+its matrix-unit images as one read-only (dim A, H, H) stack, built on
+first read for Representation.canonical(A, r) = (+)_k a_k (x) I_{r_k}.
 
 The production route
 eigendecomposes each flattened Choi block C_k = sum_s w_s w_s*: the kept
@@ -21,9 +20,9 @@ the same data from the Gram matrix of formal generators
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
 intertwiners have closed forms; Representation.frame caches it, with
-the multiplicities r_k that Representation.multiplicities reads off it,
-and dilate() seeds it in closed form (U = I, eps = 0), so only other
-representations compute it.  commutant() is its one gate, with B(eps)
+the multiplicities r_k that Representation.multiplicities reads off it.
+dilate() returns canonical representations, whose frame (U = I, eps = 0)
+is set on construction.  commutant() is its one gate, with B(eps)
 from the frame residual as the commute certificate, and reads the
 commutant off it; linalg's nullspace solvers are test oracles.
 CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
@@ -49,28 +48,45 @@ from .maps import (CPnMap, _verdict, as_cpn, cpn_distance, flatten,
                    images_of, require_cpn, stack_images, subblocks)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Representation:
-    """*-representation of a CStarAlgebra by explicit matrix-unit images.
+    """*-representation of a CStarAlgebra by its matrix-unit images.
 
-    images is stored as a read-only (dim A, H, H) complex array in
-    canonical matrix-unit order; any sequence of H x H matrices is
-    accepted on construction.  The multiplicities r_k of
-    (+)_k a_k (x) I_{r_k} are read off the cached frame, never given.
+    Representation(algebra, space_dim, images) validates any H x H matrices
+    into a read-only (dim A, H, H) complex copy in canonical matrix-unit
+    order; Representation.canonical(algebra, r) is (+)_k a_k (x) I_{r_k}.
+    The multiplicities r_k are read off the cached frame, never given.
     """
 
     algebra: CStarAlgebra
     space_dim: int
-    images: np.ndarray
 
-    def __post_init__(self):
-        n = as_index(self.space_dim, "space dimension")
+    def __init__(self, algebra: CStarAlgebra, space_dim: int, images):
+        n = as_index(space_dim, "space dimension")
         if n < 0:
             raise ValidationError("space dimension must be nonnegative")
-        object.__setattr__(self, "space_dim", n)
-        images = stack_images(self.images, self.algebra.dim, n)
+        images = stack_images(images, algebra.dim, n)
         images.flags.writeable = False
-        object.__setattr__(self, "images", images)
+        self.__dict__.update(algebra=algebra, space_dim=n, images=images)
+
+    @classmethod
+    def canonical(cls, algebra: CStarAlgebra, multiplicities) -> Representation:
+        """(+)_k a_k (x) I_{r_k} with its frame (U = I, r_0 = 0, eps = 0) and norm
+        (1; 0 when H = 0) set: canonical_frame's and spectral_norm's values."""
+        h = sum(d * r for d, r in zip(algebra.block_dims, multiplicities))
+        frame = np.eye(h, dtype=complex)
+        frame.flags.writeable = False
+        rep = object.__new__(cls)
+        rep.__dict__.update(algebra=algebra, space_dim=h, norm=1.0 if h else 0.0,
+                            frame=(frame, tuple(multiplicities) + (0,), 0.0))
+        return rep
+
+    @functools.cached_property
+    def images(self) -> np.ndarray:
+        """canonical_images of a canonical representation, read-only, on first read."""
+        images = canonical_images(self.algebra, self.multiplicities)
+        images.flags.writeable = False
+        return images
 
     @functools.cached_property
     def norm(self) -> float:
@@ -79,13 +95,13 @@ class Representation:
 
     @functools.cached_property
     def frame(self) -> tuple[np.ndarray, tuple[int, ...], float]:
-        """canonical_frame(self), computed once, or seeded by dilate() with
-        its closed form; commutant() gates it."""
+        """canonical_frame(self), computed once, or set in closed form by
+        Representation.canonical; commutant() gates it."""
         return canonical_frame(self)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        """The frame's r_1, ..., r_K; free on dilate() outputs, whose frame is seeded."""
+        """The frame's r_1, ..., r_K; free on canonical representations."""
         return self.frame[1][:-1]
 
 
@@ -93,12 +109,7 @@ def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
     """Evaluate the representation on an algebra element."""
     if a.algebra != rep.algebra:
         raise ValidationError("element is not in the representation's algebra")
-    out = np.zeros((rep.space_dim, rep.space_dim), dtype=complex)
-    coords = a.coords()
-    for c, img in zip(coords, rep.images):
-        if c != 0:
-            out += c * img
-    return out
+    return np.tensordot(a.coords(), rep.images, 1)
 
 
 def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
@@ -367,9 +378,8 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     PositivityError when rho is not completely n-positive to tol; the
     verdict, kept on rho as is_completely_n_positive keeps its own, comes
     from the eigendecomposition that yields the Kraus factors unless rho
-    has one for tol already.  The images are canonical_images itself, so
-    the frame (U = I, r_0 = 0, eps = 0) and norm (1; 0 when H = 0) are
-    seeded, not computed.
+    has one for tol already.  The representation is
+    Representation.canonical of the kept ranks: no images are built.
     """
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
@@ -384,11 +394,7 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
         kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n * m, mults[-1])
         rows.append(kraus.conj().transpose(0, 2, 1).reshape(-1, n * m))
     v = np.vstack(rows)
-    h = len(v)
-    rep = Representation(alg, h, canonical_images(alg, mults))
-    frame = np.eye(h, dtype=complex)
-    frame.flags.writeable = False
-    rep.__dict__.update(frame=(frame, tuple(mults) + (0,), 0.0), norm=1.0 if h else 0.0)
+    rep = Representation.canonical(alg, mults)
     dil = StinespringDilation(rep, tuple(v[:, i * m:(i + 1) * m] for i in range(n)), rho)
     dil.__dict__["_minimal"] = {tol: True}  # rows of V: orthogonal, sqrt(w_s) > 0 long
     return dil

@@ -126,15 +126,14 @@ def subblocks(a: np.ndarray, m: int) -> np.ndarray:
 
 def stack_images(images, count: int, dim: int) -> np.ndarray:
     """Validated (count, dim, dim) complex stack of matrix-unit images, a
-    new array; an array of that shape needs no image-by-image check."""
-    if not (isinstance(images, np.ndarray) and images.shape == (count, dim, dim)):
-        images = list(images)
-        if len(images) != count:
-            raise ValidationError(f"expected {count} images, got {len(images)}")
-        for idx, img in enumerate(images):
-            if np.shape(img) != (dim, dim):
-                raise ValidationError(
-                    f"image {idx} must have shape {(dim, dim)}, got {np.shape(img)}")
+    new array."""
+    images = list(images)
+    if len(images) != count:
+        raise ValidationError(f"expected {count} images, got {len(images)}")
+    for idx, img in enumerate(images):
+        if np.shape(img) != (dim, dim):
+            raise ValidationError(
+                f"image {idx} must have shape {(dim, dim)}, got {np.shape(img)}")
     return np.array(images, dtype=complex).reshape(count, dim, dim)
 
 

@@ -125,7 +125,7 @@ def cpn_map_from_json(obj) -> CPnMap:
 
 def dilation_to_json(dil: StinespringDilation) -> dict:
     """space_dim, multiplicities r and the U* V_i of frame_isometries; Phi is
-    implied: canonical_images(algebra, r), then zero up to space_dim."""
+    implied: Representation.canonical(algebra, r), then zero up to space_dim."""
     return {
         "space_dim": dil.space_dim,
         "multiplicities": list(dil.rep.multiplicities),

@@ -21,7 +21,7 @@ from cpnkit import (CPnMap, LinearMap, apply_map, compression_map, cpn_distance,
 from cpnkit import serialize as ser
 from cpnkit.acceptance import run_all
 from cpnkit.cli import build_parser, main
-from cpnkit.dilation import DilationReport, canonical_images
+from cpnkit.dilation import DilationReport, Representation
 from cpnkit.errors import ValidationError
 from cpnkit.linalg import spectral_norm
 from cpnkit.maps import subblocks
@@ -115,10 +115,10 @@ def test_dilate_failed_certificate_exit_2(tmp_path, capsys, monkeypatch):
 
 def wire_factor_residual(wire, rho):
     """max ||V_i* Phi(e) V_j - rho_ij(e)|| from a wire dilation and rho's
-    domain alone: Phi is canonical_images on the first sum d_k r_k
-    dimensions and zero on the rest."""
+    domain alone: Phi is Representation.canonical's images on the first
+    sum d_k r_k dimensions and zero on the rest."""
     h, m = wire["space_dim"], rho.codomain_dim
-    core = canonical_images(rho.domain, wire["multiplicities"])
+    core = Representation.canonical(rho.domain, wire["multiplicities"]).images
     phi = np.zeros((rho.domain.dim, h, h), dtype=complex)
     phi[:, :core.shape[1], :core.shape[1]] = core
     v = np.hstack([ser.json_to_matrix(x, (h, m)) for x in wire["isometries"]])

@@ -268,6 +268,8 @@ def test_representation_images_are_a_validated_stack():
     assert len(imgs) == alg.dim and len(list(imgs)) == alg.dim
     rebuilt = Representation(alg, h, tuple(imgs))
     assert np.array_equal(rebuilt.images, imgs)
+    own = np.array(imgs)  # an array of the right shape is copied too
+    assert np.array_equal(Representation(alg, h, own).images, own) and own.flags.writeable
     ragged = list(imgs[:-1]) + [np.eye(h + 1)]
     with pytest.raises(ValidationError):
         Representation(alg, h, tuple(ragged))
@@ -309,3 +311,31 @@ def test_dilate_seeds_the_positivity_verdict(monkeypatch):
     first = is_completely_n_positive(other)
     dilate(other)
     assert is_completely_n_positive(other) is first and len(decided) == 5
+
+
+def test_no_verdict_on_a_dilate_output_builds_the_images(monkeypatch):
+    # dilate returns Representation.canonical, whose images are built only
+    # when read; every verdict reads the frame, the norm and the frame rows
+    from cpnkit import (are_disjoint, compress, extension_witness, intertwiner,
+                        is_extreme, is_pure, rn_operator, sample_unit_interval)
+    from cpnkit.serialize import dilation_to_json
+
+    def unbuildable(*args):
+        raise AssertionError("canonical_images was built")
+
+    monkeypatch.setattr(cpnkit_dilation, "canonical_images", unbuildable)
+    rng = np.random.default_rng(42)
+    alg = make_algebra((2, 1))
+    rho = random_cpn_map(alg, 2, 1, 3, rng)
+    dil = dilate(rho)
+    assert is_pure(rho, dilation=dil) is False
+    report = is_extreme(rho, dilation=dil)
+    assert not report.extreme and 0 < report.decomposition().beta < 1
+    theta = 0.5 * rho
+    assert rn_operator(rho, theta, source_dilation=dil).dilation is dil
+    intertwiner(rho, theta, source_dilation=dil)
+    compress(dil, sample_unit_interval(dil, rng))
+    assert not are_disjoint(rho, random_cpn_map(alg, 2, 1, 2, rng))
+    assert extension_witness(rho, rho) is not None
+    assert dilation_to_json(dil)["multiplicities"] == list(dil.rep.multiplicities)
+    assert "images" not in dil.rep.__dict__

@@ -193,11 +193,17 @@ def same_bits(a, b):
 @example(((2, 1), 2, 1, (0, 0), 0))  # the zero map, H = 0
 @example(((3, 1), 1, 2, (2, 0), 1))  # a zero-rank block
 def test_seeded_frame_is_the_computed_one(shape):
-    # dilate() seeds (U, r, eps) and the norm; canonical_frame and
-    # spectral_norm on a fresh, validated copy of its images are the oracle
+    # dilate() returns Representation.canonical, which sets (U, r, eps) and
+    # the norm in closed form and builds its images on first read: those
+    # are canonical_images, read-only and kept; canonical_frame and
+    # spectral_norm on a fresh, validated copy of them are the oracle
     dims, n, m, ranks, seed = shape
     rep = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))).rep
-    fresh = Representation(rep.algebra, rep.space_dim, rep.images)
+    assert "images" not in rep.__dict__
+    images = rep.images
+    assert same_bits(images, canonical_images(rep.algebra, ranks))
+    assert not images.flags.writeable and rep.images is images
+    fresh = Representation(rep.algebra, rep.space_dim, images)
     (u, mults, eps), (want_u, want_mults, want_eps) = rep.frame, canonical_frame(fresh)
     assert same_bits(u, want_u) and not u.flags.writeable
     assert mults == want_mults == ranks + (0,)
