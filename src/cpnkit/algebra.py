@@ -3,7 +3,8 @@
 An algebra is determined by its tuple of block sizes (d_1, ..., d_K);
 elements are tuples of complex d_k x d_k matrices.  The canonical basis
 of matrix units is ordered block-major, then row-major inside a block,
-and every coordinate vector in the package follows that order.
+and every coordinate vector in the package follows that order; flat
+indices, adjoints and products of matrix units are arithmetic on it.
 """
 from __future__ import annotations
 
@@ -116,45 +117,37 @@ def element_from_coords(algebra: CStarAlgebra, coords: np.ndarray) -> AlgebraEle
     if coords.size != algebra.dim:
         raise ValidationError(
             f"coordinate vector must have length {algebra.dim}, got {coords.size}")
-    blocks = []
-    off = 0
-    for d in algebra.block_dims:
-        blocks.append(coords[off:off + d * d].reshape(d, d))
-        off += d * d
-    return AlgebraElement(algebra, tuple(blocks))
-
-
-@functools.lru_cache(maxsize=64)
-def unit_index_table(algebra: CStarAlgebra) -> tuple[tuple[int, int, int], ...]:
-    """Flat index -> (block, row, col) for the matrix-unit basis."""
-    out = []
-    for k, d in enumerate(algebra.block_dims):
-        for p in range(d):
-            for q in range(d):
-                out.append((k, p, q))
-    return tuple(out)
+    dims = algebra.block_dims
+    parts = np.split(coords, np.cumsum([d * d for d in dims])[:-1])  # block k's d_k^2 coordinates
+    return AlgebraElement(algebra, tuple(c.reshape(d, d) for d, c in zip(dims, parts)))
 
 
 def unit_index(algebra: CStarAlgebra, k: int, p: int, q: int) -> int:
+    """Flat index of e_pq^(k): sum_{l < k} d_l^2 + p d_k + q."""
     off = sum(d * d for d in algebra.block_dims[:k])
     return off + p * algebra.block_dims[k] + q
 
 
-def matrix_units(algebra: CStarAlgebra) -> list[AlgebraElement]:
-    """The canonical basis e_pq^(k), block-major then row-major."""
-    out = []
+def _unit_of(algebra: CStarAlgebra, idx: int) -> tuple[int, int, int]:
+    """(k, p, q) of the matrix unit with flat index idx, walking the block sizes."""
+    i = as_index(idx, "matrix-unit index")
+    if not 0 <= i < algebra.dim:
+        raise ValidationError(f"matrix-unit index {i} out of range for dimension {algebra.dim}")
     for k, d in enumerate(algebra.block_dims):
-        for p in range(d):
-            for q in range(d):
-                blocks = [np.zeros((dd, dd), dtype=complex) for dd in algebra.block_dims]
-                blocks[k][p, q] = 1.0
-                out.append(AlgebraElement(algebra, tuple(blocks)))
-    return out
+        if i < d * d:
+            return (k, *divmod(i, d))
+        i -= d * d
+
+
+def matrix_units(algebra: CStarAlgebra) -> list[AlgebraElement]:
+    """The canonical basis e_pq^(k), block-major then row-major: the
+    elements whose coordinates are the rows of the identity."""
+    return [element_from_coords(algebra, row) for row in np.eye(algebra.dim)]
 
 
 def star_index(algebra: CStarAlgebra, idx: int) -> int:
-    """Index of e* for the matrix unit with the given flat index."""
-    k, p, q = unit_index_table(algebra)[idx]
+    """Index of e_qp^(k) = (e_pq^(k))*, e_pq^(k) the unit with flat index idx."""
+    k, p, q = _unit_of(algebra, idx)
     return unit_index(algebra, k, q, p)
 
 
@@ -164,9 +157,7 @@ def unit_product_index(algebra: CStarAlgebra, i: int, j: int) -> int | None:
     Products of matrix units are again matrix units or zero:
     e_pq^(k) e_rs^(k') = delta_kk' delta_qr e_ps^(k).
     """
-    table = unit_index_table(algebra)
-    k1, p1, q1 = table[i]
-    k2, p2, q2 = table[j]
+    (k1, p1, q1), (k2, p2, q2) = _unit_of(algebra, i), _unit_of(algebra, j)
     if k1 != k2 or q1 != p2:
         return None
     return unit_index(algebra, k1, p1, q2)

@@ -10,13 +10,13 @@ minimal when the vectors Phi(a) V_i xi span H.  A Representation keeps
 its matrix-unit images as one read-only (dim A, H, H) stack, built on
 first read for Representation.canonical(A, r) = (+)_k a_k (x) I_{r_k}.
 
-The production route
-eigendecomposes each flattened Choi block C_k = sum_s w_s w_s*: the kept
-eigenpairs give Kraus factors K_s (K_s[x, p] = w_s[p * n m + x]), the
-representation block a_k (x) I_{r_k} acts on C^{d_k} (x) C^{r_k}, and
-V[(k, p, s), x] = conj(K_s[x, p]).  A second, independent route builds
-the same data from the Gram matrix of formal generators
-(matrix unit alpha, slot i, basis vector u); it exists as a
+The production route eigendecomposes each flattened Choi block
+C_k = sum_s w_s w_s*: the kept eigenpairs give Kraus factors K_s
+(K_s[x, p] = w_s[p * n m + x]), the representation block a_k (x) I_{r_k}
+acts on C^{d_k} (x) C^{r_k}, and V[(k, p, s), x] = conj(K_s[x, p]).  A
+second, independent route builds the same data from the Gram matrix
+(+)_k I_{d_k} (x) C_k of formal generators (matrix unit alpha, slot i,
+basis vector u) and their index action e_eps e_alpha; it exists as a
 cross-checking oracle.  canonical_frame brings any representation into
 the frame dilate() outputs already have, where the commutant and the
 intertwiners have closed forms; Representation.frame caches it, with
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, CStarAlgebra, star_index, unit_index,
-                      unit_index_table, unit_product_index)
+                      unit_product_index)
 from .errors import CertificationError, ValidationError, as_index
 from .linalg import (herm, nearest_unitary, numerical_rank, significant,
                      solve_sandwich, spectral_norm)
@@ -72,13 +72,18 @@ class Representation:
     @classmethod
     def canonical(cls, algebra: CStarAlgebra, multiplicities) -> Representation:
         """(+)_k a_k (x) I_{r_k} with its frame (U = I, r_0 = 0, eps = 0) and norm
-        (1; 0 when H = 0) set: canonical_frame's and spectral_norm's values."""
-        h = sum(d * r for d, r in zip(algebra.block_dims, multiplicities))
+        (1; 0 when H = 0) set: canonical_frame's and spectral_norm's values.
+        One integer r_k >= 0 per algebra block, else ValidationError."""
+        mults = tuple(as_index(r, "multiplicity") for r in multiplicities)
+        if len(mults) != algebra.num_blocks or min(mults, default=0) < 0:
+            raise ValidationError(
+                f"expected {algebra.num_blocks} nonnegative multiplicities, got {mults}")
+        h = sum(d * r for d, r in zip(algebra.block_dims, mults))
         frame = np.eye(h, dtype=complex)
         frame.flags.writeable = False
         rep = object.__new__(cls)
         rep.__dict__.update(algebra=algebra, space_dim=h, norm=1.0 if h else 0.0,
-                            frame=(frame, tuple(multiplicities) + (0,), 0.0))
+                            frame=(frame, mults + (0,), 0.0))
         return rep
 
     @functools.cached_property
@@ -116,19 +121,17 @@ def canonical_images(algebra: CStarAlgebra, multiplicities) -> np.ndarray:
     """Matrix-unit images of the canonical representation (+)_k a_k (x) I_{r_k}.
 
     Block k acts on C^{d_k} (x) C^{r_k}, basis vector (p, s) at
-    offset_k + p * r_k + s.  This is the frame dilate() returns and the
-    one canonical_frame conjugates every representation into.
+    offset_k + p * r_k + s, so e_pq^(k) maps to ones at ((p, s), (q, s)).
+    This is the frame dilate() returns and the one canonical_frame
+    conjugates every representation into.
     """
-    offsets = np.cumsum([0] + [d * r for d, r in zip(algebra.block_dims, multiplicities)])
-    images = np.zeros((algebra.dim, offsets[-1], offsets[-1]), dtype=complex)
-    idx = 0
-    for k, (d, r) in enumerate(zip(algebra.block_dims, multiplicities)):
-        lo, hi = offsets[k], offsets[k + 1]
-        # entry [p, q, x, s, y, t] = [p = x] [q = y] [s = t]: e_pq (x) I_r
-        e = np.eye(d)
-        units = e[:, None, :, None, None, None] * e[:, None, None, :, None] * np.eye(r)[:, None, :]
-        images[idx:idx + d * d, lo:hi, lo:hi] = units.reshape(d * d, hi - lo, hi - lo)
-        idx += d * d
+    h = sum(d * r for d, r in zip(algebra.block_dims, multiplicities))
+    images = np.zeros((algebra.dim, h, h), dtype=complex)
+    idx = lo = 0
+    for d, r in zip(algebra.block_dims, multiplicities):
+        p, q, s = np.indices((d, d, r)).reshape(3, -1)
+        images[idx + p * d + q, lo + p * r + s, lo + q * r + s] = 1.0
+        idx, lo = idx + d * d, lo + d * r
     return images
 
 
@@ -508,23 +511,21 @@ def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
 
 
 def gram_matrix(rho: CPnMap) -> np.ndarray:
-    """Gram matrix of the formal generators (alpha, i, u).
+    """Gram matrix of the formal generators (alpha, i, u): (+)_k I_{d_k} (x) C_k.
 
-    G[(alpha, i, u), (beta, j, v)] = rho_ij(e_alpha* e_beta)[u, v]; built
-    from the stored Choi data only, with no reference to any dilation.
-    Positive semidefinite, and its rank equals the minimal dilation
-    dimension.
+    G[(alpha, i, u), (beta, j, v)] = rho_ij(e_alpha* e_beta)[u, v], and
+    e_pq* e_p'q' = delta_pp' e_qq' inside a block, 0 across blocks: block k
+    of G holds d_k diagonal copies of the flattened Choi block
+    C_k[(q, i, u), (q', j, v)] = rho_ij(e_qq')[u, v].  Positive
+    semidefinite, of rank the minimal dilation dimension; no dilation is used.
     """
-    alg = rho.domain
     nm = rho.n * rho.codomain_dim
-    imgs = images_of(rho.flat)  # block (i, j) of imgs[e] is rho_ij(e)
-    table = unit_index_table(alg)
-    g = np.zeros((alg.dim * nm, alg.dim * nm), dtype=complex)
-    for ai, (k1, p1, q1) in enumerate(table):
-        for bi, (k2, p2, q2) in enumerate(table):
-            # e_alpha* e_beta = delta_{k1 k2} delta_{p1 p2} e_{q1 q2}
-            if k1 == k2 and p1 == p2:
-                g[ai * nm:(ai + 1) * nm, bi * nm:(bi + 1) * nm] = imgs[unit_index(alg, k1, q1, q2)]
+    g = np.zeros((rho.domain.dim * nm, rho.domain.dim * nm), dtype=complex)
+    lo = 0
+    for d, c in zip(rho.domain.block_dims, rho.flat.choi_blocks):
+        for _ in range(d):
+            g[lo:lo + d * nm, lo:lo + d * nm] = c
+            lo += d * nm
     return g
 
 
@@ -532,46 +533,30 @@ def dilate_from_gram(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     """Independent dilation route through the generator Gram matrix.
 
     Orthonormalizes the formal generators by eigendecomposition of the
-    Gram matrix, then reads the representation off the index action
-    e . e_alpha and the V_i off the unit decomposition.  Kept as a
+    Gram matrix, columns (alpha, i, u) of x, then solves Phi(e) x = x S_e
+    by least squares: column (alpha, i, u) of x S_e is column
+    (e alpha, i, u) of x, zero when e e_alpha = 0.  V_i sums the
+    generators (e_pp, i, .), as sum_pp e_pp = 1.  Kept as a
     cross-checking oracle; dilate() is the production route.
     """
     require_cpn(rho, tol)
     alg = rho.domain
     n, m = rho.n, rho.codomain_dim
-    g = gram_matrix(rho)
-    w, y = np.linalg.eigh(herm(g))
-    keep = np.nonzero(significant(w, tol))[0]
-    space_dim = len(keep)
-    # columns of x are the generator coordinates in an orthonormal basis
-    x = (np.sqrt(w[keep])[:, None] * y[:, keep].conj().T)
-    table = unit_index_table(alg)
-    size = alg.dim * n * m
-
-    def gen_col(alpha: int, i: int, u: int) -> int:
-        return (alpha * n + i) * m + u
-
+    w, y = np.linalg.eigh(herm(gram_matrix(rho)))
+    keep = significant(w, tol)
+    x = np.sqrt(w[keep])[:, None] * y[:, keep].conj().T  # generators in an orthonormal basis
+    h = len(x)
+    # generator (alpha, i, u) at [:, alpha, i, u]; alpha = dim A stands for zero
+    gens = np.concatenate([x.reshape(h, alg.dim, n, m), np.zeros((h, 1, n, m))], axis=1)
     images = []
     for eps in range(alg.dim):
-        shift = np.zeros((size, size), dtype=complex)
-        for alpha in range(alg.dim):
-            target = unit_product_index(alg, eps, alpha)
-            if target is None:
-                continue
-            for i in range(n):
-                for u in range(m):
-                    shift[gen_col(target, i, u), gen_col(alpha, i, u)] = 1.0
-        images.append(solve_sandwich(x, x @ shift))
-    isoms = []
-    for i in range(n):
-        vi = np.zeros((space_dim, m), dtype=complex)
-        for u in range(m):
-            for k, d in enumerate(alg.block_dims):
-                for p in range(d):
-                    vi[:, u] += x[:, gen_col(unit_index(alg, k, p, p), i, u)]
-        isoms.append(vi)
-    rep = Representation(alg, space_dim, tuple(images))
-    return StinespringDilation(rep, tuple(isoms), rho)
+        targets = [unit_product_index(alg, eps, alpha) for alpha in range(alg.dim)]
+        moved = gens[:, [alg.dim if t is None else t for t in targets]]
+        images.append(solve_sandwich(x, moved.reshape(x.shape)))
+    vs = np.zeros((h, n, m), dtype=complex)
+    for a in [unit_index(alg, k, p, p) for k, d in enumerate(alg.block_dims) for p in range(d)]:
+        vs += gens[:, a]
+    return StinespringDilation(Representation(alg, h, images), tuple(vs.swapaxes(0, 1)), rho)
 
 
 @dataclass(frozen=True)

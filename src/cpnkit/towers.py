@@ -146,13 +146,10 @@ def evaluate_continuous_map(cm: ContinuousCPnMap, thread,
 
 def projection_tower(dims_upper, keep_blocks, tol: float = 1e-9) -> Tower:
     """Two-level helper: A_2 = (+) M_d over dims_upper, A_1 the sub-sum over
-    keep_blocks, connecting map the block projection."""
+    keep_blocks, connecting map the block projection: its matrix is the rows
+    of I_{dim A_2} at the kept blocks' coordinates, in keep_blocks order."""
     upper = CStarAlgebra(tuple(dims_upper))
     lower = CStarAlgebra(tuple(dims_upper[b] for b in keep_blocks))
-    mat = np.zeros((lower.dim, upper.dim), dtype=complex)
-    for new_k, old_k in enumerate(keep_blocks):
-        d = upper.block_dims[old_k]
-        for p in range(d):
-            for q in range(d):
-                mat[unit_index(lower, new_k, p, q), unit_index(upper, old_k, p, q)] = 1.0
-    return make_tower((lower, upper), (mat,), tol)
+    kept = [unit_index(upper, b, 0, 0) + i
+            for b in keep_blocks for i in range(upper.block_dims[b] ** 2)]
+    return make_tower((lower, upper), (np.eye(upper.dim, dtype=complex)[kept],), tol)

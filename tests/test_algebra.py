@@ -67,23 +67,37 @@ def test_matrix_unit_order_and_indexing():
 
 
 def test_star_index_is_adjoint():
-    alg = make_algebra((2, 3))
-    units = matrix_units(alg)
-    for idx, e in enumerate(units):
-        assert distance(e.adjoint(), units[star_index(alg, idx)]) == 0.0
+    for alg in (make_algebra((2, 3)), make_algebra((1, 2, 1))):
+        units = matrix_units(alg)
+        for idx, e in enumerate(units):
+            assert distance(e.adjoint(), units[star_index(alg, idx)]) == 0.0
 
 
 def test_unit_product_index_rule():
-    alg = make_algebra((2, 3))
-    units = matrix_units(alg)
-    for i, a in enumerate(units):
-        for j, b in enumerate(units):
-            prod = a @ b
-            got = unit_product_index(alg, i, j)
-            if got is None:
-                assert cstar_norm(prod) == 0.0
-            else:
-                assert distance(prod, units[got]) == 0.0
+    for alg in (make_algebra((2, 3)), make_algebra((1, 2, 1))):
+        units = matrix_units(alg)
+        for i, a in enumerate(units):
+            for j, b in enumerate(units):
+                prod = a @ b
+                got = unit_product_index(alg, i, j)
+                if got is None:
+                    assert cstar_norm(prod) == 0.0
+                else:
+                    assert distance(prod, units[got]) == 0.0
+
+
+def test_unit_indices_out_of_range_are_rejected():
+    # a flat index names one of the dim A matrix units: a negative one is
+    # not read from the end, and none past the last unit exists
+    alg = make_algebra((1, 2, 1))
+    for bad in (-1, -alg.dim, alg.dim, alg.dim + 3, 1.0):
+        with pytest.raises(ValidationError):
+            star_index(alg, bad)
+        with pytest.raises(ValidationError):
+            unit_product_index(alg, bad, 0)
+        with pytest.raises(ValidationError):
+            unit_product_index(alg, 0, bad)
+    assert star_index(alg, np.int64(alg.dim - 1)) == alg.dim - 1
 
 
 def test_arithmetic():

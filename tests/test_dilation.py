@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
-                    StinespringDilation, ValidationError, as_cpn,
+                    StinespringDilation, ValidationError, apply_map, as_cpn,
                     diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
                     identity_map, images_of, make_algebra, matrix_units,
@@ -132,12 +132,25 @@ def test_spanning_matrix_columns():
 
 def test_gram_matrix_matches_dilation_rank():
     rng = np.random.default_rng(2)
-    for dims, m, n in [((2,), 2, 2), ((2, 1), 2, 1), ((3,), 1, 2)]:
-        rho = random_cpn_map(make_algebra(dims), m, n, 3, rng)
+    for dims, m, n in [((2,), 2, 2), ((2, 1), 2, 1), ((3,), 1, 2), ((1, 2), 2, 2)]:
+        alg = make_algebra(dims)
+        rho = random_cpn_map(alg, m, n, 3, rng)
         g = gram_matrix(rho)
         assert np.allclose(g, g.conj().T)
         assert np.linalg.eigvalsh(g).min() > -1e-10
         assert np.linalg.matrix_rank(g, tol=1e-9) == dilate(rho).space_dim
+        # the definition, entry by entry: G[(a, i, u), (b, j, v)] is
+        # rho_ij(e_a* e_b)[u, v], the closed form's copies of C_k exactly
+        units = matrix_units(alg)
+        want = np.zeros_like(g)
+        for a, ea in enumerate(units):
+            for b, eb in enumerate(units):
+                for i in range(n):
+                    for j in range(n):
+                        img = apply_map(rho.entries[i][j], ea.adjoint() @ eb)
+                        want[(a * n + i) * m:(a * n + i + 1) * m,
+                             (b * n + j) * m:(b * n + j + 1) * m] = img
+        assert np.array_equal(g, want)
 
 
 def test_gram_route_unitarily_equivalent():
@@ -238,6 +251,14 @@ def test_representation_rejects_contradicting_multiplicities(monkeypatch):
         assert rep.multiplicities == (2,) == rep.frame[1][:-1]
     monkeypatch.setattr(cpnkit_dilation, "canonical_frame", None)
     assert dil.rep.multiplicities == (2,) and dil.space_dim == 4
+    # the canonical constructor takes one integer r_k >= 0 per block
+    two = make_algebra((2, 1))
+    for bad in ((1,), (1, 1, 1), (-1, 1), (1, -2), (1.5, 1), (1.0, 1)):
+        with pytest.raises(ValidationError):
+            Representation.canonical(two, bad)
+    rep = Representation.canonical(two, (2, 0))
+    assert rep.multiplicities == (2, 0) and rep.space_dim == 4
+    assert rep.images.shape == (two.dim, 4, 4)
 
 
 def test_factor_residual_matches_per_matrix_loop():

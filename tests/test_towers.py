@@ -5,7 +5,7 @@ from cpnkit import (ContinuousCPnMap, ValidationError, apply_connecting,
                     apply_map, as_cpn, check_thread, cstar_norm,
                     depolarizing_map, evaluate_continuous_map, flatten,
                     make_algebra, make_tower, matrix_units, projection_tower,
-                    random_element, seminorm)
+                    random_element, seminorm, unit_index)
 
 
 def two_level():
@@ -21,6 +21,21 @@ def test_projection_tower_shape():
     a2 = random_element(tower.levels[1], rng)
     a1 = apply_connecting(tower, 1, a2)
     assert np.allclose(a1.blocks[0], a2.blocks[0])
+
+
+@pytest.mark.parametrize("dims, keep", [((2, 2), (0,)), ((1, 2, 3), (2, 0)),
+                                        ((3, 1, 2), (0, 1, 2))])
+def test_projection_tower_matrix_is_unit_coordinates(dims, keep):
+    # pi(e_pq^(old)) = e_pq^(new) for the kept blocks, and 0 on the others
+    tower = projection_tower(dims, keep)
+    lower, upper = tower.levels
+    want = np.zeros((lower.dim, upper.dim), dtype=complex)
+    for new, old in enumerate(keep):
+        d = upper.block_dims[old]
+        for p in range(d):
+            for q in range(d):
+                want[unit_index(lower, new, p, q), unit_index(upper, old, p, q)] = 1.0
+    assert np.array_equal(tower.connecting[0], want)
 
 
 def connecting_matrix(upper, lower, fn):
