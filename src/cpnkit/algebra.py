@@ -111,6 +111,11 @@ class AlgebraElement:
         """Coordinates against the matrix-unit basis (block-major, row-major)."""
         return np.concatenate([b.ravel() for b in self.blocks])
 
+    @functools.cached_property
+    def _norm(self) -> float:
+        """cstar_norm, kept like CPnMap.scale: the blocks are read-only."""
+        return max(spectral_norm(b) for b in self.blocks)
+
 
 def element_from_coords(algebra: CStarAlgebra, coords: np.ndarray) -> AlgebraElement:
     coords = np.asarray(coords, dtype=complex).ravel()
@@ -164,8 +169,9 @@ def unit_product_index(algebra: CStarAlgebra, i: int, j: int) -> int | None:
 
 
 def cstar_norm(a: AlgebraElement) -> float:
-    """C*-norm: the largest block spectral norm."""
-    return max(spectral_norm(b) for b in a.blocks)
+    """C*-norm: the largest block spectral norm, one SVD per block on the
+    first call for a, a cached read after."""
+    return a._norm
 
 
 def distance(a: AlgebraElement, b: AlgebraElement) -> float:

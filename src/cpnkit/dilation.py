@@ -489,7 +489,8 @@ def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
     """
     if d1.space_dim != d2.space_dim:
         return None
-    if cpn_distance(d1.source, d2.source) > tol * d1.source.scale:
+    if d1.source is not d2.source \
+            and cpn_distance(d1.source, d2.source) > tol * d1.source.scale:
         raise ValidationError("dilations do not come from a common map matrix")
     for d in (d1, d2):
         report = verify_dilation(d.source, d, tol)

@@ -32,7 +32,7 @@ class CertificationError(RuntimeError):
     """A computed object failed its own correctness certificate.
 
     This signals a library defect, never bad user input; value and bound
-    are the failed certificate and the bound it exceeded, when known.
+    are the failed certificate and the bound it crossed, when known.
     """
 
     def __init__(self, message: str, value: float | None = None, bound: float | None = None):

@@ -359,31 +359,57 @@ class CpnVerdict:
         return self
 
 
+_MARGIN = 1e-8  # relative slack on each bound, far above its rounding and the SVD's
+
+
 def _cpn_verdicts(stacks, m: int, tol: float, spectra=None, norms=None) -> list[CpnVerdict]:
     """is_completely_n_positive's verdicts on k maps of one shape, from their
     flattened Choi blocks as one (k, q, q) stack per algebra block and, when
     given, their Hermitian parts' ascending spectra as (k, q) stacks and
     their norms as k-lists.
 
-    Per block: one SVD call over the m x m sub-blocks of C - C* and, without
-    norms or spectra, an SVD call for them or an eigvalsh call.  Member i is
-    bitwise the verdict on map i alone.
+    Bounds first, each widened by _MARGIN: ||B|| <= m max|B_ij| on the m x m
+    sub-blocks B of C - C*, and without norms max|w| <= ||C|| <= ||C||_F.
+    Both gates are monotone in the norms, so a member whose skew bound
+    passes at the low norms and whose positivity reads alike at both ends
+    is settled as the SVDs would settle it.  The rest take, per block, one
+    SVD call over the sub-blocks and, without norms, one for the norms.
+    Member i is bitwise the verdict on map i alone.
     """
     if spectra is None:
         spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
-    norms = [spectral_norms(c).tolist() for c in stacks] if norms is None else norms
-    asyms = [spectral_norms(subblocks(c - c.conj().swapaxes(-1, -2), m))
-             .max(axis=(-2, -1), initial=0.0).tolist() for c in stacks]
-    # a block with an empty spectrum takes no part in positivity or min_eig
+    skews = [c - c.conj().swapaxes(-1, -2) for c in stacks]
     lows = [w[:, 0].tolist() if w.shape[-1] else None for w in spectra]
+
+    def positive(i, block_norms):  # a block with an empty spectrum takes no part
+        return not any(low[i] < -tol * (1.0 + norm)
+                       for low, norm in zip(lows, block_norms) if low is not None)
+
+    with np.errstate(over="ignore"):  # an overflowed bound is inf and settles nothing
+        skew = [(np.abs(s).max(axis=(-2, -1), initial=0.0) * (m * (1.0 + _MARGIN))).tolist()
+                for s in skews]
+        lo, hi = (norms, norms) if norms is not None else (
+            [(np.abs(w).max(axis=-1, initial=0.0) * (1.0 - _MARGIN)).tolist() for w in spectra],
+            [(np.linalg.norm(c, axis=(-2, -1)) * (1.0 + _MARGIN)).tolist() for c in stacks])
+    member_norms, hi = list(zip(*lo)), list(zip(*hi))
+    # sum() carries a NaN or inf of any block (a NaN in C is one in C - C*)
+    symmetric = [math.isfinite(sum(b)) and max(b) <= tol * (1.0 + max(ns))
+                 for b, ns in zip(zip(*skew), member_norms)]
+    open_ = [i for i, sym in enumerate(symmetric)
+             if not sym or positive(i, member_norms[i]) != positive(i, hi[i])]
+    if open_:
+        if norms is None:
+            for i, exact in zip(open_, zip(*[spectral_norms(c[open_]).tolist() for c in stacks])):
+                member_norms[i] = exact
+        asyms = [spectral_norms(subblocks(s[open_], m)).max(axis=(-2, -1), initial=0.0).tolist()
+                 for s in skews]
+        for j, i in enumerate(open_):
+            symmetric[i] = max(a[j] for a in asyms) <= tol * (1.0 + max(member_norms[i]))
     verdicts = []
-    for i, block_norms in enumerate(zip(*norms)):
-        symmetric = max(a[i] for a in asyms) <= tol * (1.0 + max(block_norms))
-        firsts = [(low[i], norm) for low, norm in zip(lows, block_norms) if low is not None]
-        positive = not any(w < -tol * (1.0 + norm) for w, norm in firsts)
-        min_eig = min([np.inf] + [w for w, _ in firsts])
-        verdicts.append(CpnVerdict(symmetric and positive,
-                                   min_eig if math.isfinite(min_eig) else 0.0, symmetric))
+    for i, (sym, block_norms) in enumerate(zip(symmetric, member_norms)):
+        min_eig = min([np.inf] + [low[i] for low in lows if low is not None])
+        verdicts.append(CpnVerdict(sym and positive(i, block_norms),
+                                   min_eig if math.isfinite(min_eig) else 0.0, sym))
     return verdicts
 
 
@@ -398,7 +424,10 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
     Symmetry is measured as the largest m x m sub-block of C - C* over
     the flattened Choi blocks C, i.e. max over e_pq and i, j of
     ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
-    Decided once per map and tol; later calls return the same verdict.
+    The block norms take one SVD call per block, which scale then reads;
+    the sub-block norms take one more only when m max|C - C*| does not
+    already pass the gate (see _cpn_verdicts).  Decided once per map and
+    tol; later calls return the same verdict.
     """
     return _verdict(rho, tol)
 

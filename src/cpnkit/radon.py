@@ -167,10 +167,12 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     # each frame's B(eps) bounds its side of W Phi_rho(e) - Phi_theta(e) W
     int_res = (commutator_bound(dr.rep, br.frame_residual)
                + commutator_bound(dt.rep, bt.frame_residual)) * y_norm
-    if norm > 1.0 + tol * scale or max(iso_res, int_res) > tol * scale:
+    value, bound = (norm, 1.0 + tol * scale) if norm > 1.0 + tol * scale \
+        else (max(iso_res, int_res), tol * scale)
+    if value > bound:
         raise CertificationError(
             f"intertwiner certificate failed (norm {norm:.12f}, residuals "
-            f"{iso_res:.3e}, {int_res:.3e})")
+            f"{iso_res:.3e}, {int_res:.3e})", value=value, bound=bound)
     return Intertwiner(w, dr, dt, norm, iso_res, int_res)
 
 
@@ -220,14 +222,18 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     # the spectrum floor relative to min(1 + ||T||, scale of rho), the
     # ceiling and the reconstruction relative to the scale of rho
     scale = rho.scale
-    if spectrum[0] < -tol * min(1.0 + t_norm, scale) or spectrum[1] > 1.0 + tol * scale \
-            or recon > tol * scale:
+    floor, ceiling = -tol * min(1.0 + t_norm, scale), 1.0 + tol * scale
+    failed = [(v, b) for v, b, bad in ((spectrum[0], floor, spectrum[0] < floor),
+                                       (spectrum[1], ceiling, spectrum[1] > ceiling),
+                                       (recon, tol * scale, recon > tol * scale)) if bad]
+    if failed:
         # passing, they make theta = rho_T with T >= 0 completely n-positive;
         # failing, they are a theta outside the cone or a library defect
         require_cpn(theta, tol)
         raise CertificationError(
             f"Radon-Nikodym certificate failed (commutant {com_res:.3e}, "
-            f"spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], reconstruction {recon:.3e})")
+            f"spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], reconstruction {recon:.3e})",
+            *failed[0])
     return CommutantElement(dr, t, com_res, spectrum, recon)
 
 

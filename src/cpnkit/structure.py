@@ -102,9 +102,12 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
     chk = is_completely_n_positive(witness, tol)
     off_norm = spectral_norm(images_of(map12))
     if not chk.verdict or off_norm <= tol * witness.scale:
+        value, bound = (off_norm, tol * witness.scale) if chk.verdict \
+            else (chk.min_eig, -tol * witness.scale)  # positivity's loosest bound
         raise CertificationError(
             f"extension witness certificate failed (cpn {chk.verdict}, "
-            f"min eig {chk.min_eig:.3e}, off-diagonal norm {off_norm:.3e})")
+            f"min eig {chk.min_eig:.3e}, off-diagonal norm {off_norm:.3e})",
+            value=value, bound=bound)
     return witness
 
 
@@ -168,9 +171,11 @@ class ExtremalityReport:
              for b, c in zip(blocks, rho.flat.choi_blocks)],
             rho.domain.block_dims, rho.n, rho.codomain_dim)
         if avg > bound:
-            raise CertificationError("decomposition does not average to the input")
+            raise CertificationError("decomposition does not average to the input",
+                                     value=avg, bound=bound)
         if dist1 <= bound or dist2 <= bound:
-            raise CertificationError("decomposition is trivial")
+            raise CertificationError("decomposition is trivial",
+                                     value=min(dist1, dist2), bound=bound)
         one = rho.domain.unit()
         units = spectral_norms(np.stack([apply_map(p.flat, one) for p in (part1, part2)])
                                - apply_map(rho.flat, one))

@@ -10,12 +10,16 @@ polar_witness_images is the off-diagonal of the disjointness witness by
 the H_2 x H_1 route: the polar part W of intertwiner_space's element 0,
 sandwiched as V_1* Phi_1(e) W* V_2 against the matrix-unit images.
 choi_extreme decides extremality in C(rho(1)) from the Choi blocks alone,
-without a dilation and without rho(1).
+without a dilation and without rho(1).  svd_cpn_verdicts is the stacked
+complete n-positivity verdict with every norm from an SVD, no bound first.
 """
+import math
+
 import numpy as np
 
-from cpnkit import ValidationError, commutant
-from cpnkit.linalg import nullspace, numerical_rank, significant
+from cpnkit import CpnVerdict, ValidationError, commutant
+from cpnkit.linalg import herm, nullspace, numerical_rank, significant, spectral_norms
+from cpnkit.maps import subblocks
 
 
 def frame_basis(block_dims, u1, mults1, u2, mults2) -> np.ndarray:
@@ -110,3 +114,24 @@ def choi_extreme(rho, tol=1e-9):
     mat = np.hstack(cols)
     rank = numerical_rank(mat, tol)
     return rank == mat.shape[1], rank, mat.shape[1]
+
+
+def svd_cpn_verdicts(stacks, m, tol, spectra=None, norms=None):
+    """maps._cpn_verdicts with every gate read off SVDs: the block norms
+    (unless given) and the m x m sub-block norms of C - C*, per block one
+    SVD call each over the stack."""
+    if spectra is None:
+        spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
+    norms = [spectral_norms(c).tolist() for c in stacks] if norms is None else norms
+    asyms = [spectral_norms(subblocks(c - c.conj().swapaxes(-1, -2), m))
+             .max(axis=(-2, -1), initial=0.0).tolist() for c in stacks]
+    lows = [w[:, 0].tolist() if w.shape[-1] else None for w in spectra]
+    verdicts = []
+    for i, block_norms in enumerate(zip(*norms)):
+        symmetric = max(a[i] for a in asyms) <= tol * (1.0 + max(block_norms))
+        firsts = [(low[i], norm) for low, norm in zip(lows, block_norms) if low is not None]
+        positive = not any(w < -tol * (1.0 + norm) for w, norm in firsts)
+        min_eig = min([np.inf] + [w for w, _ in firsts])
+        verdicts.append(CpnVerdict(symmetric and positive,
+                                   min_eig if math.isfinite(min_eig) else 0.0, symmetric))
+    return verdicts

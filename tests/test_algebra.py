@@ -125,6 +125,21 @@ def test_cstar_norm_is_max_block_norm():
     assert cstar_norm(a) == pytest.approx(4.0)
 
 
+def test_cstar_norm_is_computed_once_per_element(monkeypatch):
+    alg = make_algebra((2, 3))
+    a = random_element(alg, np.random.default_rng(5))
+    first = cstar_norm(a)
+    real, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    second = cstar_norm(a)
+    monkeypatch.undo()
+    assert calls == []
+    expect = max(np.linalg.norm(b, 2) for b in a.blocks)
+    assert first.hex() == second.hex() == expect.hex()
+    # arithmetic returns new elements, each with its own norm
+    assert cstar_norm(2 * a) == max(np.linalg.norm(2 * b, 2) for b in a.blocks)
+
+
 def test_is_unitary_predicate():
     alg = make_algebra((2,))
     assert is_unitary(alg.unit())

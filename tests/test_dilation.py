@@ -8,7 +8,7 @@ from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
                     identity_map, images_of, make_algebra, matrix_units,
                     random_cpn_map, random_element, require_cpn, rep_apply,
                     spanning_matrix,
-                    unitary_equivalence, verify_dilation,
+                    unflatten, unitary_equivalence, verify_dilation,
                     verify_representation, zero_map)
 import cpnkit.dilation as cpnkit_dilation
 
@@ -170,6 +170,20 @@ def test_unitary_equivalence_none_on_dimension_mismatch():
     d1 = dilate(as_cpn(identity_map(alg)))
     d2 = dilate(as_cpn(depolarizing_map(2)))
     assert unitary_equivalence(d1, d2) is None
+
+
+def test_unitary_equivalence_skips_the_source_gate_on_a_shared_source(monkeypatch):
+    # as dilation_of: one source object needs no cpn_distance; an equal copy does
+    rng = np.random.default_rng(9)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    copy = unflatten(LinearMap(rho.domain, 4, rho.flat.choi_blocks), 2)
+    real, calls = cpnkit_dilation.cpn_distance, []
+    monkeypatch.setattr(cpnkit_dilation, "cpn_distance",
+                        lambda *args: calls.append(args) or real(*args))
+    shared = unitary_equivalence(dilate_from_gram(rho), dilate(rho))
+    assert calls == []
+    other = unitary_equivalence(dilate_from_gram(rho), dilate(copy))
+    assert len(calls) == 1 and np.array_equal(shared, other)
 
 
 def test_unitary_equivalence_rejects_different_sources():

@@ -436,6 +436,24 @@ def test_scale_reads_the_block_norms_of_the_verdict(monkeypatch):
         assert scale.hex() == fresh.scale.hex() == expect.hex()
 
 
+def test_verdict_takes_the_skew_svd_only_when_the_bound_leaves_it_open(monkeypatch):
+    # a fresh Hermitian-symmetric map: one SVD call per algebra block, for
+    # its norms; an asymmetric one: a second per block, over the sub-blocks
+    alg = make_algebra((2, 1))
+    rng = np.random.default_rng(29)
+    rho = random_cpn_map(alg, 2, 2, 3, rng)
+    skews = [rng.standard_normal(b.shape) * 1j for b in rho.flat.choi_blocks]
+    asym = unflatten(LinearMap(alg, 4, tuple(
+        b + 1e-3 * (k + k.T) for b, k in zip(rho.flat.choi_blocks, skews))), 2)
+    real, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    assert is_completely_n_positive(rho).verdict
+    assert len(calls) == alg.num_blocks
+    calls.clear()
+    assert not is_completely_n_positive(asym).hermitian_symmetric
+    assert len(calls) == 2 * alg.num_blocks
+
+
 def test_cpn_verdict_is_kept_per_map_and_tolerance(monkeypatch):
     rng = np.random.default_rng(22)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)

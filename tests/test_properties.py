@@ -26,13 +26,14 @@ import cpnkit.radon as cpnkit_radon
 import cpnkit.structure as cpnkit_structure
 from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import CommutantBasis, canonical_frame, canonical_images
-from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
+from cpnkit.linalg import (commutant_basis_of, herm, solve_sandwich, spectral_norm,
+                           spectral_norms)
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
-                         apply_map, images_of)
+                         apply_map, images_of, subblocks)
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
                           _order_checks, _unit_interval)
 
-from oracles import choi_extreme, pair_basis, polar_witness_images
+from oracles import choi_extreme, pair_basis, polar_witness_images, svd_cpn_verdicts
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -446,6 +447,76 @@ def test_stacked_verdicts_on_empty_spectra():
     assert verdict_bits(single) == (True, (0.0).hex(), True)
     got = _cpn_verdicts([np.zeros((3, 0, 0), dtype=complex)] * 2, 1, 1e-9)
     assert [verdict_bits(v) for v in got] == [verdict_bits(single)] * 3
+
+
+def symmetry_ratio(blocks, m, tol):
+    """The largest m x m sub-block norm of C - C* over tol (1 + max ||C||)."""
+    asym = max(spectral_norm(subblocks(c - c.conj().T, m)) for c in blocks)
+    return asym / (tol * (1.0 + max(spectral_norm(c) for c in blocks)))
+
+
+def at_gate(blocks, m, tol, kind, theta, rng):
+    """Flattened Choi blocks of a Hermitian-symmetric map moved to theta
+    times a gate: an anti-Hermitian part on every block puts the symmetry
+    gap there ("skew"), a multiple of I on block 0 the least eigenvalue
+    ("low", against -tol (1 + ||C_0||)).  A few fixed-point steps absorb
+    the move's effect on the norms."""
+    if kind == "skew":
+        ks = [1j * herm(rng.standard_normal(c.shape)) for c in blocks]
+        s = tol
+        for _ in range(4):
+            s *= theta / symmetry_ratio([c + s * k for c, k in zip(blocks, ks)], m, tol)
+        return [c + s * k for c, k in zip(blocks, ks)]
+    if kind == "low":
+        eye, shift = np.eye(len(blocks[0])), 0.0
+        for _ in range(4):
+            b = blocks[0] - shift * eye
+            shift += np.linalg.eigvalsh(herm(b))[0] + theta * tol * (1.0 + spectral_norm(b))
+        return [blocks[0] - shift * eye] + list(blocks[1:])
+    return list(blocks)
+
+
+GATES = st.tuples(st.sampled_from(("drawn", "skew", "low")),
+                  st.sampled_from((1.0 - 1e-6, 1.0 + 1e-6)))
+
+
+@DETERMINISTIC
+@given(shapes(), st.lists(GATES, max_size=4), st.sampled_from((1e-9, 1e-6)), st.booleans())
+@example(((2,), 1, 1, (2,), 7), [("skew", 1.0 - 1e-6), ("skew", 1.0 + 1e-6),
+                                  ("low", 1.0 - 1e-6), ("low", 1.0 + 1e-6)], 1e-6, False)
+@example(((2, 1), 2, 2, (0, 1), 8), [("skew", 1.0 - 1e-6), ("skew", 1.0 + 1e-6),
+                                      ("low", 1.0 - 1e-6), ("low", 1.0 + 1e-6)], 1e-6, True)
+def test_bounded_verdicts_match_the_svd_oracle(shape, gates, tol, empty):
+    # members at (1 +- 1e-6) x the symmetry or positivity gate, with and
+    # without norms: a bound settles only what the SVDs decide alike
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    members = [at_gate(map_with_ranks(dims, n, m, ranks, rng).flat.choi_blocks, m, tol,
+                       kind, theta, rng) for kind, theta in gates]
+    stacks = [np.array([blocks[b] for blocks in members], dtype=complex)
+              .reshape(len(members), d * n * m, d * n * m) for b, d in enumerate(dims)]
+    if empty:  # a block with no rows takes no part
+        stacks.append(np.zeros((len(members), 0, 0), dtype=complex))
+    spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
+    norms = [spectral_norms(c).tolist() for c in stacks]
+    want = [verdict_bits(v) for v in svd_cpn_verdicts(stacks, m, tol)]
+    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol)] == want
+    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol, spectra)] == want
+    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol, spectra, norms)] == want
+    if tol == 1e-6:  # far above rounding, every move lands on its side of the gate
+        assert [bits[0] for bits in want] == [kind == "drawn" or theta < 1.0
+                                             for kind, theta in gates]
+
+
+def test_bounds_that_overflow_settle_nothing():
+    # ||C||_F of entries near 1e160 overflows: under the CLI's errstate the
+    # verdicts still match the oracle instead of raising
+    rng = np.random.default_rng(12)
+    maps = [map_with_ranks((2, 1), 2, 2, (3, 2), rng) for _ in range(3)]
+    stacks = [1e160 * c for c in choi_stacks(maps, maps[0])]
+    with np.errstate(over="raise", invalid="raise"):
+        got = [verdict_bits(v) for v in _cpn_verdicts(stacks, 2, 1e-9)]
+        assert got == [verdict_bits(v) for v in svd_cpn_verdicts(stacks, 2, 1e-9)]
 
 
 @DETERMINISTIC

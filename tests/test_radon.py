@@ -281,5 +281,18 @@ def test_rn_operator_failed_certificate_reports_values(monkeypatch):
     monkeypatch.setattr(cpnkit_radon, "_rn_blocks",
                         lambda *args: [1.5 * t for t in real(*args)])
     with pytest.raises(CertificationError,
-                       match=r"Radon-Nikodym certificate failed .*spectrum .*reconstruction"):
+                       match=r"Radon-Nikodym certificate failed .*spectrum .*reconstruction") \
+            as info:
         rn_operator(rho, theta, source_dilation=dil)
+    assert info.value.value > info.value.bound > 0  # the ceiling or the reconstruction
+
+
+def test_intertwiner_failed_certificate_carries_value_and_bound(monkeypatch):
+    # doubled frame solutions Y_k give ||W|| = 2 ||W_true|| > 1
+    rho = as_cpn(identity_map(make_algebra((2,))))
+    real = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kw: 2.0 * real(*args, **kw))
+    with pytest.raises(CertificationError, match="intertwiner certificate failed") as info:
+        intertwiner(rho, 0.5 * rho)
+    assert info.value.value == pytest.approx(2.0 * np.sqrt(0.5))
+    assert info.value.bound == 1.0 + 1e-9 * rho.scale

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpnkit import (CertificationError, CPnMap, LinearMap,
+from cpnkit import (CertificationError, CPnMap, CpnVerdict, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
                     build_extreme_family, commutant, compression_map,
@@ -249,6 +249,36 @@ def test_depolarizing_not_extreme_and_decomposes():
         one = part.domain.unit()
         assert np.allclose(apply_map(part.entry(0, 0), one), np.eye(2),
                            atol=1e-9)
+
+
+def test_decomposition_failures_carry_value_and_bound(monkeypatch):
+    # at tol 0.5 a part of this draw lies within the bound of rho
+    rho = random_cpn_map(make_algebra((2,)), 2, 1, 2, np.random.default_rng(4))
+    with pytest.raises(CertificationError, match="^decomposition is trivial$") as info:
+        is_extreme(rho, 0.5).decomposition()
+    assert info.value.value <= info.value.bound == 0.5 * rho.scale
+    dep = as_cpn(depolarizing_map(2))
+    monkeypatch.setattr(cpnkit_structure, "_cpn_distances", lambda *args: [1.0, 1.0, 1.0])
+    with pytest.raises(CertificationError,
+                       match="^decomposition does not average to the input$") as info:
+        is_extreme(dep).decomposition()
+    assert (info.value.value, info.value.bound) == (1.0, 1e-9 * dep.scale)
+
+
+def test_extension_witness_failures_carry_value_and_bound(monkeypatch):
+    rho = as_cpn(identity_map(make_algebra((2,))))
+    witness = extension_witness(rho, rho)
+    # an off-diagonal measured as zero, then a negative verdict on the witness
+    monkeypatch.setattr(cpnkit_structure, "images_of", lambda phi: np.zeros((4, 2, 2)))
+    with pytest.raises(CertificationError, match="off-diagonal norm 0.000e") as info:
+        extension_witness(rho, rho)
+    assert (info.value.value, info.value.bound) == (0.0, 1e-9 * witness.scale)
+    monkeypatch.undo()
+    monkeypatch.setattr(cpnkit_structure, "is_completely_n_positive",
+                        lambda *args: CpnVerdict(False, -1.0, True))
+    with pytest.raises(CertificationError, match="cpn False") as info:
+        extension_witness(rho, rho)
+    assert (info.value.value, info.value.bound) == (-1.0, -1e-9 * witness.scale)
 
 
 def test_nonextreme_decomposition_rejects_extreme_input():
