@@ -505,9 +505,11 @@ def unitary_equivalence(d1: StinespringDilation, d2: StinespringDilation,
     u = nearest_unitary(solve_sandwich(x1, x2))
     scale = d1.source.scale
     res = equivalence_residual(d1, d2, u)
-    if res > max(tol * scale, 1e3 * np.finfo(float).eps * scale * d1.space_dim):
+    bound = max(tol * scale, 1e3 * np.finfo(float).eps * scale * d1.space_dim)
+    if res > bound:
         raise CertificationError(
-            f"intertwining unitary certificate failed (residual {res:.3e})")
+            f"intertwining unitary certificate failed (residual {res:.3e})",
+            value=res, bound=bound)
     return u
 
 

@@ -2,8 +2,8 @@
 
 Conventions: vec() is row-major (numpy order), so vec(A X B) =
 kron(A, B.T) @ vec(X).  Every rank and nullspace decision, and dilate's
-Kraus cutoff, is significant(): tol * (1 + largest |value|); an all-zero
-matrix therefore has rank 0 for every positive tol.
+Kraus cutoff, is significant(): rank_cutoff, tol * (1 + largest |value|);
+an all-zero matrix therefore has rank 0 for every positive tol.
 
 Certificates are measured on stacks: spectral_norm accepts any array of
 shape (..., r, c) and returns the largest spectral norm over the leading
@@ -41,10 +41,15 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(spectral_norms(a).max(initial=0.0))
 
 
+def rank_cutoff(s_max: float, tol: float) -> float:
+    """tol * (1 + s_max), the one rank cutoff, for values whose largest is s_max."""
+    return tol * (1.0 + s_max)
+
+
 def significant(x: np.ndarray, tol: float) -> np.ndarray:
-    """Mask x > tol * (1 + max |x|), the one rank cutoff; on descending
-    singular values max |x| is x[0]."""
-    return x > tol * (1.0 + (float(np.abs(x).max()) if x.size else 0.0))
+    """Mask x > rank_cutoff(max |x|); on descending singular values max |x|
+    is x[0]."""
+    return x > rank_cutoff(float(np.abs(x).max()) if x.size else 0.0, tol)
 
 
 def numerical_rank(a: np.ndarray, tol: float) -> int:

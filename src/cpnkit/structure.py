@@ -19,15 +19,22 @@ intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
 alike.  Every verdict here reads dilation.commutant(), that frame with
 B(eps) as its one commute certificate, and none builds the H x H
 commutant basis: is_extreme and extension_witness read the frame rows
-A_k of U* V.
+A_k of U* V.  is_extreme proves T -> V* T V injective, or of full rank
+N = min((n m)^2, sum r_k^2), by a Cholesky of the small-side Gram of its
+matrix M, built from those rows and shifted down by delta = cut^2 + eta,
+cut the rank cutoff tol (1 + s_max) bounded from above and eta the
+Gram's rounding plus Cholesky's backward error; M and its SVD are built
+only when that proof fails.
 is_pure and is_extreme refuse a given dilation that is not minimal
 (ValidationError); images that are not a *-representation raise
 CertificationError.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .algebra import cstar_norm, distance, is_unitary
 from .dilation import (CommutantBasis, StinespringDilation, _minimal_commutant,
                        commutant, dilate, dilation_of, rep_apply)
 from .errors import CertificationError, ValidationError
-from .linalg import herm, numerical_rank, spectral_norm, spectral_norms
+from .linalg import herm, numerical_rank, rank_cutoff, spectral_norm, spectral_norms
 from .maps import (CPnMap, LinearMap, _cpn_distances, _cpn_verdicts,
                    _hermitian_partner, _trusted_map, apply_map, as_cpn, images_of,
                    is_completely_n_positive, map_from_images, require_cpn,
@@ -124,7 +131,9 @@ class ConvexDecomposition:
 @dataclass(frozen=True)
 class ExtremalityReport:
     """The verdict and what it was read from, which decomposition() reuses:
-    the input, its dilation and certified commutant, the frame matrix."""
+    the input, its dilation and certified commutant.  matrix, the frame-row
+    matrix of T -> V* T V, is built on first read, or kept from the verdict
+    when the Gram certificate fell back to its SVD (built)."""
 
     extreme: bool
     commutant_dim: int
@@ -133,7 +142,15 @@ class ExtremalityReport:
     tol: float = field(compare=False, repr=False)
     dilation: StinespringDilation = field(compare=False, repr=False)
     comm: CommutantBasis = field(compare=False, repr=False)
-    matrix: np.ndarray = field(compare=False, repr=False)
+    built: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, built):
+        if built is not None:
+            self.__dict__["matrix"] = built
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _frame_row_matrix(_frame_stacks(self.dilation, self.comm))
 
     def decomposition(self) -> ConvexDecomposition:
         """A certified convex decomposition of the non-extreme input.
@@ -189,26 +206,139 @@ class ExtremalityReport:
 
 def _compressed_commutant(rho: CPnMap, tol: float,
                           dilation: StinespringDilation | None):
-    """The data is_extreme decides on and its report decomposes with.
-
-    Checks rho as dilation_of does, then returns its dilation, the
-    certified commutant and the (n m)^2 x sum r_k^2 matrix of T -> V* T V
-    on the commutant basis, read off the frame rows A_k = comm.rows(V):
-    column (k, a, b) is vec(V* lift(E_ab / sqrt d_k) V)
-    = (1/sqrt d_k) sum_p conj(A_k,p[a, :]) (x) A_k,p[b, :].  V = Q R, R of
-    full row rank, so the kernel is that of T -> P T P, P = Q Q*.  No
-    V* V = I is assumed: is_extreme reads the rank of this matrix itself.
-    """
+    """The data is_extreme decides on: rho checked as dilation_of does, its
+    dilation and the certified commutant of that minimal dilation."""
     dilation = dilation_of(rho, tol, dilation)
-    comm = _minimal_commutant(dilation, tol)
-    c, cols = dilation.joint_isometry.shape[1], []
-    for d, rows in zip(comm.block_dims, comm.rows(dilation.joint_isometry)):
-        r = len(rows)
-        rows = rows.reshape(r, d, c).transpose(1, 0, 2).reshape(d, r * c)  # row p is A_k,p
+    return dilation, _minimal_commutant(dilation, tol)
+
+
+def _frame_stacks(dilation: StinespringDilation, comm: CommutantBasis) -> list[np.ndarray]:
+    """The frame rows A_k = comm.rows(V) of each algebra block as a
+    (d_k, r_k, c) stack whose member p is A_k,p."""
+    c = dilation.joint_isometry.shape[1]
+    return [rows.reshape(len(rows), d, c).transpose(1, 0, 2)
+            for d, rows in zip(comm.block_dims, comm.rows(dilation.joint_isometry))]
+
+
+def _frame_row_matrix(stacks: list[np.ndarray]) -> np.ndarray:
+    """M, the (n m)^2 x sum r_k^2 matrix of T -> V* T V on the commutant
+    basis: column (k, a, b) is vec(V* lift(E_ab / sqrt d_k) V)
+    = (1/sqrt d_k) sum_p conj(A_k,p[a, :]) (x) A_k,p[b, :].  V = Q R, R of
+    full row rank, so the kernel is that of T -> P T P, P = Q Q*."""
+    cols = []
+    for stack in stacks:
+        d, r, c = stack.shape
+        rows = stack.reshape(d, r * c)  # row p is A_k,p
         # entry [(a, x), (b, y)] of rows* rows is sum_p conj(A_k,p[a, x]) A_k,p[b, y]
         pairs = (rows.conj().T @ rows).reshape(r, c, r, c).transpose(1, 3, 0, 2)
         cols.append(pairs.reshape(c * c, r * r) / math.sqrt(d))
-    return dilation, comm, np.hstack(cols)
+    return np.hstack(cols)
+
+
+@functools.lru_cache(maxsize=64)
+def _hermitian_weights(a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lam, alpha and conj(alpha) on M_a for the orthonormal basis h_xy of
+    E_xx (x = y), (E_xy + E_yx)/sqrt 2 (x < y) and i(E_xy - E_yx)/sqrt 2
+    (x > y): h_uv = alpha_uv E_uv + conj(alpha_uv) E_vu, and a Hermitian Y
+    has the real coordinate Re(lam_xy Y_xy) on h_xy.  Read-only."""
+    up = np.triu(np.ones((a, a)), 1)
+    alpha = 0.5 * np.eye(a) + (up + 1j * up.T) / math.sqrt(2)
+    out = (np.eye(a) + math.sqrt(2) * (up - 1j * up.T), alpha, alpha.conj())
+    for w in out:
+        w.flags.writeable = False
+    return out
+
+
+def _real_kron_sum(z: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the real matrix, in the bases h, of X -> sum_q z_q X z_q*
+    from the Hermitian b x b to the Hermitian a x a matrices, z a (q, a, b)
+    stack; that is W_a* K W_b for K = sum_q z_q (x) conj(z_q), a few rows of
+    M_a (about 2^18 complex entries) at a time, so no complex a^2 x b^2
+    array is held."""
+    q, a, b = z.shape
+    lam, (_, alpha, alpha_c) = _hermitian_weights(a)[0], _hermitian_weights(b)
+    zc, step = z.conj().reshape(q, a * b), max(1, (1 << 18) // (a * b * b))
+    for x in range(0, a, step):
+        rows = z[:, x:x + step].reshape(q, -1)
+        # k[x, y, u, v] = sum_q z_q[x, u] conj(z_q[y, v]); image of h_uv at (x, y)
+        k = (rows.T @ zc).reshape(-1, b, a, b).transpose(0, 2, 1, 3)
+        image = alpha * k + alpha_c * k.swapaxes(2, 3)
+        out[x * a:(x + step) * a] = (lam[x:x + step, :, None, None] * image).real.reshape(-1, b * b)
+
+
+def _certified_rank(stacks: list[np.ndarray], tol: float) -> int | None:
+    """N = min((n m)^2, sum r_k^2) when a shifted Cholesky of the small-side
+    Gram G of M proves s_min(M) above the rank cutoff, else None.
+
+    G is built from the frame rows, never from M: M M* =
+    sum_k (1/d_k) sum_{p,p'} S (x) conj(S), S = A_k,p* A_k,p' (wide side),
+    and block (k, k') of M* M is (d_k d_k')^(-1/2) sum_{p,p'} S (x) conj(S),
+    S = A_k,p A_k',p'*.  T -> V* T V maps Hermitian to Hermitian, so in the
+    orthonormal Hermitian bases h of _hermitian_weights G is real
+    symmetric, N x N, with the eigenvalues s_i(M)^2; that form is built.
+
+    Bounds, u = eps/2, F = sum_{k,p} ||A_k,p||_F^4, inner = max(n m, r_k)
+    and terms = sum_k d_k^2.  Each entry of G sums at most `terms`
+    products of S entries, each S entry an inner product of length at most
+    `inner`; so |G^ - G| <= gamma_(2 inner + terms + 4) |G|_abs entrywise
+    (Higham, Accuracy and Stability, 3.1 and 3.6), |G|_abs the Gram of the
+    M built from |A|, whose Frobenius norm is at most F by Cauchy-Schwarz
+    over p.  The real coordinates are a unitary change of basis, rounded
+    once more, and Cholesky reads the lower triangle (a factor sqrt 2),
+    so every symmetric matrix in play is within
+        err = 4 (2 inner + terms + 8) eps F
+    of G in norm.  Hence s_max^2 = ||G|| <= max(||G^||_1, ||G^||_inf)
+    (1 + N eps) + err, which is s^2, the hat bound.  tr G = ||M||_F^2 <= F,
+    so if the Cholesky of G^ - delta I runs to completion, its backward
+    error (Higham, Thm 10.3, whose proof uses only that it completed) is
+    at most (N + 1) eps tr <= 2 (N + 1) eps F, and the rounded shift adds
+    eps (2 F + delta).  With
+        eta = err + 2 (N + 2) eps F,   delta = (cut^2 + eta)(1 + 4 eps),
+    success gives s_min(M)^2 = lambda_min(G) > cut^2, and
+        cut = rank_cutoff(s + e, tol) + e
+    covers e = ((n m)^2 + sum r_k^2 + 2 terms + 8) eps sqrt F, which bounds
+    how far the singular values is_extreme's SVD fallback would compute
+    lie from those of M (M's rounding, and LAPACK's backward error taken
+    as the sum of M's dimensions times eps ||M||, ||M|| <= sqrt F): where
+    this proof succeeds, the SVD of M reads rank N at its own cutoff too.
+    A non-finite G or bound, N = 0, or a failed Cholesky (rank deficiency,
+    a rank near the cutoff, tol about 0.5 or more) gives None.
+    """
+    c = stacks[0].shape[2]
+    sizes = [a.shape[1] ** 2 for a in stacks]
+    n = min(c * c, sum(sizes))
+    if n == 0:
+        return None
+    g = np.empty((n, n))
+    if n == c * c:  # M M*, on M_c
+        z = np.concatenate([(a.conj().swapaxes(1, 2)[:, None] @ a[None]).reshape(-1, c, c)
+                            / math.sqrt(len(a)) for a in stacks])
+        _real_kron_sum(z, g)
+    else:  # M* M, on (+)_k M_{r_k}
+        spans = [slice(end - size, end) for end, size in zip(itertools.accumulate(sizes), sizes)]
+        for i, j in itertools.combinations_with_replacement(range(len(stacks)), 2):
+            a, b = stacks[i], stacks[j]
+            if sizes[i] and sizes[j]:
+                z = (a[:, None] @ b.conj().swapaxes(1, 2)[None]).reshape(-1, a.shape[1], b.shape[1])
+                _real_kron_sum(z / (len(a) * len(b)) ** 0.25, g[spans[i], spans[j]])
+                g[spans[j], spans[i]] = g[spans[i], spans[j]].T
+    eps, terms = np.finfo(float).eps, sum(len(a) ** 2 for a in stacks)
+    f = sum(float(np.square((a * a.conj()).real.sum((1, 2))).sum()) for a in stacks)
+    err = 4 * (2 * max(c, *(a.shape[1] for a in stacks)) + terms + 8) * eps * f
+    absg = np.abs(g)
+    s_hat = math.sqrt(max(absg.sum(0).max(), absg.sum(1).max()) * (1 + n * eps) + err)
+    del absg
+    e = (c * c + sum(sizes) + 2 * terms + 8) * eps * math.sqrt(f)
+    cut = rank_cutoff(s_hat + e, tol) + e
+    delta = (cut * cut + err + 2 * (n + 2) * eps * f) * (1 + 4 * eps)
+    if not math.isfinite(delta):
+        return None
+    g.flat[::n + 1] -= delta
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    return n
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
@@ -217,12 +347,22 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     the value flatten(rho)(1) at the unit; the unital class is rho(1) = I.
 
     Criterion (Arveson 1969, 1.4, for any rho(1)): T -> V* T V is injective
-    on the commutant; decided in frame coordinates, as that map's rank.
+    on the commutant; decided in frame coordinates, as the rank of its
+    matrix M at rank_cutoff(s_max(M), tol).  The rank is first proved full,
+    N = min((n m)^2, sum r_k^2), by a Cholesky of the small-side Gram of M,
+    built from the frame rows and shifted down by delta = cut^2 + eta,
+    cut >= tol (1 + s_max) and eta its rounding and backward-error bound
+    (_certified_rank); only when that fails is M built and its singular
+    values counted.  sum r_k^2 > (n m)^2 leaves M a kernel: not extreme.
     """
-    dil, comm, mat = _compressed_commutant(rho, tol, dilation)
-    rank = numerical_rank(mat, tol)
-    return ExtremalityReport(rank == mat.shape[1], mat.shape[1], rank,
-                             rho, tol, dil, comm, mat)
+    dil, comm = _compressed_commutant(rho, tol, dilation)
+    stacks = _frame_stacks(dil, comm)
+    dim, mat = sum(a.shape[1] ** 2 for a in stacks), None
+    rank = _certified_rank(stacks, tol)
+    if rank is None:
+        mat = _frame_row_matrix(stacks)
+        rank = numerical_rank(mat, tol)
+    return ExtremalityReport(rank == dim, dim, rank, rho, tol, dil, comm, mat)
 
 
 def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,
@@ -270,14 +410,17 @@ def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMa
     scale = rho.scale
     eye = np.eye(m)
     for i in range(n):
-        if spectral_norm(apply_map(rho.entries[i][i], unit) - eye) > tol * scale:
-            raise CertificationError(f"diagonal entry {i} is not unital")
+        dev = spectral_norm(apply_map(rho.entries[i][i], unit) - eye)
+        if dev > tol * scale:
+            raise CertificationError(f"diagonal entry {i} is not unital",
+                                     value=dev, bound=tol * scale)
         for j in range(n):
             uij = unitaries[i] @ unitaries[j].adjoint()
-            wit = apply_map(rho.entries[i][j], uij)
-            if spectral_norm(wit - eye) > tol * scale:
+            dev = spectral_norm(apply_map(rho.entries[i][j], uij) - eye)
+            if dev > tol * scale:
                 raise CertificationError(
-                    f"witness rho_{i}{j}(u_i u_j*) deviates from the identity")
+                    f"witness rho_{i}{j}(u_i u_j*) deviates from the identity",
+                    value=dev, bound=tol * scale)
     if not is_pure(rho, tol):
         raise CertificationError("constructed map matrix is not pure")
     return rho

@@ -10,14 +10,16 @@ polar_witness_images is the off-diagonal of the disjointness witness by
 the H_2 x H_1 route: the polar part W of intertwiner_space's element 0,
 sandwiched as V_1* Phi_1(e) W* V_2 against the matrix-unit images.
 choi_extreme decides extremality in C(rho(1)) from the Choi blocks alone,
-without a dilation and without rho(1).  svd_cpn_verdicts is the stacked
-complete n-positivity verdict with every norm from an SVD, no bound first.
+without a dilation and without rho(1).  svd_is_extreme is is_extreme's
+verdict with the rank of the frame-row matrix always read off its SVD,
+no Gram certificate first.  svd_cpn_verdicts is the stacked complete
+n-positivity verdict with every norm from an SVD, no bound first.
 """
 import math
 
 import numpy as np
 
-from cpnkit import CpnVerdict, ValidationError, commutant
+from cpnkit import CpnVerdict, ValidationError, commutant, structure
 from cpnkit.linalg import herm, nullspace, numerical_rank, significant, spectral_norms
 from cpnkit.maps import subblocks
 
@@ -114,6 +116,15 @@ def choi_extreme(rho, tol=1e-9):
     mat = np.hstack(cols)
     rank = numerical_rank(mat, tol)
     return rank == mat.shape[1], rank, mat.shape[1]
+
+
+def svd_is_extreme(rho, tol=1e-9, dilation=None):
+    """(extreme, commutant_dim, compression_rank) of is_extreme, with the
+    rank of the frame-row matrix M counted from its singular values."""
+    dil, comm = structure._compressed_commutant(rho, tol, dilation)
+    mat = structure._frame_row_matrix(structure._frame_stacks(dil, comm))
+    rank = numerical_rank(mat, tol)
+    return rank == mat.shape[1], mat.shape[1], rank
 
 
 def svd_cpn_verdicts(stacks, m, tol, spectra=None, norms=None):

@@ -236,7 +236,7 @@ def test_pure_and_extreme_commands(tmp_path, capsys):
 
 
 def test_extreme_builds_the_compressed_commutant_once(tmp_path, capsys, monkeypatch):
-    # the decomposition reuses the matrix the verdict was read from
+    # the decomposition reuses the dilation and commutant the verdict was read from
     import cpnkit.structure as structure
     real = structure._compressed_commutant
     calls = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
+from cpnkit import (CertificationError, CPnMap, LinearMap, PositivityError, Representation,
                     StinespringDilation, ValidationError, apply_map, as_cpn,
                     diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
@@ -195,6 +195,16 @@ def test_unitary_equivalence_rejects_different_sources():
     assert d1.space_dim == d2.space_dim
     with pytest.raises(ValidationError):
         unitary_equivalence(d1, d2)
+
+
+def test_unitary_equivalence_failure_carries_value_and_bound(monkeypatch):
+    rho = as_cpn(depolarizing_map(2))
+    d = dilate(rho)
+    monkeypatch.setattr(cpnkit_dilation, "equivalence_residual", lambda *args: 1.0)
+    with pytest.raises(CertificationError, match="intertwining unitary") as info:
+        unitary_equivalence(d, d)
+    bound = max(1e-9 * rho.scale, 1e3 * np.finfo(float).eps * rho.scale * d.space_dim)
+    assert (info.value.value, info.value.bound) == (1.0, bound)
 
 
 def test_rep_apply_is_multiplicative():

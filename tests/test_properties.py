@@ -33,7 +33,8 @@ from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _tru
 from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
                           _order_checks, _unit_interval)
 
-from oracles import choi_extreme, pair_basis, polar_witness_images, svd_cpn_verdicts
+from oracles import (choi_extreme, pair_basis, polar_witness_images, svd_cpn_verdicts,
+                     svd_is_extreme)
 from test_structure import (conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
@@ -143,6 +144,52 @@ def test_extremality_in_the_class_of_rho_one_matches_the_choi_oracle(shape):
             assert spectral_norm(dev) <= 1e-9 * rho.scale
 
 
+@st.composite
+def extremality_draws(draw):
+    """(dims, n, m, ranks, tweak, exponent, tol, seed): wide maps, and square
+    ones whose first block has r = n m, on (2,) and (2, 1).  tweak makes one
+    Kraus column 2^-30 times another ("parallel") or the last block zero;
+    the map is scaled by 2^exponent."""
+    dims = draw(st.sampled_from(((2,), (2, 1))))
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ranks = (n * m,) + tuple(draw(st.integers(0, 1)) for _ in dims[1:])
+    else:
+        ranks = tuple(draw(st.integers(0, d * n * m)) for d in dims)
+    return (dims, n, m, ranks, draw(st.sampled_from(("none", "parallel", "zero"))),
+            draw(st.sampled_from((-20, 0, 20))), draw(st.sampled_from((1e-9, 0.5))),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@DETERMINISTIC
+@given(extremality_draws())
+@example(((2,), 2, 2, (4,), "none", 0, 1e-9, 0))  # square and extreme
+@example(((2, 1), 1, 3, (3, 0), "zero", 20, 1e-9, 1))  # square, a zero block
+@example(((2,), 1, 2, (4,), "parallel", -20, 1e-9, 2))  # wide, a dependent column
+@example(((2,), 1, 2, (2,), "none", 0, 0.5, 3))  # tol 0.5
+def test_gram_certificate_matches_the_svd_and_choi_oracles(draw):
+    # the Gram certificate never reads full rank where the SVD does not:
+    # every verdict is the all-SVD one, and a certified one is full rank
+    dims, n, m, ranks, tweak, exponent, tol, seed = draw
+    rng = np.random.default_rng(seed)
+    nm, blocks = n * m, []
+    for k, (d, r) in enumerate(zip(dims, ranks)):
+        g = rng.standard_normal((d * nm, r)) + 1j * rng.standard_normal((d * nm, r))
+        if tweak == "parallel" and r >= 2:
+            g[:, 1] = 2.0 ** -30 * g[:, 0]
+        if tweak == "zero" and k == len(dims) - 1:
+            g[:] = 0.0
+        blocks.append(2.0 ** exponent * (g @ g.conj().T))
+    rho = unflatten(LinearMap(make_algebra(dims), nm, tuple(blocks)), n)
+    rep = is_extreme(rho, tol)
+    assert report_tuple(rep) == svd_is_extreme(rho, tol)
+    if "matrix" not in rep.__dict__:
+        assert rep.compression_rank == min(nm * nm, rep.commutant_dim)
+    if tol == 1e-9:
+        extreme, rank, dim = choi_extreme(rho, tol)
+        assert report_tuple(rep) == (extreme, dim, rank)
+
+
 @DETERMINISTIC
 @given(shapes(), st.sampled_from(("dilate", "moved", "gram")))
 @example(((2, 1), 1, 2, (2, 1), 3), "gram")  # two algebra blocks, U != I
@@ -155,7 +202,8 @@ def test_frame_row_matrix_and_intertwiners_match_the_frame_basis(shape, source_k
     rho = unital_map(dims, n, m, ranks, rng)
     assume(rho is not None)
     dil = source_of(source_kind, dilate(rho), rho, rng)
-    _, comm, mat = cpnkit_structure._compressed_commutant(rho, 1e-9, dil)
+    rep = is_extreme(rho, 1e-9, dil)
+    comm, mat = rep.comm, rep.matrix
     basis, v = pair_basis(comm, comm), dil.joint_isometry
     want = (v.conj().T @ basis @ v).reshape(len(basis), -1).T
     assert mat.shape == want.shape

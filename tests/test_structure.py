@@ -21,10 +21,9 @@ from cpnkit.dilation import canonical_frame, commutator_bound, representation_bo
 from cpnkit.linalg import (commutant_basis_of, herm, nullspace, numerical_rank,
                            spectral_norm)
 import cpnkit.structure as cpnkit_structure
-from cpnkit.structure import _compressed_commutant
 
 from oracles import (choi_extreme, intertwiner_basis_of, intertwiner_space, orth,
-                     pair_basis)
+                     pair_basis, svd_is_extreme)
 
 
 def vector_state(alg, xi):
@@ -217,6 +216,31 @@ def test_extreme_family_validation():
         build_extreme_family(depolarizing_map(2), (alg.unit(), u2))
 
 
+def test_extreme_family_failures_carry_value_and_bound(monkeypatch):
+    # a family scaled by 1.1 is not unital on the diagonal; one whose
+    # off-diagonal entries are halved is, but its witness rho_01(u_0 u_1*) is I/2
+    alg = m2()
+    u2 = alg.element([np.diag([1.0, -1.0])])
+    real, built = cpnkit_structure.unflatten, []
+
+    def scaled(*args):
+        built.append(1.1 * real(*args))
+        return built[-1]
+
+    def halved(*args):
+        (a, b), (c, d) = real(*args).entries
+        built.append(CPnMap(((a, 0.5 * b), (0.5 * c, d))))
+        return built[-1]
+
+    for patch, message, value in ((scaled, "^diagonal entry 0 is not unital$", 0.1),
+                                  (halved, "^witness rho_01", 0.5)):
+        monkeypatch.setattr(cpnkit_structure, "unflatten", patch)
+        with pytest.raises(CertificationError, match=message) as info:
+            build_extreme_family(identity_map(alg), (alg.unit(), u2))
+        assert abs(info.value.value - value) <= 1e-12
+        assert info.value.bound == 1e-9 * built[-1].scale
+
+
 def test_block_diagonal_pair_extreme():
     a22 = make_algebra((2, 2))
     z = zero_map(a22, 2)
@@ -228,6 +252,47 @@ def test_block_diagonal_pair_extreme():
 
 def test_identity_extreme():
     assert is_extreme(as_cpn(identity_map(m2()))).extreme
+
+
+def test_identity_at_tol_one_half_reads_as_before():
+    # the cutoff 0.5 (1 + 1) meets the one singular value 1: the certificate
+    # cannot pass, and the SVD fallback keeps the verdict it always gave
+    rep = is_extreme(as_cpn(identity_map(m2())), 0.5)
+    assert report_tuple(rep) == (False, 1, 0) and "matrix" in rep.__dict__
+
+
+def test_square_regime_extreme_map_at_h32_agrees_with_the_oracles():
+    # n m = r = 16 on M_2: M is 256 x 256, and the Gram certificate alone
+    # proves it invertible
+    rho = random_cpn_map(m2(), 8, 2, 16, np.random.default_rng(31))
+    rep = is_extreme(rho)
+    assert rep.dilation.space_dim == 32
+    assert report_tuple(rep) == svd_is_extreme(rho) == (True, 256, 256)
+    assert "matrix" not in rep.__dict__
+    assert choi_extreme(rho) == (True, 256, 256)
+
+
+def test_rank_deficient_square_map_takes_the_svd_fallback():
+    # a random-unitary channel with diagonal Kraus operators D_j / sqrt 3 on
+    # M_4: the D_i* D_j span only the diagonal, so 9 commutant dimensions
+    # compress to 4 <= 16 = (n m)^2 and the certificate must fail
+    rng = np.random.default_rng(32)
+    kraus = [np.diag(np.exp(2j * np.pi * rng.random(4))) / np.sqrt(3) for _ in range(3)]
+    choi = sum(np.outer(k.conj().ravel(), k.ravel()) for k in kraus)
+    rho = as_cpn(LinearMap(make_algebra((4,)), 4, (choi,)))
+    rep = is_extreme(rho)
+    assert report_tuple(rep) == svd_is_extreme(rho) == (False, 9, 4)
+    assert "matrix" in rep.__dict__
+    assert_certified_decomposition(rho, rep.decomposition())
+
+
+def test_certified_verdict_builds_no_matrix_until_decomposed():
+    dep = as_cpn(depolarizing_map(2))
+    rep = is_extreme(dep)
+    assert (rep.commutant_dim, rep.compression_rank) == (16, 4)
+    assert "matrix" not in rep.__dict__
+    assert_certified_decomposition(dep, rep.decomposition())
+    assert rep.matrix.shape == (4, 16) and "matrix" in rep.__dict__
 
 
 def test_depolarizing_not_extreme_and_decomposes():
@@ -627,7 +692,7 @@ def test_frame_extremality_matches_ptp_route(monkeypatch):
         expected, s_old = ptp_route(dil)
         forbid_oracles(monkeypatch)
         got = is_extreme(rho, dilation=dil)
-        _, _, mat = _compressed_commutant(rho, 1e-9, dil)
+        mat = got.matrix
         assert is_pure(rho, dilation=dil) == (expected[1] == 1)
         monkeypatch.undo()
         assert report_tuple(got) == expected
@@ -751,18 +816,17 @@ def test_decomposition_does_not_depend_on_the_kernel_basis(monkeypatch):
     # but changes the kernel basis LAPACK lists; the decomposition must not move
     dep = as_cpn(depolarizing_map(2))
     base = nonextreme_decomposition(dep)
-    _, _, mat = _compressed_commutant(dep, 1e-9, None)
+    mat = is_extreme(dep).matrix
     assert mat.shape[1] - numerical_rank(mat, 1e-9) == 12
     rng = np.random.default_rng(65)
-    real = cpnkit_structure._compressed_commutant
+    real = cpnkit_structure._frame_row_matrix
     for _ in range(5):
         w = random_unitary_matrix(mat.shape[0], rng)
 
         def rotated(*args):
-            out = real(*args)
-            return (*out[:-1], w @ out[-1])
+            return w @ real(*args)
 
-        monkeypatch.setattr(cpnkit_structure, "_compressed_commutant", rotated)
+        monkeypatch.setattr(cpnkit_structure, "_frame_row_matrix", rotated)
         moved = nonextreme_decomposition(dep)
         monkeypatch.undo()
         assert np.abs(moved.kernel_element - base.kernel_element).max() <= 1e-10
