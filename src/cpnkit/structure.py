@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,8 +132,7 @@ class ConvexDecomposition:
 class ExtremalityReport:
     """The verdict and what it was read from, which decomposition() reuses:
     the input, its dilation and certified commutant.  matrix, the frame-row
-    matrix of T -> V* T V, is built on first read, or kept from the verdict
-    when the Gram certificate fell back to its SVD (built)."""
+    matrix of T -> V* T V, is built on first read."""
 
     extreme: bool
     commutant_dim: int
@@ -142,11 +141,6 @@ class ExtremalityReport:
     tol: float = field(compare=False, repr=False)
     dilation: StinespringDilation = field(compare=False, repr=False)
     comm: CommutantBasis = field(compare=False, repr=False)
-    built: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, built):
-        if built is not None:
-            self.__dict__["matrix"] = built
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -266,6 +260,65 @@ def _real_kron_sum(z: np.ndarray, out: np.ndarray) -> None:
         out[x * a:(x + step) * a] = (lam[x:x + step, :, None, None] * image).real.reshape(-1, b * b)
 
 
+# Gram orders above this are factored in two diagonal blocks (_cholesky_proves),
+# so that no second array of the Gram's full order is held
+_SPLIT_ABOVE = 2048
+
+
+def _cholesky_proves(g: np.ndarray, budget: float) -> bool:
+    """Whether a Cholesky factorization of the symmetric g, lower triangle
+    read, proves lambda_min(g) > -budget; g is overwritten.
+
+    Any L of positive diagonal with L L* = g + E gives lambda_min(g) >
+    -||E||, so the budget is met when a bound on ||E||, read off the
+    factors, is.  u = eps/2, gamma_k = k u / (1 - k u) <= k eps, and
+    || |X| |Y| || <= ||X||_F ||Y||_F.  Up to order _SPLIT_ABOVE, L is the
+    Cholesky factor of g, and |E| <= gamma_(N+1) |L| |L*| (Higham, Accuracy
+    and Stability, Thm 10.3, whose proof uses only that it completed), so
+        ||E|| <= (N + 1) eps ||L||_F^2.
+    Above it, g = [[A, B*], [B, C]], A of order h = N // 2, and no factor of
+    order N is formed: L_1 L_1* = A + E_1 as above, W solves L_1 W = B* by
+    any method, R = B* - L_1 W, S = fl(C - fl(W* W)) and L_2 L_2* = S + E_2.
+    For L = [[L_1, 0], [W*, L_2]],
+        L L* - g = [[E_1, -R], [-R*, S - (C - W* W) + E_2]],
+    and, R^ = fl(fl(L_1 W) - B*) rounded as a matrix product then a
+    difference, read by its largest entry so that no square of it can
+    overflow, and |S| <= (1 + gamma) |L_2| |L_2*|,
+        ||E_1|| <= (h + 1) eps ||L_1||_F^2,
+        ||R|| <= (1 + eps) sqrt(h (N - h)) max |R^| + h eps ||L_1||_F ||W||_F,
+        ||S - (C - W* W)|| <= (h + 1) eps ||W||_F^2 + 2 eps ||L_2||_F^2,
+        ||E_2|| <= (N - h + 1) eps ||L_2||_F^2.
+    Their sum bounds ||E||.  Each squared norm is a rounded sum of at most
+    N^2 squares, within a relative 2 N^2 eps; the factor 1 + 4 N^2 eps
+    covers that and the sum's own rounding.  A failed factorization or
+    solve, or a bound that is not finite, gives False.
+    """
+    n, eps = len(g), float(np.finfo(float).eps)
+    try:
+        if n <= _SPLIT_ABOVE:
+            l_sq = float(np.vdot(lower := np.linalg.cholesky(g), lower))
+            bound = (n + 1) * eps * l_sq
+        else:
+            h = n // 2
+            l1 = np.linalg.cholesky(g[:h, :h])
+            w = np.linalg.solve(l1, g[h:, :h].T)
+            res = l1 @ w
+            res -= g[h:, :h].T
+            l1_sq, res_max = float(np.vdot(l1, l1)), max(float(res.max()), -float(res.min()))
+            del l1, res
+            s = g[h:, h:]
+            s -= w.T @ w
+            w_sq = float(np.vdot(w, w))
+            del w
+            l2_sq = float(np.vdot(lower := np.linalg.cholesky(s), lower))
+            bound = ((h + 1) * eps * l1_sq + (1 + eps) * math.sqrt(h * (n - h)) * res_max
+                     + h * eps * (l1_sq + w_sq) / 2 + (h + 1) * eps * w_sq
+                     + (n - h + 3) * eps * l2_sq)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(bound * (1 + 4 * n * n * eps) <= budget)
+
+
 def _certified_rank(stacks: list[np.ndarray], tol: float) -> int | None:
     """N = min((n m)^2, sum r_k^2) when a shifted Cholesky of the small-side
     Gram G of M proves s_min(M) above the rank cutoff, else None.
@@ -288,11 +341,10 @@ def _certified_rank(stacks: list[np.ndarray], tol: float) -> int | None:
     so every symmetric matrix in play is within
         err = 4 (2 inner + terms + 8) eps F
     of G in norm.  Hence s_max^2 = ||G|| <= max(||G^||_1, ||G^||_inf)
-    (1 + N eps) + err, which is s^2, the hat bound.  tr G = ||M||_F^2 <= F,
-    so if the Cholesky of G^ - delta I runs to completion, its backward
-    error (Higham, Thm 10.3, whose proof uses only that it completed) is
-    at most (N + 1) eps tr <= 2 (N + 1) eps F, and the rounded shift adds
-    eps (2 F + delta).  With
+    (1 + N eps) + err, which is s^2, the hat bound.  _cholesky_proves(G^ -
+    delta I, 2 (N + 1) eps F) shows lambda_min(G^ - delta I) above minus
+    that budget (a whole Cholesky that completes always meets it, as
+    tr G = ||M||_F^2 <= F); the rounded shift adds eps (2 F + delta).  With
         eta = err + 2 (N + 2) eps F,   delta = (cut^2 + eta)(1 + 4 eps),
     success gives s_min(M)^2 = lambda_min(G) > cut^2, and
         cut = rank_cutoff(s + e, tol) + e
@@ -301,44 +353,44 @@ def _certified_rank(stacks: list[np.ndarray], tol: float) -> int | None:
     lie from those of M (M's rounding, and LAPACK's backward error taken
     as the sum of M's dimensions times eps ||M||, ||M|| <= sqrt F): where
     this proof succeeds, the SVD of M reads rank N at its own cutoff too.
-    A non-finite G or bound, N = 0, or a failed Cholesky (rank deficiency,
-    a rank near the cutoff, tol about 0.5 or more) gives None.
+    N = 0, a failed proof (rank deficiency, a rank near the cutoff, tol
+    about 0.5 or more) or a G or bound that is not finite, as when the
+    map's scale passes about 1e150, gives None; overflow is not raised
+    under any np.errstate, so the SVD fallback decides such maps.
     """
     c = stacks[0].shape[2]
     sizes = [a.shape[1] ** 2 for a in stacks]
     n = min(c * c, sum(sizes))
     if n == 0:
         return None
-    g = np.empty((n, n))
-    if n == c * c:  # M M*, on M_c
-        z = np.concatenate([(a.conj().swapaxes(1, 2)[:, None] @ a[None]).reshape(-1, c, c)
-                            / math.sqrt(len(a)) for a in stacks])
-        _real_kron_sum(z, g)
-    else:  # M* M, on (+)_k M_{r_k}
-        spans = [slice(end - size, end) for end, size in zip(itertools.accumulate(sizes), sizes)]
-        for i, j in itertools.combinations_with_replacement(range(len(stacks)), 2):
-            a, b = stacks[i], stacks[j]
-            if sizes[i] and sizes[j]:
-                z = (a[:, None] @ b.conj().swapaxes(1, 2)[None]).reshape(-1, a.shape[1], b.shape[1])
-                _real_kron_sum(z / (len(a) * len(b)) ** 0.25, g[spans[i], spans[j]])
-                g[spans[j], spans[i]] = g[spans[i], spans[j]].T
-    eps, terms = np.finfo(float).eps, sum(len(a) ** 2 for a in stacks)
-    f = sum(float(np.square((a * a.conj()).real.sum((1, 2))).sum()) for a in stacks)
-    err = 4 * (2 * max(c, *(a.shape[1] for a in stacks)) + terms + 8) * eps * f
-    absg = np.abs(g)
-    s_hat = math.sqrt(max(absg.sum(0).max(), absg.sum(1).max()) * (1 + n * eps) + err)
-    del absg
-    e = (c * c + sum(sizes) + 2 * terms + 8) * eps * math.sqrt(f)
-    cut = rank_cutoff(s_hat + e, tol) + e
-    delta = (cut * cut + err + 2 * (n + 2) * eps * f) * (1 + 4 * eps)
-    if not math.isfinite(delta):
-        return None
-    g.flat[::n + 1] -= delta
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return None
-    return n
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.empty((n, n))
+        if n == c * c:  # M M*, on M_c
+            z = np.concatenate([(a.conj().swapaxes(1, 2)[:, None] @ a[None]).reshape(-1, c, c)
+                                / math.sqrt(len(a)) for a in stacks])
+            _real_kron_sum(z, g)
+        else:  # M* M, on (+)_k M_{r_k}
+            spans = [slice(end - size, end) for end, size in zip(itertools.accumulate(sizes), sizes)]
+            for i, j in itertools.combinations_with_replacement(range(len(stacks)), 2):
+                a, b = stacks[i], stacks[j]
+                if sizes[i] and sizes[j]:
+                    z = (a[:, None] @ b.conj().swapaxes(1, 2)[None]).reshape(-1, a.shape[1], b.shape[1])
+                    _real_kron_sum(z / (len(a) * len(b)) ** 0.25, g[spans[i], spans[j]])
+                    if i != j:
+                        g[spans[j], spans[i]] = g[spans[i], spans[j]].T
+        eps, terms = np.finfo(float).eps, sum(len(a) ** 2 for a in stacks)
+        f = sum(float(np.square((a * a.conj()).real.sum((1, 2))).sum()) for a in stacks)
+        err = 4 * (2 * max(c, *(a.shape[1] for a in stacks)) + terms + 8) * eps * f
+        absg = np.abs(g)
+        s_hat = math.sqrt(max(absg.sum(0).max(), absg.sum(1).max()) * (1 + n * eps) + err)
+        del absg
+        e = (c * c + sum(sizes) + 2 * terms + 8) * eps * math.sqrt(f)
+        cut = rank_cutoff(s_hat + e, tol) + e
+        delta = (cut * cut + err + 2 * (n + 2) * eps * f) * (1 + 4 * eps)
+        if not math.isfinite(delta):
+            return None
+        g.flat[::n + 1] -= delta
+        return n if _cholesky_proves(g, 2 * (n + 1) * eps * f) else None
 
 
 def is_extreme(rho: CPnMap, tol: float = 1e-9,
@@ -357,12 +409,11 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     """
     dil, comm = _compressed_commutant(rho, tol, dilation)
     stacks = _frame_stacks(dil, comm)
-    dim, mat = sum(a.shape[1] ** 2 for a in stacks), None
+    dim = sum(a.shape[1] ** 2 for a in stacks)
     rank = _certified_rank(stacks, tol)
     if rank is None:
-        mat = _frame_row_matrix(stacks)
-        rank = numerical_rank(mat, tol)
-    return ExtremalityReport(rank == dim, dim, rank, rho, tol, dil, comm, mat)
+        rank = numerical_rank(_frame_row_matrix(stacks), tol)
+    return ExtremalityReport(rank == dim, dim, rank, rho, tol, dil, comm)
 
 
 def nonextreme_decomposition(rho: CPnMap, tol: float = 1e-9,

@@ -235,6 +235,19 @@ def test_pure_and_extreme_commands(tmp_path, capsys):
         assert spectral_norm(apply_map(part.flat, alg.unit()) - 2.0 * np.eye(2)) <= 1e-8
 
 
+def test_extreme_command_on_maps_whose_gram_overflows(tmp_path, capsys):
+    # at a Choi scale of 1e160 the Gram certificate overflows and the SVD
+    # decides, with the verdicts of the unscaled maps
+    alg = make_algebra((2,))
+    for name, rho, want in (("square", random_cpn_map(alg, 2, 1, 2, np.random.default_rng(3)),
+                             (0, 4, 4)),
+                            ("wide", CPnMap(((depolarizing_map(2),),)), (1, 16, 4))):
+        code, out, _ = run(capsys, "extreme", write_map(tmp_path / f"{name}.json", 1e160 * rho))
+        certificates = json.loads(out)["certificates"]
+        assert (code, certificates["commutant_dimension"],
+                certificates["compression_rank"]) == want
+
+
 def test_extreme_builds_the_compressed_commutant_once(tmp_path, capsys, monkeypatch):
     # the decomposition reuses the dilation and commutant the verdict was read from
     import cpnkit.structure as structure

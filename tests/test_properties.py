@@ -10,6 +10,8 @@ draws the same cases.  The cases cover multi-block domains, zero Choi
 blocks, rank-deficient maps and the zero map (H = 0), which the
 acceptance criteria, all on single-block domains, do not.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,7 +37,7 @@ from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_c
 
 from oracles import (choi_extreme, pair_basis, polar_witness_images, svd_cpn_verdicts,
                      svd_is_extreme)
-from test_structure import (conjugated, ptp_route, random_unitary_matrix,
+from test_structure import (certified_rank, conjugated, ptp_route, random_unitary_matrix,
                             report_tuple, unital_map)
 
 DOMAINS = ((2,), (3,), (2, 1), (2, 2), (3, 1), (1, 1, 2))
@@ -146,10 +148,12 @@ def test_extremality_in_the_class_of_rho_one_matches_the_choi_oracle(shape):
 
 @st.composite
 def extremality_draws(draw):
-    """(dims, n, m, ranks, tweak, exponent, tol, seed): wide maps, and square
-    ones whose first block has r = n m, on (2,) and (2, 1).  tweak makes one
-    Kraus column 2^-30 times another ("parallel") or the last block zero;
-    the map is scaled by 2^exponent."""
+    """(dims, n, m, ranks, tweak, exponent, tol, split, seed): wide maps, and
+    square ones whose first block has r = n m, on (2,) and (2, 1).  tweak
+    makes one Kraus column 2^-30 times another ("parallel") or the last
+    block zero; the map is scaled by 2^exponent, 2^530 about 3.5e159 so
+    that its Gram overflows; split factors every Gram of order 2 or more
+    in two blocks."""
     dims = draw(st.sampled_from(((2,), (2, 1))))
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -157,20 +161,24 @@ def extremality_draws(draw):
     else:
         ranks = tuple(draw(st.integers(0, d * n * m)) for d in dims)
     return (dims, n, m, ranks, draw(st.sampled_from(("none", "parallel", "zero"))),
-            draw(st.sampled_from((-20, 0, 20))), draw(st.sampled_from((1e-9, 0.5))),
-            draw(st.integers(0, 2**32 - 1)))
+            draw(st.sampled_from((-20, 0, 20, 530))), draw(st.sampled_from((1e-9, 0.5))),
+            draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
 
 
 @DETERMINISTIC
 @given(extremality_draws())
-@example(((2,), 2, 2, (4,), "none", 0, 1e-9, 0))  # square and extreme
-@example(((2, 1), 1, 3, (3, 0), "zero", 20, 1e-9, 1))  # square, a zero block
-@example(((2,), 1, 2, (4,), "parallel", -20, 1e-9, 2))  # wide, a dependent column
-@example(((2,), 1, 2, (2,), "none", 0, 0.5, 3))  # tol 0.5
+@example(((2,), 2, 2, (4,), "none", 0, 1e-9, False, 0))  # square and extreme
+@example(((2, 1), 1, 3, (3, 0), "zero", 20, 1e-9, False, 1))  # square, a zero block
+@example(((2,), 1, 2, (4,), "parallel", -20, 1e-9, False, 2))  # wide, a dependent column
+@example(((2,), 1, 2, (2,), "none", 0, 0.5, False, 3))  # tol 0.5
+@example(((2, 1), 2, 2, (4, 1), "none", 0, 1e-9, True, 4))  # square, in two blocks
+@example(((2,), 1, 3, (5,), "none", 20, 1e-9, True, 5))  # wide, in two blocks
+@example(((2,), 2, 2, (4,), "none", 530, 1e-9, False, 6))  # the Gram overflows
 def test_gram_certificate_matches_the_svd_and_choi_oracles(draw):
     # the Gram certificate never reads full rank where the SVD does not:
-    # every verdict is the all-SVD one, and a certified one is full rank
-    dims, n, m, ranks, tweak, exponent, tol, seed = draw
+    # every verdict is the all-SVD one, and a certified one is full rank;
+    # under the CLI's errstate an overflowing Gram leaves it to the SVD
+    dims, n, m, ranks, tweak, exponent, tol, split, seed = draw
     rng = np.random.default_rng(seed)
     nm, blocks = n * m, []
     for k, (d, r) in enumerate(zip(dims, ranks)):
@@ -181,13 +189,19 @@ def test_gram_certificate_matches_the_svd_and_choi_oracles(draw):
             g[:] = 0.0
         blocks.append(2.0 ** exponent * (g @ g.conj().T))
     rho = unflatten(LinearMap(make_algebra(dims), nm, tuple(blocks)), n)
-    rep = is_extreme(rho, tol)
-    assert report_tuple(rep) == svd_is_extreme(rho, tol)
-    if "matrix" not in rep.__dict__:
-        assert rep.compression_rank == min(nm * nm, rep.commutant_dim)
-    if tol == 1e-9:
-        extreme, rank, dim = choi_extreme(rho, tol)
-        assert report_tuple(rep) == (extreme, dim, rank)
+    split_above = 1 if split else cpnkit_structure._SPLIT_ABOVE
+    with mock.patch.object(cpnkit_structure, "_SPLIT_ABOVE", split_above), \
+            np.errstate(over="raise", invalid="raise"):
+        rep = is_extreme(rho, tol)
+        certified = certified_rank(rep)
+        assert report_tuple(rep) == svd_is_extreme(rho, tol)
+        if tol == 1e-9:
+            extreme, rank, dim = choi_extreme(rho, tol)
+            assert report_tuple(rep) == (extreme, dim, rank)
+    assert certified in (None, min(nm * nm, rep.commutant_dim))
+    assert certified is None or certified == rep.compression_rank
+    if exponent == 530:
+        assert certified is None
 
 
 @DETERMINISTIC

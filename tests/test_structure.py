@@ -258,7 +258,7 @@ def test_identity_at_tol_one_half_reads_as_before():
     # the cutoff 0.5 (1 + 1) meets the one singular value 1: the certificate
     # cannot pass, and the SVD fallback keeps the verdict it always gave
     rep = is_extreme(as_cpn(identity_map(m2())), 0.5)
-    assert report_tuple(rep) == (False, 1, 0) and "matrix" in rep.__dict__
+    assert report_tuple(rep) == (False, 1, 0) and certified_rank(rep) is None
 
 
 def test_square_regime_extreme_map_at_h32_agrees_with_the_oracles():
@@ -268,7 +268,7 @@ def test_square_regime_extreme_map_at_h32_agrees_with_the_oracles():
     rep = is_extreme(rho)
     assert rep.dilation.space_dim == 32
     assert report_tuple(rep) == svd_is_extreme(rho) == (True, 256, 256)
-    assert "matrix" not in rep.__dict__
+    assert certified_rank(rep) == 256 and "matrix" not in rep.__dict__
     assert choi_extreme(rho) == (True, 256, 256)
 
 
@@ -282,24 +282,48 @@ def test_rank_deficient_square_map_takes_the_svd_fallback():
     rho = as_cpn(LinearMap(make_algebra((4,)), 4, (choi,)))
     rep = is_extreme(rho)
     assert report_tuple(rep) == svd_is_extreme(rho) == (False, 9, 4)
-    assert "matrix" in rep.__dict__
+    assert certified_rank(rep) is None
     assert_certified_decomposition(rho, rep.decomposition())
 
 
-def test_certified_verdict_builds_no_matrix_until_decomposed():
-    dep = as_cpn(depolarizing_map(2))
-    rep = is_extreme(dep)
-    assert (rep.commutant_dim, rep.compression_rank) == (16, 4)
-    assert "matrix" not in rep.__dict__
-    assert_certified_decomposition(dep, rep.decomposition())
-    assert rep.matrix.shape == (4, 16) and "matrix" in rep.__dict__
+def test_gram_that_overflows_leaves_the_verdict_to_the_svd():
+    # a Choi scale of 1e160 overflows the Gram (about 1e320): under the
+    # CLI's errstate the certificate gives way to the SVD instead of raising,
+    # in the square regime and in the wide one
+    for rho in (random_cpn_map(m2(), 2, 1, 2, np.random.default_rng(3)),
+                as_cpn(depolarizing_map(2))):
+        big = 1e160 * rho
+        with np.errstate(over="raise", invalid="raise"):
+            rep = is_extreme(big)
+            assert certified_rank(rep) is None
+            assert report_tuple(rep) == svd_is_extreme(big) == report_tuple(is_extreme(rho))
+
+
+@pytest.mark.parametrize("split_above", [2048, 1])
+def test_cholesky_proof_whole_and_in_two_blocks(monkeypatch, split_above):
+    # lambda_min(g) > -budget is proved for a positive definite g, never for
+    # one with an eigenvalue below -budget, and not when the budget leaves
+    # no room for rounding; order 7 splits as 3 + 4
+    monkeypatch.setattr(cpnkit_structure, "_SPLIT_ABOVE", split_above)
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((7, 7)))[0]
+
+    def proves(low, budget):
+        return cpnkit_structure._cholesky_proves((q * [low, 1, 2, 3, 4, 5, 6]) @ q.T, budget)
+
+    assert proves(1e-3, 1e-12)
+    assert not proves(-1e-3, 1e-6)
+    assert not proves(1e-3, 0.0)
 
 
 def test_depolarizing_not_extreme_and_decomposes():
     dep = as_cpn(depolarizing_map(2))
     rep = is_extreme(dep)
     assert not rep.extreme
-    assert rep.compression_rank < rep.commutant_dim
+    assert (rep.commutant_dim, rep.compression_rank) == (16, 4) == (16, certified_rank(rep))
+    # a certified verdict builds no frame-row matrix until decomposition()
+    assert "matrix" not in rep.__dict__
+    assert_certified_decomposition(dep, rep.decomposition())
+    assert rep.matrix.shape == (4, 16) and "matrix" in rep.__dict__
     dec = nonextreme_decomposition(dep)
     assert 0.0 < dec.beta < 1.0
     avg = dec.beta * dec.part1 + (1.0 - dec.beta) * dec.part2
@@ -681,6 +705,13 @@ def ptp_route(dil, tol=1e-9):
 
 def report_tuple(rep):
     return rep.extreme, rep.commutant_dim, rep.compression_rank
+
+
+def certified_rank(rep):
+    """The rank the Gram certificate proves for rep's input, or None where
+    is_extreme fell back to the SVD of its frame-row matrix."""
+    return cpnkit_structure._certified_rank(
+        cpnkit_structure._frame_stacks(rep.dilation, rep.comm), rep.tol)
 
 
 def test_frame_extremality_matches_ptp_route(monkeypatch):
