@@ -14,7 +14,7 @@ from .maps import (CPnMap, CpnVerdict, LinearMap, apply_map, as_cpn,
                    random_cpn_map, require_cpn, trace_map, unflatten,
                    zero_map)
 from .dilation import (CommutantBasis, DilationReport, Representation,
-                       StinespringDilation, commutant,
+                       StinespringDilation, canonicalize, commutant,
                        diagonal_direct_sum_check, dilate, dilate_from_gram,
                        equivalence_residual, gram_matrix, rep_apply,
                        spanning_matrix, unitary_equivalence,
@@ -39,7 +39,7 @@ __all__ = [
     "StinespringDilation", "CommutantElement", "Intertwiner", "OrderCheck",
     "CommutantBasis", "ConvexDecomposition", "ExtremalityReport",
     "ContinuousCPnMap", "Tower", "apply_connecting", "apply_map", "as_cpn",
-    "build_extreme_family", "check_hermitian_symmetry", "check_thread",
+    "build_extreme_family", "canonicalize", "check_hermitian_symmetry", "check_thread",
     "commutant", "compress", "compression_map", "cpn_distance", "cstar_norm",
     "depolarizing_map", "diagonal_direct_sum_check", "dilate",
     "dilate_from_gram", "distance", "element_from_coords",

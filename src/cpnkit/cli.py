@@ -12,8 +12,8 @@ an input too large to allocate).
 Each command returns its output text and exit code; ``main`` alone
 writes the text and turns every error, usage errors included, into one
 JSON object on stderr (with a PositivityError's min_eig and a
-CertificationError's value and bound).  ``dilate`` writes its dilation
-in frame coordinates, without the dim A x H x H images.
+CertificationError's value and bound).  ``dilate`` writes its canonical
+dilation as multiplicities and V_i, without the dim A x H x H images.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize
-from .dilation import CommutantBasis, commutant, commutator_bound, dilate, verify_dilation
+from .dilation import commutant, dilate, verify_dilation
 from .errors import (CertificationError, DominationError, PositivityError,
                      SchemaError, ValidationError)
 from .maps import images_of, is_completely_n_positive, random_cpn_map
@@ -126,33 +126,23 @@ def _cmd_dilate(args) -> tuple[str, int]:
     }, space_dim=dil.space_dim, dilation=serialize.dilation_to_json(dil))
 
 
-def _frame_certificates(basis: CommutantBasis) -> dict:
-    """The frame residual eps and its commute bound B(eps) (0 on dilate outputs)."""
-    return {"frame_residual": float(basis.frame_residual),
-            "commutator_bound": commutator_bound(basis.rep, basis.frame_residual)}
-
-
 def _cmd_rn(args) -> tuple[str, int]:
     rho = _load_map(args.rho)
     theta = _load_map(args.theta)
     elem = rn_operator(rho, theta, args.tol)
     return _report(args, True, {
-        "commutant_residual": float(elem.commutant_residual),
         "spectrum_min": elem.spectrum[0],
         "spectrum_max": elem.spectrum[1],
         "reconstruction_residual": float(elem.reconstruction_residual),
-        **_frame_certificates(commutant(elem.dilation.rep, args.tol)),
     }, operator={"matrix": serialize.matrix_to_json(elem.matrix)})
 
 
 def _cmd_pure(args) -> tuple[str, int]:
     rho = _load_map(args.map)
     dil = dilate(rho, args.tol)
-    basis = commutant(dil.rep, args.tol)
     return _report(args, is_pure(rho, args.tol, dilation=dil), {
-        "commutant_dimension": basis.dimension,
+        "commutant_dimension": commutant(dil.rep, args.tol).dimension,
         "space_dim": dil.space_dim,
-        **_frame_certificates(basis),
     })
 
 

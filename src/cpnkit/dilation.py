@@ -17,25 +17,28 @@ acts on C^{d_k} (x) C^{r_k}, and V[(k, p, s), x] = conj(K_s[x, p]).  A
 second, independent route builds the same data from the Gram matrix
 (+)_k I_{d_k} (x) C_k of formal generators (matrix unit alpha, slot i,
 basis vector u) and their index action e_eps e_alpha; it exists as a
-cross-checking oracle.  canonical_frame brings any representation into
-the frame dilate() outputs already have, where the commutant and the
-intertwiners have closed forms; Representation.frame caches it, with
-the multiplicities r_k that Representation.multiplicities reads off it.
-dilate() returns canonical representations, whose frame (U = I, eps = 0)
-is set on construction.  commutant() is its one gate, with B(eps)
-from the frame residual as the commute certificate, and reads the
-commutant off it; linalg's nullspace solvers are test oracles.
-CommutantBasis.lift alone assembles U_out ((+)_k I_{d_k} (x) X_k) U_in*
-(elements and bases, Radon-Nikodym operators, and radon.intertwiner,
-the one operator between two dilations), .blocks,
-its inverse, alone reads U* T U, and .rows and frame_isometries (the
-wire format's V_i) alone read U* V: no other module reads the frame.
+cross-checking oracle.
+
+A minimal dilation is unique up to unitary equivalence, so every verdict
+runs on canonical dilations, whose representation is
+Representation.canonical: dilate() returns one, and canonicalize() is
+the one door for any other, the one reader of a frame.  It finds the
+unitary U with U* Phi(.) U = (+)_k a_k (x) I_{r_k} (canonical_frame),
+certifies it by B(eps) from the frame residual, and returns the
+dilation with V_i replaced by U* V_i, and U; the caller who brought a
+foreign dilation applies U once.  On a canonical dilation the commutant
+is (+)_k I_{d_k} (x) M_{r_k} and the intertwiners (+)_k I_{d_k} (x)
+M_{s_k x r_k}: CommutantBasis places those blocks (.lift), averages
+them out of an H x H operator (.blocks) and reshapes V into its block
+rows (.rows), reading no frame.  commutant() answers any representation
+in its canonical frame, with canonicalize's gate; linalg's nullspace
+solvers are test oracles.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +57,14 @@ class Representation:
 
     Representation(algebra, space_dim, images) validates any H x H matrices
     into a read-only (dim A, H, H) complex copy in canonical matrix-unit
-    order; Representation.canonical(algebra, r) is (+)_k a_k (x) I_{r_k}.
-    The multiplicities r_k are read off the cached frame, never given.
+    order, with multiplicities None: commutant() and canonicalize() read
+    them off its frame.  Representation.canonical(algebra, r) is
+    (+)_k a_k (x) I_{r_k}, the kind every verdict takes, with its r_k.
     """
 
     algebra: CStarAlgebra
     space_dim: int
+    multiplicities: tuple[int, ...] | None
 
     def __init__(self, algebra: CStarAlgebra, space_dim: int, images):
         n = as_index(space_dim, "space dimension")
@@ -67,23 +72,21 @@ class Representation:
             raise ValidationError("space dimension must be nonnegative")
         images = stack_images(images, algebra.dim, n)
         images.flags.writeable = False
-        self.__dict__.update(algebra=algebra, space_dim=n, images=images)
+        self.__dict__.update(algebra=algebra, space_dim=n, multiplicities=None, images=images)
 
     @classmethod
     def canonical(cls, algebra: CStarAlgebra, multiplicities) -> Representation:
-        """(+)_k a_k (x) I_{r_k} with its frame (U = I, r_0 = 0, eps = 0) and norm
-        (1; 0 when H = 0) set: canonical_frame's and spectral_norm's values.
-        One integer r_k >= 0 per algebra block, else ValidationError."""
+        """(+)_k a_k (x) I_{r_k} with its norm (1; 0 when H = 0) set, the value
+        spectral_norm returns on its images.  One integer r_k >= 0 per
+        algebra block, else ValidationError."""
         mults = tuple(as_index(r, "multiplicity") for r in multiplicities)
         if len(mults) != algebra.num_blocks or min(mults, default=0) < 0:
             raise ValidationError(
                 f"expected {algebra.num_blocks} nonnegative multiplicities, got {mults}")
         h = sum(d * r for d, r in zip(algebra.block_dims, mults))
-        frame = np.eye(h, dtype=complex)
-        frame.flags.writeable = False
         rep = object.__new__(cls)
-        rep.__dict__.update(algebra=algebra, space_dim=h, norm=1.0 if h else 0.0,
-                            frame=(frame, mults + (0,), 0.0))
+        rep.__dict__.update(algebra=algebra, space_dim=h, multiplicities=mults,
+                            norm=1.0 if h else 0.0)
         return rep
 
     @functools.cached_property
@@ -97,17 +100,6 @@ class Representation:
     def norm(self) -> float:
         """max_e ||Phi(e)|| over the matrix units, computed once."""
         return spectral_norm(self.images)
-
-    @functools.cached_property
-    def frame(self) -> tuple[np.ndarray, tuple[int, ...], float]:
-        """canonical_frame(self), computed once, or set in closed form by
-        Representation.canonical; commutant() gates it."""
-        return canonical_frame(self)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """The frame's r_1, ..., r_K; free on canonical representations."""
-        return self.frame[1][:-1]
 
 
 def rep_apply(rep: Representation, a: AlgebraElement) -> np.ndarray:
@@ -149,7 +141,7 @@ def canonical_frame(rep: Representation) -> tuple[np.ndarray, tuple[int, ...], f
 
     Column (k, p, s) of U is Phi(e_p1^(k)) Q_k[:, s], Q_k an orthonormal
     basis of the range of Phi(e_11^(k)).  O(dim A * H^3) and free of
-    tolerances: commutant() holds eps to its bound.  Raises
+    tolerances: _certified_frame holds eps to its bound.  Raises
     CertificationError when the frame has the wrong number of vectors.
     """
     alg, h, imgs = rep.algebra, rep.space_dim, rep.images
@@ -167,7 +159,7 @@ def canonical_frame(rep: Representation) -> tuple[np.ndarray, tuple[int, ...], f
         # columns (p, s) of the block are Phi(e_p1) Q[:, s]
         columns.append((lifts @ q).transpose(1, 0, 2).reshape(h, len(lifts) * q.shape[1]))
     u = np.hstack(columns)
-    u.flags.writeable = False  # cached on the representation, shared by every commutant
+    u.flags.writeable = False  # canonicalize hands it to its caller
     if u.shape[1] != h:
         raise CertificationError(
             f"canonical frame has {u.shape[1]} vectors in dimension {h}: "
@@ -196,72 +188,66 @@ def commutator_bound(rep: Representation, eps: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
-    """Phi(A)' = U ((+)_k I_{d_k} (x) M_{r_k}) U* on the certified canonical
-    frame U that commutant() returns; the last block, d = 1 and r_0, is
-    the kernel of Phi(1).  Coefficients are in the (k, a, b) order of basis.
+    """Phi(A)' = (+)_k I_{d_k} (x) M_{r_k} of a canonical representation
+    (+)_k a_k (x) I_{r_k}, whose basis vector (k, p, s) sits at offset_k +
+    p r_k + s.  Coefficients are in the (k, a, b) order of basis.
     """
 
-    rep: Representation
-    frame: np.ndarray
+    block_dims: tuple[int, ...]
     multiplicities: tuple[int, ...]
-    frame_residual: float
 
     @functools.cached_property
     def dimension(self) -> int:
         return sum(r * r for r in self.multiplicities)
 
     @functools.cached_property
-    def block_dims(self) -> tuple[int, ...]:
-        return self.rep.algebra.block_dims + (1,)
+    def space_dim(self) -> int:
+        return sum(d * r for d, r in zip(self.block_dims, self.multiplicities))
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
-        """Frobenius-orthonormal basis (+)_k I_{d_k} (x) E_ab / sqrt(d_k) in the
-        frame, a read-only (dimension, H, H) stack, built on first use."""
+        """Frobenius-orthonormal basis (+)_k I_{d_k} (x) E_ab / sqrt(d_k), a
+        read-only (dimension, H, H) stack, built on first use."""
         b = self.element(np.eye(self.dimension))
         b.flags.writeable = False
         return b
 
     def lift(self, xs, target: CommutantBasis | None = None) -> np.ndarray:
-        """U_target ((+)_k I_{d_k} (x) X_k) U* from per-block (..., s_k, r_k)
-        arrays X_k, s_k from target (default self), zero past len(xs), as on
-        the kernel; frame column (k, p, s) sits at offset_k + p r_k + s.  A
-        stacked lead gives a stack, member i bitwise the lift of member i."""
+        """(+)_k I_{d_k} (x) X_k from per-block (..., s_k, r_k) arrays X_k, s_k
+        from target (default self), zero past len(xs): X_k is placed at
+        rows offset + p s_k and columns offset_k + p r_k for each p < d_k.
+        A stacked lead gives a stack, member i bitwise the lift of member i."""
         target = self if target is None else target
-        u1, u2 = self.frame, target.frame
-        h2, lead = len(u2), xs[0].shape[:-2] if len(xs) else ()
-        scaled = np.zeros(lead + (h2, len(u1)), dtype=complex)
+        lead = xs[0].shape[:-2] if len(xs) else ()
+        out = np.zeros(lead + (target.space_dim, self.space_dim), dtype=complex)
         o1 = o2 = 0
         for d, r, s, x in zip(self.block_dims, self.multiplicities, target.multiplicities, xs):
-            cols = u2[:, o2:o2 + d * s].reshape(h2, d, s) @ x.reshape(lead + (1, s, r))
-            scaled[..., o1:o1 + d * r] = cols.reshape(*lead, h2, d * r)
-            o1 += d * r
-            o2 += d * s
-        return scaled @ u1.conj().T
+            for p in range(d):
+                out[..., o2 + p * s:o2 + (p + 1) * s, o1 + p * r:o1 + (p + 1) * r] = x
+            o1, o2 = o1 + d * r, o2 + d * s
+        return out
 
     def rows(self, v: np.ndarray) -> list[np.ndarray]:
-        """A_k = [A_k,1 ... A_k,d_k], the rows of U* V at algebra block k as
+        """A_k = [A_k,1 ... A_k,d_k], the rows of V at algebra block k as
         r_k x d_k c matrices, V an H x c matrix: V* lift([.., X, ..]) V has
         A_k* X A_k as its flattened Choi block k."""
-        w = self.frame.conj().T @ v
-        c, rows, off = w.shape[1], [], 0
-        for d, r in zip(self.rep.algebra.block_dims, self.multiplicities):
-            # frame row (p, s) is row s of A_k,p
-            rows.append(w[off:off + d * r].reshape(d, r, c).transpose(1, 0, 2).reshape(r, d * c))
+        c, rows, off = v.shape[1], [], 0
+        for d, r in zip(self.block_dims, self.multiplicities):
+            # row (p, s) of V is row s of A_k,p
+            rows.append(v[off:off + d * r].reshape(d, r, c).transpose(1, 0, 2).reshape(r, d * c))
             off += d * r
         return rows
 
     def blocks(self, t) -> list[np.ndarray]:
-        """The frame blocks X_k of H x H operators T (any leading axes), the
-        kernel block included: X_k averages the d_k diagonal (k, p)
-        sub-blocks of U* T U, so lift(blocks(T)) is the conditional
-        expectation E(T) onto the commutant and blocks inverts lift on it."""
-        w = self.frame.conj().T @ t @ self.frame
+        """The blocks X_k of H x H operators T (any leading axes): X_k
+        averages the d_k diagonal (k, p) sub-blocks of T, so lift(blocks(T))
+        is the conditional expectation E(T) onto the commutant and blocks
+        inverts lift on it."""
         xs, off = [], 0
         for d, r in zip(self.block_dims, self.multiplicities):
             # as x_0 + mean(x_p - x_0), so equal sub-blocks give x_0 bitwise
-            subs = w[..., off:off + d * r, off:off + d * r].reshape(
-                w.shape[:-2] + (d, r, d, r)).diagonal(0, -4, -2)
+            subs = t[..., off:off + d * r, off:off + d * r].reshape(
+                t.shape[:-2] + (d, r, d, r)).diagonal(0, -4, -2)
             xs.append(subs[..., 0] + (subs - subs[..., :1]).sum(-1) / d)
             off += d * r
         return xs
@@ -281,23 +267,35 @@ class CommutantBasis:
         return xs
 
     def element(self, coeffs) -> np.ndarray:
-        """lift(split(coeffs)), in O(H^3): the combination of basis."""
+        """lift(split(coeffs)), in O(H^2): the combination of basis."""
         return self.lift(self.split(coeffs))
 
 
-def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
-    """The commutant Phi(A)' on the cached frame rep.frame, certified by
+def _certified_frame(rep: Representation, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """canonical_frame(rep)'s U and (r_1, ..., r_K, r_0), certified by
     B(eps) = commutator_bound(rep, eps) <= representation_bound(rep, tol) = R,
     the frame's one gate: it gives 2 eps (1 + eps) <= max(tol, floor), so
-    eps < R, and a NaN eps fails it.  Adjoint closure is exact in frame
-    coordinates (b_ab* = b_ba).  Failures raise CertificationError."""
-    u, mults, eps = rep.frame
+    eps < R, and a NaN eps fails it.  Failures raise CertificationError."""
+    u, mults, eps = canonical_frame(rep)
     value, bound = commutator_bound(rep, eps), representation_bound(rep, tol)
     if not value <= bound:
         raise CertificationError(
             f"images are not a *-representation (frame residual {eps:.3e}, bound {value:.3e})",
             value=value, bound=bound)
-    return CommutantBasis(rep, u, mults, eps)
+    return u, mults
+
+
+def commutant(rep: Representation, tol: float = 1e-9) -> CommutantBasis:
+    """The commutant Phi(A)' in rep's canonical frame: the multiplicities of
+    a canonical representation, else those of the certified frame
+    (_certified_frame, canonicalize's gate), the kernel of Phi(1), when it
+    is nonzero, as a last block with d = 1.  Adjoint closure is exact in
+    frame coordinates (b_ab* = b_ba)."""
+    if rep.multiplicities is not None:
+        return CommutantBasis(rep.algebra.block_dims, rep.multiplicities)
+    mults = _certified_frame(rep, tol)[1]
+    blocks = len(mults) - (mults[-1] == 0)
+    return CommutantBasis((rep.algebra.block_dims + (1,))[:blocks], mults[:blocks])
 
 
 @dataclass(frozen=True)
@@ -332,24 +330,31 @@ def verify_representation(rep: Representation, tol: float = 1e-9) -> Representat
 
 @dataclass(frozen=True, eq=False)
 class StinespringDilation:
-    """Representation plus the operators V_i realizing rho_ij = V_i* Phi(.) V_j."""
+    """Representation plus the operators V_i realizing rho_ij = V_i* Phi(.) V_j.
+
+    V = [V_1 ... V_n] : C^{n m} -> H, so that V* Phi(a) V = flatten(rho)(a),
+    is stored once, read-only, as joint_isometry; isometries are its
+    column blocks, views of it."""
 
     rep: Representation
     isometries: tuple[np.ndarray, ...]
     source: CPnMap
+    joint_isometry: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vs = tuple(np.array(v, dtype=complex) for v in self.isometries)
-        m = self.source.codomain_dim
-        if len(vs) != self.source.n:
-            raise ValidationError(
-                f"expected {self.source.n} operators, got {len(vs)}")
-        for i, v in enumerate(vs):
-            if v.shape != (self.rep.space_dim, m):
+        n, m, h = self.source.n, self.source.codomain_dim, self.rep.space_dim
+        if len(self.isometries) != n:
+            raise ValidationError(f"expected {n} operators, got {len(self.isometries)}")
+        joint = np.empty((h, n * m), dtype=complex)
+        for i, v in enumerate(self.isometries):
+            if np.shape(v) != (h, m):
                 raise ValidationError(
-                    f"operator {i} must have shape {(self.rep.space_dim, m)}, got {v.shape}")
-            v.flags.writeable = False
-        object.__setattr__(self, "isometries", vs)
+                    f"operator {i} must have shape {(h, m)}, got {np.shape(v)}")
+            joint[:, i * m:(i + 1) * m] = v
+        joint.flags.writeable = False
+        object.__setattr__(self, "joint_isometry", joint)
+        object.__setattr__(self, "isometries",
+                           tuple(joint[:, i * m:(i + 1) * m] for i in range(n)))
 
     @property
     def space_dim(self) -> int:
@@ -358,14 +363,6 @@ class StinespringDilation:
     @property
     def n(self) -> int:
         return len(self.isometries)
-
-    @functools.cached_property
-    def joint_isometry(self) -> np.ndarray:
-        """V = [V_1 ... V_n] : C^{n m} -> H, so that V* Phi(a) V = flatten(rho)(a);
-        built once per dilation, read-only."""
-        v = np.hstack(self.isometries)
-        v.flags.writeable = False
-        return v
 
     @functools.cached_property
     def _minimal(self) -> dict[float, bool]:
@@ -403,9 +400,28 @@ def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     return dil
 
 
-def frame_isometries(dil: StinespringDilation) -> tuple[np.ndarray, ...]:
-    """The U* V_i of the frame U of dil.rep; the V_i on dilate() outputs (U = I)."""
-    return tuple(dil.rep.frame[0].conj().T @ v for v in dil.isometries)
+def canonicalize(dil: StinespringDilation,
+                 tol: float = 1e-9) -> tuple[StinespringDilation, np.ndarray]:
+    """The canonical dilation unitarily equivalent to dil, and the unitary U:
+    (StinespringDilation(Representation.canonical(A, r), (U* V_i), source), U)
+    with U* Phi(.) U = (+)_k a_k (x) I_{r_k}, U the frame certified by
+    _certified_frame (CertificationError when it fails).  An operator T on
+    the canonical space is U T U* on dil's.  A kernel of Phi(1) (r_0 > 0)
+    raises ValidationError: such a dilation is not minimal."""
+    u, mults = _certified_frame(dil.rep, tol)
+    if mults[-1]:
+        raise ValidationError(f"dilation is not minimal (multiplicities {mults})")
+    rep = Representation.canonical(dil.rep.algebra, mults[:-1])
+    return StinespringDilation(rep, tuple(u.conj().T @ v for v in dil.isometries), dil.source), u
+
+
+def _canonical_basis(dil: StinespringDilation) -> CommutantBasis:
+    """commutant(dil.rep) of a canonical dilation, a dilate() or canonicalize()
+    output; any other raises ValidationError, reading no frame."""
+    if dil.rep.multiplicities is None:
+        raise ValidationError("dilation is not canonical: pass it through "
+                              "canonicalize(dilation, tol) and conjugate by its unitary")
+    return commutant(dil.rep)
 
 
 def dilation_of(rho: CPnMap, tol: float,
@@ -422,13 +438,13 @@ def dilation_of(rho: CPnMap, tol: float,
 
 
 def _minimal_commutant(dil: StinespringDilation, tol: float) -> CommutantBasis:
-    """commutant(dil.rep, tol) once dil is minimal -- r_0 = 0 and each frame-row
-    block A_k of rank r_k -- else ValidationError; once per dilation and tol."""
-    comm = commutant(dil.rep, tol)
+    """_canonical_basis(dil) once dil is minimal -- each block A_k of its rows
+    of rank r_k -- else ValidationError; decided once per dilation and tol."""
+    comm = _canonical_basis(dil)
     memo, mults = dil._minimal, comm.multiplicities
     if tol not in memo:
-        memo[tol] = mults[-1] == 0 and all(
-            numerical_rank(a, tol) == r for a, r in zip(comm.rows(dil.joint_isometry), mults))
+        memo[tol] = all(numerical_rank(a, tol) == r
+                        for a, r in zip(comm.rows(dil.joint_isometry), mults))
     if not memo[tol]:
         raise ValidationError(f"dilation is not minimal (multiplicities {mults})")
     return comm

@@ -10,7 +10,7 @@ shape (..., r, c) and returns the largest spectral norm over the leading
 axes, so a residual over all matrix units, such as
 max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X;
 spectral_norms returns the norm of each member, so the gates of a stack
-of frame blocks X (||X||, ||X - X*||) share one SVD call.
+of commutant blocks X (||X||, ||X - X*||) share one SVD call.
 """
 from __future__ import annotations
 

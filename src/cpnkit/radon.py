@@ -8,13 +8,14 @@ the commutant Phi(A)', the compression
 
 is again completely n-positive, and T -> rho_T is an affine order
 isomorphism from the operator interval [0, I] in the commutant onto the
-map interval [0, rho].  A commutant element is its frame blocks X_k,
-T = CommutantBasis.lift([X_k]), and with A_k = CommutantBasis.rows(V)
-rho_T has flattened Choi block A_k* X_k A_k: every gate, order check and
-unit-interval draw decides on the blocks, the kernel block of Phi(1)
-included, and an H x H operator enters through CommutantBasis.blocks.
-The inverse reads T_k = (A_k^+)* C_k A_k^+ off the same rows; W with
-T = W* W lifts the solutions of Y_k A_k = B_k on both dilations' rows.
+map interval [0, rho].  Every dilation here is canonical (a dilate() or
+canonicalize() output; any other raises ValidationError), so a commutant
+element is its blocks X_k, T = CommutantBasis.lift([X_k]), and with
+A_k = CommutantBasis.rows(V) rho_T has flattened Choi block A_k* X_k A_k:
+every gate, order check and unit-interval draw decides on the blocks,
+and an H x H operator enters through CommutantBasis.blocks.  The inverse
+reads T_k = (A_k^+)* C_k A_k^+ off the same rows; W with T = W* W lifts
+the solutions of Y_k A_k = B_k on both dilations' rows.
 compress and order_equivalence_check are the one-element case of
 _operator_compressions; criterion 4 and ExtremalityReport.decomposition
 call _gated_compressions and _order_checks on blocks.
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import (CommutantBasis, StinespringDilation, commutant,
-                       commutator_bound, dilate, dilation_of)
+from .dilation import (CommutantBasis, StinespringDilation, _canonical_basis, dilate,
+                       dilation_of)
 from .errors import CertificationError, DominationError, ValidationError
 from .linalg import herm, spectral_norm, spectral_norms
 from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
@@ -50,7 +51,7 @@ def _block_gates(xs: list[np.ndarray]):
 
 def _compressions(rows: list[np.ndarray], xs: list[np.ndarray]) -> list[np.ndarray]:
     """The flattened Choi blocks A_k* X_k A_k, ungated, of per-block stacks
-    X_k and rows = CommutantBasis.rows(V); Phi vanishes on the kernel block."""
+    X_k and rows = CommutantBasis.rows(V)."""
     return [a.conj().T @ x @ a for a, x in zip(rows, xs)]
 
 
@@ -64,16 +65,14 @@ def _maps(dil: StinespringDilation, blocks: list[np.ndarray]) -> list[CPnMap]:
 
 def _gated_compressions(dil: StinespringDilation, comm: CommutantBasis, xs,
                         tol: float, outside=None) -> list[np.ndarray]:
-    """compress's gates on per-block stacks of frame blocks X of comm, then
-    _compressions of them.  The commute residual is B(eps) ||X||, plus
-    ||T - E(T)|| when outside gives (||T - E(T)||, ||T||) for H x H
-    operators T, whose 1 + ||T|| then replaces 1 + ||X|| as the scale.
-    Elements are checked in stack order, each as compress checks it alone.
+    """compress's gates on per-block stacks of blocks X of comm, then
+    _compressions of them.  Blocks commute by construction; outside gives
+    (||T - E(T)||, ||T||) for H x H operators T, the commute residual,
+    whose 1 + ||T|| then replaces 1 + ||X|| as the scale.  Elements are
+    checked in stack order, each as compress checks it alone.
     """
     norms, asyms, lows = _block_gates(xs)
-    residuals = commutator_bound(comm.rep, comm.frame_residual) * norms
-    if outside is not None:
-        residuals, norms = residuals + outside[0], outside[1]
+    residuals, norms = (np.zeros(len(norms)), norms) if outside is None else outside
     for norm, asym, res, low in zip(norms.tolist(), asyms.tolist(),
                                     residuals.tolist(), lows.tolist()):
         scale = 1.0 + norm
@@ -89,14 +88,14 @@ def _gated_compressions(dil: StinespringDilation, comm: CommutantBasis, xs,
 
 
 def _operator_compressions(dil: StinespringDilation, ts, tol: float):
-    """The frame blocks of H x H operators T, each checked for shape, and
+    """The blocks of H x H operators T, each checked for shape, and
     their _gated_compressions, with ||T - E(T)|| and ||T|| from one SVD call."""
     h = dil.space_dim
     for t in ts:
         if np.shape(t) != (h, h):
             raise ValidationError(f"operator must have shape {(h, h)}, got {np.shape(t)}")
     ts = np.array(ts, dtype=complex)
-    comm = commutant(dil.rep, tol)
+    comm = _canonical_basis(dil)
     xs = comm.blocks(ts)
     values = spectral_norms(np.concatenate([ts - comm.lift(xs), ts]))
     return xs, _gated_compressions(dil, comm, xs, tol, (values[:len(ts)], values[len(ts):]))
@@ -104,13 +103,13 @@ def _operator_compressions(dil: StinespringDilation, ts, tol: float):
 
 def compress(dil: StinespringDilation, t: np.ndarray, tol: float = 1e-9) -> CPnMap:
     """The compression rho_{E(T)} for a positive commutant element T, E(T)
-    the conditional expectation onto the commutant, read as frame blocks X.
+    the conditional expectation onto the commutant, read as blocks X of
+    the canonical dilation dil.
 
-    Gates, each relative to 1 + ||T||: ||T - E(T)|| + B(eps) ||X|| (B = 0 on
-    dilate() outputs), which bounds ||[T, Phi(e)]|| <= 2 ||T - E(T)|| +
-    B(eps) ||X|| over the matrix units; then X Hermitian and positive
-    semidefinite on every block, the kernel of Phi(1) included.
-    Violations raise ValidationError.
+    Gates, each relative to 1 + ||T||: ||T - E(T)||, which bounds
+    ||[T, Phi(e)]|| <= 2 ||T - E(T)|| over the matrix units; then X
+    Hermitian and positive semidefinite on every block.  Violations
+    raise ValidationError.
     """
     return _maps(dil, _operator_compressions(dil, [t], tol)[1])[0]
 
@@ -124,7 +123,6 @@ class Intertwiner:
     target: StinespringDilation
     norm: float
     isometry_residual: float
-    intertwining_residual: float
 
 
 def _dominated(rho: CPnMap, theta: CPnMap, tol: float) -> None:
@@ -144,17 +142,17 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
                 source_dilation: StinespringDilation | None = None) -> Intertwiner:
     """The canonical contraction between the dilations of rho and theta <= rho.
 
-    W = U_theta ((+)_k I_{d_k} (x) Y_k) U_rho* on the two certified frames,
-    Y_k the minimal-norm solution of Y_k A_k = B_k on their frame rows.
-    Raises DominationError when rho - theta is not completely n-positive.
-    Certifies ||W|| <= 1 and W V_rho,i = V_theta,i, both measured; the
-    intertwining residual is the sum of the frames' B(eps) times max ||Y_k||.
-    Certificate failure raises, never passes silently.
+    W = (+)_k I_{d_k} (x) Y_k between the canonical dilations, Y_k the
+    minimal-norm solution of Y_k A_k = B_k on their rows; it intertwines
+    by construction.  Raises DominationError when rho - theta is not
+    completely n-positive.  Certifies ||W|| <= 1 and W V_rho,i =
+    V_theta,i, both measured.  Certificate failure raises, never passes
+    silently.
     """
     _dominated(rho, theta, tol)
     dr = dilation_of(rho, tol, source_dilation)
     dt = dilate(theta, tol)
-    br, bt = commutant(dr.rep, tol), commutant(dt.rep, tol)
+    br, bt = _canonical_basis(dr), _canonical_basis(dt)
     # rtol=None is lstsq's cutoff (max(shape) eps), so B A^+ is
     # solve_sandwich's minimal-norm solution of Y A = B
     ys = [b @ np.linalg.pinv(a, rtol=None)
@@ -163,17 +161,13 @@ def intertwiner(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     scale = rho.scale
     norm = spectral_norm(w)
     iso_res = spectral_norm(w @ np.array(dr.isometries) - np.array(dt.isometries))
-    y_norm = max(map(spectral_norm, ys), default=0.0)
-    # each frame's B(eps) bounds its side of W Phi_rho(e) - Phi_theta(e) W
-    int_res = (commutator_bound(dr.rep, br.frame_residual)
-               + commutator_bound(dt.rep, bt.frame_residual)) * y_norm
     value, bound = (norm, 1.0 + tol * scale) if norm > 1.0 + tol * scale \
-        else (max(iso_res, int_res), tol * scale)
+        else (iso_res, tol * scale)
     if value > bound:
         raise CertificationError(
-            f"intertwiner certificate failed (norm {norm:.12f}, residuals "
-            f"{iso_res:.3e}, {int_res:.3e})", value=value, bound=bound)
-    return Intertwiner(w, dr, dt, norm, iso_res, int_res)
+            f"intertwiner certificate failed (norm {norm:.12f}, residual "
+            f"{iso_res:.3e})", value=value, bound=bound)
+    return Intertwiner(w, dr, dt, norm, iso_res)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,15 +176,14 @@ class CommutantElement:
 
     dilation: StinespringDilation
     matrix: np.ndarray
-    commutant_residual: float
     spectrum: tuple[float, float]
     reconstruction_residual: float
 
 
 def _rn_blocks(rows: list[np.ndarray], theta: CPnMap) -> list[np.ndarray]:
     """T_k = (A_k^+)* C_k A_k^+ per algebra block, C_k theta's flattened
-    Choi block and A_k the frame rows: the r_k x r_k blocks of T in the
-    frame, Hermitian by construction."""
+    Choi block and A_k the rows of V: the r_k x r_k blocks of T,
+    Hermitian by construction."""
     aps = [np.linalg.pinv(a, rtol=None) for a in rows]
     return [herm(ap.conj().T @ c @ ap) for ap, c in zip(aps, theta.flat.choi_blocks)]
 
@@ -199,9 +192,9 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
                 source_dilation: StinespringDilation | None = None) -> CommutantElement:
     """The Radon-Nikodym operator T with compress(D, T) = theta.
 
-    T = U ((+)_k I_{d_k} (x) T_k) U* on the certified frame of rho's
-    dilation, T_k from _rn_blocks, commutes with the representation up to
-    B(eps) ||T|| (0 on dilate() outputs).  Certified: rho - theta is
+    T = (+)_k I_{d_k} (x) T_k on rho's canonical dilation, T_k from
+    _rn_blocks, commutes with the representation by construction.
+    Certified: rho - theta is
     completely n-positive (else DominationError), the T_k have spectrum in
     [0, 1] and compress(D, T) reconstructs theta, measured on the T_k
     (Choi blocks A_k* T_k A_k); a theta that is not completely n-positive
@@ -209,15 +202,13 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
     """
     _dominated(rho, theta, tol)
     dr = dilation_of(rho, tol, source_dilation)
-    basis = commutant(dr.rep, tol)
+    basis = _canonical_basis(dr)
     rows = basis.rows(dr.joint_isometry)
     blocks = _rn_blocks(rows, theta)
-    t = basis.lift(blocks)  # zero on the kernel block
-    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks]
-                          + [np.zeros(min(basis.multiplicities[-1], 1))])
+    t = basis.lift(blocks)
+    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
     spectrum = (float(eigs.min()), float(eigs.max())) if eigs.size else (0.0, 0.0)
     t_norm = float(np.abs(eigs).max(initial=0.0))
-    com_res = commutator_bound(dr.rep, basis.frame_residual) * t_norm
     recon = cpn_distance(_maps(dr, _compressions(rows, [b[None] for b in blocks]))[0], theta)
     # the spectrum floor relative to min(1 + ||T||, scale of rho), the
     # ceiling and the reconstruction relative to the scale of rho
@@ -231,10 +222,9 @@ def rn_operator(rho: CPnMap, theta: CPnMap, tol: float = 1e-9,
         # failing, they are a theta outside the cone or a library defect
         require_cpn(theta, tol)
         raise CertificationError(
-            f"Radon-Nikodym certificate failed (commutant {com_res:.3e}, "
-            f"spectrum [{spectrum[0]:.3e}, {spectrum[1]:.3e}], reconstruction {recon:.3e})",
-            *failed[0])
-    return CommutantElement(dr, t, com_res, spectrum, recon)
+            f"Radon-Nikodym certificate failed (spectrum [{spectrum[0]:.3e}, "
+            f"{spectrum[1]:.3e}], reconstruction {recon:.3e})", *failed[0])
+    return CommutantElement(dr, t, spectrum, recon)
 
 
 @dataclass(frozen=True)
@@ -251,10 +241,10 @@ class OrderCheck:
 
 def _order_checks(dil: StinespringDilation, x1s: list[np.ndarray], x2s: list[np.ndarray],
                   blocks: list[np.ndarray], tol: float) -> list[OrderCheck]:
-    """OrderChecks of paired per-block stacks of frame blocks, given
-    per-block stacks of compressions that begin [rho_T1s; rho_T2s]: the
-    operator side from _block_gates of X2 - X1, the kernel block
-    included, the map side from one stacked verdict on rho_T2 - rho_T1."""
+    """OrderChecks of paired per-block stacks of blocks, given per-block
+    stacks of compressions that begin [rho_T1s; rho_T2s]: the operator
+    side from _block_gates of X2 - X1, the map side from one stacked
+    verdict on rho_T2 - rho_T1."""
     k = len(x1s[0])
     norms, _, lows = _block_gates([b - a for a, b in zip(x1s, x2s)])
     op_leq = (lows >= -tol * (1.0 + norms)).tolist()
@@ -268,7 +258,7 @@ def order_equivalence_check(dil: StinespringDilation, t1: np.ndarray,
     """Compare T1 <= T2 with compress(D, T1) <= compress(D, T2).
 
     Both operators must be positive commutant elements, gated as compress
-    gates them, T1 before T2; the operator side is decided on their frame
+    gates them, T1 before T2; the operator side is decided on their
     blocks.  Disagreement of the two verdicts indicates a library defect;
     callers should treat it as such.
     """
@@ -283,7 +273,7 @@ def _coefficients(basis: CommutantBasis, rng: np.random.Generator) -> np.ndarray
 
 
 def _unit_interval(basis: CommutantBasis, coeffs: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The frame blocks of the elements of [0, I] that sample_unit_interval
+    """The blocks of the elements of [0, I] that sample_unit_interval
     forms from a (k, dimension) stack of draws, as per-block (k, r_k, r_k)
     stacks: one eigvalsh call per nonempty block, member i bitwise the
     blocks of draw i alone."""
@@ -301,14 +291,13 @@ def _unit_interval(basis: CommutantBasis, coeffs: np.ndarray, tol: float) -> lis
 
 def sample_unit_interval(dil: StinespringDilation, rng: np.random.Generator,
                          tol: float = 1e-9) -> np.ndarray:
-    """Random element of [0, I] in the commutant of a dilation.
+    """Random element of [0, I] in the commutant of a canonical dilation.
 
     Draws complex coefficients in the (k, a, b) order of the commutant
     basis, takes the Hermitian parts of their blocks (CommutantBasis.split;
     the basis itself is not built), rescales their joint spectrum
     affinely onto [0, 1] and lifts them.  Deterministic under the given
-    generator state.  The frame is cached on the representation (seeded
-    by dilate), so repeated draws from one dilation compute it at most once.
+    generator state.
     """
-    basis = commutant(dil.rep, tol)
+    basis = _canonical_basis(dil)
     return basis.lift(_unit_interval(basis, _coefficients(basis, rng)[None], tol))[0]

@@ -2,7 +2,8 @@
 
 Complex numbers are [re, im] pairs of finite numbers, matrices are
 row-major lists of rows.  Schema violations raise SchemaError.  A
-dilation is written in frame coordinates, without its images.
+canonical dilation is written as its multiplicities and V_i, without
+its images.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import cmath
 import numpy as np
 
 from .algebra import CStarAlgebra, make_algebra
-from .dilation import StinespringDilation, frame_isometries
+from .dilation import StinespringDilation, _canonical_basis
 from .errors import SchemaError
 from .maps import CPnMap, LinearMap
 
@@ -124,10 +125,11 @@ def cpn_map_from_json(obj) -> CPnMap:
 
 
 def dilation_to_json(dil: StinespringDilation) -> dict:
-    """space_dim, multiplicities r and the U* V_i of frame_isometries; Phi is
-    implied: Representation.canonical(algebra, r), then zero up to space_dim."""
+    """space_dim = sum_k d_k r_k, the multiplicities r and the V_i of a
+    canonical dilation (any other raises ValidationError); Phi is implied:
+    Representation.canonical(algebra, r)."""
     return {
         "space_dim": dil.space_dim,
-        "multiplicities": list(dil.rep.multiplicities),
-        "isometries": [matrix_to_json(v) for v in frame_isometries(dil)],
+        "multiplicities": list(_canonical_basis(dil).multiplicities),
+        "isometries": [matrix_to_json(v) for v in dil.isometries],
     }

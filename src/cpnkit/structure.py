@@ -12,22 +12,21 @@ n-positive map matrices with the same value at the unit as rho, is
 decided by injectivity of T -> V* T V on the commutant; the paper's
 unital class is rho(1) = I.
 
-Every representation of (+)_k M_{d_k} is (+)_k a_k (x) I_{r_k} (+) 0 up
-to a unitary U, which dilation.canonical_frame finds and certifies in
-O(H^3); so the commutant is (+)_k I_{d_k} (x) M_{r_k} (+) M_{r_0} and the
-intertwiners are (+)_k I_{d_k} (x) M_{s_k x r_k}, for every representation
-alike.  Every verdict here reads dilation.commutant(), that frame with
-B(eps) as its one commute certificate, and none builds the H x H
-commutant basis: is_extreme and extension_witness read the frame rows
-A_k of U* V.  is_extreme proves T -> V* T V injective, or of full rank
+The minimal dilation is unique up to unitary equivalence, and every
+verdict here runs on a canonical one, whose representation is (+)_k a_k
+(x) I_{r_k}: dilate()'s, or a given dilation's canonicalize() output
+(any other raises ValidationError).  There the commutant is (+)_k
+I_{d_k} (x) M_{r_k} and the intertwiners are (+)_k I_{d_k} (x)
+M_{s_k x r_k}, and no verdict builds the H x H commutant basis:
+is_extreme and extension_witness read the block rows A_k of V.
+is_extreme proves T -> V* T V injective, or of full rank
 N = min((n m)^2, sum r_k^2), by a Cholesky of the small-side Gram of its
 matrix M, built from those rows and shifted down by delta = cut^2 + eta,
 cut the rank cutoff tol (1 + s_max) bounded from above and eta the
 Gram's rounding plus Cholesky's backward error; M and its SVD are built
 only when that proof fails.
 is_pure and is_extreme refuse a given dilation that is not minimal
-(ValidationError); images that are not a *-representation raise
-CertificationError.
+(ValidationError).
 """
 from __future__ import annotations
 
@@ -58,7 +57,7 @@ def is_pure(rho: CPnMap, tol: float = 1e-9,
 
 def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
     """Whether the dilation representations admit no nonzero intertwiner:
-    sum_k r_k s_k = 0 over the multiplicities of the two certified frames.
+    sum_k r_k s_k = 0 over the multiplicities of the two dilations.
 
     Both inputs must be completely positive (n = 1) maps with a common
     domain and codomain.
@@ -68,7 +67,7 @@ def are_disjoint(rho11: CPnMap, rho22: CPnMap, tol: float = 1e-9) -> bool:
 
 
 def _pair_commutants(rho11: CPnMap, rho22: CPnMap, tol: float):
-    """Dilations, then certified commutants, of two maps (n = 1) on common spaces."""
+    """Dilations, then commutants, of two maps (n = 1) on common spaces."""
     if rho11.n != 1 or rho22.n != 1:
         raise ValidationError("disjointness is defined for single maps (n = 1)")
     if rho11.domain != rho22.domain or rho11.codomain_dim != rho22.codomain_dim:
@@ -81,8 +80,8 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
                       tol: float = 1e-9) -> CPnMap | None:
     """A completely 2-positive completion with nonzero off-diagonal, if any.
 
-    Returns None when the maps are disjoint.  Otherwise W = U_2 ((+)_k
-    I_{d_k} (x) X_k) U_1*, X_k = E_00 in the first algebra block with
+    Returns None when the maps are disjoint.  Otherwise W = (+)_k
+    I_{d_k} (x) X_k, X_k = E_00 in the first algebra block with
     r_k s_k > 0 and zero elsewhere, is a partial isometry intertwining
     the dilations, and
 
@@ -90,7 +89,7 @@ def extension_witness(rho11: CPnMap, rho22: CPnMap,
 
     completes [rho_11, rho_12; rho_21, rho_22] to a certified completely
     2-positive map matrix with rho_12 != 0: it is the compression of
-    rho_11 (+) rho_22 by [[I, W*], [W, I]] >= 0.  On the frame rows
+    rho_11 (+) rho_22 by [[I, W*], [W, I]] >= 0.  On the block rows
     A_k = comm.rows(V), rho_12's flattened Choi block k is A^1_k* X_k* A^2_k:
     conj(A^1_k[0]) (x) A^2_k[0] at k = first, zero elsewhere.
     """
@@ -131,8 +130,8 @@ class ConvexDecomposition:
 @dataclass(frozen=True)
 class ExtremalityReport:
     """The verdict and what it was read from, which decomposition() reuses:
-    the input, its dilation and certified commutant.  matrix, the frame-row
-    matrix of T -> V* T V, is built on first read."""
+    the input, its canonical dilation and commutant.  matrix, the
+    block-row matrix of T -> V* T V, is built on first read."""
 
     extreme: bool
     commutant_dim: int
@@ -153,11 +152,11 @@ class ExtremalityReport:
         the pair T_1 = I + T/2, T_2 = I - T/2 compresses to map matrices
         sigma_i in C(rho(1)), as V* T_i V = V* V, with (1/2) sigma_1 +
         (1/2) sigma_2 = rho, both differing from rho.  A kernel vector of
-        the frame-coordinate matrix is (X_k)_k with T = U ((+)_k I_{d_k} (x)
-        X_k / sqrt(d_k)) U*; it is a column of the kernel projector, so T
-        depends on the kernel, not on the basis LAPACK lists for it.  T, T_1
-        and T_2 are built and compressed as their frame blocks;
-        kernel_element is the lift of T.  ValidationError when extreme.
+        the block-row matrix is (X_k)_k with T = (+)_k I_{d_k} (x) X_k /
+        sqrt(d_k); it is a column of the kernel projector, so T depends on
+        the kernel, not on the basis LAPACK lists for it.  T, T_1 and T_2
+        are built and compressed as their blocks; kernel_element is the
+        lift of T, on the canonical dilation.  ValidationError when extreme.
         """
         if self.extreme:
             raise ValidationError("map matrix is extreme; no decomposition exists")
@@ -198,16 +197,8 @@ class ExtremalityReport:
         return ConvexDecomposition(0.5, part1, part2, self.comm.lift(t))
 
 
-def _compressed_commutant(rho: CPnMap, tol: float,
-                          dilation: StinespringDilation | None):
-    """The data is_extreme decides on: rho checked as dilation_of does, its
-    dilation and the certified commutant of that minimal dilation."""
-    dilation = dilation_of(rho, tol, dilation)
-    return dilation, _minimal_commutant(dilation, tol)
-
-
 def _frame_stacks(dilation: StinespringDilation, comm: CommutantBasis) -> list[np.ndarray]:
-    """The frame rows A_k = comm.rows(V) of each algebra block as a
+    """The block rows A_k = comm.rows(V) of each algebra block as a
     (d_k, r_k, c) stack whose member p is A_k,p."""
     c = dilation.joint_isometry.shape[1]
     return [rows.reshape(len(rows), d, c).transpose(1, 0, 2)
@@ -323,7 +314,7 @@ def _certified_rank(stacks: list[np.ndarray], tol: float) -> int | None:
     """N = min((n m)^2, sum r_k^2) when a shifted Cholesky of the small-side
     Gram G of M proves s_min(M) above the rank cutoff, else None.
 
-    G is built from the frame rows, never from M: M M* =
+    G is built from the block rows, never from M: M M* =
     sum_k (1/d_k) sum_{p,p'} S (x) conj(S), S = A_k,p* A_k,p' (wide side),
     and block (k, k') of M* M is (d_k d_k')^(-1/2) sum_{p,p'} S (x) conj(S),
     S = A_k,p A_k',p'*.  T -> V* T V maps Hermitian to Hermitian, so in the
@@ -399,15 +390,16 @@ def is_extreme(rho: CPnMap, tol: float = 1e-9,
     the value flatten(rho)(1) at the unit; the unital class is rho(1) = I.
 
     Criterion (Arveson 1969, 1.4, for any rho(1)): T -> V* T V is injective
-    on the commutant; decided in frame coordinates, as the rank of its
+    on the commutant; decided on the canonical dilation, as the rank of its
     matrix M at rank_cutoff(s_max(M), tol).  The rank is first proved full,
     N = min((n m)^2, sum r_k^2), by a Cholesky of the small-side Gram of M,
-    built from the frame rows and shifted down by delta = cut^2 + eta,
+    built from the block rows and shifted down by delta = cut^2 + eta,
     cut >= tol (1 + s_max) and eta its rounding and backward-error bound
     (_certified_rank); only when that fails is M built and its singular
     values counted.  sum r_k^2 > (n m)^2 leaves M a kernel: not extreme.
     """
-    dil, comm = _compressed_commutant(rho, tol, dilation)
+    dil = dilation_of(rho, tol, dilation)
+    comm = _minimal_commutant(dil, tol)
     stacks = _frame_stacks(dil, comm)
     dim = sum(a.shape[1] ** 2 for a in stacks)
     rank = _certified_rank(stacks, tol)

@@ -1,11 +1,13 @@
 """Test oracles for the frame-coordinate routes of cpnkit.
 
 frame_basis builds every element of the closed-form commutant or
-intertwiner basis at once from the frame columns; orth is an orthonormal
-basis of a column space by SVD.  Together they give the H^2-row P T P
-route that is_extreme's frame-row matrix is checked against.
-intertwiner_space is the closed-form intertwiner basis from the frame
-columns, and intertwiner_basis_of the same space from a nullspace solve.
+intertwiner basis at once from the frame columns, the identity's on a
+canonical dilation; orth is an orthonormal basis of a column space by
+SVD.  Together they give the H^2-row P T P route that is_extreme's
+frame-row matrix is checked against.  intertwiner_space is the
+closed-form intertwiner basis between any two dilations, conjugated by
+their canonicalize() unitaries, and intertwiner_basis_of the same space
+from a nullspace solve.
 polar_witness_images is the off-diagonal of the disjointness witness by
 the H_2 x H_1 route: the polar part W of intertwiner_space's element 0,
 sandwiched as V_1* Phi_1(e) W* V_2 against the matrix-unit images.
@@ -19,7 +21,8 @@ import math
 
 import numpy as np
 
-from cpnkit import CpnVerdict, ValidationError, commutant, structure
+from cpnkit import CpnVerdict, ValidationError, canonicalize, commutant, structure
+from cpnkit.dilation import _minimal_commutant, dilation_of
 from cpnkit.linalg import herm, nullspace, numerical_rank, significant, spectral_norms
 from cpnkit.maps import subblocks
 
@@ -50,21 +53,25 @@ def orth(a: np.ndarray, tol: float) -> np.ndarray:
     return u[:, :significant(s, tol).sum()]
 
 
-def pair_basis(c1, c2):
-    """frame_basis from the frame of commutant c1 into that of c2: the
-    commutant basis when c2 is c1, the intertwiner basis otherwise."""
-    return frame_basis(c1.block_dims, c1.frame, c1.multiplicities, c2.frame, c2.multiplicities)
+def pair_basis(c1, c2, u1=None, u2=None):
+    """frame_basis from commutant c1 into c2 on the frames u1 and u2 (the
+    identity by default): the commutant basis when c2 is c1 and u2 is u1,
+    the intertwiner basis otherwise."""
+    u1 = np.eye(c1.space_dim) if u1 is None else u1
+    u2 = np.eye(c2.space_dim) if u2 is None else u2
+    return frame_basis(c1.block_dims, u1, c1.multiplicities, u2, c2.multiplicities)
 
 
 def intertwiner_space(d1, d2, tol=1e-9):
     """Orthonormal basis of {X : X Phi_1(e) = Phi_2(e) X over matrix units}.
 
-    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the frames of
-    the two certified commutants, as pair_basis builds it.
+    The closed form (+)_k I_{d_k} (x) M_{s_k x r_k} between the canonical
+    dilations, as pair_basis builds it on the canonicalize() unitaries.
     """
     if d1.source.domain != d2.source.domain:
         raise ValidationError("dilations have different domains")
-    return list(pair_basis(commutant(d1.rep, tol), commutant(d2.rep, tol)))
+    (c1, u1), (c2, u2) = canonicalize(d1, tol), canonicalize(d2, tol)
+    return list(pair_basis(commutant(c1.rep), commutant(c2.rep), u1, u2))
 
 
 def partial_isometry(a: np.ndarray, tol: float) -> np.ndarray:
@@ -121,7 +128,8 @@ def choi_extreme(rho, tol=1e-9):
 def svd_is_extreme(rho, tol=1e-9, dilation=None):
     """(extreme, commutant_dim, compression_rank) of is_extreme, with the
     rank of the frame-row matrix M counted from its singular values."""
-    dil, comm = structure._compressed_commutant(rho, tol, dilation)
+    dil = dilation_of(rho, tol, dilation)
+    comm = _minimal_commutant(dil, tol)
     mat = structure._frame_row_matrix(structure._frame_stacks(dil, comm))
     rank = numerical_rank(mat, tol)
     return rank == mat.shape[1], mat.shape[1], rank

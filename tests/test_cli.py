@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cpnkit
-from cpnkit import (CPnMap, LinearMap, apply_map, compression_map, cpn_distance,
+from cpnkit import (CPnMap, LinearMap, apply_map, canonicalize, compression_map, cpn_distance,
                     depolarizing_map, dilate, dilate_from_gram, flatten, identity_map,
                     images_of, make_algebra, random_cpn_map, unflatten)
 from cpnkit import serialize as ser
@@ -143,12 +143,16 @@ def test_dilation_wire_contract(tmp_path, capsys):
         assert wire_factor_residual(wire, rho) <= 1e-9 * rho.scale
     assert json.loads(out)["space_dim"] == 0
     assert dilate(zeroed).rep.multiplicities[1] == 0
-    # a Gram dilation's frame is no identity: its wire V_i are U* V_i
+    # a Gram dilation is refused; its canonical form's wire V_i are U* V_i
     rho = cases[1]
     gram = dilate_from_gram(rho)
-    wire = json.loads(json.dumps(ser.dilation_to_json(gram)))
-    assert not np.allclose(ser.json_to_matrix(wire["isometries"][0], gram.isometries[0].shape),
-                           gram.isometries[0])
+    with pytest.raises(ValidationError, match="canonicalize"):
+        ser.dilation_to_json(gram)
+    canon, u = canonicalize(gram)
+    wire = json.loads(json.dumps(ser.dilation_to_json(canon)))
+    v0 = ser.json_to_matrix(wire["isometries"][0], gram.isometries[0].shape)
+    assert not np.allclose(v0, gram.isometries[0])
+    assert np.abs(u @ v0 - gram.isometries[0]).max() <= 1e-12
     assert wire_factor_residual(wire, rho) <= 1e-9 * rho.scale
 
 
@@ -183,24 +187,21 @@ def test_rn_command(tmp_path, capsys):
 
 
 
-def test_pure_and_rn_report_the_frame_certificates(tmp_path, capsys):
-    # the frame residual eps and B(eps) sit next to the existing keys and
-    # are exactly 0 on the frames dilate seeds
+def test_pure_and_rn_certificates_carry_no_frame_keys(tmp_path, capsys):
+    # every CLI dilation is a dilate() output, canonical: no frame residual,
+    # commute bound or commutant residual is reported, as each is 0
     rng = np.random.default_rng(31)
     rho = random_cpn_map(make_algebra((2,)), 2, 2, 3, rng)
     rho_f = write_map(tmp_path / "rho.json", rho)
     half_f = write_map(tmp_path / "half.json", 0.5 * rho)
     keys = {
         "pure": {"commutant_dimension", "space_dim"},
-        "rn": {"commutant_residual", "spectrum_min", "spectrum_max",
-               "reconstruction_residual"},
+        "rn": {"spectrum_min", "spectrum_max", "reconstruction_residual"},
     }
     for argv in (("pure", rho_f), ("rn", rho_f, half_f)):
         code, out, _ = run(capsys, *argv)
         assert code == (0 if argv[0] == "rn" else 1)
-        certs = json.loads(out)["certificates"]
-        assert set(certs) == keys[argv[0]] | {"frame_residual", "commutator_bound"}
-        assert certs["frame_residual"] == 0.0 and certs["commutator_bound"] == 0.0
+        assert set(json.loads(out)["certificates"]) == keys[argv[0]]
 
 def test_pure_and_extreme_commands(tmp_path, capsys):
     alg = make_algebra((2,))
@@ -251,14 +252,14 @@ def test_extreme_command_on_maps_whose_gram_overflows(tmp_path, capsys):
 def test_extreme_builds_the_compressed_commutant_once(tmp_path, capsys, monkeypatch):
     # the decomposition reuses the dilation and commutant the verdict was read from
     import cpnkit.structure as structure
-    real = structure._compressed_commutant
+    real = structure._minimal_commutant
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(structure, "_compressed_commutant", counted)
+    monkeypatch.setattr(structure, "_minimal_commutant", counted)
     dep_f = write_map(tmp_path / "dep.json", CPnMap(((depolarizing_map(2),),)))
     code, out, _ = run(capsys, "extreme", dep_f)
     assert code == 1

@@ -3,7 +3,7 @@ import pytest
 
 from cpnkit import (CertificationError, CPnMap, LinearMap, PositivityError, Representation,
                     StinespringDilation, ValidationError, apply_map, as_cpn,
-                    diagonal_direct_sum_check, dilate, dilate_from_gram,
+                    canonicalize, commutant, diagonal_direct_sum_check, dilate, dilate_from_gram,
                     depolarizing_map, equivalence_residual, gram_matrix,
                     identity_map, images_of, make_algebra, matrix_units,
                     random_cpn_map, random_element, require_cpn, rep_apply,
@@ -263,7 +263,9 @@ def test_multiplicities_sum_to_space_dim():
 
 def test_representation_rejects_contradicting_multiplicities(monkeypatch):
     # multiplicities are read off the frame, so none can be handed in to
-    # contradict it; on a dilate() output the seeded frame answers
+    # contradict it: images carry none, commutant reads them off the frame
+    # (the kernel of Phi(1) as a last block), and a dilate() output carries
+    # its own
     alg = make_algebra((2,))
     dil = dilate(random_cpn_map(alg, 2, 1, 2, np.random.default_rng(16)))
     imgs = dil.rep.images
@@ -271,8 +273,9 @@ def test_representation_rejects_contradicting_multiplicities(monkeypatch):
         Representation(alg, 4, imgs, multiplicities=(5,))
     padded = np.zeros((alg.dim, 5, 5), dtype=complex)
     padded[:, :4, :4] = imgs
-    for rep in (Representation(alg, 4, imgs), Representation(alg, 5, padded)):
-        assert rep.multiplicities == (2,) == rep.frame[1][:-1]
+    for rep, mults in ((Representation(alg, 4, imgs), (2,)),
+                       (Representation(alg, 5, padded), (2, 1))):
+        assert rep.multiplicities is None and commutant(rep).multiplicities == mults
     monkeypatch.setattr(cpnkit_dilation, "canonical_frame", None)
     assert dil.rep.multiplicities == (2,) and dil.space_dim == 4
     # the canonical constructor takes one integer r_k >= 0 per block
@@ -384,3 +387,52 @@ def test_no_verdict_on_a_dilate_output_builds_the_images(monkeypatch):
     assert extension_witness(rho, rho) is not None
     assert dilation_to_json(dil)["multiplicities"] == list(dil.rep.multiplicities)
     assert "images" not in dil.rep.__dict__
+
+
+def test_dilation_stores_v_once():
+    # V = [V_1 ... V_n] is one read-only complex copy of the input, and
+    # the V_i are column views of it
+    rng = np.random.default_rng(43)
+    dil = dilate(random_cpn_map(make_algebra((2, 1)), 3, 2, 3, rng))
+    given = [np.array(v).real for v in dil.isometries]
+    made = StinespringDilation(dil.rep, given, dil.source)
+    v = made.joint_isometry
+    assert v.dtype == complex and not v.flags.writeable and v.shape == (dil.space_dim, 6)
+    assert np.array_equal(v, np.hstack(given)) and not np.shares_memory(v, given[0])
+    assert all(x.base is v and np.array_equal(x, g) for x, g in zip(made.isometries, given))
+    assert all(x.base is dil.joint_isometry for x in dil.isometries)
+    with pytest.raises(ValidationError, match="expected 2 operators"):
+        StinespringDilation(dil.rep, given[:1], dil.source)
+    with pytest.raises(ValidationError, match="operator 1 must have shape"):
+        StinespringDilation(dil.rep, (given[0], given[1][:, :2]), dil.source)
+
+
+def test_canonicalize_conjugates_by_the_certified_frame():
+    # canonicalize(D) = (D', U): D' canonical with V'_i = U* V_i, U unitary
+    # with U* Phi(.) U the canonical images; a kernel of Phi(1) is refused,
+    # and images that are not a representation fail the frame's gate
+    rng = np.random.default_rng(44)
+    rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
+    dil = dilate(rho)
+    h = dil.space_dim
+    u = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))[0]
+    moved = StinespringDilation(Representation(rho.domain, h, u @ dil.rep.images @ u.conj().T),
+                                tuple(u @ v for v in dil.isometries), rho)
+    for d in (dil, moved, dilate_from_gram(rho)):
+        canon, w = canonicalize(d)
+        assert canon.source is rho and canon.rep.multiplicities == dil.rep.multiplicities
+        assert np.abs(w.conj().T @ w - np.eye(h)).max() <= 1e-12
+        assert np.abs(w.conj().T @ d.rep.images @ w - dil.rep.images).max() <= 1e-12
+        assert np.abs(canon.joint_isometry - w.conj().T @ d.joint_isometry).max() <= 1e-12
+        assert verify_dilation(rho, canon).ok(1e-9)
+    assert np.array_equal(canonicalize(dil)[1], np.eye(h))
+    padded = np.zeros((rho.domain.dim, h + 1, h + 1), dtype=complex)
+    padded[:, :h, :h] = dil.rep.images
+    with pytest.raises(ValidationError, match="not minimal"):
+        canonicalize(StinespringDilation(Representation(rho.domain, h + 1, padded),
+                                         tuple(np.vstack([v, np.zeros((1, 2))])
+                                               for v in dil.isometries), rho))
+    noise = rng.standard_normal(padded[:, :h, :h].shape)
+    with pytest.raises(CertificationError, match=r"not a \*-representation"):
+        canonicalize(StinespringDilation(
+            Representation(rho.domain, h, moved.rep.images + 1e-3 * noise), moved.isometries, rho))

@@ -1,9 +1,12 @@
-"""Deterministic property tests of the certified commutant and the frame
-dilate() seeds, of the stacked compression gates, of the stacked
-map-side verdicts, of the frame-coordinate Radon-Nikodym operator and
-intertwiner, of CommutantBasis.lift, the one assembly of them all, and
-of is_extreme's frame-row matrix and the disjointness witness against
-the oracles in oracles.py.
+"""Deterministic property tests of the certified commutant and of
+canonicalize, the one door for foreign dilations, of the stacked
+compression gates, of the stacked map-side verdicts, of the Radon-Nikodym
+operator and intertwiner on canonical dilations, of CommutantBasis.lift,
+the one assembly of them all, and of is_extreme's frame-row matrix and
+the disjointness witness against the oracles in oracles.py.  Foreign
+dilations (conjugated, from the Gram route) reach every verdict through
+canonicalize, and its U conjugates the answers back for the oracles;
+padded ones, whose Phi(1) has a kernel, are refused there.
 
 Hypothesis runs derandomized with a fixed example count, so every run
 draws the same cases.  The cases cover multi-block domains, zero Choi
@@ -18,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpnkit import (LinearMap, Representation, StinespringDilation,
-                    ValidationError, are_disjoint, commutant, compress, cpn_distance, dilate,
+                    ValidationError, are_disjoint, canonicalize, commutant, compress, cpn_distance, dilate,
                     dilate_from_gram, extension_witness, intertwiner,
                     is_completely_n_positive, is_extreme, is_pure, make_algebra,
                     map_from_images, rn_operator, star_index, order_equivalence_check,
@@ -93,8 +96,10 @@ def test_verdicts_invariant_under_unitary_conjugation(shape):
     rho = unital_map(dims, n, m, ranks, rng)
     assume(rho is not None)
     dil = dilate(rho)
-    other = moved(dil, rng)
-    assert commutant(other.rep).dimension == commutant(dil.rep).dimension
+    foreign = moved(dil, rng)
+    other = canonicalize(foreign)[0]
+    assert commutant(foreign.rep).dimension == commutant(dil.rep).dimension
+    assert other.rep.multiplicities == dil.rep.multiplicities
     assert is_pure(rho, dilation=other) == is_pure(rho, dilation=dil)
     assert report_tuple(is_extreme(rho, dilation=other)) \
         == report_tuple(is_extreme(rho, dilation=dil))
@@ -216,15 +221,17 @@ def test_frame_row_matrix_and_intertwiners_match_the_frame_basis(shape, source_k
     rho = unital_map(dims, n, m, ranks, rng)
     assume(rho is not None)
     dil = source_of(source_kind, dilate(rho), rho, rng)
-    rep = is_extreme(rho, 1e-9, dil)
+    canon, u = canonicalize(dil)
+    rep = is_extreme(rho, 1e-9, canon)
     comm, mat = rep.comm, rep.matrix
-    basis, v = pair_basis(comm, comm), dil.joint_isometry
+    basis, v = pair_basis(comm, comm, u, u), dil.joint_isometry
     want = (v.conj().T @ basis @ v).reshape(len(basis), -1).T
     assert mat.shape == want.shape
     assert spectral_norm(mat - want) <= 1e-12 * (1.0 + spectral_norm(want))
     other = map_with_ranks(dims, n, m, tuple(rng.integers(0, 3, len(dims))), rng)
     for target in (dil, moved(dilate(other), rng)):
-        got = pair_basis(commutant(dil.rep), commutant(target.rep))
+        to, ut = canonicalize(target)
+        got = pair_basis(comm, commutant(to.rep), u, ut)
         flat = got.reshape(len(got), target.space_dim * dil.space_dim)
         assert spectral_norm(flat.conj() @ flat.T - np.eye(len(got))) <= 1e-12
         res = got[:, None] @ dil.rep.images - target.rep.images @ got[:, None]
@@ -256,21 +263,26 @@ def same_bits(a, b):
 @example(((2, 1), 2, 1, (0, 0), 0))  # the zero map, H = 0
 @example(((3, 1), 1, 2, (2, 0), 1))  # a zero-rank block
 def test_seeded_frame_is_the_computed_one(shape):
-    # dilate() returns Representation.canonical, which sets (U, r, eps) and
-    # the norm in closed form and builds its images on first read: those
-    # are canonical_images, read-only and kept; canonical_frame and
-    # spectral_norm on a fresh, validated copy of them are the oracle
+    # dilate() returns Representation.canonical, which sets r and the norm
+    # in closed form and builds its images on first read: those are
+    # canonical_images, read-only and kept; canonical_frame and
+    # spectral_norm on a fresh, validated copy of them are the oracle, and
+    # find U = I, r and eps = 0, as canonicalize does on the dilation
     dims, n, m, ranks, seed = shape
-    rep = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed))).rep
+    dil = dilate(map_with_ranks(dims, n, m, ranks, np.random.default_rng(seed)))
+    rep = dil.rep
     assert "images" not in rep.__dict__
     images = rep.images
     assert same_bits(images, canonical_images(rep.algebra, ranks))
     assert not images.flags.writeable and rep.images is images
     fresh = Representation(rep.algebra, rep.space_dim, images)
-    (u, mults, eps), (want_u, want_mults, want_eps) = rep.frame, canonical_frame(fresh)
-    assert same_bits(u, want_u) and not u.flags.writeable
-    assert mults == want_mults == ranks + (0,)
-    assert same_bits(np.float64(eps), np.float64(want_eps))
+    u, mults, eps = canonical_frame(fresh)
+    assert same_bits(u, np.eye(rep.space_dim, dtype=complex)) and not u.flags.writeable
+    assert mults == rep.multiplicities + (0,) == ranks + (0,)
+    assert same_bits(np.float64(eps), np.float64(0.0))
+    canon, w = canonicalize(dil)
+    assert same_bits(w, u) and canon.rep.multiplicities == ranks
+    assert np.array_equal(canon.joint_isometry, dil.joint_isometry)
     assert same_bits(np.float64(rep.norm), np.float64(spectral_norm(fresh.images)))
     assert same_bits(canonical_images(rep.algebra, ranks),
                      kron_canonical_images(rep.algebra, ranks))
@@ -341,18 +353,22 @@ def test_stacked_compress_matches_single_calls(shape, k):
 @example(((3, 1), 1, 2, (2, 0), 1), "gram")  # U != I, a zero-rank block
 @example(((2, 1), 1, 2, (2, 1), 3), "padded")  # r_0 = 2
 def test_block_compressions_match_the_product_route(shape, source_kind):
-    # A_k* X_k A_k against V* T Phi(.) V on every kind of frame, through
-    # compress and through the block path criterion 4 and decomposition run
+    # A_k* X_k A_k against V* (U T U*) Phi(.) V on every kind of dilation,
+    # through compress and through the block path criterion 4 and
+    # decomposition run on its canonical form
     dims, n, m, ranks, seed = shape
     rng = np.random.default_rng(seed)
     rho = map_with_ranks(dims, n, m, ranks, rng)
     dil = source_of(source_kind, dilate(rho), rho, rng)
-    comm = commutant(dil.rep)
-    ts = unit_interval_stack(dil, rng, 3)
-    by_blocks = _maps(dil, _gated_compressions(dil, comm, comm.blocks(ts), 1e-9))
-    for t, got, block in zip(ts, stacked_compress(dil, ts), by_blocks):
-        assert_product_route(dil, t, got)
-        assert_product_route(dil, t, block)
+    if refused(source_kind, dil):
+        return
+    canon, u = canonicalize(dil)
+    comm = commutant(canon.rep)
+    ts = unit_interval_stack(canon, rng, 3)
+    by_blocks = _maps(canon, _gated_compressions(canon, comm, comm.blocks(ts), 1e-9))
+    for t, got, block in zip(ts, stacked_compress(canon, ts), by_blocks):
+        assert_product_route(dil, u @ t @ u.conj().T, got)
+        assert_product_route(dil, u @ t @ u.conj().T, block)
 
 
 @DETERMINISTIC
@@ -360,35 +376,44 @@ def test_block_compressions_match_the_product_route(shape, source_kind):
        st.sampled_from(("dilate", "moved", "gram", "padded")))
 def test_commutant_gate_reads_the_distance_to_the_commutant(shape, source_kind):
     # T = lift(X) + delta G, G a unit Hermitian operator orthogonal to the
-    # commutant: accepted at delta = 1e-3 tol, rejected at 1e3 tol
+    # commutant: accepted at delta = 1e-3 tol, rejected at 1e3 tol, on the
+    # canonical form of every kind of dilation
     dims, n, m, ranks, seed = shape
     rng = np.random.default_rng(seed)
     rho = map_with_ranks(dims, n, m, ranks, rng)
     dil = source_of(source_kind, dilate(rho), rho, rng)
-    comm = commutant(dil.rep)
+    if refused(source_kind, dil):
+        return
+    canon, u = canonicalize(dil)
+    comm = commutant(canon.rep)
     h = dil.space_dim
     g = herm(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
     g = g - comm.lift(comm.blocks(g))
     assume(spectral_norm(g) > 1e-6)  # not every operator commutes
     g = herm(g) / spectral_norm(g)
-    t, tol = sample_unit_interval(dil, rng), 1e-9
-    assert_product_route(dil, t, compress(dil, t + 1e-3 * tol * g, tol))
+    t, tol = sample_unit_interval(canon, rng), 1e-9
+    assert_product_route(dil, u @ t @ u.conj().T, compress(canon, t + 1e-3 * tol * g, tol))
     with pytest.raises(ValidationError, match="not in the commutant"):
-        compress(dil, t + 1e3 * tol * g, tol)
+        compress(canon, t + 1e3 * tol * g, tol)
 
 
 def test_negative_on_the_kernel_of_phi_one_is_not_positive():
-    # the maps never see the kernel block of Phi(1), the gate does
+    # the maps never see the kernel of Phi(1): an operator negative there
+    # compresses to rho, so a dilation with such a kernel is refused, at
+    # canonicalize and at every entry point, instead of read as positive
     rng = np.random.default_rng(31)
     rho = map_with_ranks((2, 1), 1, 2, (2, 1), rng)
     dil = padded(dilate(rho), rng)
     comm = commutant(dil.rep)
-    assert comm.multiplicities[-1] == 2
-    t = comm.lift([np.eye(r) for r in comm.multiplicities[:-1]] + [-np.eye(2)])
+    assert comm.block_dims[-1] == 1 and comm.multiplicities[-1] == 2
+    u = canonical_frame(dil.rep)[0]
+    t = u @ comm.lift([np.eye(r) for r in comm.multiplicities[:-1]] + [-np.eye(2)]) @ u.conj().T
     assert cpn_distance(product_compress(dil, t), rho) <= 1e-12 * rho.scale
-    with pytest.raises(ValidationError, match="not positive semidefinite"):
+    with pytest.raises(ValidationError, match="not minimal"):
+        canonicalize(dil)
+    with pytest.raises(ValidationError, match="canonicalize"):
         compress(dil, t)
-    with pytest.raises(ValidationError, match="not positive semidefinite"):
+    with pytest.raises(ValidationError, match="canonicalize"):
         order_equivalence_check(dil, np.eye(dil.space_dim), t)
 
 
@@ -695,6 +720,18 @@ def source_of(kind, dil, rho, rng):
             "gram": lambda: dilate_from_gram(rho), "padded": lambda: padded(dil, rng)}[kind]()
 
 
+def refused(kind, dil):
+    """Whether dil is source_of's padded kind, after asserting that
+    canonicalize refuses it and compress refuses it as given."""
+    if kind != "padded":
+        return False
+    with pytest.raises(ValidationError, match="not minimal"):
+        canonicalize(dil)
+    with pytest.raises(ValidationError, match="canonicalize"):
+        compress(dil, np.eye(dil.space_dim))
+    return True
+
+
 def counted_calls(call):
     """call() with dilate and np.linalg.lstsq counted: (result, dilates, lstsqs)."""
     counts = {"dilate": 0, "lstsq": 0}
@@ -728,20 +765,26 @@ def test_frame_route_matches_the_sandwich_route(shape, theta_kind, source_kind):
     rho = map_with_ranks(dims, n, m, ranks, rng)
     dil = dilate(rho)
     dr = source_of(source_kind, dil, rho, rng)
-    theta = {"drawn": lambda: compress(dr, sample_unit_interval(dr, rng)),
+    if refused(source_kind, dr):
+        return
+    canon, u = canonicalize(dr)
+    theta = {"drawn": lambda: compress(canon, sample_unit_interval(canon, rng)),
              "zero": lambda: 0.0 * rho, "same": lambda: rho}[theta_kind]()
     want_t, want_w = sandwich_route(dr, theta)
-    elem, dilates, lstsqs = counted_calls(lambda: rn_operator(rho, theta, source_dilation=dr))
+    elem, dilates, lstsqs = counted_calls(lambda: rn_operator(rho, theta, source_dilation=canon))
     assert (dilates, lstsqs) == (0, 0)
-    w, dilates, lstsqs = counted_calls(lambda: intertwiner(rho, theta, source_dilation=dr))
+    w, dilates, lstsqs = counted_calls(lambda: intertwiner(rho, theta, source_dilation=canon))
     assert (dilates, lstsqs) == (1, 0)
-    for got, want in ((elem.matrix, want_t), (w.matrix, want_w)):
+    # conjugated by U, the answers on the canonical form are dr's
+    for got, want in ((u @ elem.matrix @ u.conj().T, want_t), (w.matrix @ u.conj().T, want_w)):
         assert got.shape == want.shape
         assert spectral_norm(got - want) <= 1e-10 * (1.0 + spectral_norm(want))
-    if theta_kind == "same" and source_kind != "padded":
+    if theta_kind == "same":
         assert spectral_norm(elem.matrix - np.eye(dr.space_dim)) <= 1e-10
-    if source_kind == "dilate":
-        assert elem.commutant_residual == w.intertwining_residual == 0.0
+    # T commutes and W intertwines by construction
+    images = canon.rep.images
+    assert spectral_norm(elem.matrix @ images - images @ elem.matrix) == 0.0
+    assert spectral_norm(w.matrix @ images - w.target.rep.images @ w.matrix) == 0.0
 
 
 # One assembly path: CommutantBasis.lift is the frame-basis combination, and
@@ -765,7 +808,7 @@ def test_lift_is_the_frame_basis_combination(shape, source_kind, other_target):
     if other_target:
         other = map_with_ranks(dims, n, m, tuple(rng.integers(0, 3, len(dims))), rng)
         target = commutant(moved(dilate(other), rng).rep)
-    shape_out = (target.rep.space_dim, source.rep.space_dim)
+    shape_out = (target.space_dim, source.space_dim)
     pairs = list(zip(source.multiplicities, target.multiplicities))
     count = int(rng.integers(1, len(pairs) + 1))  # blocks past count are zero
     xs = [rng.standard_normal((3, s, r)) + 1j * rng.standard_normal((3, s, r))
@@ -791,19 +834,18 @@ def test_lift_is_the_frame_basis_combination(shape, source_kind, other_target):
 @example(((2, 1), 2, 1, (0, 0), 0), "dilate")  # the zero map, H = 0
 @example(((2, 1), 1, 2, (2, 1), 3), "padded")  # r_0 = 2
 def test_blocks_are_the_conditional_expectation(shape, source_kind):
-    # blocks inverts lift, and T - lift(blocks(T)) is Frobenius-orthogonal
-    # to the oracle commutant basis; a stack of 3 matches its members bitwise
+    # blocks inverts lift, bitwise, and T - lift(blocks(T)) is
+    # Frobenius-orthogonal to the oracle commutant basis; a stack of 3
+    # matches its members bitwise
     dims, n, m, ranks, seed = shape
     rng = np.random.default_rng(seed)
     rho = map_with_ranks(dims, n, m, ranks, rng)
     comm = commutant(source_of(source_kind, dilate(rho), rho, rng).rep)
-    h = comm.rep.space_dim
+    h = comm.space_dim
     xs = [rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r))
           for r in comm.multiplicities]
     back = comm.blocks(comm.lift(xs))
-    assert all(spectral_norm(b - x) <= 1e-12 * (1.0 + spectral_norm(x)) for b, x in zip(back, xs))
-    if source_kind == "dilate":
-        assert all(np.array_equal(b, x) for b, x in zip(back, xs))
+    assert all(np.array_equal(b, x) for b, x in zip(back, xs))
     ts = rng.standard_normal((3, h, h)) + 1j * rng.standard_normal((3, h, h))
     stacked = comm.blocks(ts)
     for i, t in enumerate(ts):

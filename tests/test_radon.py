@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpnkit import (CertificationError, DominationError, PositivityError,
-                    StinespringDilation, ValidationError, as_cpn, compress,
+                    StinespringDilation, ValidationError, as_cpn, canonicalize, compress,
                     commutant, cpn_distance, depolarizing_map, dilate,
                     identity_map, images_of, intertwiner, is_extreme, is_pure,
                     make_algebra, order_equivalence_check, random_cpn_map,
@@ -82,7 +82,8 @@ def test_intertwiner_certificates():
     scale = rho.scale
     assert w.norm <= 1.0 + 1e-10
     assert w.isometry_residual <= 1e-9 * scale
-    assert w.intertwining_residual <= 1e-9 * scale
+    # W intertwines the canonical representations by construction
+    assert spectral_norm(w.matrix @ dil.rep.images - w.target.rep.images @ w.matrix) == 0.0
     assert w.matrix.shape[1] == dil.space_dim
 
 
@@ -144,9 +145,10 @@ def test_sample_unit_interval_properties():
 
 
 def test_frame_is_computed_once_per_dilation(monkeypatch):
-    # dilate() seeds its frame, so its output computes none; any other
-    # representation computes it once, shared by is_pure, is_extreme and
-    # repeated draws, which keep their count and order
+    # canonicalize is the one reader of a frame: a dilate() output needs
+    # none, any other dilation computes it once there, and is_pure,
+    # is_extreme and repeated draws on the canonical dilation compute none,
+    # keeping their count and order; the foreign dilation itself is refused
     rho = as_cpn(depolarizing_map(2))
     dil = dilate(rho)
     u = random_unitary_matrix(dil.space_dim, np.random.default_rng(4))
@@ -161,13 +163,16 @@ def test_frame_is_computed_once_per_dilation(monkeypatch):
             return real(rep)
 
         monkeypatch.setattr(cpnkit_dilation, "canonical_frame", counting)
-        assert not is_pure(rho, dilation=d)
-        assert not is_extreme(rho, dilation=d).extreme
-        a = sample_unit_interval(d, np.random.default_rng(3))
-        b = sample_unit_interval(d, np.random.default_rng(3))
+        canon = d if d is dil else canonicalize(d)[0]
+        assert not is_pure(rho, dilation=canon)
+        assert not is_extreme(rho, dilation=canon).extreme
+        a = sample_unit_interval(canon, np.random.default_rng(3))
+        b = sample_unit_interval(canon, np.random.default_rng(3))
         monkeypatch.undo()
         assert len(made) == frames and all(rep is d.rep for rep in made)
         assert np.array_equal(a, b)
+    with pytest.raises(ValidationError, match="canonicalize"):
+        sample_unit_interval(turned, np.random.default_rng(3))
 
 
 def test_rn_operator_reports_certificates():
@@ -177,7 +182,7 @@ def test_rn_operator_reports_certificates():
     t0 = sample_unit_interval(dil, rng)
     theta = compress(dil, t0)
     elem = rn_operator(rho, theta, source_dilation=dil)
-    assert elem.commutant_residual <= 1e-9
+    assert commutant_residual(dil, elem.matrix) <= 1e-9
     assert elem.reconstruction_residual <= 1e-9 * theta.scale
     assert min(elem.spectrum) >= -1e-9
     assert max(elem.spectrum) <= 1.0 + 1e-9
@@ -202,7 +207,7 @@ def test_fused_gates_match_separate_norms():
     # compress takes ||X||, ||X - X*|| over the frame blocks from one
     # batched SVD per block and the least eigenvalue from one eigvalsh call
     # per block: bitwise the values of separate calls, for each member of a
-    # stack too; empty blocks (here the kernel block) take no part
+    # stack too; empty blocks take no part
     rng = np.random.default_rng(19)
     for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
         alg = make_algebra(dims)
@@ -219,7 +224,7 @@ def test_fused_gates_match_separate_norms():
                             min(np.linalg.eigvalsh(herm(x[i]))[0] for x in xs if len(x[i])))
                 assert fused == single == separate
     empty = commutant(dilate(as_cpn(zero_map(make_algebra((2, 1)), 2))).rep)
-    assert empty.rep.space_dim == 0
+    assert empty.space_dim == 0
     values = _block_gates([np.zeros((2, 0, 0))] * len(empty.multiplicities))
     assert [v.tolist() for v in values] == [[0.0, 0.0], [0.0, 0.0], [np.inf, np.inf]]
 

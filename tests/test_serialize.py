@@ -108,7 +108,7 @@ def test_linear_map_round_trip():
 
 
 def test_dilation_serialization():
-    # frame coordinates: the multiplicities and the V_i, no images
+    # a canonical dilation: the multiplicities and the V_i, no images
     rng = np.random.default_rng(5)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 2, rng)
     dil = dilate(rho)
@@ -118,5 +118,4 @@ def test_dilation_serialization():
     assert obj["multiplicities"] == list(dil.rep.multiplicities)
     assert len(obj["isometries"]) == rho.n
     for pairs, v in zip(obj["isometries"], dil.isometries):
-        # dilate's frame is U = I exactly, so U* V_i is V_i as numbers
         assert np.array_equal(ser.json_to_matrix(pairs, v.shape), v)

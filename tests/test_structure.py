@@ -7,7 +7,7 @@ import pytest
 from cpnkit import (CertificationError, CPnMap, CpnVerdict, LinearMap,
                     PositivityError, Representation, StinespringDilation,
                     ValidationError, apply_map, as_cpn,
-                    build_extreme_family, commutant, compression_map,
+                    build_extreme_family, canonicalize, commutant, compression_map,
                     cpn_distance, depolarizing_map, dilate,
                     dilate_from_gram, extension_witness, flatten,
                     identity_map, images_of, are_disjoint,
@@ -475,6 +475,13 @@ def commutant_oracle(rep):
     return commutant_basis_of(list(rep.images), rep.space_dim, 1e-9)
 
 
+def in_rep_coordinates(rep):
+    """commutant(rep).basis, which is in rep's canonical frame, conjugated
+    by that frame's U into rep's own coordinates."""
+    u = canonical_frame(rep)[0]
+    return list(u @ commutant(rep).basis @ u.conj().T)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 1), (2, 1)])
 def test_closed_form_commutant_matches_oracle(dims, monkeypatch):
     rng = np.random.default_rng(sum(dims))
@@ -528,7 +535,7 @@ def test_frame_bases_match_oracle_on_conjugated_representations(dims, monkeypatc
         forbid_oracles(monkeypatch)
         fast = commutant(rep)
         assert fast.dimension == sum(r * r for r in dil.rep.multiplicities)
-        assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
+        assert_same_space(in_rep_coordinates(rep), oracle, (rep.space_dim,) * 2)
         for (a, b), inter in zip(pairs, inter_oracles):
             assert_same_space(intertwiner_space(a, b), inter,
                               (b.space_dim, a.space_dim))
@@ -537,8 +544,8 @@ def test_frame_bases_match_oracle_on_conjugated_representations(dims, monkeypatc
 
 @pytest.mark.parametrize("dims", [(2,), (2, 1), (3, 1)])
 def test_frame_commutant_of_non_unital_representation(dims, monkeypatch):
-    # the kernel of Phi(1) is one more summand, with the full matrix
-    # algebra as its commutant
+    # the kernel of Phi(1) is one more summand, a last block with d = 1,
+    # with the full matrix algebra as its commutant
     rng = np.random.default_rng(30 + sum(dims))
     dil = dilate(random_cpn_map(make_algebra(dims), 2, 1, 2, rng))
     pad = 2
@@ -546,8 +553,10 @@ def test_frame_commutant_of_non_unital_representation(dims, monkeypatch):
     oracle = commutant_oracle(rep)
     forbid_oracles(monkeypatch)
     fast = commutant(rep)
+    assert fast.block_dims == dil.rep.algebra.block_dims + (1,)
+    assert fast.multiplicities == dil.rep.multiplicities + (pad,)
     assert fast.dimension == sum(r * r for r in dil.rep.multiplicities) + pad * pad
-    assert_same_space(list(fast.basis), oracle, (rep.space_dim,) * 2)
+    assert_same_space(in_rep_coordinates(rep), oracle, (rep.space_dim,) * 2)
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 1)])
@@ -559,7 +568,7 @@ def test_frame_commutant_of_gram_dilations(dims, monkeypatch):
         forbid_oracles(monkeypatch)
         fast = commutant(gram.rep)
         assert fast.dimension == sum(r * r for r in dilate(rho).rep.multiplicities)
-        assert_same_space(list(fast.basis), oracle, (gram.space_dim,) * 2)
+        assert_same_space(in_rep_coordinates(gram.rep), oracle, (gram.space_dim,) * 2)
         monkeypatch.undo()
 
 
@@ -611,10 +620,11 @@ def test_conjugated_representation_takes_frame_route(monkeypatch):
     rep = conjugated(dil.rep, u)
     forbid_oracles(monkeypatch)
     basis = commutant(rep)
-    assert basis.dimension == sum(r * r for r in rep.multiplicities)
+    assert rep.multiplicities is None
+    assert basis.multiplicities == dil.rep.multiplicities
     # conjugating the closed-form basis gives the same space
     closed = [u @ b @ u.conj().T for b in commutant(dil.rep).basis]
-    assert_same_space(list(basis.basis), closed, (h, h))
+    assert_same_space(in_rep_coordinates(rep), closed, (h, h))
 
 
 @pytest.mark.parametrize("make", [lambda: as_cpn(identity_map(m2())),
@@ -624,7 +634,7 @@ def test_gram_dilation_purity_matches(make, monkeypatch):
     rho = make()
     gram = dilate_from_gram(rho)
     forbid_oracles(monkeypatch)
-    verdict = is_pure(rho, dilation=gram)
+    verdict = is_pure(rho, dilation=canonicalize(gram)[0])
     monkeypatch.undo()
     assert verdict == is_pure(rho)
 
@@ -692,10 +702,12 @@ def unital_maps(count, rng):
 
 
 def ptp_route(dil, tol=1e-9):
-    """The H^2-row route: rank of the stack of vec(P T_s P) over the oracle
-    basis of the certified commutant, with its singular values."""
-    comm = commutant(dil.rep, tol)
-    basis = pair_basis(comm, comm)
+    """The H^2-row route in dil's own coordinates: rank of the stack of
+    vec(P T_s P) over the oracle basis of the certified commutant,
+    conjugated by canonicalize's U, with its singular values."""
+    canon, u = canonicalize(dil, tol)
+    comm = commutant(canon.rep)
+    basis = pair_basis(comm, comm, u, u)
     q = orth(dil.joint_isometry, tol)
     p = q @ q.conj().T
     stack = np.stack([(p @ b @ p).ravel() for b in basis], axis=1)
@@ -747,22 +759,26 @@ def test_frame_extremality_on_conjugated_and_gram_dilations(monkeypatch):
         assert expected[1] == expected[2] == expected[0]
         forbid_oracles(monkeypatch)
         for d, want in zip((moved, gram), expected[1:]):
-            assert report_tuple(is_extreme(rho, dilation=d)) == want
-            assert is_pure(rho, dilation=d) == (want[1] == 1)
+            canon = canonicalize(d)[0]
+            assert report_tuple(is_extreme(rho, dilation=canon)) == want
+            assert is_pure(rho, dilation=canon) == (want[1] == 1)
         monkeypatch.undo()
 
 
-def measured_commute_residual(comm):
-    """max ||[b, Phi(e)]|| over comm.basis, after asserting that the basis is
-    closed under adjoints: b_ab* = b_ba, exact in frame coordinates and to
-    matmul rounding on the H x H matrices."""
-    imgs = comm.rep.images
-    residual = max((spectral_norm(b @ imgs - imgs @ b) for b in comm.basis), default=0.0)
+def measured_commute_residual(rep, tol=1e-9):
+    """(max ||[b, Phi(e)]|| over commutant(rep, tol).basis in rep's own
+    coordinates, the frame residual eps), after asserting that the basis is
+    closed under adjoints: b_ab* = b_ba, exact in canonical coordinates."""
+    comm = commutant(rep, tol)
+    u, _, eps = canonical_frame(rep)
+    imgs = rep.images
+    residual = max((spectral_norm(b @ imgs - imgs @ b) for b in u @ comm.basis @ u.conj().T),
+                   default=0.0)
     swap = []
     for r in comm.multiplicities:
         swap += [len(swap) + b * r + a for a in range(r) for b in range(r)]
-    assert np.abs(comm.basis.conj().swapaxes(-2, -1) - comm.basis[swap]).max(initial=0.0) <= 1e-14
-    return residual
+    assert np.array_equal(comm.basis.conj().swapaxes(-2, -1), comm.basis[swap])
+    return residual, eps
 
 
 def test_commutator_bound_dominates_measured_residuals():
@@ -777,19 +793,15 @@ def test_commutator_bound_dominates_measured_residuals():
             reps.append(conjugated(dil.rep, random_unitary_matrix(dil.space_dim + 2, rng), 2))
             reps.append(dilate_from_gram(rho).rep)
     for rep in reps:
-        comm = commutant(rep)
-        residual = measured_commute_residual(comm)
-        assert residual <= commutator_bound(rep, comm.frame_residual) \
-            + representation_bound(rep, 0.0)
+        residual, eps = measured_commute_residual(rep)
+        assert residual <= commutator_bound(rep, eps) + representation_bound(rep, 0.0)
     # perturbed images, where eps is far above rounding, at a looser tol
     for rep in reps[:12]:
         noise = rng.standard_normal(rep.images.shape) + 1j * rng.standard_normal(rep.images.shape)
         bad = Representation(rep.algebra, rep.space_dim, rep.images + 1e-9 * noise)
-        comm = commutant(bad, 1e-6)
-        assert comm.frame_residual > 1e-10
-        residual = measured_commute_residual(comm)
-        assert residual <= commutator_bound(bad, comm.frame_residual) \
-            + representation_bound(bad, 0.0)
+        residual, eps = measured_commute_residual(bad, 1e-6)
+        assert eps > 1e-10
+        assert residual <= commutator_bound(bad, eps) + representation_bound(bad, 0.0)
 
 
 def test_commutator_bound_failure_raises():
@@ -831,7 +843,8 @@ def test_nonextreme_decomposition_from_frame_coordinates(monkeypatch):
     moved = StinespringDilation(conjugated(conj.rep, u), tuple(u @ v for v in conj.isometries),
                                 multi)
     forbid_oracles(monkeypatch)
-    for rho, dil in ((dep, None), (multi, None), (multi, moved)):
+    canon, u = canonicalize(moved)
+    for rho, dil in ((dep, None), (multi, None), (multi, canon)):
         rep = is_extreme(rho, dilation=dil)
         assert not rep.extreme
         dec = nonextreme_decomposition(rho, dilation=dil)
@@ -840,6 +853,9 @@ def test_nonextreme_decomposition_from_frame_coordinates(monkeypatch):
         d = dil if dil is not None else dilate(rho)
         v = d.joint_isometry
         assert np.abs(v.conj().T @ dec.kernel_element @ v).max() <= 1e-12
+    # on the given dilation the element is U T U*
+    t = u @ dec.kernel_element @ u.conj().T
+    assert np.abs(moved.joint_isometry.conj().T @ t @ moved.joint_isometry).max() <= 1e-12
 
 
 def test_decomposition_does_not_depend_on_the_kernel_basis(monkeypatch):
@@ -927,7 +943,7 @@ def test_verdicts_do_not_build_the_commutant_basis(monkeypatch):
         sample_unit_interval(dil, rng)
     assert len(made) == 8
     assert all("basis" not in vars(comm) for comm in made)
-    assert made[0].basis.shape == (made[0].dimension,) + (made[0].rep.space_dim,) * 2
+    assert made[0].basis.shape == (made[0].dimension,) + (made[0].space_dim,) * 2
     assert "basis" in vars(made[0])
 
 
@@ -985,17 +1001,21 @@ def count_kernels(monkeypatch):
 
 
 def test_second_commutant_reads_the_cached_frame(monkeypatch):
+    # a canonical representation carries its frame as its multiplicities:
+    # dilate's and canonicalize's outputs answer every commutant() call
+    # with no kernel run
     rng = np.random.default_rng(70)
     dil = dilate(random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng))
-    for rep in (dil.rep, conjugated(dil.rep, random_unitary_matrix(dil.space_dim, rng))):
+    u = random_unitary_matrix(dil.space_dim, rng)
+    moved = StinespringDilation(conjugated(dil.rep, u), tuple(u @ v for v in dil.isometries),
+                                dil.source)
+    for rep in (dil.rep, canonicalize(moved)[0].rep):
         first = commutant(rep, 1e-9)
         calls = count_kernels(monkeypatch)
         second = commutant(rep, 1e-6)
         monkeypatch.undo()
         assert calls == []
-        assert second.frame is first.frame and not first.frame.flags.writeable
-        assert (second.multiplicities, second.frame_residual) \
-            == (first.multiplicities, first.frame_residual)
+        assert second.multiplicities == first.multiplicities == dil.rep.multiplicities
 
 
 def test_frame_with_wrong_vector_count_raises_on_every_call(monkeypatch):
@@ -1027,16 +1047,18 @@ def test_minimality_is_decided_once_per_dilation_and_tol(monkeypatch):
     rho = random_cpn_map(make_algebra((2, 1)), 2, 1, 2, rng)
     dil = dilate(rho)
     u = random_unitary_matrix(dil.space_dim, rng)
-    other = StinespringDilation(conjugated(dil.rep, u), tuple(u @ v for v in dil.isometries), rho)
+    other = canonicalize(StinespringDilation(conjugated(dil.rep, u),
+                                             tuple(u @ v for v in dil.isometries), rho))[0]
     reads = []
     real = cpnkit_dilation.CommutantBasis.rows
     monkeypatch.setattr(cpnkit_dilation.CommutantBasis, "rows",
-                        lambda self, v: reads.append(self.rep) or real(self, v))
+                        lambda self, v: reads.append(v) or real(self, v))
     verdicts = [is_pure(rho, dilation=dil), is_pure(rho, dilation=other),
                 is_pure(rho, dilation=other), is_pure(rho, 1e-7, dilation=other)]
-    assert verdicts == [False] * 4 and reads == [other.rep, other.rep]
+    assert verdicts == [False] * 4 and all(v is other.joint_isometry for v in reads)
+    assert len(reads) == 2
     assert dil._minimal == {1e-9: True} and other._minimal == {1e-9: True, 1e-7: True}
-    bad = doubled(dil)
+    bad = canonicalize(doubled(dil))[0]
     for _ in range(2):
         with pytest.raises(ValidationError, match="not minimal"):
             is_pure(rho, dilation=bad)
@@ -1066,15 +1088,18 @@ def test_foreign_dilation_is_rejected():
     assert not is_pure(as_cpn(depolarizing_map(2)), dilation=foreign)
     assert is_extreme(as_cpn(depolarizing_map(2)), dilation=foreign).commutant_dim == 16
     # Phi (+) Phi with V (+) 0 factorizes the identity map but is not minimal:
-    # answered for as given, it would call the pure, extreme map neither
+    # answered for as given, it would call the pure, extreme map neither;
+    # its canonical form keeps r_0 = 0, so the rows decide
     two = doubled(dilate(ident))
     assert verify_dilation(ident, two).factor_residual <= 1e-12
     assert not verify_dilation(ident, two).minimal
-    for call in (lambda: is_pure(ident, dilation=two),
-                 lambda: is_extreme(ident, dilation=two),
-                 lambda: nonextreme_decomposition(ident, dilation=two)):
+    canon = canonicalize(two)[0]
+    assert canon.rep.multiplicities == (2,)
+    for call in (lambda: is_pure(ident, dilation=canon),
+                 lambda: is_extreme(ident, dilation=canon),
+                 lambda: nonextreme_decomposition(ident, dilation=canon)):
         with pytest.raises(ValidationError, match="not minimal"):
             call()
     assert is_pure(ident) and is_extreme(ident).extreme
     # rn_operator needs no minimal source and still accepts it
-    assert rn_operator(ident, 0.5 * ident, source_dilation=two).spectrum[1] <= 0.5 + 1e-12
+    assert rn_operator(ident, 0.5 * ident, source_dilation=canon).spectrum[1] <= 0.5 + 1e-12
