@@ -373,21 +373,20 @@ class StinespringDilation:
 def dilate(rho: CPnMap, tol: float = 1e-9) -> StinespringDilation:
     """Minimal dilation via eigendecomposition of the flattened Choi blocks.
 
-    Eigenpairs with eigenvalue above tol * (1 + block norm) are kept; the
-    zero map yields a zero-dimensional, vacuously minimal dilation.  Raises
-    PositivityError when rho is not completely n-positive to tol; the
-    verdict, kept on rho as is_completely_n_positive keeps its own, comes
-    from the eigendecomposition that yields the Kraus factors unless rho
-    has one for tol already.  The representation is
-    Representation.canonical of the kept ranks: no images are built.
+    Eigenpairs with eigenvalue above tol * (1 + max |w|) on each eigh
+    spectrum w are kept; the zero map yields a zero-dimensional, vacuously
+    minimal dilation.  Raises PositivityError, before any eigh, when the
+    verdict is_completely_n_positive keeps on rho is negative.  The
+    representation is Representation.canonical of the kept ranks: no
+    images are built.
     """
+    _verdict(rho, tol).require()
     n, m = rho.n, rho.codomain_dim
     alg = rho.domain
-    eigs = [np.linalg.eigh(herm(c)) for c in rho.flat.choi_blocks]
-    _verdict(rho, tol, [w[None] for w, _ in eigs]).require()
     rows: list[np.ndarray] = []
     mults: list[int] = []
-    for d, (w, vecs) in zip(alg.block_dims, eigs):
+    for d, c in zip(alg.block_dims, rho.flat.choi_blocks):
+        w, vecs = np.linalg.eigh(herm(c))
         keep = significant(w, tol)
         mults.append(int(keep.sum()))
         # kraus[p, x, s] = K_s[x, p]; row (k, p, s) of V is conj(K_s[:, p])

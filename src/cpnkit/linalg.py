@@ -9,8 +9,11 @@ Certificates are measured on stacks: spectral_norm accepts any array of
 shape (..., r, c) and returns the largest spectral norm over the leading
 axes, so a residual over all matrix units, such as
 max_e ||X Phi(e) - Phi(e) X||, is one call on X @ images - images @ X;
-spectral_norms returns the norm of each member, so the gates of a stack
-of commutant blocks X (||X||, ||X - X*||) share one SVD call.
+spectral_norms returns the norm of each member, so compress's gates on
+a stack of operators T (||T - E(T)||, ||T||) share one SVD call.  A
+Hermitian matrix needs no SVD: the Choi block norms and the commutant
+block gates are spectral radii of the eigvalsh spectra their verdicts
+already take.
 """
 from __future__ import annotations
 

@@ -243,15 +243,16 @@ class CPnMap:
                            for j in range(n)) for i in range(n))
 
     @functools.cached_property
-    def _block_norms(self) -> list[float]:
-        """The flattened Choi block norms, which scale and the verdicts read."""
-        return [spectral_norms(c[None]).item() for c in self.flat.choi_blocks]
+    def _spectra(self) -> list[np.ndarray]:
+        """The flattened Choi blocks' Hermitian parts' ascending spectra, one
+        (1, q) row per block, which scale and the verdicts read."""
+        return [np.linalg.eigvalsh(herm(c[None])) for c in self.flat.choi_blocks]
 
     @functools.cached_property
     def scale(self) -> float:
-        """1 + the largest flattened Choi block norm, computed once per map:
-        the storage is immutable, and derived maps are new objects."""
-        return 1.0 + max(self._block_norms)
+        """1 + the largest flattened Choi block norm max |w| over _spectra,
+        once per map: the storage is immutable, derived maps are new objects."""
+        return 1.0 + max(float(np.abs(w).max(initial=0.0)) for w in self._spectra)
 
     @functools.cached_property
     def _verdicts(self) -> dict[float, CpnVerdict]:
@@ -359,56 +360,44 @@ class CpnVerdict:
         return self
 
 
-_MARGIN = 1e-8  # relative slack on each bound, far above its rounding and the SVD's
+_MARGIN = 1e-8  # relative slack on the skew bound, far above its rounding and the SVD's
 
 
-def _cpn_verdicts(stacks, m: int, tol: float, spectra=None, norms=None) -> list[CpnVerdict]:
+def _cpn_verdicts(stacks, m: int, tol: float, spectra=None) -> list[CpnVerdict]:
     """is_completely_n_positive's verdicts on k maps of one shape, from their
     flattened Choi blocks as one (k, q, q) stack per algebra block and, when
-    given, their Hermitian parts' ascending spectra as (k, q) stacks and
-    their norms as k-lists.
+    given, their Hermitian parts' ascending spectra as (k, q) stacks.
 
-    Bounds first, each widened by _MARGIN: ||B|| <= m max|B_ij| on the m x m
-    sub-blocks B of C - C*, and without norms max|w| <= ||C|| <= ||C||_F.
-    Both gates are monotone in the norms, so a member whose skew bound
-    passes at the low norms and whose positivity reads alike at both ends
-    is settled as the SVDs would settle it.  The rest take, per block, one
-    SVD call over the sub-blocks and, without norms, one for the norms.
+    A block's norm is max |w| on its spectrum w, so positivity reads the
+    spectrum alone.  Symmetry takes the bound ||B|| <= m max|B_ij| on the
+    m x m sub-blocks B of C - C* first, widened by _MARGIN; the members it
+    leaves open take one SVD call per block over their sub-blocks.
     Member i is bitwise the verdict on map i alone.
     """
     if spectra is None:
         spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
     skews = [c - c.conj().swapaxes(-1, -2) for c in stacks]
     lows = [w[:, 0].tolist() if w.shape[-1] else None for w in spectra]
-
-    def positive(i, block_norms):  # a block with an empty spectrum takes no part
-        return not any(low[i] < -tol * (1.0 + norm)
-                       for low, norm in zip(lows, block_norms) if low is not None)
-
+    norms = list(zip(*[np.abs(w).max(axis=-1, initial=0.0).tolist() for w in spectra]))
     with np.errstate(over="ignore"):  # an overflowed bound is inf and settles nothing
         skew = [(np.abs(s).max(axis=(-2, -1), initial=0.0) * (m * (1.0 + _MARGIN))).tolist()
                 for s in skews]
-        lo, hi = (norms, norms) if norms is not None else (
-            [(np.abs(w).max(axis=-1, initial=0.0) * (1.0 - _MARGIN)).tolist() for w in spectra],
-            [(np.linalg.norm(c, axis=(-2, -1)) * (1.0 + _MARGIN)).tolist() for c in stacks])
-    member_norms, hi = list(zip(*lo)), list(zip(*hi))
     # sum() carries a NaN or inf of any block (a NaN in C is one in C - C*)
     symmetric = [math.isfinite(sum(b)) and max(b) <= tol * (1.0 + max(ns))
-                 for b, ns in zip(zip(*skew), member_norms)]
-    open_ = [i for i, sym in enumerate(symmetric)
-             if not sym or positive(i, member_norms[i]) != positive(i, hi[i])]
+                 for b, ns in zip(zip(*skew), norms)]
+    open_ = [i for i, sym in enumerate(symmetric) if not sym]
     if open_:
-        if norms is None:
-            for i, exact in zip(open_, zip(*[spectral_norms(c[open_]).tolist() for c in stacks])):
-                member_norms[i] = exact
         asyms = [spectral_norms(subblocks(s[open_], m)).max(axis=(-2, -1), initial=0.0).tolist()
                  for s in skews]
         for j, i in enumerate(open_):
-            symmetric[i] = max(a[j] for a in asyms) <= tol * (1.0 + max(member_norms[i]))
+            symmetric[i] = max(a[j] for a in asyms) <= tol * (1.0 + max(norms[i]))
     verdicts = []
-    for i, (sym, block_norms) in enumerate(zip(symmetric, member_norms)):
-        min_eig = min([np.inf] + [low[i] for low in lows if low is not None])
-        verdicts.append(CpnVerdict(sym and positive(i, block_norms),
+    for i, (sym, block_norms) in enumerate(zip(symmetric, norms)):
+        # a block with an empty spectrum takes no part
+        firsts = [(low[i], norm) for low, norm in zip(lows, block_norms) if low is not None]
+        min_eig = min([np.inf] + [w for w, _ in firsts])
+        positive = not any(w < -tol * (1.0 + norm) for w, norm in firsts)
+        verdicts.append(CpnVerdict(sym and positive,
                                    min_eig if math.isfinite(min_eig) else 0.0, sym))
     return verdicts
 
@@ -418,26 +407,25 @@ def is_completely_n_positive(rho: CPnMap, tol: float = 1e-9) -> CpnVerdict:
 
     Hermitian symmetry is a precondition of positivity; when it fails the
     verdict is false and min_eig reports the spectrum of the Hermitian
-    parts as a diagnostic.  Eigenvalues above -tol * (1 + block norm)
-    count as nonnegative.
+    parts as a diagnostic.  Eigenvalues w above -tol * (1 + block norm)
+    count as nonnegative, the block norm being max |w|, as scale reads it.
 
     Symmetry is measured as the largest m x m sub-block of C - C* over
     the flattened Choi blocks C, i.e. max over e_pq and i, j of
-    ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max ||C||).
-    The block norms take one SVD call per block, which scale then reads;
-    the sub-block norms take one more only when m max|C - C*| does not
-    already pass the gate (see _cpn_verdicts).  Decided once per map and
-    tol; later calls return the same verdict.
+    ||rho_ji(e_qp) - rho_ij(e_pq)*||, against tol * (1 + max block norm).
+    The sub-block norms take one SVD call per block only when
+    m max|C - C*| does not already pass the gate (see _cpn_verdicts).
+    Decided once per map and tol; later calls return the same verdict.
     """
     return _verdict(rho, tol)
 
 
-def _verdict(rho: CPnMap, tol: float, spectra=None) -> CpnVerdict:
-    """rho's verdict at tol, kept on rho, from its block norms and the spectra if given."""
+def _verdict(rho: CPnMap, tol: float) -> CpnVerdict:
+    """rho's verdict at tol, kept on rho, from its kept spectra."""
     memo = rho._verdicts
     if tol not in memo:
         memo[tol] = _cpn_verdicts([c[None] for c in rho.flat.choi_blocks], rho.codomain_dim,
-                                  tol, spectra, [[x] for x in rho._block_norms])[0]
+                                  tol, rho._spectra)[0]
     return memo[tol]
 
 

@@ -35,17 +35,19 @@ from .maps import (CPnMap, _cpn_verdicts, _trusted_map, cpn_distance,
 
 
 def _block_gates(xs: list[np.ndarray]):
-    """Per element of per-block (k, r_k, r_k) stacks X: ||X||, ||X - X*||
-    and the least eigenvalue of herm(X) over the blocks (inf when every
-    block is empty), from one SVD call and one eigvalsh call per nonempty
-    block; bitwise the values of separate per-element calls."""
+    """Per element of per-block (k, r_k, r_k) stacks X: ||herm X||,
+    ||X - X*|| and the least eigenvalue of herm(X) over the blocks (inf
+    when every block is empty), read off one eigvalsh call per nonempty
+    block over [herm X; i (X - X*)]; bitwise separate per-element calls."""
     k = len(xs[0])
     norms, asyms, lows = np.zeros(k), np.zeros(k), np.full(k, np.inf)
     for x in xs:
         if x.shape[-1]:
-            both = spectral_norms(np.concatenate([x, x - x.conj().swapaxes(-1, -2)]))
+            skew = 1j * (x - x.conj().swapaxes(-1, -2))
+            w = np.linalg.eigvalsh(np.concatenate([herm(x), skew]))
+            both = np.abs(w).max(axis=-1)
             norms, asyms = np.maximum(norms, both[:k]), np.maximum(asyms, both[k:])
-            lows = np.minimum(lows, np.linalg.eigvalsh(herm(x))[:, 0])
+            lows = np.minimum(lows, w[:k, 0])
     return norms, asyms, lows
 
 
@@ -68,7 +70,7 @@ def _gated_compressions(dil: StinespringDilation, comm: CommutantBasis, xs,
     """compress's gates on per-block stacks of blocks X of comm, then
     _compressions of them.  Blocks commute by construction; outside gives
     (||T - E(T)||, ||T||) for H x H operators T, the commute residual,
-    whose 1 + ||T|| then replaces 1 + ||X|| as the scale.  Elements are
+    whose 1 + ||T|| then replaces 1 + ||herm X|| as the scale.  Elements are
     checked in stack order, each as compress checks it alone.
     """
     norms, asyms, lows = _block_gates(xs)

@@ -437,10 +437,10 @@ def build_extreme_family(base: LinearMap, unitaries, tol: float = 1e-9) -> CPnMa
             raise ValidationError(f"unitary {idx} lives in a different algebra")
         if not is_unitary(u, tol):
             raise ValidationError(f"element {idx} is not unitary to tolerance")
-    unital_dev = spectral_norm(apply_map(base, unit) - np.eye(m))
-    if unital_dev > tol * (1.0 + max(spectral_norm(b) for b in base.choi_blocks)):
-        raise ValidationError(f"base map is not unital (residual {unital_dev:.3e})")
     base_cpn = as_cpn(base)
+    unital_dev = spectral_norm(apply_map(base, unit) - np.eye(m))
+    if unital_dev > tol * base_cpn.scale:
+        raise ValidationError(f"base map is not unital (residual {unital_dev:.3e})")
     base_dil = dilate(base_cpn, tol)
     if not is_pure(base_cpn, tol, dilation=base_dil):
         raise ValidationError("base map is not pure")

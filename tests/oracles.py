@@ -15,7 +15,9 @@ choi_extreme decides extremality in C(rho(1)) from the Choi blocks alone,
 without a dilation and without rho(1).  svd_is_extreme is is_extreme's
 verdict with the rank of the frame-row matrix always read off its SVD,
 no Gram certificate first.  svd_cpn_verdicts is the stacked complete
-n-positivity verdict with every norm from an SVD, no bound first.
+n-positivity verdict with every sub-block norm of C - C* from an SVD, no
+bound first; a block norm is max |w| of the Hermitian part's spectrum,
+as in maps.
 """
 import math
 
@@ -135,13 +137,13 @@ def svd_is_extreme(rho, tol=1e-9, dilation=None):
     return rank == mat.shape[1], mat.shape[1], rank
 
 
-def svd_cpn_verdicts(stacks, m, tol, spectra=None, norms=None):
-    """maps._cpn_verdicts with every gate read off SVDs: the block norms
-    (unless given) and the m x m sub-block norms of C - C*, per block one
-    SVD call each over the stack."""
+def svd_cpn_verdicts(stacks, m, tol, spectra=None):
+    """maps._cpn_verdicts with no bound first: the block norms max |w| of
+    the Hermitian parts' spectra, and the m x m sub-block norms of C - C*
+    always read off SVDs, per block one SVD call over the stack."""
     if spectra is None:
         spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
-    norms = [spectral_norms(c).tolist() for c in stacks] if norms is None else norms
+    norms = [np.abs(w).max(axis=-1, initial=0.0).tolist() for w in spectra]
     asyms = [spectral_norms(subblocks(c - c.conj().swapaxes(-1, -2), m))
              .max(axis=(-2, -1), initial=0.0).tolist() for c in stacks]
     lows = [w[:, 0].tolist() if w.shape[-1] else None for w in spectra]

@@ -328,9 +328,9 @@ def test_representation_images_are_a_validated_stack():
 
 
 def test_dilate_seeds_the_positivity_verdict(monkeypatch):
-    # dilate keeps the verdict it decides from its eigh spectra, so a
-    # dilation passed on to is_pure, rn_operator or intertwiner is not
-    # followed by a second decision on rho; a verdict decided first is kept
+    # dilate keeps the verdict it decides, so a dilation passed on to
+    # is_pure, rn_operator or intertwiner is not followed by a second
+    # decision on rho; a verdict decided first is kept
     import cpnkit.maps as cpnkit_maps
     from cpnkit import intertwiner, is_completely_n_positive, is_pure, rn_operator
 
@@ -359,6 +359,40 @@ def test_dilate_seeds_the_positivity_verdict(monkeypatch):
     first = is_completely_n_positive(other)
     dilate(other)
     assert is_completely_n_positive(other) is first and len(decided) == 5
+
+
+def test_verdict_and_scale_do_not_depend_on_call_order():
+    # dilate decides through the same eigvalsh spectra as
+    # is_completely_n_positive, so on fresh copies of one map either order
+    # gives the same bits, for a positive map and for one dilate refuses
+    from cpnkit import is_completely_n_positive
+
+    rng = np.random.default_rng(43)
+    alg = make_algebra((2, 1))
+    drawn = random_cpn_map(alg, 2, 2, 3, rng)
+    spoiled = LinearMap(alg, 4, tuple(c - 1e-7 * np.eye(len(c)) for c in drawn.flat.choi_blocks))
+
+    def outcome(rho, tol, check_first):
+        try:
+            if check_first:
+                first = is_completely_n_positive(rho, tol)
+                dil = dilate(rho, tol)
+            else:
+                dil = dilate(rho, tol)
+                first = is_completely_n_positive(rho, tol)
+            made = dil.rep.multiplicities
+        except PositivityError as exc:
+            first, made = is_completely_n_positive(rho, tol), exc.min_eig.hex()
+        return (first.verdict, first.min_eig.hex(), first.hermitian_symmetric,
+                rho.scale.hex(), made)
+
+    for flat in (drawn.flat, spoiled):
+        for tol in (1e-9, 1e-6):
+            got = [outcome(unflatten(LinearMap(alg, 4, tuple(c.copy() for c in flat.choi_blocks)),
+                                     2), tol, check_first) for check_first in (True, False)]
+            assert got[0] == got[1]
+    spoiled_at = {tol: outcome(unflatten(spoiled, 2), tol, True)[0] for tol in (1e-9, 1e-6)}
+    assert spoiled_at == {1e-9: False, 1e-6: True}
 
 
 def test_no_verdict_on_a_dilate_output_builds_the_images(monkeypatch):

@@ -10,6 +10,7 @@ from cpnkit import (CPnMap, LinearMap, PositivityError, Representation,
                     require_cpn, trace_map, unflatten, unit_index, zero_map)
 import cpnkit.maps as cpnkit_maps
 from cpnkit.dilation import dilation_of
+from cpnkit.linalg import herm
 
 
 def test_identity_map_acts_as_identity():
@@ -395,11 +396,17 @@ def test_closed_form_choi_blocks_match_image_loops():
         assert np.array_equal(images_of(phi), np.array(images, dtype=complex))
 
 
+def spectral_radius(c):
+    """max |w| over the spectrum of herm(C): the block norm scale and the
+    verdict read."""
+    return np.abs(np.linalg.eigvalsh(herm(c))).max()
+
+
 def test_cpn_scale_is_computed_once_per_map():
     rng = np.random.default_rng(21)
     rho = random_cpn_map(make_algebra((2, 1)), 2, 2, 3, rng)
     theta = random_cpn_map(make_algebra((2, 1)), 2, 2, 2, rng)
-    fresh = 1.0 + max(np.linalg.norm(b, 2) for b in flatten(rho).choi_blocks)
+    fresh = 1.0 + max(spectral_radius(b) for b in flatten(rho).choi_blocks)
     assert "scale" not in rho.__dict__
     assert rho.scale == fresh
     assert rho.__dict__["scale"] == fresh
@@ -408,37 +415,38 @@ def test_cpn_scale_is_computed_once_per_map():
     for derived in (2.0 * rho, rho + theta, rho - theta, -1 * rho,
                     unflatten(flatten(rho), 2), CPnMap(rho.entries)):
         assert "scale" not in derived.__dict__
-        expect = 1.0 + max(np.linalg.norm(b, 2) for b in flatten(derived).choi_blocks)
+        expect = 1.0 + max(spectral_radius(b) for b in flatten(derived).choi_blocks)
         assert derived.scale == expect
     assert (2.0 * rho).scale != rho.scale
 
 
 def test_scale_reads_the_block_norms_of_the_verdict(monkeypatch):
-    # the verdict of is_completely_n_positive, and the one dilate seeds,
-    # takes every flattened Choi block norm; scale reads those norms
+    # the verdict of is_completely_n_positive, and the one dilate decides,
+    # takes the eigvalsh spectrum of every flattened Choi block; scale
+    # reads those spectra and takes no decomposition of its own
     alg = make_algebra((2, 1))
     rng = np.random.default_rng(23)
-    real, calls = np.linalg.svd, []
+    calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
 
     for decide in (is_completely_n_positive, dilate):
         rho = random_cpn_map(alg, 2, 2, 3, rng)
         decide(rho)
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         scale = rho.scale
         monkeypatch.undo()
         assert calls == []
         fresh = unflatten(LinearMap(alg, 4, tuple(b.copy() for b in rho.flat.choi_blocks)), 2)
-        expect = 1.0 + max(np.linalg.norm(b, 2) for b in fresh.flat.choi_blocks)
+        expect = 1.0 + max(spectral_radius(b) for b in fresh.flat.choi_blocks)
         assert scale.hex() == fresh.scale.hex() == expect.hex()
 
 
 def test_verdict_takes_the_skew_svd_only_when_the_bound_leaves_it_open(monkeypatch):
-    # a fresh Hermitian-symmetric map: one SVD call per algebra block, for
-    # its norms; an asymmetric one: a second per block, over the sub-blocks
+    # a fresh Hermitian-symmetric map: no SVD call for its verdict and
+    # scale; an asymmetric one: one per block, over the sub-blocks
     alg = make_algebra((2, 1))
     rng = np.random.default_rng(29)
     rho = random_cpn_map(alg, 2, 2, 3, rng)
@@ -447,11 +455,10 @@ def test_verdict_takes_the_skew_svd_only_when_the_bound_leaves_it_open(monkeypat
         b + 1e-3 * (k + k.T) for b, k in zip(rho.flat.choi_blocks, skews))), 2)
     real, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or real(*args, **kw))
-    assert is_completely_n_positive(rho).verdict
+    assert is_completely_n_positive(rho).verdict and rho.scale > 1.0
+    assert calls == []
+    assert not is_completely_n_positive(asym).hermitian_symmetric and asym.scale > 1.0
     assert len(calls) == alg.num_blocks
-    calls.clear()
-    assert not is_completely_n_positive(asym).hermitian_symmetric
-    assert len(calls) == 2 * alg.num_blocks
 
 
 def test_cpn_verdict_is_kept_per_map_and_tolerance(monkeypatch):

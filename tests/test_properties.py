@@ -31,12 +31,11 @@ import cpnkit.radon as cpnkit_radon
 import cpnkit.structure as cpnkit_structure
 from cpnkit.acceptance import _instance, criterion_4_order
 from cpnkit.dilation import CommutantBasis, canonical_frame, canonical_images
-from cpnkit.linalg import (commutant_basis_of, herm, solve_sandwich, spectral_norm,
-                           spectral_norms)
+from cpnkit.linalg import commutant_basis_of, herm, solve_sandwich, spectral_norm
 from cpnkit.maps import (_cpn_distances, _cpn_verdicts, _hermitian_partner, _trusted_map,
                          apply_map, images_of, subblocks)
-from cpnkit.radon import (_coefficients, _gated_compressions, _maps, _operator_compressions,
-                          _order_checks, _unit_interval)
+from cpnkit.radon import (_block_gates, _coefficients, _gated_compressions, _maps,
+                          _operator_compressions, _order_checks, _unit_interval)
 
 from oracles import (choi_extreme, pair_basis, polar_witness_images, svd_cpn_verdicts,
                      svd_is_extreme)
@@ -536,18 +535,24 @@ def test_stacked_verdicts_on_empty_spectra():
     assert [verdict_bits(v) for v in got] == [verdict_bits(single)] * 3
 
 
+def block_norm(c):
+    """The norm the verdict gives a flattened Choi block: max |w| over the
+    spectrum w of herm(C)."""
+    return np.abs(np.linalg.eigvalsh(herm(c))).max(initial=0.0)
+
+
 def symmetry_ratio(blocks, m, tol):
-    """The largest m x m sub-block norm of C - C* over tol (1 + max ||C||)."""
+    """The largest m x m sub-block norm of C - C* over tol (1 + max block norm)."""
     asym = max(spectral_norm(subblocks(c - c.conj().T, m)) for c in blocks)
-    return asym / (tol * (1.0 + max(spectral_norm(c) for c in blocks)))
+    return asym / (tol * (1.0 + max(block_norm(c) for c in blocks)))
 
 
 def at_gate(blocks, m, tol, kind, theta, rng):
     """Flattened Choi blocks of a Hermitian-symmetric map moved to theta
     times a gate: an anti-Hermitian part on every block puts the symmetry
     gap there ("skew"), a multiple of I on block 0 the least eigenvalue
-    ("low", against -tol (1 + ||C_0||)).  A few fixed-point steps absorb
-    the move's effect on the norms."""
+    ("low", against -tol (1 + block norm of C_0)).  A few fixed-point
+    steps absorb the move's effect on the norms."""
     if kind == "skew":
         ks = [1j * herm(rng.standard_normal(c.shape)) for c in blocks]
         s = tol
@@ -557,8 +562,8 @@ def at_gate(blocks, m, tol, kind, theta, rng):
     if kind == "low":
         eye, shift = np.eye(len(blocks[0])), 0.0
         for _ in range(4):
-            b = blocks[0] - shift * eye
-            shift += np.linalg.eigvalsh(herm(b))[0] + theta * tol * (1.0 + spectral_norm(b))
+            w = np.linalg.eigvalsh(herm(blocks[0] - shift * eye))
+            shift += w[0] + theta * tol * (1.0 + np.abs(w).max())
         return [blocks[0] - shift * eye] + list(blocks[1:])
     return list(blocks)
 
@@ -575,7 +580,7 @@ GATES = st.tuples(st.sampled_from(("drawn", "skew", "low")),
                                       ("low", 1.0 - 1e-6), ("low", 1.0 + 1e-6)], 1e-6, True)
 def test_bounded_verdicts_match_the_svd_oracle(shape, gates, tol, empty):
     # members at (1 +- 1e-6) x the symmetry or positivity gate, with and
-    # without norms: a bound settles only what the SVDs decide alike
+    # without spectra: the skew bound settles only what the SVDs decide alike
     dims, n, m, ranks, seed = shape
     rng = np.random.default_rng(seed)
     members = [at_gate(map_with_ranks(dims, n, m, ranks, rng).flat.choi_blocks, m, tol,
@@ -585,25 +590,46 @@ def test_bounded_verdicts_match_the_svd_oracle(shape, gates, tol, empty):
     if empty:  # a block with no rows takes no part
         stacks.append(np.zeros((len(members), 0, 0), dtype=complex))
     spectra = [np.linalg.eigvalsh(herm(c)) for c in stacks]
-    norms = [spectral_norms(c).tolist() for c in stacks]
     want = [verdict_bits(v) for v in svd_cpn_verdicts(stacks, m, tol)]
     assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol)] == want
     assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol, spectra)] == want
-    assert [verdict_bits(v) for v in _cpn_verdicts(stacks, m, tol, spectra, norms)] == want
     if tol == 1e-6:  # far above rounding, every move lands on its side of the gate
         assert [bits[0] for bits in want] == [kind == "drawn" or theta < 1.0
                                              for kind, theta in gates]
 
 
 def test_bounds_that_overflow_settle_nothing():
-    # ||C||_F of entries near 1e160 overflows: under the CLI's errstate the
-    # verdicts still match the oracle instead of raising
+    # Choi entries near 1e160, whose squares overflow: under the CLI's
+    # errstate the verdicts still match the oracle instead of raising
     rng = np.random.default_rng(12)
     maps = [map_with_ranks((2, 1), 2, 2, (3, 2), rng) for _ in range(3)]
     stacks = [1e160 * c for c in choi_stacks(maps, maps[0])]
     with np.errstate(over="raise", invalid="raise"):
         got = [verdict_bits(v) for v in _cpn_verdicts(stacks, 2, 1e-9)]
         assert got == [verdict_bits(v) for v in svd_cpn_verdicts(stacks, 2, 1e-9)]
+
+
+@DETERMINISTIC
+@given(shapes(), st.sampled_from(("drawn", "asymmetric")))
+def test_eigen_route_norms_match_the_svd(shape, kind):
+    # scale and _block_gates read each norm as the spectral radius of an
+    # eigvalsh spectrum; the 2-norms of herm(C), herm(X) and X - X* by SVD
+    # are their oracle, on Hermitian and on asymmetric draws
+    dims, n, m, ranks, seed = shape
+    rng = np.random.default_rng(seed)
+    rho = spoiled(map_with_ranks(dims, n, m, ranks, rng), rng, kind)
+    eps = np.finfo(float).eps
+    want = max(np.linalg.norm(herm(c), 2) for c in rho.flat.choi_blocks)
+    assert abs(rho.scale - (1.0 + want)) <= 16 * eps * rho.scale
+    xs = [rng.standard_normal((3, r, r)) + 1j * rng.standard_normal((3, r, r)) for r in ranks]
+    if kind == "drawn":
+        xs = [herm(x) for x in xs]
+    norms, asyms, _ = _block_gates(xs)
+    for i in range(3):
+        for got, mats in ((norms[i], [herm(x[i]) for x in xs]),
+                          (asyms[i], [x[i] - x[i].conj().T for x in xs])):
+            want = max([np.linalg.norm(a, 2) for a in mats if a.size], default=0.0)
+            assert abs(got - want) <= 16 * eps * want
 
 
 @DETERMINISTIC

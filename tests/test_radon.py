@@ -204,10 +204,10 @@ def test_compress_matches_per_matrix_products():
 
 
 def test_fused_gates_match_separate_norms():
-    # compress takes ||X||, ||X - X*|| over the frame blocks from one
-    # batched SVD per block and the least eigenvalue from one eigvalsh call
-    # per block: bitwise the values of separate calls, for each member of a
-    # stack too; empty blocks take no part
+    # compress takes ||herm X||, ||X - X*|| and the least eigenvalue over
+    # the frame blocks from one eigvalsh call per block, over [herm X;
+    # i (X - X*)]: bitwise the values of separate calls, for each member of
+    # a stack too; empty blocks take no part
     rng = np.random.default_rng(19)
     for dims in ((2,), (3,), (2, 1), (2, 2), (3, 1)):
         alg = make_algebra(dims)
@@ -219,9 +219,12 @@ def test_fused_gates_match_separate_norms():
             for i in range(3):
                 fused = tuple(v[i].item() for v in stacked)
                 single = tuple(v[0].item() for v in _block_gates([x[i:i + 1] for x in xs]))
-                separate = (max(spectral_norm(x[i]) for x in xs),
-                            max(spectral_norm(x[i] - x[i].conj().T) for x in xs),
-                            min(np.linalg.eigvalsh(herm(x[i]))[0] for x in xs if len(x[i])))
+                spectra = [(np.linalg.eigvalsh(herm(x[i])),
+                            np.linalg.eigvalsh(1j * (x[i] - x[i].conj().T)))
+                           for x in xs if len(x[i])]
+                separate = (max(np.abs(h).max() for h, _ in spectra),
+                            max(np.abs(a).max() for _, a in spectra),
+                            min(h[0] for h, _ in spectra))
                 assert fused == single == separate
     empty = commutant(dilate(as_cpn(zero_map(make_algebra((2, 1)), 2))).rep)
     assert empty.space_dim == 0
